@@ -663,8 +663,10 @@ let run_server () =
   let server = make_server ~domains:1 ~cache_capacity:65_536 in
   Server.start server;
   let cold = pass server in
+  let cold_misses = (Server.cache_stats server).Server.Shard.misses in
   let warm = pass server in
   let cache = Server.cache_stats server in
+  let warm_misses = cache.Server.Shard.misses - cold_misses in
   let metrics_json = Server.Metrics.to_json (Server.metrics server) in
   Server.stop server;
   let speedup = cold /. warm in
@@ -678,6 +680,14 @@ let run_server () =
   Format.printf "cache: %d entries, %d hits, %d misses, %d evictions@." cache.Server.Shard.entries
     cache.Server.Shard.hits cache.Server.Shard.misses cache.Server.Shard.evictions;
   Format.printf "acceptance: warm pass at least 5x the cold pass: %b@." (speedup >= 5.0);
+  (* Hard guard on an exact count, unlike the wall-time ratio above: the
+     cold pass cached every label, so the warm pass must never miss. *)
+  if warm_misses > 0 then begin
+    Format.printf "FAIL: warm-cache guard: %d label-cache misses on the warm pass@."
+      warm_misses;
+    exit 1
+  end;
+  Format.printf "acceptance: warm pass served entirely from the label cache — PASS@.";
   (* Group commit: the same single-shard workload journaled to disk, one
      fsync per decision vs one covering fsync per drained batch. The
      mailbox is filled before the worker starts so every drain is a full

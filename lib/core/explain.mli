@@ -42,8 +42,10 @@ type t = {
           ["matcher"], ["fallback"], ["interpreter"], or ["none"] when the
           decision needed no label (cache hit: see [cache_level]). *)
   cache_level : string;
-      (** Which label-cache level served it: ["exact"], ["normal"],
-          ["canonical"], ["miss"], or ["none"] outside the serving layer. *)
+      (** How the label cache handled it: ["exact"] on a hit, ["miss"] when
+          the cache was consulted and the query labeled afresh, ["off"] when
+          the shard runs without a cache, or ["none"] outside the serving
+          layer and for queries refused before the cache was consulted. *)
   cause : cause list;  (** Refusal cause chain, outermost stage first; empty on answers. *)
 }
 

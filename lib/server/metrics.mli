@@ -11,7 +11,9 @@ type stage =
           response bytes written, on the connection's domain ([lib/net]). *)
   | Wait  (** Mailbox residency: enqueue on the client domain to dequeue by the worker. *)
   | Admit  (** Pre-decision label admission on the cached submit path. *)
-  | Canonicalize  (** Computing a cache key (normal form / canonical form). *)
+  | Canonicalize
+      (** Computing the label-cache key: interning the query's exact
+          structure. The name predates the single key level. *)
   | Label  (** The guarded labeling run inside {!Disclosure.Service}. *)
   | Cache  (** Label-cache lookup and maintenance. *)
   | Decide  (** The monitor's policy decision. *)

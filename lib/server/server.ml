@@ -7,7 +7,6 @@
 module Metrics = Metrics
 module Mailbox = Mailbox
 module Label_cache = Label_cache
-module Canon = Canon
 module Ivar = Ivar
 module Shard = Shard
 

@@ -1,7 +1,7 @@
 (** The concurrent serving layer over {!Disclosure.Service}: principals are
     partitioned across [N] worker domains (shards) by a stable hash of their
     name. Each shard {e exclusively owns} a sequential service, an optional
-    label cache keyed by canonical query form, and its own append-only
+    label cache keyed by the interned query, and its own append-only
     journal segment ([<base>.shard<i>]); clients reach a shard only through
     a bounded mailbox.
 
@@ -9,8 +9,8 @@
     single-threaded, the per-principal decision sequence is identical to
     replaying the same queries through a single-threaded
     [Disclosure.Service.submit] — concurrency never reorders one principal's
-    history, and the label cache is sound by canonicalization (see
-    {!Canon}).
+    history, and a label-cache hit replays the label that labeling the
+    syntactically identical query produced.
 
     Overload is fail-closed and non-blocking: when a shard's mailbox is
     full, {!submit} immediately returns a ticket already resolved to
@@ -27,7 +27,6 @@
 module Metrics = Metrics
 module Mailbox = Mailbox
 module Label_cache = Label_cache
-module Canon = Canon
 module Ivar = Ivar
 module Shard = Shard
 

@@ -102,8 +102,8 @@ type t = {
       (* Decisions awaiting the covering flush, newest first. Worker-domain
          only. *)
   mutable last_cache : string;
-      (* Which cache level served the query being processed ("exact" /
-         "normal" / "minimized"), or "miss" / "off" when the labeler ran, or
+      (* How the label cache handled the query being processed: "exact" on a
+         hit of its one exact key, "miss" / "off" when the labeler ran, or
          "none" when the query refused before either was consulted. Reset at
          the top of every query; worker-domain only. Feeds the per-tier
          metrics and the explanation's [cache_level]. *)
@@ -214,7 +214,7 @@ let journal_position t = Service.journal_position t.service
 
 (* Like Metrics.time, but also emits a span into the in-flight scope.
    Stages inside the service report through the observe callback above;
-   this covers the stages the shard runs itself (canonicalize, cache). *)
+   this covers the stages the shard runs itself (key interning, cache). *)
 let timed t stage f =
   let t0 = Disclosure.Mclock.now_ns () in
   let finish () =
@@ -310,90 +310,44 @@ let uncached t ~principal q =
   | Error reason -> Service.refuse t.service ~principal reason
   | Ok label -> Service.submit_label t.service ~principal label
 
-(* Cache lookup tries three key levels in cost order, each hash-consed to an
-   int id by the artifact's interner: the query's own (head, body) structure,
-   its reorder/rename-invariant normal form, then the minimized canonical
-   form. Interned ids are monotone across interner flushes and the cache is
-   recreated whenever the artifact is (reload), so a stale id can never
-   alias a live entry. The canonical keys are computed under their own
-   guarded run (fresh budget), so canonicalization can never eat the budget
-   of the labeling run and a key failure degrades to skipping that level —
-   never to a refusal the sequential service would not have issued. On a
-   full miss the ORIGINAL query is labeled, making the miss path
-   byte-for-byte the sequential Service.submit. *)
+(* Cache lookup keys on one exact id: the query's own (head, body)
+   structure, hash-consed to an int by the artifact's interner. Interned ids
+   are monotone across interner flushes and the cache is recreated whenever
+   the artifact is (reload), so a stale id can never alias a live entry.
+   There is deliberately no reorder/rename-invariant or minimized key: it
+   would cost a fold and a normal-form search per miss, more than the
+   compiled labeling it could skip (which folds the query once itself), for
+   almost no extra hits. A miss labels the ORIGINAL query, making the miss
+   path byte-for-byte the sequential Service.submit. *)
 let cached t cache ~principal q =
   let svc = t.service in
-  let limits = Service.limits svc in
-  match Guard.admit_query limits q with
+  match Guard.admit_query (Service.limits svc) q with
   | Error reason ->
     (* Sequential submit refuses at admission before labeling; refusing here
        keeps a cache hit from ever answering a query it would have shed. *)
     Service.refuse svc ~principal reason
-  | Ok () ->
-    let find k = timed t Metrics.Cache (fun () -> Label_cache.find cache k) in
-    let k0 =
-      timed t Metrics.Canonicalize (fun () -> Artifact.intern_query t.artifact q)
-    in
-    (* The cache level that served (or "miss"), and the width of the label
-       the cache handed back — the miss path's width is reported by the
-       service's own `Label observation instead. *)
-    let level_hit level label =
-      note t "cache" level;
-      t.last_cache <- level;
-      note t "label_width" (string_of_int (List.length (Label.atoms label)))
-    in
-    let hit label =
-      Metrics.incr t.metrics Metrics.Cache_hit;
-      timed t Metrics.Cache (fun () -> Label_cache.add cache k0 label);
-      Service.submit_label svc ~principal label
-    in
-    (match find k0 with
+  | Ok () -> (
+    let k = timed t Metrics.Canonicalize (fun () -> Artifact.intern_query t.artifact q) in
+    match timed t Metrics.Cache (fun () -> Label_cache.find cache k) with
     | Some label ->
+      (* The miss path's label width is reported by the service's own
+         `Label observation instead. *)
       Metrics.incr t.metrics Metrics.Cache_hit;
-      level_hit "exact" label;
+      note t "cache" "exact";
+      t.last_cache <- "exact";
+      note t "label_width" (string_of_int (List.length (Label.atoms label)));
       Service.submit_label svc ~principal label
     | None -> (
-      let key (f : budget:Cq.Budget.t -> Cq.Query.t -> Cq.Query.t) =
-        match
-          timed t Metrics.Canonicalize (fun () ->
-              Guard.run limits (fun budget ->
-                  Artifact.intern_query t.artifact (f ~budget q)))
-        with
-        | Ok k when k <> k0 -> Some k
-        | _ -> None
-      in
-      let k1 = key (fun ~budget q -> Cq.Minimize.normal_form ~budget q) in
-      match Option.map find k1 |> Option.join with
-      | Some label ->
-        level_hit "normal" label;
-        hit label
-      | None -> (
-        (* The minimized canonical form catches repeats that differ by
-           redundant atoms; worth the homomorphism work only this deep. *)
-        let k2 =
-          match key (fun ~budget q -> Cq.Minimize.canonicalize ~budget q) with
-          | Some k when Some k <> k1 -> Some k
-          | _ -> None
-        in
-        match Option.map find k2 |> Option.join with
-        | Some label ->
-          level_hit "minimized" label;
-          hit label
-        | None -> (
-          Metrics.incr t.metrics Metrics.Cache_miss;
-          note t "cache" "miss";
-          t.last_cache <- "miss";
-          match label_query t q with
-          | Error reason -> Service.refuse svc ~principal reason
-          | Ok label ->
-            let before = Label_cache.evictions cache in
-            timed t Metrics.Cache (fun () ->
-                Label_cache.add cache k0 label;
-                Option.iter (fun k -> Label_cache.add cache k label) k1;
-                Option.iter (fun k -> Label_cache.add cache k label) k2);
-            Metrics.add t.metrics Metrics.Cache_eviction
-              (Label_cache.evictions cache - before);
-            Service.submit_label svc ~principal label))))
+      Metrics.incr t.metrics Metrics.Cache_miss;
+      note t "cache" "miss";
+      t.last_cache <- "miss";
+      match label_query t q with
+      | Error reason -> Service.refuse svc ~principal reason
+      | Ok label ->
+        let before = Label_cache.evictions cache in
+        timed t Metrics.Cache (fun () -> Label_cache.add cache k label);
+        Metrics.add t.metrics Metrics.Cache_eviction (Label_cache.evictions cache - before);
+        Service.submit_label svc ~principal label))
 
 let handle t ~principal q =
   match t.cache with
@@ -465,7 +419,7 @@ let outcome_of = function
    describes exactly the query that just ran it. *)
 let metrics_tier t =
   match t.last_cache with
-  | "exact" | "normal" | "minimized" -> Some Metrics.Tier_cache
+  | "exact" -> Some Metrics.Tier_cache
   | "off" | "miss" ->
     Some
       (match Artifact.last_tier t.artifact with

@@ -1,8 +1,8 @@
-(* Property tests for the canonical query forms behind the serving layer's
-   label cache (lib/cq/minimize.ml, lib/server/canon.ml): canonical keys must
-   be invariant under the syntactic variation they claim to absorb, and
-   labeling must be invariant under canonicalization — the two facts that
-   make a cache hit sound. *)
+(* Property tests for the canonical query forms of lib/cq/minimize.ml:
+   normal forms and canonical forms must be invariant under the syntactic
+   variation they claim to absorb, and labeling must be invariant under
+   canonicalization — the fact that lets the labeler fold a query before
+   labeling it. *)
 
 module Pipeline = Disclosure.Pipeline
 module Label = Disclosure.Label
@@ -53,7 +53,7 @@ let arbitrary_query_with_variant =
     gen_query_with_variant
 
 (* [q] with one body atom duplicated — a redundant atom [minimize] removes,
-   which only the minimized key level must absorb. *)
+   which only [canonicalize] (not [normal_form]) must absorb. *)
 let gen_with_redundant_atom (q : Query.t) : Query.t Gen.t =
   let open Gen in
   let* i = int_bound (List.length q.body - 1) in
@@ -94,9 +94,9 @@ let canonicalize_absorbs_redundancy =
     arbitrary_query_with_redundant (fun (q, v) ->
       Query.equal (Minimize.canonicalize q) (Minimize.canonicalize v))
 
-(* The cache-soundness fact itself: a query, its reordered/renamed variant,
-   and its canonical form all label at the same lattice point, so a label
-   cached under any canonical key decides exactly like a fresh one. *)
+(* The folding-soundness fact itself: a query, its reordered/renamed
+   variant, and its canonical form all label at the same lattice point, so
+   labeling the folded query decides exactly like labeling the original. *)
 let labeling_invariant =
   prop "labeling invariant under canonicalization" arbitrary_query_with_redundant
     (fun (q, v) ->
@@ -105,12 +105,6 @@ let labeling_invariant =
       && Label.equal l (Pipeline.label pipeline (Minimize.canonicalize q))
       && Label.equal l (Pipeline.label pipeline (Minimize.normal_form q)))
 
-(* Key-level restatement, as the serving layer consumes it. *)
-let keys_invariant =
-  prop "cache keys invariant at their level" arbitrary_query_with_variant (fun (q, v) ->
-      String.equal (Server.Canon.normal_key q) (Server.Canon.normal_key v)
-      && String.equal (Server.Canon.minimized_key q) (Server.Canon.minimized_key v))
-
 let suite =
   [
     normal_form_invariant;
@@ -118,5 +112,4 @@ let suite =
     normal_form_idempotent;
     canonicalize_absorbs_redundancy;
     labeling_invariant;
-    keys_invariant;
   ]

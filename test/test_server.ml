@@ -43,7 +43,7 @@ let register_all register =
   register ~principal:"mail-app" ~partitions:[ ("default", [ v1; v3 ]) ];
   register ~principal:"todo-app" ~partitions:[ ("default", [ v2; v3 ]) ]
 
-let make_server ?journal ?(cache_capacity = 256) ?(mailbox_capacity = 1024)
+let make_server ?(domains = domains) ?journal ?(cache_capacity = 256) ?(mailbox_capacity = 1024)
     ?(checkpoint_every = 0) ?(segment_bytes = 0) ?(group_commit = false) () =
   let server =
     Server.create ?journal
@@ -168,14 +168,20 @@ let test_equivalence_under_eviction () =
     (sequences_equal (group_by_principal decisions) (group_by_principal expected));
   check_bool "evictions actually happened" true (evictions > 0)
 
+(* The cache keys on the query's exact interned structure: a verbatim
+   repeat hits, while an alpha-renamed or redundant-atom variant is labeled
+   afresh — and every variant is still decided exactly as the sequential
+   service decides it. *)
 let test_cache_hits_across_variants () =
   let server = make_server () in
   Server.start server;
-  (* Same query three ways: verbatim, alpha-renamed, reordered+redundant. *)
+  let service = make_service () in
   List.iter
     (fun q ->
-      check_bool "variant answered" true
-        (Server.submit_sync server ~principal:"calendar-app" q = Monitor.Answered))
+      let expected = Service.submit service ~principal:"calendar-app" q in
+      check_bool "variant decided as Service.submit decides it" true
+        (Monitor.decision_equal expected
+           (Server.submit_sync server ~principal:"calendar-app" q)))
     [
       pq "Q(x) :- Meetings(x, y)";
       pq "Q(x) :- Meetings(x, y)";
@@ -185,10 +191,38 @@ let test_cache_hits_across_variants () =
   Server.drain server;
   let stats = Server.cache_stats server in
   let metrics = Server.metrics server in
+  let snapshot = Server.snapshot server in
   Server.stop server;
-  check_bool "repeats hit the cache" true (stats.Server.Shard.hits >= 3);
-  check_int "only the first labeling missed" 1
-    (Server.Metrics.count metrics Server.Metrics.Cache_miss)
+  check_int "only the verbatim repeat hit" 1 stats.Server.Shard.hits;
+  check_int "the original and both variants were labeled" 3
+    (Server.Metrics.count metrics Server.Metrics.Cache_miss);
+  check_bool "monitor states match the sequential service" true
+    (Service.snapshot service = snapshot)
+
+(* One key per decision: every cached decision interns its query exactly
+   once (the Canonicalize stage) and is either a hit or a miss — no second
+   key level is ever computed. *)
+let test_one_key_per_decision () =
+  let server = make_server ~domains:1 () in
+  Server.start server;
+  let history =
+    List.concat_map
+      (fun principal ->
+        Array.to_list (Array.map (fun q -> (principal, q)) queries)
+        @ [ (principal, queries.(0)); (principal, queries.(2)) ])
+      (Array.to_list principals)
+  in
+  List.iter (fun (principal, q) -> ignore (Server.submit_sync server ~principal q)) history;
+  Server.drain server;
+  let metrics = Server.metrics server in
+  Server.stop server;
+  let decisions = List.length history in
+  check_int "one key computation per decision" decisions
+    (Server.Metrics.histogram metrics Server.Metrics.Canonicalize).Server.Metrics.count;
+  check_int "every decision is a hit or a miss" decisions
+    (Server.Metrics.count metrics Server.Metrics.Cache_hit
+    + Server.Metrics.count metrics Server.Metrics.Cache_miss);
+  check_bool "repeats hit" true (Server.Metrics.count metrics Server.Metrics.Cache_hit > 0)
 
 (* --- overload ---------------------------------------------------------- *)
 
@@ -606,6 +640,8 @@ let () =
             test_equivalence_under_eviction;
           Alcotest.test_case "cache hits across query variants" `Quick
             test_cache_hits_across_variants;
+          Alcotest.test_case "one cache key per decision" `Quick
+            test_one_key_per_decision;
         ] );
       ( "overload",
         [
