@@ -1579,6 +1579,14 @@ let run_replicate () =
 (* ------------------------------------------------------------------ *)
 (* Compiled labeler: AOT artifact vs interpreted pipeline (DESIGN.md §12) *)
 
+(* Runs [f] and returns its result with its process µs and minor words per
+   item, over [n] items. *)
+let measure_stage n f =
+  let w0 = Gc.minor_words () in
+  let result, seconds = time_process f in
+  let words = Gc.minor_words () -. w0 in
+  (result, (seconds *. 1e6 /. float_of_int n, words /. float_of_int n))
+
 let run_compile () =
   let module Artifact = Compile.Artifact in
   let pipeline = Fbschema.Fb_views.pipeline () in
@@ -1619,6 +1627,23 @@ let run_compile () =
         Array.for_all2 (fun a b -> Label.equal a b) interpreted compiled
         && Array.for_all2 (fun a b -> Label.equal a b) interpreted warm
       in
+      (* Where a cold label goes: the same queries through each stage of
+         [Artifact.label]'s miss path on their own — the fold, the split into
+         single-atom views, and per-atom labeling against another fresh
+         artifact — in process µs and minor words per query. The split
+         stage codes the folded query afresh; the miss path reuses the
+         fold's codes. *)
+      let folded, fold = measure_stage n (fun () -> Array.map Cq.Minimize.minimize queries) in
+      let split, split_cost =
+        measure_stage n (fun () -> Array.map Disclosure.Dissect.dissect_no_fold folded)
+      in
+      let stage_artifact = Artifact.compile pipeline in
+      let (), atom_label =
+        measure_stage n (fun () ->
+            Array.iter
+              (List.iter (fun a -> ignore (Artifact.label_atom stage_artifact a)))
+              split)
+      in
       let stats = Artifact.stats artifact in
       total_fallbacks := !total_fallbacks + stats.Artifact.fallbacks;
       last_stats := Some stats;
@@ -1633,22 +1658,30 @@ let run_compile () =
       rows :=
         !rows
         @ [
-            ( 3 * max_subqueries,
-              per_million ~count:n interp_time,
-              per_million ~count:n compiled_time,
-              cold_speedup,
-              per_million ~count:n warm_time,
-              warm_speedup,
-              identical );
+            ( ( 3 * max_subqueries,
+                per_million ~count:n interp_time,
+                per_million ~count:n compiled_time,
+                cold_speedup,
+                per_million ~count:n warm_time,
+                warm_speedup,
+                identical ),
+              (fold, split_cost, atom_label) );
           ])
     [ 1; 2; 3; 4; 5 ];
+  Format.printf "@.%-22s %17s %17s %17s@." "cold stages per query" "fold us/words"
+    "split us/words" "atom-label us/words";
+  List.iter
+    (fun ((atoms, _, _, _, _, _, _), (fold, split, atom_label)) ->
+      let cell (us, words) = Printf.sprintf "%8.2f/%8.0f" us words in
+      Format.printf "%-22d %17s %17s %17s@." atoms (cell fold) (cell split) (cell atom_label))
+    !rows;
   let min_cold =
-    List.fold_left (fun acc (_, _, _, s, _, _, _) -> Float.min acc s) infinity !rows
+    List.fold_left (fun acc ((_, _, _, s, _, _, _), _) -> Float.min acc s) infinity !rows
   in
   let min_warm =
-    List.fold_left (fun acc (_, _, _, _, _, s, _) -> Float.min acc s) infinity !rows
+    List.fold_left (fun acc ((_, _, _, _, _, s, _), _) -> Float.min acc s) infinity !rows
   in
-  let all_identical = List.for_all (fun (_, _, _, _, _, _, i) -> i) !rows in
+  let all_identical = List.for_all (fun ((_, _, _, _, _, _, i), _) -> i) !rows in
   Format.printf
     "@.compile: AOT compile %.2f ms, cold speedup >=%.1fx, warm speedup >=%.1fx, \
      fallbacks %d, bit-identical %b@."
@@ -1664,13 +1697,17 @@ let run_compile () =
       let row_json =
         String.concat ",\n"
           (List.map
-             (fun (atoms, interp, cold, cold_speedup, warm, warm_speedup, ident) ->
+             (fun ( (atoms, interp, cold, cold_speedup, warm, warm_speedup, ident),
+                    ((fold_us, fold_w), (split_us, split_w), (label_us, label_w)) ) ->
                Printf.sprintf
                  "    {\"max_atoms\": %d, \"interpreted_s_per_1m\": %.4f, \
                   \"compiled_cold_s_per_1m\": %.4f, \"cold_speedup\": %.2f, \
                   \"compiled_warm_s_per_1m\": %.4f, \"warm_speedup\": %.2f, \
-                  \"bit_identical\": %b}"
-                 atoms interp cold cold_speedup warm warm_speedup ident)
+                  \"bit_identical\": %b, \"fold_us\": %.2f, \"fold_words\": %.0f, \
+                  \"split_us\": %.2f, \"split_words\": %.0f, \"atom_label_us\": %.2f, \
+                  \"atom_label_words\": %.0f}"
+                 atoms interp cold cold_speedup warm warm_speedup ident fold_us fold_w
+                 split_us split_w label_us label_w)
              !rows)
       in
       let groups, diagram_groups, diagram_nodes =

@@ -37,7 +37,7 @@ type group = {
   rel_id : int;
   matchers : (Matcher.t * int) array; (* program, registry bit *)
   diagram : Diagram.t option; (* None: matcher tier (node budget exceeded) *)
-  memo : (int array * Value.t array, Label.atom_label) Hashtbl.t;
+  memo : Label.atom_label Pattern.Memo.t;
 }
 
 (* Which tier of the compiled labeler decided a labeling, for provenance.
@@ -110,7 +110,7 @@ let compile ?(version = 0) ?(intern_capacity = 65536) ?(memo_capacity = 65536) p
         in
         let diagram = Diagram.build ~views:matchers ~arity () in
         Hashtbl.add groups (rel, arity)
-          { rel_id = rid; matchers; diagram; memo = Hashtbl.create 64 })
+          { rel_id = rid; matchers; diagram; memo = Pattern.Memo.create 64 })
       by_arity
   done;
   {
@@ -173,7 +173,7 @@ let label_atom ?(budget = Cq.Budget.unlimited) t (atom : Tagged.atom) =
       | None -> Label.top_atom (* relation has views, none at this arity *)
       | Some g -> (
         let key = Pattern.memo_key p in
-        match Hashtbl.find_opt g.memo key with
+        match Pattern.Memo.find_opt g.memo key with
         | Some w ->
           t.atom_hits <- t.atom_hits + 1;
           escalate t Tier_atom_memo;
@@ -198,13 +198,13 @@ let label_atom ?(budget = Cq.Budget.unlimited) t (atom : Tagged.atom) =
               scan g p
           in
           let w = if mask = 0 then Label.top_atom else Label.make_atom ~rel_id ~mask in
-          if Hashtbl.length g.memo >= t.memo_capacity then Hashtbl.reset g.memo;
-          Hashtbl.add g.memo key w;
+          if Pattern.Memo.length g.memo >= t.memo_capacity then Pattern.Memo.reset g.memo;
+          Pattern.Memo.add g.memo key w;
           w)))
 
-let label ?(budget = Cq.Budget.unlimited) t q =
+let label ?(budget = Cq.Budget.unlimited) ?id t q =
   t.last_tier <- Tier_query_memo;
-  let id = intern_query t q in
+  let id = match id with Some id -> id | None -> intern_query t q in
   match Hashtbl.find_opt t.query_memo id with
   | Some lbl ->
     (* Replay the interpreter's fault schedule so armed faults fire at the

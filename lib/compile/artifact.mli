@@ -44,7 +44,10 @@ val intern_query : t -> Cq.Query.t -> int
 val label_atom :
   ?budget:Cq.Budget.t -> t -> Disclosure.Tagged.atom -> Disclosure.Label.atom_label
 
-val label : ?budget:Cq.Budget.t -> t -> Cq.Query.t -> Disclosure.Label.t
+val label : ?budget:Cq.Budget.t -> ?id:int -> t -> Cq.Query.t -> Disclosure.Label.t
+(** [id], when given, must be [intern_query t q], interned by the caller just
+    before (the shard's label-cache key); the query is then not interned a
+    second time. *)
 
 type stats = {
   version : int;

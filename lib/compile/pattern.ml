@@ -52,53 +52,68 @@ type t = {
 
 exception Outside_fragment
 
+(* Two positions share a class iff they hold the same term. A position is
+   classed by scanning the earlier ones for its term: atoms are at most
+   [max_arity] wide, and the scan allocates nothing, where per-kind name
+   tables cost two allocations and a hash per variable. *)
+let same_term (s : Tagged.term) (t : Tagged.term) =
+  match s, t with
+  | Tagged.Var (x, k), Tagged.Var (y, k') -> Tagged.kind_equal k k' && String.equal x y
+  | Tagged.Const u, Tagged.Const v -> Value.equal u v
+  | Tagged.Var _, Tagged.Const _ | Tagged.Const _, Tagged.Var _ -> false
+
 let encode_exn (a : Tagged.atom) =
   let args = Array.of_list a.Tagged.args in
   let arity = Array.length args in
   if arity > max_arity then raise Outside_fragment;
   let codes = Array.make arity 0 in
-  let dist : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  let exist : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  let consts = ref [] in
-  let n_consts = ref 0 in
-  let const_cls v =
-    (* Linear scan over the atom's few distinct constants: cheaper than a
-       hashtable at these sizes and exact under Value.equal. *)
-    let rec find i = function
-      | [] ->
-        consts := !consts @ [ v ];
-        incr n_consts;
-        !n_consts - 1
-      | u :: rest -> if Value.equal u v then i else find (i + 1) rest
-    in
-    find 0 !consts
+  let n_dist = ref 0 and n_exist = ref 0 and consts = ref [] and n_consts = ref 0 in
+  let fresh n =
+    let c = !n in
+    incr n;
+    c
   in
-  let var_cls table x =
-    match Hashtbl.find_opt table x with
-    | Some c -> c
-    | None ->
-      let c = Hashtbl.length table in
-      Hashtbl.add table x c;
-      c
-  in
-  Array.iteri
-    (fun i t ->
-      codes.(i) <-
-        (match (t : Tagged.term) with
-        | Tagged.Const v -> code ~tag:tag_const ~cls:(const_cls v)
-        | Tagged.Var (x, Tagged.Distinguished) -> code ~tag:tag_dist ~cls:(var_cls dist x)
-        | Tagged.Var (x, Tagged.Existential) -> code ~tag:tag_exist ~cls:(var_cls exist x)))
-    args;
-  { pred = a.Tagged.pred; codes; consts = Array.of_list !consts }
+  for i = 0 to arity - 1 do
+    let j = ref 0 in
+    while !j < i && not (same_term args.(!j) args.(i)) do
+      incr j
+    done;
+    codes.(i) <-
+      (if !j < i then codes.(!j)
+       else
+         match args.(i) with
+         | Tagged.Const v ->
+           consts := v :: !consts;
+           code ~tag:tag_const ~cls:(fresh n_consts)
+         | Tagged.Var (_, Tagged.Distinguished) -> code ~tag:tag_dist ~cls:(fresh n_dist)
+         | Tagged.Var (_, Tagged.Existential) -> code ~tag:tag_exist ~cls:(fresh n_exist))
+  done;
+  { pred = a.Tagged.pred; codes; consts = Array.of_list (List.rev !consts) }
 
 let encode a = match encode_exn a with p -> Some p | exception Outside_fragment -> None
 
 let arity t = Array.length t.codes
 
-(* Structural memo key: codes plus constant values (pred is implicit — the
-   memo tables are per relation group). Polymorphic hash/equality are exact
-   here: int arrays and Value.t are flat structural data. *)
+(* Memo tables are per relation group, so the relation is implicit in a
+   memo key: codes and constant values. Polymorphic equality is exact on
+   this flat data; the hash reads every code and every constant, where the
+   generic [Hashtbl.hash] stops after a few values and wide relations would
+   share a handful of hash values. *)
+type key = int array * Value.t array
+
 let memo_key t = (t.codes, t.consts)
+
+let hash ((codes, consts) : key) =
+  let h = Array.fold_left (fun h c -> (h * 31) + c) 0 codes in
+  Array.fold_left (fun h v -> (h * 31) + Value.hash v) h consts
+
+module Memo = Hashtbl.Make (struct
+  type t = key
+
+  let equal (a : t) b = a = b
+
+  let hash = hash
+end)
 
 let pp ppf t =
   let pp_code ppf c =

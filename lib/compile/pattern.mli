@@ -41,7 +41,15 @@ val encode : Disclosure.Tagged.atom -> t option
 
 val arity : t -> int
 
-val memo_key : t -> int array * Relational.Value.t array
+type key = int array * Relational.Value.t array
+
+val memo_key : t -> key
 (** Structural key (codes, constant values) for per-relation memo tables. *)
+
+val hash : key -> int
+(** Reads every code and every constant value. *)
+
+(** The per-relation memo tables, hashed with {!hash}. *)
+module Memo : Hashtbl.S with type key = key
 
 val pp : Format.formatter -> t -> unit

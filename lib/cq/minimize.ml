@@ -1,67 +1,207 @@
-(* Removing an atom relaxes the query (Q ⊆ Q'); equivalence therefore only
-   needs the converse containment, i.e. a homomorphism from the full query
-   into the reduced one that fixes the head. The head stays safe automatically:
-   the homomorphism witnesses that every head variable still occurs in the
-   reduced body. *)
+(* Folding runs over an int-coded copy of the query: every variable and
+   constant gets a dense id once, each atom becomes an int array, and a
+   substitution is an array with an undo trail. The search is the greedy one
+   of the list-and-[Subst] formulation it replaces, step for step: the same
+   removal order, the same candidate order, and a [Budget.tick] at the same
+   points, so the folded query and the fuel it spends are identical. *)
 
-let remove_nth n l = List.filteri (fun i _ -> i <> n) l
+type coded = {
+  query : Query.t;
+  preds : int array;
+  args : int array array;
+  n_vars : int;
+  n_head : int;
+}
 
-(* Necessary condition for removability of atom [n]: the folding homomorphism
-   fixes head variables and must map atom [n] onto some remaining atom, so a
-   head-fixing single-atom match must exist. Checking it first prunes most
-   failing searches cheaply. *)
-let absorbable ?(budget = Budget.unlimited) (q : Query.t) n =
-  let atom_n = List.nth q.body n in
-  let head_identity =
-    List.fold_left
-      (fun s x -> Subst.bind_exn x (Term.Var x) s)
-      Subst.empty (Query.head_vars q)
+module Names = Hashtbl.Make (String)
+
+(* Head variables are numbered first, so ids [0 .. n_head - 1] are exactly
+   the head's. Constants are coded as [lnot] their id, so every code below
+   zero is a constant and two codes are equal iff their terms are. A query
+   has few distinct constants and relations; a list scan finds them. *)
+let encode (q : Query.t) =
+  let vars = Names.create 32 in
+  let consts = ref [] and n_consts = ref 0 in
+  let preds = ref [] and n_preds = ref 0 in
+  let code = function
+    | Term.Var x -> (
+      match Names.find_opt vars x with
+      | Some v -> v
+      | None ->
+        let v = Names.length vars in
+        Names.add vars x v;
+        v)
+    | Term.Const c -> (
+      match List.find_opt (fun (c', _) -> Relational.Value.equal c c') !consts with
+      | Some (_, k) -> lnot k
+      | None ->
+        let k = !n_consts in
+        consts := (c, k) :: !consts;
+        incr n_consts;
+        lnot k)
   in
-  List.exists
-    (fun (i, b) ->
-      Budget.tick budget;
-      i <> n && Option.is_some (Homomorphism.match_atom head_identity atom_n b))
-    (List.mapi (fun i a -> (i, a)) q.body)
-
-let try_remove ?budget (q : Query.t) n =
-  if not (absorbable ?budget q n) then None
-  else
-    match remove_nth n q.body with
-    | [] -> None
-    | body' -> (
-      (* If a head variable only occurred in the removed atom the reduced query
-         is unsafe — and certainly not equivalent. *)
-      match Query.make ~name:q.name ~head:q.head ~body:body' () with
-      | q' -> if Homomorphism.exists ?budget ~from:q ~into:q' () then Some q' else None
-      | exception Query.Unsafe _ -> None)
-
-(* An atom is only removable if the homomorphism can map it onto another atom
-   with the same predicate, so atoms whose predicate occurs once in the body
-   can be skipped without searching. *)
-let removable_indices (q : Query.t) =
-  let counts = Hashtbl.create 8 in
-  List.iter
-    (fun (a : Atom.t) ->
-      Hashtbl.replace counts a.pred
-        (1 + Option.value ~default:0 (Hashtbl.find_opt counts a.pred)))
+  let pred_id p =
+    match List.find_opt (fun (p', _) -> String.equal p p') !preds with
+    | Some (_, id) -> id
+    | None ->
+      let id = !n_preds in
+      preds := (p, id) :: !preds;
+      incr n_preds;
+      id
+  in
+  List.iter (fun t -> ignore (code t)) q.head;
+  let n_head = Names.length vars in
+  let n = List.length q.body in
+  let pred_ids = Array.make n 0 and args = Array.make n [||] in
+  List.iteri
+    (fun k (a : Atom.t) ->
+      pred_ids.(k) <- pred_id a.pred;
+      let codes = Array.make (List.length a.args) 0 in
+      List.iteri (fun i t -> codes.(i) <- code t) a.args;
+      args.(k) <- codes)
     q.body;
-  List.mapi (fun i (a : Atom.t) -> (i, Hashtbl.find counts a.pred >= 2)) q.body
-  |> List.filter_map (fun (i, keep) -> if keep then Some i else None)
+  { query = q; preds = pred_ids; args; n_vars = Names.length vars; n_head }
 
-let rec shrink ?budget q =
-  let rec loop = function
-    | [] -> q
-    | i :: rest -> (
-      match try_remove ?budget q i with
-      | Some q' -> shrink ?budget q'
-      | None -> loop rest)
+let unbound = min_int
+
+type search = {
+  c : coded;
+  budget : Budget.t;
+  live : int array; (* [live.(0 .. len - 1)]: the body's atoms, in order *)
+  mutable len : int;
+  pred_count : int array; (* relation id -> live atoms over it *)
+  subst : int array; (* variable id -> code, or [unbound] *)
+  trail : int array; (* the variables bound since the search began *)
+  mutable top : int;
+}
+
+let undo s mark =
+  while s.top > mark do
+    s.top <- s.top - 1;
+    s.subst.(s.trail.(s.top)) <- unbound
+  done
+
+(* Extends the substitution so atom [a] maps onto atom [b]; on failure the
+   substitution is left as it was. *)
+let match_atom s a b =
+  let xs = s.c.args.(a) and ts = s.c.args.(b) in
+  s.c.preds.(a) = s.c.preds.(b)
+  && Array.length xs = Array.length ts
+  &&
+  let mark = s.top in
+  let ok = ref true and i = ref 0 in
+  while !ok && !i < Array.length xs do
+    let x = xs.(!i) and t = ts.(!i) in
+    (if x < 0 then ok := x = t
+     else
+       let bound = s.subst.(x) in
+       if bound = unbound then begin
+         s.subst.(x) <- t;
+         s.trail.(s.top) <- x;
+         s.top <- s.top + 1
+       end
+       else ok := bound = t);
+    incr i
+  done;
+  if not !ok then undo s mark;
+  !ok
+
+(* Removability of atom [i] needs a head-fixing single-atom match onto some
+   other atom; checking that first prunes most failing searches. *)
+let absorbable s i =
+  let found = ref false and p = ref 0 in
+  while (not !found) && !p < s.len do
+    Budget.tick s.budget;
+    let j = s.live.(!p) in
+    if j <> i && match_atom s i j then begin
+      undo s 0;
+      found := true
+    end;
+    incr p
+  done;
+  !found
+
+(* A homomorphism from the whole body into the body without atom [i],
+   extending the current substitution from the [k]-th atom on. Removing an
+   atom relaxes the query, so this is the whole equivalence check; it also
+   keeps the reduced query safe, since atom [i]'s head variables already
+   occur in the atom [absorbable] matched it onto. *)
+let rec embeds s i k = k = s.len || embeds_onto s i k 0
+
+and embeds_onto s i k p =
+  p < s.len
+  &&
+  let b = s.live.(p) in
+  if b = i then embeds_onto s i k (p + 1)
+  else begin
+    Budget.tick s.budget;
+    let mark = s.top in
+    (match_atom s s.live.(k) b && (embeds s i (k + 1) || (undo s mark; false)))
+    || embeds_onto s i k (p + 1)
+  end
+
+let removable s p =
+  let i = s.live.(p) in
+  s.pred_count.(s.c.preds.(i)) >= 2
+  && absorbable s i
+  &&
+  let found = embeds s i 0 in
+  undo s 0;
+  found
+
+(* The greedy fold: remove the first removable atom, then rescan from the
+   start. With [~first_only] it stops after the first removal, which is
+   exactly the work [is_minimal] does. *)
+let search ~budget ~first_only q =
+  let c = encode q in
+  let n = Array.length c.args in
+  let pred_count = Array.make n 0 in
+  Array.iter (fun r -> pred_count.(r) <- pred_count.(r) + 1) c.preds;
+  let s =
+    {
+      c;
+      budget;
+      live = Array.init n Fun.id;
+      len = n;
+      pred_count;
+      (* Head variables are bound to themselves for good: every
+         homomorphism the fold looks for fixes the head. *)
+      subst = Array.init c.n_vars (fun v -> if v < c.n_head then v else unbound);
+      trail = Array.make c.n_vars 0;
+      top = 0;
+    }
   in
-  loop (removable_indices q)
+  let p = ref 0 in
+  while !p < s.len do
+    if removable s !p then begin
+      let r = c.preds.(s.live.(!p)) in
+      pred_count.(r) <- pred_count.(r) - 1;
+      Array.blit s.live (!p + 1) s.live !p (s.len - !p - 1);
+      s.len <- s.len - 1;
+      p := if first_only then s.len else 0
+    end
+    else incr p
+  done;
+  if s.len = n then c
+  else
+    let kept = Array.sub s.live 0 s.len in
+    let atoms = Array.of_list q.body in
+    {
+      c with
+      query =
+        Query.make ~name:q.name ~head:q.head
+          ~body:(Array.to_list (Array.map (fun i -> atoms.(i)) kept))
+          ();
+      preds = Array.map (fun i -> c.preds.(i)) kept;
+      args = Array.map (fun i -> c.args.(i)) kept;
+    }
 
-let minimize ?budget q = shrink ?budget q
+let fold ?(budget = Budget.unlimited) q = search ~budget ~first_only:false q
 
-let is_minimal ?budget (q : Query.t) =
-  List.for_all (fun i -> Option.is_none (try_remove ?budget q i)) (removable_indices q)
+let minimize ?budget q = (fold ?budget q).query
+
+let is_minimal ?(budget = Budget.unlimited) q =
+  Array.length (search ~budget ~first_only:true q).args = List.length q.Query.body
 
 (* --- canonical form ---------------------------------------------------- *)
 

@@ -8,11 +8,45 @@
 
 val minimize : ?budget:Budget.t -> Query.t -> Query.t
 (** Returns an equivalent query whose body is a minimal subset of the input's
-    body. The result is unique up to variable renaming.
+    body, in the input's atom order, with the input's name and head. The
+    result is unique up to variable renaming.
+
+    The fold is greedy: it scans the body in order, removes the first atom
+    whose relation occurs at least twice and onto which the query folds (a
+    head-fixing single-atom match onto another atom, then a homomorphism of
+    the whole body into the rest), and rescans from the start. Fuel
+    contract: one [Budget.tick] per atom visited by the single-atom match
+    scan and one per candidate atom tried by the homomorphism search, so
+    the spend — and the point where a tight budget raises — is a function
+    of the query alone, step for step that of the list-and-{!Subst}
+    formulation kept in the test suite as its reference.
     @raise Budget.Exhausted *)
 
 val is_minimal : ?budget:Budget.t -> Query.t -> bool
-(** True when no proper subset of the body yields an equivalent query.
+(** True when no proper subset of the body yields an equivalent query. Spends
+    what {!minimize} spends up to its first removal.
+    @raise Budget.Exhausted *)
+
+(** {1 Int-coded queries}
+
+    The fold's working form, shared with [Disclosure.Dissect] so a cold
+    labeling codes each query once. *)
+
+type coded = private {
+  query : Query.t;
+  preds : int array;  (** per body atom: its relation, as a dense per-query id *)
+  args : int array array;
+      (** per body atom, per position: a variable id [>= 0], or [lnot] a
+          constant id; two codes are equal iff their terms are *)
+  n_vars : int;
+  n_head : int;  (** variables [0 .. n_head - 1] are exactly the head's *)
+}
+
+val encode : Query.t -> coded
+(** The query itself, coded. *)
+
+val fold : ?budget:Budget.t -> Query.t -> coded
+(** {!minimize}, coded: [(fold q).query = minimize q], with the same spend.
     @raise Budget.Exhausted *)
 
 (** {1 Canonical forms}

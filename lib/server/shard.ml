@@ -295,9 +295,9 @@ let sample_compile t =
    interpreted [Service.label_query], with the labeling step swapped for
    the artifact (bit-identical by the compile library's contract, enforced
    by the differential suite in test_compile). *)
-let label_query t q =
+let label_query ?id t q =
   Service.label_query_with t.service
-    ~labeler:(fun ~budget q -> Artifact.label ~budget t.artifact q)
+    ~labeler:(fun ~budget q -> Artifact.label ~budget ?id t.artifact q)
     q
 
 (* The uncached path is Service.submit split in two ([label_query] then
@@ -318,7 +318,8 @@ let uncached t ~principal q =
    would cost a fold and a normal-form search per miss, more than the
    compiled labeling it could skip (which folds the query once itself), for
    almost no extra hits. A miss labels the ORIGINAL query, making the miss
-   path byte-for-byte the sequential Service.submit. *)
+   path byte-for-byte the sequential Service.submit, and hands the artifact
+   the id just interned so the query is interned once per decision. *)
 let cached t cache ~principal q =
   let svc = t.service in
   match Guard.admit_query (Service.limits svc) q with
@@ -341,7 +342,7 @@ let cached t cache ~principal q =
       Metrics.incr t.metrics Metrics.Cache_miss;
       note t "cache" "miss";
       t.last_cache <- "miss";
-      match label_query t q with
+      match label_query ~id:k t q with
       | Error reason -> Service.refuse svc ~principal reason
       | Ok label ->
         let before = Label_cache.evictions cache in

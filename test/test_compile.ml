@@ -162,6 +162,16 @@ let test_pattern_encoding () =
   check_bool "arity max_arity + 1 is outside the fragment" true
     (Pattern.encode (wide (Pattern.max_arity + 1)) = None)
 
+(* The atom memo's hash reads the whole pattern: two 34-column User atoms
+   that differ only in their last column (existential vs distinguished)
+   must not share a hash, or every probe walks a long collision chain. *)
+let test_memo_hash_whole_pattern () =
+  let user last = atom "User" (dv "u" :: List.init 32 (fun i -> ev (Printf.sprintf "e%d" i)) @ [ last ]) in
+  let a = Pattern.memo_key (Pattern.encode_exn (user (ev "z"))) in
+  let b = Pattern.memo_key (Pattern.encode_exn (user (dv "z"))) in
+  check_bool "patterns differ" true (a <> b);
+  check_bool "hashes differ" true (Pattern.hash a <> Pattern.hash b)
+
 (* --- matcher ≡ leq_atom ------------------------------------------------- *)
 
 let matcher_equiv =
@@ -411,9 +421,11 @@ let test_reload_recompiles () =
   Server.drain server;
   let s0 = Server.compile_stats server in
   check_int "initial artifact version" 0 s0.Artifact.version;
-  (* The repeat never re-labels: the interned key matched (intern hit) and
-     the label came from the shard's cache. *)
-  check_bool "repeat hit the hash-consed key" true (s0.Artifact.intern_hits > 0);
+  (* One intern per decision: the miss labels under the id its cache lookup
+     interned, and the repeat never re-labels — its interned key matched
+     (the one intern hit) and the label came from the shard's cache. *)
+  check_int "repeat hit the hash-consed key" 1 s0.Artifact.intern_hits;
+  check_int "first sight interned once" 1 s0.Artifact.intern_misses;
   check_int "labeled exactly once" 1 s0.Artifact.query_misses;
   (* Grant V1: the same query must flip to Answered, which requires the
      swapped-in artifact and a reset cache — a stale compiled label or a
@@ -528,7 +540,11 @@ let () =
   Alcotest.run "disclosure-compile"
     [
       ( "pattern",
-        [ Alcotest.test_case "canonical position codes" `Quick test_pattern_encoding ] );
+        [
+          Alcotest.test_case "canonical position codes" `Quick test_pattern_encoding;
+          Alcotest.test_case "memo hash reads the whole pattern" `Quick
+            test_memo_hash_whole_pattern;
+        ] );
       ("matcher", [ matcher_equiv ]);
       ("diagram", [ diagram_equiv ]);
       ("artifact", [ artifact_label_equiv; artifact_atom_equiv ]);

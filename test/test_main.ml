@@ -10,6 +10,7 @@ let () =
       ("lattice", Test_lattice.suite);
       ("labeler", Test_labeler.suite);
       ("dissect", Test_dissect.suite);
+      ("fold", Test_fold.suite);
       ("pipeline", Test_pipeline.suite);
       ("policy", Test_policy.suite);
       ("audit", Test_audit.suite);
