@@ -68,9 +68,29 @@ let crc32 s =
 
 (* --- framing ----------------------------------------------------------- *)
 
+let hex_digits = "0123456789abcdef"
+
+let add_payload buf payload =
+  let crc = crc32 payload in
+  Buffer.add_string buf magic;
+  for shift = 7 downto 0 do
+    Buffer.add_char buf hex_digits.[(crc lsr (4 * shift)) land 0xF]
+  done;
+  Buffer.add_char buf ' ';
+  Buffer.add_string buf (string_of_int (String.length payload));
+  Buffer.add_char buf ' ';
+  Buffer.add_string buf payload;
+  Buffer.add_char buf '\n'
+
+let payload_of fields = String.concat "\t" (List.map escape fields)
+
+let add_record buf fields = add_payload buf (payload_of fields)
+
 let encode fields =
-  let payload = String.concat "\t" (List.map escape fields) in
-  Printf.sprintf "%s%08x %d %s\n" magic (crc32 payload) (String.length payload) payload
+  let payload = payload_of fields in
+  let buf = Buffer.create (String.length payload + 24) in
+  add_payload buf payload;
+  Buffer.contents buf
 
 type record = {
   offset : int;

@@ -42,6 +42,15 @@ val crc32 : string -> int
 val encode : string list -> string
 (** Frame one record (with its trailing newline) from its fields. *)
 
+val add_record : Buffer.t -> string list -> unit
+(** [add_record buf fields] appends [encode fields] to [buf]. *)
+
+val add_payload : Buffer.t -> string -> unit
+(** Frame an already-escaped, TAB-joined payload into [buf]: [add_record buf
+    fields] is [add_payload buf] of the escaped fields joined by TAB. The
+    checkpoint writer uses it to frame records whose field suffix it
+    escaped once for many principals. *)
+
 type record = {
   offset : int;  (** Byte offset of the record's first byte in the file. *)
   fields : string list;  (** Unescaped fields. *)

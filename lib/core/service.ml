@@ -26,17 +26,26 @@ type observation = {
   detail : (string * string) list;
 }
 
+(* A non-resident principal's state as the tier holds it: pristine (no
+   record anywhere — the state is the policy's initial one), or a spilled
+   record in the checkpoint's own codec, already verified, with the state
+   it encodes. *)
+type cold =
+  | Pristine of int
+  | Spilled of { record : string; state : Monitor.state }
+
 (* The tiered principal store's hooks (lib/store). Once a tier is installed,
    [monitors] holds only the resident principals: a lookup miss asks the
    tier to fault the principal back in ([tier_find], which adopts the
    rebuilt monitor and may raise [Guard.Refuse (Resource (Spill _))] on a
    corrupt spill record), every resident hit notifies it ([tier_touch], for
-   its eviction clock), state readers that must not disturb residency —
-   [checkpoint], [snapshot] — read cold principals through [tier_state],
-   and [recover] resets it alongside the monitors ([tier_reset]). *)
+   its eviction clock), readers that must not disturb residency —
+   [checkpoint], [snapshot] — open one view of the cold principals
+   ([tier_cold]), and [recover] resets it alongside the monitors
+   ([tier_reset]). *)
 type tier = {
   tier_find : string -> Monitor.t option;
-  tier_state : string -> Monitor.state option;
+  tier_cold : unit -> string -> cold option;
   tier_touch : string -> unit;
   tier_reset : unit -> unit;
 }
@@ -67,6 +76,9 @@ type t = {
   mutable batch : batch option;
   mutable warned_closed : bool;
   observe : (observation -> unit) option;
+  policies : ((string * Sview.t list) list, Policy.t) Hashtbl.t;
+      (* One compiled policy per structurally distinct partition list: every
+         monitor built from an equal list shares it. *)
   monitors : (string, Monitor.t) Hashtbl.t;
   mutable order : string list; (* reversed registration order *)
   mutable tier : tier option;
@@ -149,6 +161,7 @@ let create ?(limits = Guard.no_limits) ?journal ?(journal_format = `V2) ?(segmen
     batch = None;
     warned_closed = false;
     observe;
+    policies = Hashtbl.create 16;
     monitors = Hashtbl.create 16;
     order = [];
     tier = None;
@@ -259,14 +272,32 @@ let rotation_count t = t.rotations
 
 let checkpoint_count t = t.checkpoints
 
-let register t ~principal ~partitions =
+(* The population's policies come from a handful of partition lists, so
+   compiling per principal would rebuild the same masks over and over: equal
+   lists share the first compiled policy. *)
+let policy t partitions =
+  match Hashtbl.find_opt t.policies partitions with
+  | Some p -> p
+  | None ->
+    let p = Policy.make (Pipeline.registry t.pipeline) partitions in
+    Hashtbl.add t.policies partitions p;
+    p
+
+let check_new t principal =
   if Hashtbl.mem t.monitors principal then raise (Duplicate_principal principal);
-  if principal = "" then invalid_arg "Service.register: empty principal name";
-  let policy = Policy.make (Pipeline.registry t.pipeline) partitions in
-  Hashtbl.add t.monitors principal (Monitor.create policy);
+  if principal = "" then invalid_arg "Service.register: empty principal name"
+
+let register t ~principal ~partitions =
+  check_new t principal;
+  Hashtbl.add t.monitors principal (Monitor.create (policy t partitions));
   t.order <- principal :: t.order;
   Log.info (fun m ->
       m "registered principal %s with %d partition(s)" principal (List.length partitions))
+
+let enroll t ~principal =
+  if t.tier = None then invalid_arg "Service.enroll: no tier installed";
+  check_new t principal;
+  t.order <- principal :: t.order
 
 let register_stateless t ~principal ~views =
   register t ~principal ~partitions:[ ("default", views) ]
@@ -316,19 +347,14 @@ let monitor_of t principal =
       | Some m -> m
       | None -> raise (Unknown_principal principal)))
 
-(* State of any principal, resident or not, without disturbing residency —
+(* One view of the non-resident principals, without disturbing residency —
    checkpoints and snapshots iterate every principal and must neither fault
-   them all in nor advance the eviction clock. *)
-let state_of t principal =
-  match Hashtbl.find_opt t.monitors principal with
-  | Some m -> Monitor.state m
-  | None -> (
-    match t.tier with
-    | Some tier -> (
-      match tier.tier_state principal with
-      | Some st -> st
-      | None -> raise (Unknown_principal principal))
-    | None -> raise (Unknown_principal principal))
+   them all in nor advance the eviction clock. Opening the view may read the
+   tier's spill file once; each lookup is then a table probe. *)
+let cold_view t =
+  match t.tier with
+  | None -> fun _ -> None
+  | Some tier -> tier.tier_cold ()
 
 (* --- decision journal ------------------------------------------------- *)
 
@@ -589,6 +615,17 @@ let close t =
 
 (* --- checkpoints ------------------------------------------------------- *)
 
+(* A pristine monitor's checkpoint fields, escaped and TAB-prefixed, per
+   partition count: every policy with [k] partitions starts from the same
+   state, so one encoding serves the whole idle population. *)
+let pristine_fields =
+  Array.init (Monitor.max_partitions + 1) (fun partitions ->
+      if partitions = 0 then ""
+      else
+        Monitor.state_fields (Monitor.pristine_state ~partitions)
+        |> List.concat_map (fun f -> [ "\t"; Journal.escape f ])
+        |> String.concat "")
+
 (* Serialize every monitor's state with the same record codec as the
    journal: a header record carrying the covered-segment bound, then one
    record per principal. Written to <base>.ckpt.tmp, fsynced, and renamed
@@ -614,20 +651,31 @@ let checkpoint t =
                checkpoint. A failed rotation aborts the checkpoint. *)
             if j.bytes > 0 then rotate_exn t cfg j;
             let covers = t.seq - 1 in
-            let buf = Buffer.create 256 in
             let ps = principals t in
-            Buffer.add_string buf
-              (Journal.encode
-                 [ "ckpt"; "2"; string_of_int covers; string_of_int (List.length ps) ]);
+            let buf = Buffer.create (64 * (List.length ps + 1)) in
+            Journal.add_record buf
+              [ "ckpt"; "2"; string_of_int covers; string_of_int (List.length ps) ];
+            (* The cold view, not [monitor_of]: a checkpoint must not fault
+               every spilled principal in (or touch the eviction clock). It
+               copies rather than re-encodes: a spilled record is already in
+               this codec (verified on the way), and a pristine principal's
+               fields are the shared encoding of its partition count — so
+               the bytes are identical to the always-resident write. *)
+            let cold = cold_view t in
             List.iter
               (fun principal ->
-                (* [state_of], not [monitor_of]: a checkpoint must not fault
-                   every spilled principal in (or touch the eviction clock) —
-                   and the tier's spill records use the same field codec, so
-                   the bytes are identical to the always-resident write. *)
-                let st = state_of t principal in
-                Buffer.add_string buf
-                  (Journal.encode ("p" :: principal :: Monitor.state_fields st)))
+                match Hashtbl.find_opt t.monitors principal with
+                | Some m ->
+                  Journal.add_record buf
+                    ("p" :: principal :: Monitor.state_fields (Monitor.state m))
+                | None -> (
+                  match cold principal with
+                  | Some (Pristine partitions) ->
+                    Journal.add_payload buf
+                      (String.concat ""
+                         [ "p\t"; Journal.escape principal; pristine_fields.(partitions) ])
+                  | Some (Spilled { record; _ }) -> Buffer.add_string buf record
+                  | None -> raise (Unknown_principal principal)))
               ps;
             let tmp = ckpt_tmp_path cfg.base in
             Faults.trip Faults.Checkpoint;
@@ -842,7 +890,17 @@ let journal_position t =
 (* --- snapshot & recovery ----------------------------------------------- *)
 
 let snapshot t =
-  List.map (fun principal -> (principal, state_of t principal)) (principals t)
+  let cold = cold_view t in
+  List.map
+    (fun principal ->
+      match Hashtbl.find_opt t.monitors principal with
+      | Some m -> (principal, Monitor.state m)
+      | None -> (
+        match cold principal with
+        | Some (Pristine partitions) -> (principal, Monitor.pristine_state ~partitions)
+        | Some (Spilled { state; _ }) -> (principal, state)
+        | None -> raise (Unknown_principal principal)))
+    (principals t)
 
 type recovery_error = {
   file : string;

@@ -78,16 +78,37 @@ val pipeline : t -> Pipeline.t
 
 val limits : t -> Guard.limits
 
+val policy : t -> (string * Sview.t list) list -> Policy.t
+(** The compiled policy for a partition list, interned: the first call per
+    structurally distinct list runs {!Policy.make}, every later call with an
+    equal list (physically shared or not) returns the same [Policy.t]. An
+    ecosystem whose principals draw their policies from a few templates thus
+    holds a few compiled policies, not one per principal.
+    @raise Invalid_argument as {!Policy.make} does. *)
+
 val register : t -> principal:string -> partitions:(string * Sview.t list) list -> unit
-(** Registers a principal with a (possibly multi-partition) policy. Any
-    non-empty name is accepted — the v2 journal escapes its fields, so even
-    separator bytes in a principal name cannot forge records (a service
-    writing the legacy format refuses such a principal's decisions at submit
-    instead).
+(** Registers a principal with a (possibly multi-partition) policy: a
+    resident monitor over the shared {!policy} for [partitions], so a
+    registration allocates a monitor record and a table entry, never a
+    compiled policy of its own. Any non-empty name is accepted — the v2
+    journal escapes its fields, so even separator bytes in a principal name
+    cannot forge records (a service writing the legacy format refuses such a
+    principal's decisions at submit instead). A tiered store registers
+    through {!enroll} instead, so its principals start non-resident.
     @raise Duplicate_principal
     @raise Invalid_argument on empty partitions, more than
     {!Policy.max_partitions} partitions, unregistered views, or an empty
     principal name. *)
+
+val enroll : t -> principal:string -> unit
+(** Register a principal without a resident monitor: it joins the
+    registration order ({!principals}, checkpoints, snapshots) and the
+    installed tier answers for it — [tier_find] builds its monitor on first
+    touch, [tier_cold] reports its state until then. The tier must already
+    know the principal; duplicates among non-resident principals are the
+    tier's to refuse.
+    @raise Duplicate_principal if resident.
+    @raise Invalid_argument without a tier, or on an empty name. *)
 
 val register_stateless : t -> principal:string -> views:Sview.t list -> unit
 (** Single-partition convenience form. *)
@@ -110,9 +131,15 @@ val principals : t -> string list
       the spilled state cannot be read back (fail-closed: the submission
       paths journal that as a typed refusal; the replay paths turn it into a
       fatal recovery error).
-    - [tier_state principal] reports a non-resident principal's state
-      {e without} changing residency — {!checkpoint} and {!snapshot} read
-      cold principals through it, so neither faults the whole population in.
+    - [tier_cold ()] opens one view of the non-resident principals {e
+      without} changing residency, and returns its lookup — {!checkpoint}
+      and {!snapshot} read cold principals through it, so neither faults
+      the whole population in. Opening may read the spill file once
+      (sequentially); a lookup reports [Pristine partitions] for a
+      principal with no record, or [Spilled] with its record in the
+      checkpoint codec — CRC, principal name and state fields verified —
+      and raises [Guard.Refuse (Resource (Spill _))] when they do not check
+      out. It returns [None] for a resident or unknown principal.
     - [tier_touch principal] notifies the store of a resident hit (its
       eviction clock).
     - [tier_reset ()] forgets all spilled state (the journal is the
@@ -120,9 +147,17 @@ val principals : t -> string list
     - Eviction never runs while a group-commit batch is open: an aborting
       batch restores pre-batch state through the resident table. *)
 
+type cold =
+  | Pristine of int
+      (** No record exists: the principal's state is the initial state of a
+          policy with this many partitions. *)
+  | Spilled of { record : string; state : Monitor.state }
+      (** Its ["p"] record, byte for byte as {!checkpoint} writes it, and the
+          state it encodes. *)
+
 type tier = {
   tier_find : string -> Monitor.t option;
-  tier_state : string -> Monitor.state option;
+  tier_cold : unit -> string -> cold option;
   tier_touch : string -> unit;
   tier_reset : unit -> unit;
 }
@@ -336,11 +371,16 @@ val apply_journal_record : t -> string list -> (unit, string) result
     segment ("the tail"). *)
 
 val checkpoint : t -> (unit, string) result
-(** Write a durable checkpoint as described above. [Error] when no journal
-    is configured, the journal is closed or in the legacy format, or any
-    step fails — in which case the previous checkpoint (if any) and all
-    segments are left intact, so durability is never reduced by a failed
-    checkpoint. The {!Faults.Checkpoint}, {!Faults.Ckpt_rename} and
+(** Write a durable checkpoint as described above. A non-resident
+    principal's record is copied, not re-encoded: a pristine one's state
+    fields come from one shared encoding per partition count, and a spilled
+    one's record is copied from one sequential read of the tier's spill
+    file once its CRC, principal name and state fields check out — a
+    corrupt spill record fails the checkpoint, as it always has. [Error]
+    when no journal is configured, the journal is closed or in the legacy
+    format, or any step fails — in which case the previous checkpoint (if
+    any) and all segments are left intact, so durability is never reduced
+    by a failed checkpoint. The {!Faults.Checkpoint}, {!Faults.Ckpt_rename} and
     {!Faults.Rotate} stages inject here. *)
 
 val rotation_count : t -> int

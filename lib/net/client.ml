@@ -100,9 +100,23 @@ let read_frame t =
         loop ()
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
         raise (Protocol_error "timed out waiting for the server's response")
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ())
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
+      | exception Unix.Unix_error (err, _, _) ->
+        raise (Protocol_error ("reading the response: " ^ Unix.error_message err)))
   in
   loop ()
+
+(* The server may close a connection before reading a byte of it — an
+   over-cap or draining listener sends one typed refusal frame and closes —
+   so a write can race the close and hit a peer-closed socket (EPIPE, or
+   ECONNRESET). That is not a transport failure of its own: the read that
+   follows returns the refusal frame the server already sent, or raises
+   [Protocol_error] if there is none. No [Unix_error] escapes a write. *)
+let send t s =
+  try Fdio.write_all t.fd s with
+  | Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ()
+  | Unix.Unix_error (err, _, _) ->
+    raise (Protocol_error ("sending the request: " ^ Unix.error_message err))
 
 let decode_response_exn payload =
   match Codec.decode_response payload with
@@ -111,7 +125,7 @@ let decode_response_exn payload =
 
 let request t req =
   if t.closed then raise (Protocol_error "connection is closed");
-  Fdio.write_all t.fd (Frame.encode (Codec.encode_request req));
+  send t (Frame.encode (Codec.encode_request req));
   decode_response_exn (read_frame t)
 
 let request_pipelined ?(depth = 32) t reqs =
@@ -135,7 +149,7 @@ let request_pipelined ?(depth = 32) t reqs =
         Buffer.add_string out frames.(!sent);
         incr sent
       done;
-      Fdio.write_all t.fd (Buffer.contents out)
+      send t (Buffer.contents out)
     end;
     (* The server decides one connection's frames strictly in arrival
        order, so responses match requests positionally. *)

@@ -50,7 +50,12 @@ val close : t -> unit
 val with_connection : ?read_deadline:float -> Addr.t -> (t -> 'a) -> 'a
 
 val request : t -> Codec.request -> Codec.response
-(** One round trip.
+(** One round trip. A server that closed the connection before the request
+    went out (an over-cap or draining listener refuses with one typed error
+    frame, then closes) still answers: a write to the closed socket is not
+    an error of its own, and the response read is that refusal frame —
+    or, if the server sent none, a [Protocol_error]. No [Unix.Unix_error]
+    escapes a request.
     @raise Protocol_error on transport failure. *)
 
 val request_pipelined : ?depth:int -> t -> Codec.request list -> Codec.response list

@@ -113,9 +113,8 @@ let attach_store ?resident ~resolved ~shards shard service base =
   | Some budget ->
     let store = Store.create ~budget ~spill:(base ^ ".spill") service in
     List.iter
-      (fun (principal, partitions) ->
-        if Server.shard_index ~shards principal = shard then
-          Store.track store ~principal ~partitions)
+      (fun (principal, _) ->
+        if Server.shard_index ~shards principal = shard then Store.track store ~principal)
       resolved;
     Store.enforce store;
     Some store

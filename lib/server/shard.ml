@@ -203,8 +203,8 @@ let register t ~principal ~partitions =
   (match t.store with
   | None -> Service.register t.service ~principal ~partitions
   | Some store ->
-    (* The store's fused register also tracks the principal and enforces the
-       resident budget — registering a million principals stays within it. *)
+    (* Straight into the store's fresh tier: no monitor and no eviction, so
+       registering a million principals never touches the resident set. *)
     Store.register store ~principal ~partitions);
   t.registered <- (principal, partitions) :: t.registered
 
@@ -533,7 +533,7 @@ let reload t ~pipeline ~principals =
           Store.create ~budget ~spill:(spill_path ~index:t.index t.journal) staged
         in
         List.iter
-          (fun (principal, partitions) -> Store.track store ~principal ~partitions)
+          (fun (principal, _) -> Store.track store ~principal)
           principals;
         Store.enforce store;
         store

@@ -9,11 +9,11 @@ type budget =
   | Bytes of int
 
 (* Where a principal's cumulative-disclosure state lives right now.
-   [Fresh] is the zero-I/O tier: a principal whose monitor was pristine
-   (initial alive mask, zero counters) when evicted needs no spill record —
-   it is rebuilt from the policy alone, and [tier_reset] demotes every
-   non-resident principal here because the journal replay is about to
-   recreate whatever the spill file held. *)
+   [Fresh] is the zero-I/O tier: a newly registered principal, or one whose
+   monitor was pristine (initial alive mask, zero counters) when evicted,
+   needs no spill record — it is rebuilt from the policy alone, and
+   [tier_reset] demotes every non-resident principal here because the
+   journal replay is about to recreate whatever the spill file held. *)
 type status =
   | Resident
   | Fresh
@@ -21,10 +21,10 @@ type status =
 
 type entry = {
   principal : string;
-  partitions : (string * Sview.t list) list;
-      (* the registration-time spec, shared with the caller's pool — a cold
-         principal costs one word here, not a rebuilt Policy.t *)
-  n_partitions : int;
+  policy : Policy.t;
+      (* the service's interned policy, shared by every principal with an
+         equal partition list — a cold principal costs one word here, and a
+         fault-in neither looks it up nor compiles it *)
   mutable status : status;
   mutable referenced : bool; (* clock bit: touched since the hand last passed *)
   mutable in_ring : bool;
@@ -39,7 +39,9 @@ type spill = {
 type t = {
   service : Service.t;
   budget : budget;
-  mutable target : int; (* resolved resident-principal target, 0 = unresolved Bytes *)
+  mutable target : int;
+      (* resolved resident-principal target; 0 = a Bytes budget not yet
+         resolved, which only happens while nothing is resident *)
   spill : spill;
   index : (string, entry) Hashtbl.t;
   ring : entry Queue.t; (* clock hand: pop front, second chance pushes back *)
@@ -114,24 +116,13 @@ let spill_refresh_reader sp =
   close_in_noerr sp.ic;
   try sp.ic <- open_in_bin sp.path with Sys_error _ -> ()
 
-(* Read one principal's spill record back, verifying frame, CRC, record
-   shape, and the principal name before the state is even parsed. Any
-   failure — injected fault, I/O error, framing damage, a name mismatch —
-   becomes a [Resource (Spill _)] refusal: the principal's history exists
-   but cannot be trusted, and treating it as fresh would forget disclosures. *)
-let spill_read_raw t e ~off ~len =
-  let sp = t.spill in
-  let image =
-    try
-      Faults.trip Faults.Fault_in;
-      flush sp.oc;
-      seek_in sp.ic off;
-      really_input_string sp.ic len
-    with
-    | (Out_of_memory | Stack_overflow | Guard.Refuse _) as ex -> raise ex
-    | ex -> spill_refuse "%s: read at %d+%d: %s" sp.path off len (Printexc.to_string ex)
-  in
-  match Journal.parse image with
+(* Verify one principal's spill record — frame, CRC, record shape, and the
+   principal name before the state is even parsed — and return its state.
+   Any failure becomes a [Resource (Spill _)] refusal: the principal's
+   history exists but cannot be trusted, and treating it as fresh would
+   forget disclosures. *)
+let spill_check sp e ~off record =
+  match Journal.parse record with
   | Error c -> spill_refuse "%s: corrupt spill record at %d: %s" sp.path off c.Journal.corrupt_reason
   | Ok (_, Some torn) ->
     spill_refuse "%s: torn spill record at %d: %s" sp.path off torn.Journal.torn_reason
@@ -144,11 +135,35 @@ let spill_read_raw t e ~off ~len =
     | None -> spill_refuse "%s: malformed spill state at %d" sp.path off)
   | Ok _ -> spill_refuse "%s: unexpected spill record shape at %d" sp.path off
 
+(* An I/O failure reading the spill file — injected fault included — is a
+   refusal too. *)
+let spill_io sp ~off ~len f =
+  try f () with
+  | (Out_of_memory | Stack_overflow | Guard.Refuse _) as ex -> raise ex
+  | ex -> spill_refuse "%s: read at %d+%d: %s" sp.path off len (Printexc.to_string ex)
+
+(* Fault-in: read one record back at its offset and verify it. *)
 let spill_read t e ~off ~len =
-  try spill_read_raw t e ~off ~len
+  let sp = t.spill in
+  try
+    spill_io sp ~off ~len (fun () ->
+        Faults.trip Faults.Fault_in;
+        flush sp.oc;
+        seek_in sp.ic off;
+        really_input_string sp.ic len)
+    |> spill_check sp e ~off
   with Guard.Refuse _ as ex ->
-    spill_refresh_reader t.spill;
+    spill_refresh_reader sp;
     raise ex
+
+(* The committed spill file in one sequential read, through a descriptor of
+   its own: the fault-in reader's buffer may hold bytes the disk no longer
+   has. *)
+let spill_image t =
+  let sp = t.spill in
+  spill_io sp ~off:0 ~len:t.spill_bytes (fun () ->
+      flush sp.oc;
+      In_channel.with_open_bin sp.path (fun ic -> really_input_string ic t.spill_bytes))
 
 (* --- clock eviction ----------------------------------------------------- *)
 
@@ -157,9 +172,6 @@ let ring_add t e =
     e.in_ring <- true;
     Queue.push e t.ring
   end
-
-let make_monitor t e =
-  Monitor.create (Policy.make (Pipeline.registry (Service.pipeline t.service)) e.partitions)
 
 (* Evict one entry: pristine monitors are dropped with zero I/O, dirty ones
    get a spill record written (and flushed — no fsync: durability comes from
@@ -199,45 +211,26 @@ let evict t e =
       t.evictions <- t.evictions + 1
     end
 
-(* Resolve a byte budget to a principal count once a monitor exists to
-   measure: resident cost per principal is the monitor's reachable heap
-   (policy included) plus index overhead — an estimate, re-derived never,
-   so the target is stable across a run. *)
-let resolve_target t =
-  if t.target > 0 then t.target
-  else begin
-    match t.budget with
-    | Principals n ->
-      t.target <- max 1 n;
-      t.target
-    | Bytes bytes ->
-      let sample =
-        Hashtbl.fold
-          (fun principal e acc ->
-            match acc with
-            | Some _ -> acc
-            | None -> (
-              match e.status with
-              | Resident -> (
-                match Service.resident_monitor t.service principal with
-                | Some m -> Some (m, e)
-                | None -> None)
-              | _ -> None))
-          t.index None
-      in
-      (match sample with
-      | None -> 1 (* nothing resident yet: nothing to enforce either *)
-      | Some (m, e) ->
-        let words = Obj.reachable_words (Obj.repr m) in
-        let per =
-          (words * (Sys.word_size / 8)) + String.length e.principal + 64
-        in
-        t.target <- max 1 (bytes / max 1 per);
-        Log.info (fun f ->
-            f "resident budget %d bytes ~ %d principal(s) at ~%d bytes each" bytes t.target
-              per);
-        t.target)
-  end
+(* A resident principal's approximate heap cost: its monitor's reachable
+   words less the policy's — the policy is shared by every principal with
+   the same partition list, so charging it per principal would shrink the
+   resident target far below what the budget allows — plus its name and
+   index overhead. *)
+let resident_bytes m ~principal =
+  let own = Obj.reachable_words (Obj.repr m) - Obj.reachable_words (Obj.repr (Monitor.policy m)) in
+  (own * (Sys.word_size / 8)) + String.length principal + 64
+
+(* Resolve a byte budget to a principal count from the first monitor to
+   become resident — an estimate, re-derived never, so the target is stable
+   across a run. *)
+let resolve_target t m ~principal =
+  match t.budget with
+  | Bytes bytes when t.target = 0 ->
+    let per = resident_bytes m ~principal in
+    t.target <- max 1 (bytes / per);
+    Log.info (fun f ->
+        f "resident budget %d bytes ~ %d principal(s) at ~%d bytes each" bytes t.target per)
+  | Bytes _ | Principals _ -> ()
 
 (* Drive the clock hand until the resident set fits the budget. Never runs
    inside an open group-commit batch (an aborting batch restores pre-batch
@@ -246,8 +239,8 @@ let resolve_target t =
    second chance per call, so a pass terminates even when everything was
    recently touched. *)
 let enforce t =
-  if (not t.closed) && not (Service.batch_active t.service) then begin
-    let target = resolve_target t in
+  if t.target > 0 && (not t.closed) && not (Service.batch_active t.service) then begin
+    let target = t.target in
     let scan_bound = ref (2 * Queue.length t.ring) in
     while t.resident > target && !scan_bound > 0 && not (Queue.is_empty t.ring) do
       decr scan_bound;
@@ -284,7 +277,7 @@ let fault_in t e =
       | Some m -> m
       | None -> assert false)
     | Fresh ->
-      let m = make_monitor t e in
+      let m = Monitor.create e.policy in
       Service.adopt t.service ~principal:e.principal m;
       e.status <- Resident;
       e.referenced <- true;
@@ -294,7 +287,7 @@ let fault_in t e =
       m
     | Spilled { off; len } ->
       let st = spill_read t e ~off ~len in
-      let m = make_monitor t e in
+      let m = Monitor.create e.policy in
       (try Monitor.restore m st
        with Invalid_argument msg ->
          spill_refuse "%s: spill state rejected for %s: %s" t.spill.path e.principal msg);
@@ -308,6 +301,7 @@ let fault_in t e =
       ring_add t e;
       m
   in
+  resolve_target t m ~principal:e.principal;
   (* Make room for the newcomer right away (never evicting it), so the
      resident set is back under budget before the query proceeds. *)
   let prev = t.pinned in
@@ -320,43 +314,29 @@ let tier_find t principal =
   | None -> None
   | Some e -> Some (fault_in t e)
 
-(* State without residency side effects: checkpoints and snapshots read
-   every cold principal through this, so their bytes match always-resident
-   mode without churning the clock or the resident set. No fault injection
-   here — [Faults.Fault_in] models the fault-in read; a genuinely corrupt
-   record still refuses. *)
-let tier_state t principal =
-  match Hashtbl.find_opt t.index principal with
-  | None -> None
-  | Some e -> (
-    match e.status with
-    | Resident ->
-      Option.map Monitor.state (Service.resident_monitor t.service principal)
-    | Fresh -> Some (Monitor.pristine_state ~partitions:e.n_partitions)
-    | Spilled { off; len } -> (
-      let sp = t.spill in
-      flush sp.oc;
-      try
-        let image =
-          try
-            seek_in sp.ic off;
-            really_input_string sp.ic len
-          with
-          | (Out_of_memory | Stack_overflow) as ex -> raise ex
-          | ex ->
-            spill_refuse "%s: read at %d+%d: %s" sp.path off len
-              (Printexc.to_string ex)
-        in
-        match Journal.parse image with
-        | Ok ([ { Journal.fields = "p" :: p :: fields; _ } ], None)
-          when String.equal p principal ->
-          (match Monitor.state_of_fields fields with
-          | Some st -> Some st
-          | None -> spill_refuse "%s: malformed spill state at %d" sp.path off)
-        | _ -> spill_refuse "%s: corrupt spill record at %d" sp.path off
-      with Guard.Refuse _ as ex ->
-        spill_refresh_reader sp;
-        raise ex))
+(* The cold view behind checkpoints and snapshots:
+   state without residency side effects, so their bytes match
+   always-resident mode without churning the clock or the resident set. A
+   spilled record already is the checkpoint's record, so the view hands it
+   over verbatim once its CRC, name and state check out. The spill file is
+   read once, sequentially, on the first spilled lookup — and again only if
+   an eviction since then appended past the copy. No fault injection here —
+   [Faults.Fault_in] models the fault-in read; a genuinely corrupt record
+   still refuses. *)
+let tier_cold t () =
+  let image = ref "" in
+  fun principal ->
+    match Hashtbl.find_opt t.index principal with
+    | None -> None
+    | Some e -> (
+      match e.status with
+      | Resident -> None
+      | Fresh -> Some (Service.Pristine (Policy.num_partitions e.policy))
+      | Spilled { off; len } ->
+        if off + len > String.length !image then image := spill_image t;
+        let record = String.sub !image off len in
+        let state = spill_check t.spill e ~off record in
+        Some (Service.Spilled { record; state }))
 
 let tier_touch t principal =
   match Hashtbl.find_opt t.index principal with
@@ -405,36 +385,36 @@ let create ~budget ~spill service =
   Service.set_tier service
     {
       Service.tier_find = (fun p -> tier_find t p);
-      tier_state = (fun p -> tier_state t p);
+      tier_cold = tier_cold t;
       tier_touch = (fun p -> tier_touch t p);
       tier_reset = (fun () -> tier_reset t);
     };
   t
 
-let track t ~principal ~partitions =
+let track t ~principal =
   if Hashtbl.mem t.index principal then
     invalid_arg (Printf.sprintf "Store.track: %s is already tracked" principal);
-  (match Service.resident_monitor t.service principal with
-  | Some _ -> ()
-  | None -> raise (Service.Unknown_principal principal));
+  let m =
+    match Service.resident_monitor t.service principal with
+    | Some m -> m
+    | None -> raise (Service.Unknown_principal principal)
+  in
   let e =
-    {
-      principal;
-      partitions;
-      n_partitions = List.length partitions;
-      status = Resident;
-      referenced = true;
-      in_ring = false;
-    }
+    { principal; policy = Monitor.policy m; status = Resident; referenced = true; in_ring = false }
   in
   Hashtbl.add t.index principal e;
   t.resident <- t.resident + 1;
+  resolve_target t m ~principal;
   ring_add t e
 
+(* Straight into the fresh tier: no monitor, no clock entry, no eviction.
+   The first query faults the principal in at zero I/O. *)
 let register t ~principal ~partitions =
-  Service.register t.service ~principal ~partitions;
-  track t ~principal ~partitions;
-  enforce t
+  if Hashtbl.mem t.index principal then raise (Service.Duplicate_principal principal);
+  let policy = Service.policy t.service partitions in
+  Service.enroll t.service ~principal;
+  Hashtbl.add t.index principal
+    { principal; policy; status = Fresh; referenced = false; in_ring = false }
 
 let service t = t.service
 

@@ -7,9 +7,10 @@
     only the {e hot} principals' monitors resident and pushes the cold ones
     down two tiers:
 
-    - {e fresh}: a principal whose monitor was pristine when evicted costs
-      nothing on disk — it is rebuilt from its registration-time policy
-      spec alone;
+    - {e fresh}: a principal registered through {!register}, or whose
+      monitor was pristine when evicted, costs nothing on disk and no
+      monitor in memory — it is rebuilt from its shared compiled policy
+      ({!Disclosure.Service.policy}) alone;
     - {e spilled}: a dirty monitor's state is written to a per-shard spill
       file in the checkpoint's own record codec
       ({!Disclosure.Monitor.state_fields} framed by {!Disclosure.Journal}),
@@ -37,7 +38,9 @@ type budget =
   | Principals of int  (** Keep at most this many principals resident. *)
   | Bytes of int
       (** Approximate resident-heap budget; resolved to a principal count
-          from the measured size of the first resident monitor. *)
+          from the measured size of the first resident monitor — its own
+          words, not the policy it shares with its peers — plus its name
+          and index overhead. *)
 
 val create : budget:budget -> spill:string -> Disclosure.Service.t -> t
 (** Wrap [service] with a tiered store, installing its
@@ -48,23 +51,26 @@ val create : budget:budget -> spill:string -> Disclosure.Service.t -> t
     @raise Invalid_argument on a non-positive budget or if the service
     already has a tier. *)
 
-val track :
-  t -> principal:string -> partitions:(string * Disclosure.Sview.t list) list -> unit
-(** Start managing an already-registered, currently resident principal.
-    [partitions] must be the spec it was registered with (the store rebuilds
-    evicted monitors from it; keep it shared from a pool — a cold principal
-    then costs one word of spec reference). The serving layer tracks each
-    principal it registers; {!register} is the fused convenience.
+val track : t -> principal:string -> unit
+(** Start managing an already-registered, currently resident principal (the
+    serving layer's reload and the standby register resident, then hand the
+    population to a new store). Evicted monitors are rebuilt from the
+    resident monitor's policy, which the service shares among equal
+    partition lists — a cold principal costs one word of policy reference.
+    Does not enforce the budget; call {!enforce} after tracking.
     @raise Disclosure.Service.Unknown_principal if not resident.
     @raise Invalid_argument if already tracked. *)
 
 val register :
   t -> principal:string -> partitions:(string * Disclosure.Sview.t list) list -> unit
-(** {!Disclosure.Service.register} plus {!track} plus budget enforcement:
-    the one call that keeps registering a million principals within the
-    resident budget (each registration beyond it evicts a cold one).
-    @raise Disclosure.Service.Duplicate_principal, [Invalid_argument] as
-    the service's register does. *)
+(** Register a principal straight into the fresh tier: its policy is the
+    service's shared compiled one ({!Disclosure.Service.policy}), it joins
+    the registration order ({!Disclosure.Service.enroll}), and it gets no
+    monitor, no clock entry and causes no eviction. Its first query faults
+    it in at zero I/O. Registering a million principals thus costs a table
+    entry each and never touches the resident set.
+    @raise Disclosure.Service.Duplicate_principal if already registered.
+    @raise Invalid_argument as {!Disclosure.Service.register} does. *)
 
 val enforce : t -> unit
 (** Evict (clock/second-chance) until the resident set fits the budget.

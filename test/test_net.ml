@@ -780,6 +780,53 @@ let test_connection_cap_refuses_busy () =
       Net.Listener.stop listener;
       Server.stop server)
 
+(* The race behind the over-cap refusal, made deterministic: a bare
+   listening socket accepts, sends (or not) a refusal frame and closes
+   before the client writes a byte, so the client's write always hits a
+   peer-closed socket. The client must answer with the refusal frame the
+   server sent, or with a Protocol_error — never a raw Unix_error. *)
+let test_write_after_server_close () =
+  with_socket (fun addr ->
+      let path = match addr with Net.Addr.Unix_socket p -> p | _ -> assert false in
+      Sys.remove path;
+      let listen_fd = Unix.socket ~cloexec:true (Net.Addr.domain addr) Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close listen_fd)
+        (fun () ->
+          Unix.bind listen_fd (Net.Addr.to_sockaddr addr);
+          Unix.listen listen_fd 4;
+          let closed_by_server refusal f =
+            let c = Net.Client.connect addr in
+            let fd, _ = Unix.accept ~cloexec:true listen_fd in
+            Option.iter
+              (fun e ->
+                let frame = Frame.encode (Codec.encode_response (Codec.Error e)) in
+                check_int "refusal frame sent whole" (String.length frame)
+                  (Unix.write_substring fd frame 0 (String.length frame)))
+              refusal;
+            Unix.close fd;
+            Fun.protect ~finally:(fun () -> Net.Client.close c) (fun () -> f c)
+          in
+          let query c = Net.Client.query_string c ~principal:"crm-app" "Q(x) :- Meetings(x, y)" in
+          closed_by_server (Some (Errors.busy "connection cap of 1 reached")) (fun c ->
+              match query c with
+              | Error { Errors.kind = Errors.Busy; _ } -> ()
+              | Error e -> Alcotest.failf "expected busy, got %s" (Errors.to_string e)
+              | Ok _ -> Alcotest.fail "a refused connection cannot decide"
+              | exception Net.Client.Protocol_error msg ->
+                Alcotest.failf "the refusal frame was sent before the close, got %s" msg);
+          closed_by_server None (fun c ->
+              match query c with
+              | _ -> Alcotest.fail "a connection closed in silence must fail"
+              | exception Net.Client.Protocol_error _ -> ());
+          closed_by_server None (fun c ->
+              match
+                Net.Client.query_batch_string c
+                  (List.init 4 (fun _ -> ("crm-app", "Q(x) :- Meetings(x, y)")))
+              with
+              | _ -> Alcotest.fail "a connection closed in silence must fail"
+              | exception Net.Client.Protocol_error _ -> ())))
+
 let test_graceful_shutdown () =
   with_socket (fun addr ->
       let server = make_server () in
@@ -999,6 +1046,8 @@ let () =
         [
           Alcotest.test_case "connection cap refuses busy" `Quick
             test_connection_cap_refuses_busy;
+          Alcotest.test_case "write after the server closed" `Quick
+            test_write_after_server_close;
           Alcotest.test_case "graceful shutdown" `Quick test_graceful_shutdown;
           Alcotest.test_case "net fault matrix" `Quick test_net_fault_matrix;
           Alcotest.test_case "net spans on a dedicated track" `Quick test_net_trace_spans;

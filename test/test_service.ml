@@ -590,7 +590,7 @@ let prop_recovery_equivalence =
    always-resident twin decision-for-decision, byte-for-byte on the journal
    tail and checkpoint, and replay back to the same state. Both twins
    register through partitions: the tier rebuilds evicted monitors from the
-   registration-time partition spec. *)
+   service's shared compiled policy for that spec. *)
 let prop_evict_reload_equivalence =
   let partitions =
     [|

@@ -541,6 +541,282 @@ let prop_tier_differential =
          in
          d0 = d1 && s0 = s1 && String.equal j0 j1 && String.equal c0 c1))
 
+(* --- shared policies, fresh registration, copying checkpoints ----------- *)
+
+module Policy = Disclosure.Policy
+
+(* A rebuilt copy of a partition list: structurally equal, physically
+   distinct down to the strings, like two principals' lines of a policy
+   file. *)
+let rebuilt partitions =
+  List.map (fun (name, views) -> (String.concat "" [ name ], List.map Fun.id views)) partitions
+
+let test_policy_interned () =
+  let service = Service.create (Pipeline.create [ v1; v2; v3 ]) in
+  let crm = List.assoc "crm-app" specs in
+  let copy = rebuilt crm in
+  check_bool "the copy is physically distinct" true (copy != crm);
+  check_bool "equal lists share one compiled policy" true
+    (Service.policy service crm == Service.policy service copy);
+  check_bool "a different list gets its own" true
+    (Service.policy service crm != Service.policy service (List.assoc "audit-app" specs));
+  with_base (fun base ->
+      let service, store = make ~budget:(Store.Principals 8) base in
+      let store = Option.get store in
+      Store.register store ~principal:"crm-copy" ~partitions:copy;
+      List.iter
+        (fun principal -> ignore (Service.submit service ~principal queries.(0)))
+        [ "crm-app"; "crm-copy" ];
+      let policy_of p = Monitor.policy (Option.get (Service.resident_monitor service p)) in
+      check_bool "faulted-in monitors share the policy" true
+        (policy_of "crm-app" == policy_of "crm-copy");
+      teardown service (Some store))
+
+(* Registration goes straight to the fresh tier: no monitor, no clock
+   entry, no eviction — whatever the population. *)
+let test_register_fresh () =
+  with_base (fun base ->
+      let service, store = make ~budget:(Store.Principals 1) base in
+      let store = Option.get store in
+      for i = 1 to 100 do
+        Store.register store ~principal:(Printf.sprintf "app-%d" i)
+          ~partitions:(rebuilt (List.assoc "crm-app" specs))
+      done;
+      let st = Store.stats store in
+      check_int "nothing resident" 0 st.Store.stat_resident;
+      check_int "no evictions" 0 st.Store.stat_evictions;
+      check_int "everyone fresh" (100 + List.length specs) st.Store.stat_fresh;
+      check_bool "registration order kept" true
+        (List.filteri (fun i _ -> i < 3) (Service.principals service) = Array.to_list principals);
+      Alcotest.check_raises "a fresh duplicate is refused"
+        (Service.Duplicate_principal "app-7") (fun () ->
+          Store.register store ~principal:"app-7" ~partitions:[ ("x", [ v1 ]) ]);
+      check_bool "first query faults in and answers" true
+        (Service.submit service ~principal:"app-50" queries.(3) = Monitor.Answered);
+      check_int "one fault-in" 1 (Store.stats store).Store.stat_fault_ins;
+      teardown service (Some store))
+
+(* A Bytes budget divides by a principal's own heap cost: its monitor's
+   words without the policy it shares, its name, and index overhead. *)
+let test_bytes_estimate_excludes_policy () =
+  (* Six principals of equal name length; the budget holds three and a half
+     of them at the per-principal estimate without the policy. *)
+  let monitor_words = 6 (* header + policy, initial, alive, answered, refused *) in
+  let per = (monitor_words * (Sys.word_size / 8)) + String.length "p0" + 64 in
+  let names = List.init 6 (Printf.sprintf "p%d") in
+  let resident_after partitions =
+    with_base (fun base ->
+        let service = Service.create ~journal:base (Pipeline.create [ v1; v2; v3 ]) in
+        let store =
+          Store.create ~budget:(Store.Bytes ((3 * per) + (per / 2))) ~spill:(base ^ ".spill") service
+        in
+        List.iter (fun principal -> Store.register store ~principal ~partitions) names;
+        check_int "registration makes nothing resident" 0 (Store.resident store);
+        List.iter
+          (fun principal -> ignore (Service.submit service ~principal queries.(0)))
+          names;
+        let resident = Store.resident store in
+        teardown service (Some store);
+        resident)
+  in
+  let small = [ ("slots", [ v2 ]) ] in
+  let large = List.init 40 (fun i -> (Printf.sprintf "p%d" i, [ v1; v2; v3 ])) in
+  check_int "per-principal estimate pinned" 3 (resident_after small);
+  check_int "the policy's size does not count" 3 (resident_after large)
+
+(* The reference registration: every principal resident, each with a policy
+   of its own from [Policy.make]. *)
+let register_reference service ~principal ~partitions =
+  Service.register service ~principal ~partitions;
+  ignore (Service.detach service ~principal);
+  Service.adopt service ~principal
+    (Monitor.create (Policy.make (Pipeline.registry (Service.pipeline service)) partitions))
+
+(* Six principals over the three specs, each with its own rebuilt list. *)
+let population =
+  List.init 6 (fun i ->
+      let _, partitions = List.nth specs (i mod List.length specs) in
+      (Printf.sprintf "p%d" i, rebuilt partitions))
+
+(* The population registered one way or the other, over a journal or
+   none. *)
+let populate ~shared ?budget ?journal base =
+  let service = Service.create ?journal (Pipeline.create [ v1; v2; v3 ]) in
+  let store =
+    Option.map (fun b -> Store.create ~budget:b ~spill:(base ^ ".spill") service) budget
+  in
+  List.iter
+    (fun (principal, partitions) ->
+      match store with
+      | Some s when shared -> Store.register s ~principal ~partitions
+      | _ -> register_reference service ~principal ~partitions)
+    population;
+  (service, store)
+
+(* Run a history of (principal, action) steps — action [Array.length
+   queries] resets — checkpointing every [ckpt_every] steps and enforcing
+   the budget at every commit boundary; under group commit, batches of
+   three. Returns the decisions, every checkpoint image, the final
+   snapshot, the active segment, and the snapshot a second, identically
+   registered service recovers from the journal. *)
+let run_population ~shared ?budget ~ckpt_every ~group history base =
+  let service, store = populate ~shared ?budget ~journal:base base in
+  let names = Array.of_list (List.map fst population) in
+  let decisions = ref [] and ckpts = ref [] in
+  let boundary () =
+    (if group then
+       match Service.batch_end service with
+       | Ok () -> ()
+       | Error r -> Alcotest.failf "batch aborted: %s" (Guard.refusal_to_tag r));
+    Option.iter Store.enforce store
+  in
+  List.iteri
+    (fun i (pi, ai) ->
+      if group && i mod 3 = 0 then Service.batch_begin service;
+      let principal = names.(pi) in
+      (if ai >= Array.length queries then Service.reset service ~principal
+       else decisions := Service.submit service ~principal queries.(ai) :: !decisions);
+      if (not group) || i mod 3 = 2 then boundary ();
+      if (i + 1) mod ckpt_every = 0 && not (Service.batch_active service) then begin
+        (match Service.checkpoint service with
+        | Ok () -> ckpts := read_all (base ^ ".ckpt") :: !ckpts
+        | Error msg -> Alcotest.failf "checkpoint failed: %s" msg);
+        Option.iter Store.compact store
+      end)
+    history;
+  if Service.batch_active service then boundary ();
+  let snap = Service.snapshot service in
+  teardown service store;
+  let recovering, rstore = populate ~shared ?budget base in
+  (match Service.recover recovering ~journal:base with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail (Service.recovery_error_to_string e));
+  let recovered = Service.snapshot recovering in
+  teardown recovering rstore;
+  (List.rev !decisions, List.rev !ckpts, snap, read_all base, recovered)
+
+let prop_shared_fresh_differential =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:60
+       ~name:"shared policy + fresh registration ≡ per-principal Policy.make, all resident"
+       QCheck.(
+         quad
+           (list_of_size Gen.(2 -- 24)
+              (pair (int_bound (List.length population - 1)) (int_bound (Array.length queries))))
+           (int_range 1 4) (int_range 1 6) bool)
+       (fun (history, budget, ckpt_every, group) ->
+         let reference =
+           with_base (fun b -> run_population ~shared:false ~ckpt_every ~group history b)
+         in
+         let ((_, _, snap, _, recovered) as subject) =
+           with_base (fun b ->
+               run_population ~shared:true ~budget:(Store.Principals budget) ~ckpt_every ~group
+                 history b)
+         in
+         reference = subject && recovered = snap))
+
+(* Reload compiles the new configuration's policies afresh: a principal
+   whose partition list is unchanged (structurally — the resolved lists
+   are rebuilt) carries its state, a reshaped one starts pristine. *)
+let test_reload_carries_unchanged () =
+  let policy principals = { Disclosure.Policyfile.views = [ v1; v2; v3 ]; principals } in
+  let before =
+    policy
+      [
+        ("crm-app", [ ("meetings", [ "V1"; "V2" ]); ("contacts", [ "V3" ]) ]);
+        ("other-crm", [ ("meetings", [ "V1"; "V2" ]); ("contacts", [ "V3" ]) ]);
+      ]
+  in
+  let after =
+    policy
+      [
+        ("crm-app", [ ("meetings", [ "V1"; "V2" ]); ("contacts", [ "V3" ]) ]);
+        ("other-crm", [ ("all", [ "V1"; "V2"; "V3" ]) ]);
+      ]
+  in
+  let server =
+    Server.create
+      ~config:{ Server.default_config with Server.domains = 1; resident = Some (Store.Principals 1) }
+      (Pipeline.create [ v1; v2; v3 ])
+  in
+  (match Disclosure.Policyfile.resolve before with
+  | Ok resolved ->
+    List.iter (fun (principal, partitions) -> Server.register server ~principal ~partitions) resolved
+  | Error e -> Alcotest.failf "resolve: %s" e);
+  Server.start server;
+  Fun.protect ~finally:(fun () -> Server.stop server) (fun () ->
+      List.iter
+        (fun principal ->
+          check_bool "narrowed to contacts" true
+            (Server.submit_sync server ~principal queries.(3) = Monitor.Answered))
+        [ "crm-app"; "other-crm" ];
+      Server.drain server;
+      let state p = List.assoc p (Server.snapshot server) in
+      let crm = state "crm-app" in
+      (match Server.reload server after with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "reload: %s" e);
+      Server.drain server;
+      check_bool "unchanged list carries its state" true (state "crm-app" = crm);
+      check_bool "reshaped list starts pristine" true
+        (state "other-crm" = Monitor.pristine_state ~partitions:1))
+
+(* A checkpoint copies spilled records, but only after checking them: a
+   flipped byte (CRC) or a record under another principal's name fails the
+   checkpoint closed and leaves the previous one in place. *)
+let test_checkpoint_refuses_corrupt_spill () =
+  with_base (fun base ->
+      let service = Service.create ~journal:base (Pipeline.create [ v1; v2; v3 ]) in
+      let store = Store.create ~budget:(Store.Principals 1) ~spill:(base ^ ".spill") service in
+      let crm = List.assoc "crm-app" specs in
+      List.iter
+        (fun principal -> Store.register store ~principal ~partitions:crm)
+        [ "app-a"; "app-b"; "app-c" ];
+      List.iter
+        (fun principal ->
+          ignore (Service.submit service ~principal queries.(3));
+          Store.enforce store)
+        [ "app-a"; "app-b"; "app-c" ];
+      check_int "two spilled" 2 (Store.spilled store);
+      (match Service.checkpoint service with
+      | Ok () -> ()
+      | Error msg -> Alcotest.failf "clean checkpoint: %s" msg);
+      let ckpt = read_all (base ^ ".ckpt") in
+      let spill = base ^ ".spill" in
+      let good = read_all spill in
+      let write s = Out_channel.with_open_bin spill (fun oc -> Out_channel.output_string oc s) in
+      let refuses what image =
+        write image;
+        (match Service.checkpoint service with
+        | Error _ -> ()
+        | Ok () -> Alcotest.failf "%s: checkpoint over a corrupt spill record succeeded" what);
+        check_bool (what ^ ": previous checkpoint intact") true
+          (String.equal ckpt (read_all (base ^ ".ckpt")))
+      in
+      let flipped = Bytes.of_string good in
+      let i = String.length good - 8 in
+      Bytes.set flipped i (Char.chr (Char.code good.[i] lxor 0x40));
+      refuses "flipped byte" (Bytes.to_string flipped);
+      (* The two spilled records differ only in the name, so exchanging the
+         records keeps every CRC, length and offset valid. *)
+      let contains s sub =
+        let n = String.length s and m = String.length sub in
+        let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+        go 0
+      in
+      let lines = String.split_on_char '\n' good in
+      let line_of name = List.find (fun l -> contains l ("\t" ^ name ^ "\t")) lines in
+      let a = line_of "app-a" and b = line_of "app-b" in
+      refuses "records under each other's names"
+        (String.concat "\n"
+           (List.map (fun l -> if l = a then b else if l = b then a else l) lines));
+      write good;
+      (match Service.checkpoint service with
+      | Ok () -> ()
+      | Error msg -> Alcotest.failf "repaired checkpoint: %s" msg);
+      Store.close store;
+      Service.close service)
+
 let () =
   Alcotest.run "disclosure-store"
     [
@@ -575,5 +851,15 @@ let () =
           Alcotest.test_case "byte budget resolves to a principal count" `Quick
             test_bytes_budget;
           prop_tier_differential;
+          Alcotest.test_case "equal partition lists share one policy" `Quick
+            test_policy_interned;
+          Alcotest.test_case "registration goes to the fresh tier" `Quick test_register_fresh;
+          Alcotest.test_case "byte estimate counts the shared policy once" `Quick
+            test_bytes_estimate_excludes_policy;
+          prop_shared_fresh_differential;
+          Alcotest.test_case "reload carries only unchanged lists" `Quick
+            test_reload_carries_unchanged;
+          Alcotest.test_case "checkpoint refuses a corrupt spill record" `Quick
+            test_checkpoint_refuses_corrupt_spill;
         ] );
     ]
