@@ -24,6 +24,7 @@
 module Pipeline = Disclosure.Pipeline
 module Label = Disclosure.Label
 module Monitor = Disclosure.Monitor
+module Journal = Disclosure.Journal
 module Querygen = Workload.Querygen
 module Policygen = Workload.Policygen
 
@@ -735,9 +736,9 @@ let run_server () =
     let decisions = Array.map Server.await tickets in
     let flushes = (Server.flush_counts server).(0) in
     Server.stop server;
-    let seg = base ^ ".shard0" in
+    let seg = Server.shard_journal base 0 in
     let journal = read_file seg in
-    Sys.remove seg;
+    Journal.remove_family seg;
     (wall, decisions, flushes, journal)
   in
   let wall_off, dec_off, flushes_off, journal_off = journaled_pass ~group_commit:false in
@@ -1086,15 +1087,6 @@ let run_recover () =
       principals;
     service
   in
-  let rm f = try Sys.remove f with Sys_error _ -> () in
-  let cleanup base =
-    rm base;
-    rm (base ^ ".ckpt");
-    rm (base ^ ".ckpt.tmp");
-    for i = 1 to 64 do
-      rm (Printf.sprintf "%s.%d" base i)
-    done
-  in
   let recover_time base =
     (* Best of five: recovery is milliseconds, so take the min to cut noise. *)
     let best = ref infinity and applied = ref 0 in
@@ -1153,8 +1145,8 @@ let run_recover () =
           if Service.snapshot check <> live_snap then
             failwith "checkpoint+tail recovery diverged from live state"
         | Error e -> failwith (Service.recovery_error_to_string e));
-        cleanup base_full;
-        cleanup base_ckpt;
+        Journal.remove_family base_full;
+        Journal.remove_family base_ckpt;
         Format.printf "%-10d %14d %13.4fs %15.4fs %14d %9.1fx@." history journal_bytes
           full_s ckpt_s applied_ckpt (full_s /. ckpt_s);
         (history, journal_bytes, full_s, ckpt_s, cadence, applied_full, applied_ckpt))
@@ -1431,11 +1423,7 @@ let run_replicate () =
     List.iter
       (fun base ->
         for shard = 0 to shards - 1 do
-          let b = Printf.sprintf "%s.shard%d" base shard in
-          List.iter
-            (fun f -> try Sys.remove f with Sys_error _ -> ())
-            ([ b; b ^ ".ckpt"; b ^ ".ckpt.tmp" ]
-            @ List.init 16 (fun i -> Printf.sprintf "%s.%d" b (i + 1)))
+          Journal.remove_family (Server.shard_journal base shard)
         done)
       [ jbase; mbase ];
     try Sys.remove sock with Sys_error _ -> ()
@@ -1765,15 +1753,6 @@ let run_principals () =
       (fun () -> really_input_string ic (in_channel_length ic))
   in
   let rm f = try Sys.remove f with Sys_error _ -> () in
-  let cleanup base =
-    rm base;
-    rm (base ^ ".ckpt");
-    rm (base ^ ".ckpt.tmp");
-    rm (base ^ ".spill");
-    for i = 1 to 64 do
-      rm (Printf.sprintf "%s.%d" base i)
-    done
-  in
   Format.printf
     "@.== Tiered principal store: Zipfian populations under a resident budget ==@.@.";
   let diff_n = 10_000 in
@@ -1823,7 +1802,7 @@ let run_principals () =
     Service.close service;
     let tail = read_file base in
     let ckpt = read_file (base ^ ".ckpt") in
-    cleanup base;
+    Journal.remove_family base;
     (List.rev !decisions, snap, tail, ckpt, stats)
   in
   let d_base, s_base, tail_base, ckpt_base, _ = run_history ~budget:None in

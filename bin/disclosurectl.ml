@@ -1474,19 +1474,19 @@ let run_ledger config_file journal =
     | Ok c -> c
     | Error e -> failwith e
   in
-  (* A journal family exists if its active file or its checkpoint does. *)
-  let family_exists base =
-    Sys.file_exists base || Sys.file_exists (base ^ ".ckpt")
-  in
+  let family_exists = Disclosure.Journal.family_exists in
   let bases =
     if family_exists journal then [ journal ]
     else begin
       let rec shards i acc =
-        let b = journal ^ ".shard" ^ string_of_int i in
+        let b = Server.shard_journal journal i in
         if family_exists b then shards (i + 1) (b :: acc) else List.rev acc
       in
       match shards 0 [] with
-      | [] -> failwith ("no journal found at " ^ journal ^ " (or " ^ journal ^ ".shard0)")
+      | [] ->
+        failwith
+          (Printf.sprintf "no journal found at %s (or %s)" journal
+             (Server.shard_journal journal 0))
       | bs -> bs
     end
   in

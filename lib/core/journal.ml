@@ -1,5 +1,6 @@
-(* The v2 record codec: framing, escaping, CRC. Pure string-in/string-out so
-   the torture tests can exercise every byte offset without a file system in
+(* The v2 record codec (framing, escaping, CRC) and the layout of the
+   journal family on disk. The codec is pure string-in/string-out so the
+   torture tests can exercise every byte offset without a file system in
    the loop; Service owns the channels and the torn-vs-corrupt policy. *)
 
 let magic = "J2 "
@@ -225,3 +226,96 @@ let is_v2_file path =
           (match String.index_opt chunk '\n' with
           | Some nl -> String.sub chunk 0 nl
           | None -> chunk))
+
+(* --- the journal family on disk ----------------------------------------- *)
+
+let tmp_path path = path ^ ".tmp"
+
+let segment_path base i = Printf.sprintf "%s.%d" base i
+
+let ckpt_path base = base ^ ".ckpt"
+
+let spill_path base = base ^ ".spill"
+
+let file_size path =
+  match Unix.stat path with
+  | { Unix.st_size; _ } -> st_size
+  | exception Unix.Unix_error _ -> 0
+
+(* Only the exact names rotation writes: [int_of_string_opt] alone would
+   also take "01", "0x1", "1_0" or "+1", and a stray file under such a name
+   would punch a hole in the index sequence (failing recovery) or be
+   deleted by compaction. Other suffixes (the checkpoint, a server's shard
+   bases) are not segments either. *)
+let sealed_segments base =
+  let dir = Filename.dirname base in
+  let prefix = Filename.basename base ^ "." in
+  let plen = String.length prefix in
+  match Sys.readdir dir with
+  | exception Sys_error _ -> []
+  | entries ->
+    Array.to_list entries
+    |> List.filter_map (fun entry ->
+           if String.starts_with ~prefix entry then
+             let suffix = String.sub entry plen (String.length entry - plen) in
+             match int_of_string_opt suffix with
+             | Some i when i >= 1 && string_of_int i = suffix ->
+               Some (i, Filename.concat dir entry)
+             | _ -> None
+           else None)
+    |> List.sort compare
+
+let ckpt_header ~covers ~count = [ "ckpt"; "2"; string_of_int covers; string_of_int count ]
+
+let parse_ckpt_header = function
+  | [ "ckpt"; "2"; covers; count ] -> (
+    match (int_of_string_opt covers, int_of_string_opt count) with
+    | Some covers, Some count when covers >= 0 && count >= 0 -> Ok (covers, count)
+    | _ -> Error "malformed checkpoint header")
+  | _ -> Error "not a checkpoint file"
+
+(* The checkpoint's coverage bound, for the cursor only; recovery
+   re-validates the whole checkpoint. *)
+let ckpt_covers base =
+  match read_file (ckpt_path base) with
+  | Ok ({ fields; _ } :: _, None) -> (
+    match parse_ckpt_header fields with Ok (covers, _) -> covers | Error _ -> 0)
+  | Ok _ | Error _ | (exception Sys_error _) -> 0
+
+let next_segment base =
+  let newest = List.fold_left (fun acc (i, _) -> max acc i) 0 (sealed_segments base) in
+  max newest (ckpt_covers base) + 1
+
+let resume_cursor base =
+  match (next_segment base, file_size base) with
+  | 1, 0 -> (0, 0)
+  | cursor -> cursor
+
+let install_checkpoint base write =
+  let tmp = tmp_path (ckpt_path base) in
+  Faults.trip Faults.Checkpoint;
+  let oc = open_out_bin tmp in
+  (try
+     write oc;
+     flush oc;
+     Unix.fsync (Unix.descr_of_out_channel oc);
+     close_out oc
+   with e ->
+     close_out_noerr oc;
+     (try Sys.remove tmp with Sys_error _ -> ());
+     raise e);
+  try
+    Faults.trip Faults.Ckpt_rename;
+    Sys.rename tmp (ckpt_path base)
+  with e ->
+    (try Sys.remove tmp with Sys_error _ -> ());
+    raise e
+
+let family_exists base =
+  Sys.file_exists base || Sys.file_exists (ckpt_path base) || sealed_segments base <> []
+
+let remove_family base =
+  let rm path = try Sys.remove path with Sys_error _ -> () in
+  List.iter (fun (_, path) -> rm path) (sealed_segments base);
+  List.iter rm
+    [ base; ckpt_path base; tmp_path (ckpt_path base); spill_path base; tmp_path (spill_path base) ]

@@ -1,5 +1,6 @@
 (** The versioned on-disk record format behind {!Service}'s decision journal
-    and checkpoints (DESIGN.md §8).
+    and checkpoints, and the layout of the files that hold them (DESIGN.md
+    §8).
 
     Version 2 frames each record as one line:
 
@@ -83,3 +84,52 @@ val is_v2_file : string -> bool
     torn inside its header — the legacy parser reaches the same verdict for
     those (torn final line, or fail closed mid-file). Used to route legacy
     TSV journals to the old parser. *)
+
+(** {1 The journal family on disk}
+
+    A journal [base] owns a family of files: the active segment [base], the
+    sealed segments [base.<n>] (n ≥ 1, in rotation order), the checkpoint
+    [base.ckpt] and the tiered store's spill file [base.spill]. A file is
+    staged under {!tmp_path} before an atomic rename. This module is the
+    only place that knows those names. *)
+
+val tmp_path : string -> string
+val segment_path : string -> int -> string
+val ckpt_path : string -> string
+val spill_path : string -> string
+
+val file_size : string -> int
+(** [0] for a missing file. *)
+
+val sealed_segments : string -> (int * string) list
+(** [(n, path)] sorted by [n]. Only names rotation writes count: the suffix
+    must be exactly [string_of_int n], so [base.01] or [base.0x1] are not
+    segments. *)
+
+val ckpt_header : covers:int -> count:int -> string list
+(** The checkpoint's header fields [ckpt 2 <covers> <count>]: segments up
+    to [covers] are folded in, and [count] principal records follow. *)
+
+val parse_ckpt_header : string list -> (int * int, string) result
+(** Inverse of {!ckpt_header}; both numbers non-negative. *)
+
+val next_segment : string -> int
+(** The index the next rotation seals: one above both the newest sealed
+    segment and the checkpoint's coverage bound. *)
+
+val resume_cursor : string -> int * int
+(** [(next_segment base, file_size base)], or [(0, 0)] for an empty family
+    (nothing sealed, covered or appended). *)
+
+val install_checkpoint : string -> (out_channel -> unit) -> unit
+(** Replace [base.ckpt] atomically: [write] fills the staging file, which
+    is flushed, [fsync]ed and renamed into place. The [Checkpoint] fault
+    stage trips before the staging file is opened, [Ckpt_rename] before the
+    rename. On any failure the staging file is removed and the exception
+    re-raised. *)
+
+val family_exists : string -> bool
+(** An active segment, a checkpoint or a sealed segment exists. *)
+
+val remove_family : string -> unit
+(** Delete every file of the family, staging files included. *)

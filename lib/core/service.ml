@@ -2,11 +2,8 @@ let src = Logs.Src.create "disclosure.service" ~doc:"Disclosure-control referenc
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-type journal_format = [ `V2 | `Legacy ]
-
 type journal_cfg = {
   base : string;
-  format : journal_format;
   segment_bytes : int; (* rotation threshold; 0 = never rotate *)
 }
 
@@ -96,58 +93,15 @@ type t = {
 exception Unknown_principal of string
 exception Duplicate_principal of string
 
-(* --- journal file layout ---------------------------------------------- *)
-
-let ckpt_path base = base ^ ".ckpt"
-
-let ckpt_tmp_path base = base ^ ".ckpt.tmp"
-
-let segment_file base i = Printf.sprintf "%s.%d" base i
-
-(* Rotated segments of [base], sorted by index. Non-numeric suffixes
-   (".ckpt", a server's ".shard0") never parse as segment indices. *)
-let rotated_segments base =
-  let dir = Filename.dirname base in
-  let prefix = Filename.basename base ^ "." in
-  let plen = String.length prefix in
-  match Sys.readdir dir with
-  | exception Sys_error _ -> []
-  | entries ->
-    Array.to_list entries
-    |> List.filter_map (fun entry ->
-           if String.length entry > plen && String.sub entry 0 plen = prefix then
-             match int_of_string_opt (String.sub entry plen (String.length entry - plen)) with
-             | Some i when i >= 1 -> Some (i, Filename.concat dir entry)
-             | _ -> None
-           else None)
-    |> List.sort compare
-
-(* The checkpoint's coverage bound, used only to seed the rotation sequence
-   at [create]; recovery re-validates the checkpoint properly. *)
-let ckpt_covers base =
-  let path = ckpt_path base in
-  if not (Sys.file_exists path) then 0
-  else
-    match Journal.read_file path with
-    | Ok ({ Journal.fields = "ckpt" :: "2" :: covers :: _; _ } :: _, None) ->
-      Option.value (int_of_string_opt covers) ~default:0
-    | Ok _ | Error _ | (exception Sys_error _) -> 0
-
-let file_size path = match Unix.stat path with { Unix.st_size; _ } -> st_size | exception Unix.Unix_error _ -> 0
-
-let create ?(limits = Guard.no_limits) ?journal ?(journal_format = `V2) ?(segment_bytes = 0)
-    ?observe pipeline =
+let create ?(limits = Guard.no_limits) ?journal ?(segment_bytes = 0) ?observe pipeline =
   if segment_bytes < 0 then invalid_arg "Service.create: segment_bytes must be >= 0";
-  let jcfg =
-    Option.map (fun base -> { base; format = journal_format; segment_bytes }) journal
-  in
+  let jcfg = Option.map (fun base -> { base; segment_bytes }) journal in
   let journal, seq =
     match jcfg with
     | None -> (No_journal, 1)
     | Some { base; _ } ->
       let oc = open_out_gen [ Open_append; Open_creat ] 0o644 base in
-      let max_seg = List.fold_left (fun acc (i, _) -> max acc i) 0 (rotated_segments base) in
-      (Open_journal { oc; bytes = file_size base }, max max_seg (ckpt_covers base) + 1)
+      (Open_journal { oc; bytes = Journal.file_size base }, Journal.next_segment base)
   in
   {
     pipeline;
@@ -362,16 +316,13 @@ let cold_view t =
    [Label.encode]'s hex form ("-" when the decision was reached before a
    label existed) and the decision is "answered", "refused:<tag>", or
    "reset". The v2 format (Journal) frames, escapes, and checksums each
-   record; the legacy format is the raw TAB-separated line, kept only for
-   replaying pre-v2 journals — writing it refuses fields that contain the
-   separators it cannot escape. Appends are flushed so the journal never
-   trails a committed decision, and a failed append rolls the segment back
-   to the last committed record so it never gains unparseable bytes either.
+   record; pre-v2 journals (raw TAB-separated lines) still replay but are
+   never written. Appends are flushed so the journal never trails a
+   committed decision, and a failed append rolls the segment back to the
+   last committed record so it never gains unparseable bytes either.
    The [Journal] fault stage trips before anything is written, the
    [Journal_flush] stage after the record is buffered but before it is
    durable. *)
-
-let field_has_separator s = String.exists (fun c -> c = '\t' || c = '\n' || c = '\r') s
 
 (* A failed append may leave a prefix of the record on disk (partial write)
    and the rest in the channel buffer; either way the next successful append
@@ -397,11 +348,10 @@ let discard_partial_append t cfg j =
            here on are refused rather than journaled after garbage): %s"
           (Printexc.to_string e))
 
-(* Write [s] (one framed record or legacy line) and flush it, committing
-   [j.bytes] only on success; on failure, roll the segment back to the
-   commit point before re-raising. The [Journal_flush] fault stage injects
-   at the most dangerous instant: bytes handed to the channel, none of them
-   durable.
+(* Write [s] (one framed record) and flush it, committing [j.bytes] only
+   on success; on failure, roll the segment back to the commit point before
+   re-raising. The [Journal_flush] fault stage injects at the most
+   dangerous instant: bytes handed to the channel, none of them durable.
 
    Inside an open group-commit batch the flush is deferred: the record only
    reaches the channel buffer, [j.bytes] (the durable frontier replication
@@ -442,9 +392,9 @@ let rotate_exn t cfg j =
       close_out j.oc;
       let reopen () =
         j.oc <- open_out_gen [ Open_append; Open_creat ] 0o644 cfg.base;
-        j.bytes <- file_size cfg.base
+        j.bytes <- Journal.file_size cfg.base
       in
-      match Sys.rename cfg.base (segment_file cfg.base t.seq) with
+      match Sys.rename cfg.base (Journal.segment_path cfg.base t.seq) with
       | () ->
         t.seq <- t.seq + 1;
         t.rotations <- t.rotations + 1;
@@ -487,29 +437,12 @@ let journal_append t ~principal ~label ~decision =
                    is lost from here on (decision for %s not journaled)"
                   principal)
           end
-        | Open_journal j -> (
+        | Open_journal j ->
           let cfg = Option.get t.jcfg in
-          match cfg.format with
-          | `V2 ->
-            let s = Journal.encode [ principal; label; decision ] in
-            append_bytes t cfg j s;
-            appended := String.length s;
-            maybe_rotate t cfg j
-          | `Legacy ->
-            (* The legacy line format cannot escape its separators: a hostile
-               principal name would forge record boundaries. Refuse at submit
-               time, before anything reaches the file. *)
-            if
-              field_has_separator principal || field_has_separator label
-              || field_has_separator decision
-            then
-              raise
-                (Guard.Refuse
-                   (Guard.Malformed
-                      "journal field contains a tab or newline the legacy format cannot escape"));
-            let line = String.concat "\t" [ principal; label; decision ] ^ "\n" in
-            append_bytes t cfg j line;
-            appended := String.length line))
+          let s = Journal.encode [ principal; label; decision ] in
+          append_bytes t cfg j s;
+          appended := String.length s;
+          maybe_rotate t cfg j)
   with
   | () -> Ok ()
   | exception Guard.Refuse reason -> Error reason
@@ -628,9 +561,8 @@ let pristine_fields =
 
 (* Serialize every monitor's state with the same record codec as the
    journal: a header record carrying the covered-segment bound, then one
-   record per principal. Written to <base>.ckpt.tmp, fsynced, and renamed
-   into place, so a crash anywhere leaves either the old checkpoint or the
-   new one — never a partial file under the .ckpt name. *)
+   record per principal, installed atomically ({!Journal.install_checkpoint}):
+   a crash anywhere leaves either the old checkpoint or the new one. *)
 let checkpoint t =
   match (t.journal, t.jcfg) with
   | (No_journal, _ | _, None) -> Error "Service.checkpoint: no journal configured"
@@ -640,75 +572,54 @@ let checkpoint t =
        numbered segment. Callers (the shard) end the batch first. *)
     Error "Service.checkpoint: a journal batch is open"
   | Open_journal j, Some cfg -> (
-    match cfg.format with
-    | `Legacy -> Error "Service.checkpoint: requires the v2 journal format"
-    | `V2 -> (
-      match
-        observed t `Checkpoint (fun () ->
-            (* Rotate first: the snapshot below covers everything appended so
-               far, so the active segment must be sealed under a numbered
-               name or recovery would replay its records on top of the
-               checkpoint. A failed rotation aborts the checkpoint. *)
-            if j.bytes > 0 then rotate_exn t cfg j;
-            let covers = t.seq - 1 in
-            let ps = principals t in
-            let buf = Buffer.create (64 * (List.length ps + 1)) in
-            Journal.add_record buf
-              [ "ckpt"; "2"; string_of_int covers; string_of_int (List.length ps) ];
-            (* The cold view, not [monitor_of]: a checkpoint must not fault
-               every spilled principal in (or touch the eviction clock). It
-               copies rather than re-encodes: a spilled record is already in
-               this codec (verified on the way), and a pristine principal's
-               fields are the shared encoding of its partition count — so
-               the bytes are identical to the always-resident write. *)
-            let cold = cold_view t in
-            List.iter
-              (fun principal ->
-                match Hashtbl.find_opt t.monitors principal with
-                | Some m ->
-                  Journal.add_record buf
-                    ("p" :: principal :: Monitor.state_fields (Monitor.state m))
-                | None -> (
-                  match cold principal with
-                  | Some (Pristine partitions) ->
-                    Journal.add_payload buf
-                      (String.concat ""
-                         [ "p\t"; Journal.escape principal; pristine_fields.(partitions) ])
-                  | Some (Spilled { record; _ }) -> Buffer.add_string buf record
-                  | None -> raise (Unknown_principal principal)))
-              ps;
-            let tmp = ckpt_tmp_path cfg.base in
-            Faults.trip Faults.Checkpoint;
-            let oc = open_out_bin tmp in
-            (try
-               Buffer.output_buffer oc buf;
-               flush oc;
-               Unix.fsync (Unix.descr_of_out_channel oc);
-               close_out oc
-             with e ->
-               close_out_noerr oc;
-               (try Sys.remove tmp with Sys_error _ -> ());
-               raise e);
-            (try
-               Faults.trip Faults.Ckpt_rename;
-               Sys.rename tmp (ckpt_path cfg.base)
-             with e ->
-               (try Sys.remove tmp with Sys_error _ -> ());
-               raise e);
-            t.checkpoints <- t.checkpoints + 1;
-            (* Compaction: segments at or below the bound are superseded by
-               the checkpoint. A failed delete only leaves garbage recovery
-               will skip. *)
-            List.iter
-              (fun (i, path) ->
-                if i <= covers then
-                  try Sys.remove path
-                  with Sys_error msg ->
-                    Log.warn (fun m -> m "compaction could not remove %s: %s" path msg))
-              (rotated_segments cfg.base))
-      with
-      | () -> Ok ()
-      | exception e -> Error ("checkpoint failed: " ^ Printexc.to_string e)))
+    match
+      observed t `Checkpoint (fun () ->
+          (* Rotate first: the snapshot below covers everything appended so
+             far, so the active segment must be sealed under a numbered name
+             or recovery would replay its records on top of the checkpoint.
+             A failed rotation aborts the checkpoint. *)
+          if j.bytes > 0 then rotate_exn t cfg j;
+          let covers = t.seq - 1 in
+          let ps = principals t in
+          let buf = Buffer.create (64 * (List.length ps + 1)) in
+          Journal.add_record buf (Journal.ckpt_header ~covers ~count:(List.length ps));
+          (* The cold view, not [monitor_of]: a checkpoint must not fault
+             every spilled principal in (or touch the eviction clock). It
+             copies rather than re-encodes: a spilled record is already in
+             this codec (verified on the way), and a pristine principal's
+             fields are the shared encoding of its partition count — so the
+             bytes are identical to the always-resident write. *)
+          let cold = cold_view t in
+          List.iter
+            (fun principal ->
+              match Hashtbl.find_opt t.monitors principal with
+              | Some m ->
+                Journal.add_record buf
+                  ("p" :: principal :: Monitor.state_fields (Monitor.state m))
+              | None -> (
+                match cold principal with
+                | Some (Pristine partitions) ->
+                  Journal.add_payload buf
+                    (String.concat ""
+                       [ "p\t"; Journal.escape principal; pristine_fields.(partitions) ])
+                | Some (Spilled { record; _ }) -> Buffer.add_string buf record
+                | None -> raise (Unknown_principal principal)))
+            ps;
+          Journal.install_checkpoint cfg.base (fun oc -> Buffer.output_buffer oc buf);
+          t.checkpoints <- t.checkpoints + 1;
+          (* Compaction: segments at or below the bound are superseded by the
+             checkpoint. A failed delete only leaves garbage recovery will
+             skip. *)
+          List.iter
+            (fun (i, path) ->
+              if i <= covers then
+                try Sys.remove path
+                with Sys_error msg ->
+                  Log.warn (fun m -> m "compaction could not remove %s: %s" path msg))
+            (Journal.sealed_segments cfg.base))
+    with
+    | () -> Ok ()
+    | exception e -> Error ("checkpoint failed: " ^ Printexc.to_string e))
 
 (* --- guarded submission ----------------------------------------------- *)
 
@@ -1120,7 +1031,7 @@ let replay_legacy t ~file ~tolerate_torn ~on_record =
    the segments it covers, recovery must fail closed rather than fall back
    to a partial replay. *)
 let load_checkpoint t base =
-  let file = ckpt_path base in
+  let file = Journal.ckpt_path base in
   if not (Sys.file_exists file) then Ok (0, false)
   else
     let corrupt offset detail = Error { file; offset; kind = `Corrupt_checkpoint; detail } in
@@ -1133,39 +1044,38 @@ let load_checkpoint t base =
         ^ torn.Journal.torn_reason)
     | Ok ([], None) -> corrupt 0 "empty checkpoint"
     | Ok (header :: entries, None) -> (
-      match header.Journal.fields with
-      | [ "ckpt"; "2"; covers_s; count_s ] -> (
-        match (int_of_string_opt covers_s, int_of_string_opt count_s) with
-        | Some covers, Some count when covers >= 0 && count = List.length entries ->
-          let rec apply = function
-            | [] -> Ok (covers, true)
-            | ({ Journal.offset; fields } : Journal.record) :: rest -> (
-              match fields with
-              | "p" :: principal :: state_fields -> (
-                match
-                  (resident_or_fault t principal, Monitor.state_of_fields state_fields)
-                with
-                | exception Guard.Refuse reason ->
-                  Error
-                    { file; offset; kind = `Io;
-                      detail =
-                        Format.asprintf "fault-in failed during checkpoint restore: %a"
-                          Guard.pp_refusal reason }
-                | None, _ ->
-                  Error
-                    { file; offset; kind = `Replay;
-                      detail = Printf.sprintf "unknown principal %S in checkpoint" principal }
-                | Some m, Some st -> (
-                  match Monitor.restore m st with
-                  | () -> apply rest
-                  | exception Invalid_argument msg ->
-                    Error { file; offset; kind = `Replay; detail = msg })
-                | Some _, None -> corrupt offset "malformed checkpoint entry")
-              | _ -> corrupt offset "malformed checkpoint entry")
-          in
-          apply entries
-        | _ -> corrupt header.Journal.offset "malformed checkpoint header")
-      | _ -> corrupt header.Journal.offset "not a checkpoint file")
+      match Journal.parse_ckpt_header header.Journal.fields with
+      | Error msg -> corrupt header.Journal.offset msg
+      | Ok (_, count) when count <> List.length entries ->
+        corrupt header.Journal.offset "malformed checkpoint header"
+      | Ok (covers, _) ->
+        let rec apply = function
+          | [] -> Ok (covers, true)
+          | ({ Journal.offset; fields } : Journal.record) :: rest -> (
+            match fields with
+            | "p" :: principal :: state_fields -> (
+              match
+                (resident_or_fault t principal, Monitor.state_of_fields state_fields)
+              with
+              | exception Guard.Refuse reason ->
+                Error
+                  { file; offset; kind = `Io;
+                    detail =
+                      Format.asprintf "fault-in failed during checkpoint restore: %a"
+                        Guard.pp_refusal reason }
+              | None, _ ->
+                Error
+                  { file; offset; kind = `Replay;
+                    detail = Printf.sprintf "unknown principal %S in checkpoint" principal }
+              | Some m, Some st -> (
+                match Monitor.restore m st with
+                | () -> apply rest
+                | exception Invalid_argument msg ->
+                  Error { file; offset; kind = `Replay; detail = msg })
+              | Some _, None -> corrupt offset "malformed checkpoint entry")
+            | _ -> corrupt offset "malformed checkpoint entry")
+        in
+        apply entries)
 
 (* A tolerated torn tail must also come off the disk: the active segment is
    held open in append mode ({!create}), so leaving the partial record in
@@ -1208,7 +1118,7 @@ let recover ?(on_record = fun ~principal:_ ~label:_ ~decision:_ -> ()) t ~journa
   (match t.tier with Some tier -> tier.tier_reset () | None -> ());
   let ( let* ) = Result.bind in
   let* covers, from_checkpoint = load_checkpoint t base in
-  let rotated = List.filter (fun (i, _) -> i > covers) (rotated_segments base) in
+  let rotated = List.filter (fun (i, _) -> i > covers) (Journal.sealed_segments base) in
   (* Rotation hands out consecutive indices and compaction removes a prefix
      (everything at or below the checkpoint bound), so the surviving indices
      must be exactly covers+1, covers+2, …: a hole means a segment's records
@@ -1221,7 +1131,7 @@ let recover ?(on_record = fun ~principal:_ ~label:_ ~decision:_ -> ()) t ~journa
         else
           Error
             {
-              file = segment_file base expected;
+              file = Journal.segment_path base expected;
               offset = 0;
               kind = `Io;
               detail =

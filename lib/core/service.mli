@@ -14,15 +14,6 @@
 
 type t
 
-type journal_format = [ `V2 | `Legacy ]
-(** [`V2] (the default) frames every decision with the checksummed record
-    format of {!Journal} — length-prefixed, field-escaped, CRC32-protected —
-    and supports rotation and checkpoints. [`Legacy] writes the historical
-    raw [principal TAB label TAB decision] line; it exists to keep old
-    journals replayable and for format-compatibility tests, cannot escape
-    separators (hostile fields are refused at submit), and supports neither
-    rotation nor checkpoints. *)
-
 type observation = {
   stage : [ `Admit | `Label | `Decide | `Journal | `Checkpoint | `Rotate | `Fault_in ];
   seconds : float;
@@ -48,15 +39,16 @@ exception Duplicate_principal of string
 val create :
   ?limits:Guard.limits ->
   ?journal:string ->
-  ?journal_format:journal_format ->
   ?segment_bytes:int ->
   ?observe:(observation -> unit) ->
   Pipeline.t ->
   t
 (** [limits] defaults to {!Guard.no_limits}. [journal], when given, is the
     journal's {e base} path: the active segment lives there (opened in
-    append mode), rotated segments at [<base>.<n>], the checkpoint at
-    [<base>.ckpt]. [journal_format] defaults to [`V2]. [segment_bytes]
+    append mode) and the rest of its family beside it ({!Journal}'s
+    layout). Every decision is written as a checksummed v2 record
+    ({!Journal}); pre-v2 TSV journals still replay but are never written.
+    [segment_bytes]
     (default [0] = never) rotates the active segment once it reaches that
     many bytes. [observe], when given, is called synchronously with the
     monotonic duration of each instrumented stage; when absent no clock is
@@ -359,11 +351,11 @@ val apply_journal_record : t -> string list -> (unit, string) result
 (** {1 Checkpoints, rotation, compaction}
 
     The journal alone makes recovery cost proportional to the whole history.
-    A checkpoint bounds it: {!checkpoint} seals the active segment (rotating
-    it to [<base>.<n>]), serializes every monitor's state to
-    [<base>.ckpt.tmp] with the same record codec as the journal, [fsync]s,
-    atomically renames it to [<base>.ckpt], and deletes the segments the
-    snapshot covers (compaction). A crash at any point leaves either the old
+    A checkpoint bounds it: {!checkpoint} seals the active segment,
+    serializes every monitor's state with the same record codec as the
+    journal, installs it atomically ({!Journal.install_checkpoint}), and
+    deletes the segments the snapshot covers (compaction). A crash at any
+    point leaves either the old
     checkpoint or the new one — never a partial one — and at worst some
     already-covered segments that the next recovery skips and the next
     checkpoint removes. {!recover} then restores the newest checkpoint and
@@ -377,11 +369,11 @@ val checkpoint : t -> (unit, string) result
     one's record is copied from one sequential read of the tier's spill
     file once its CRC, principal name and state fields check out — a
     corrupt spill record fails the checkpoint, as it always has. [Error]
-    when no journal is configured, the journal is closed or in the legacy
-    format, or any step fails — in which case the previous checkpoint (if
-    any) and all segments are left intact, so durability is never reduced
-    by a failed checkpoint. The {!Faults.Checkpoint}, {!Faults.Ckpt_rename} and
-    {!Faults.Rotate} stages inject here. *)
+    when no journal is configured, the journal is closed, or any step
+    fails — in which case the previous checkpoint (if any) and all segments
+    are left intact, so durability is never reduced by a failed checkpoint.
+    The {!Faults.Checkpoint}, {!Faults.Ckpt_rename} and {!Faults.Rotate}
+    stages inject here. *)
 
 val rotation_count : t -> int
 (** Segments rotated by this service instance (size-triggered and
@@ -392,13 +384,8 @@ val checkpoint_count : t -> int
 
 (** {1 Snapshot and recovery}
 
-    On-disk layout under a journal base path [<base>]:
-
-    - [<base>] — the active segment, v2 records (see {!Journal} for the
-      framing: [J2 <crc32> <len> <escaped fields>] per line);
-    - [<base>.<n>] — rotated (sealed) segments, in increasing age order of
-      [n];
-    - [<base>.ckpt] — the newest checkpoint, if any. *)
+    Recovery reads the journal family under [<base>] in {!Journal}'s
+    layout. *)
 
 val snapshot : t -> (string * Monitor.state) list
 (** Immutable copy of every principal's monitor state, in registration

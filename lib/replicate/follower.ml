@@ -50,42 +50,6 @@ let locked m f =
   Mutex.lock m;
   Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
-let shard_base journal i = Printf.sprintf "%s.shard%d" journal i
-
-let segment_file base i = Printf.sprintf "%s.%d" base i
-
-let file_size path =
-  match Unix.stat path with
-  | { Unix.st_size; _ } -> st_size
-  | exception Unix.Unix_error _ -> 0
-
-(* Same family scan as Service's: sealed segments are [base.<i>] with a
-   purely numeric suffix. *)
-let rotated_segments base =
-  let dir = Filename.dirname base in
-  let prefix = Filename.basename base ^ "." in
-  let plen = String.length prefix in
-  match Sys.readdir dir with
-  | exception Sys_error _ -> []
-  | entries ->
-    Array.to_list entries
-    |> List.filter_map (fun entry ->
-           if String.length entry > plen && String.sub entry 0 plen = prefix then
-             match int_of_string_opt (String.sub entry plen (String.length entry - plen)) with
-             | Some i when i >= 1 -> Some (i, Filename.concat dir entry)
-             | _ -> None
-           else None)
-    |> List.sort compare
-
-let ckpt_covers base =
-  let path = base ^ ".ckpt" in
-  if not (Sys.file_exists path) then 0
-  else
-    match Journal.read_file path with
-    | Ok ({ Journal.fields = "ckpt" :: "2" :: covers :: _; _ } :: _, None) ->
-      Option.value (int_of_string_opt covers) ~default:0
-    | Ok _ | Error _ | (exception Sys_error _) -> 0
-
 (* A fresh journal-less service holding this shard's slice of the
    configuration — the follower never journals through the service; the
    mirror is written raw, which is what makes it bit-identical. *)
@@ -111,7 +75,7 @@ let attach_store ?resident ~resolved ~shards shard service base =
   match resident with
   | None -> None
   | Some budget ->
-    let store = Store.create ~budget ~spill:(base ^ ".spill") service in
+    let store = Store.create ~budget ~spill:(Journal.spill_path base) service in
     List.iter
       (fun (principal, _) ->
         if Server.shard_index ~shards principal = shard then Store.track store ~principal)
@@ -126,17 +90,6 @@ let close_shard st =
     st.store <- None
   | None -> ());
   Service.close st.service
-
-(* Derive the resume cursor from the mirror alone, exactly as the primary
-   derives its own rotation sequence at create: active index = one above
-   the newest sealed segment or the checkpoint's coverage bound. An empty
-   family means bootstrap ([seg = 0]). *)
-let local_cursor base =
-  let max_seg = List.fold_left (fun acc (i, _) -> max acc i) 0 (rotated_segments base) in
-  let covers = ckpt_covers base in
-  let active = file_size base in
-  if max_seg = 0 && covers = 0 && active = 0 then (0, 0)
-  else (max max_seg covers + 1, active)
 
 (* Distinct per process-lifetime by construction; pid-qualified so two
    standby processes pulling the same primary never share a cursor. *)
@@ -160,12 +113,14 @@ let create ?id ?limits ?(max_bytes = Source.default_max_bytes) ?trace ?resident 
       (try
          for i = 0 to shards - 1 do
            if !err = None then begin
-             let base = shard_base journal i in
+             let base = Server.shard_journal journal i in
              let service = fresh_service ?limits ~pipeline ~resolved ~shards i in
              let tiered () = attach_store ?resident ~resolved ~shards i service base in
-             (* An empty family is a follower that never mirrored a byte:
-                bootstrap state ([seg = 0]), not a recovery error. *)
-             if local_cursor base = (0, 0) then
+             (* The resume cursor comes from the mirror alone, exactly as
+                the primary seeds its own rotation sequence. An empty family
+                is a follower that never mirrored a byte: bootstrap state
+                ([seg = 0]), not a recovery error. *)
+             if Journal.resume_cursor base = (0, 0) then
                states.(i) <-
                  Some { base; service; store = tiered (); seg = 0; off = 0; behind = 0 }
              else
@@ -177,7 +132,7 @@ let create ?id ?limits ?(max_bytes = Source.default_max_bytes) ?trace ?resident 
                      (Printf.sprintf "shard %d mirror: %s" i
                         (Service.recovery_error_to_string e))
                | Ok _ ->
-                 let seg, off = local_cursor base in
+                 let seg, off = Journal.resume_cursor base in
                  states.(i) <-
                    Some { base; service; store = tiered (); seg; off; behind = 0 }
            end
@@ -222,36 +177,26 @@ let append_mirror st data next_seg =
   (* The batch completed segment [st.seg]: seal the mirror the same way
      the primary sealed its own — rename, fresh active. *)
   while st.seg <> 0 && st.seg < next_seg do
-    if Sys.file_exists st.base then Sys.rename st.base (segment_file st.base st.seg);
+    if Sys.file_exists st.base then Sys.rename st.base (Journal.segment_path st.base st.seg);
     st.seg <- st.seg + 1;
     st.off <- 0
   done
 
-let wipe_family base =
-  let rm path = try Sys.remove path with Sys_error _ -> () in
-  if Sys.file_exists base then rm base;
-  if Sys.file_exists (base ^ ".ckpt") then rm (base ^ ".ckpt");
-  List.iter (fun (_, path) -> rm path) (rotated_segments base)
-
+(* Replace the shard's whole mirror with a shipped checkpoint. A failed
+   install or recovery is an [Error], never an exception: the caller fails
+   closed on it. The install is the primary's own
+   ({!Journal.install_checkpoint}), so a crash mid-bootstrap leaves either
+   no checkpoint (clean re-bootstrap) or a complete one. *)
 let rebootstrap t ~shard ~data ~next_seg =
   let st = t.shards.(shard) in
-  wipe_family st.base;
-  if data <> "" then begin
-    (* Same atomic install as the primary's checkpoint: tmp, fsync,
-       rename — a crash mid-bootstrap leaves either no checkpoint (clean
-       re-bootstrap) or a complete one. *)
-    let tmp = st.base ^ ".ckpt.tmp" in
-    let oc = open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o644 tmp in
-    (try
-       output_string oc data;
-       flush oc;
-       (try Unix.fsync (Unix.descr_of_out_channel oc) with Unix.Unix_error _ -> ());
-       close_out oc
-     with e ->
-       close_out_noerr oc;
-       raise e);
-    Sys.rename tmp (st.base ^ ".ckpt")
-  end;
+  let ( let* ) = Result.bind in
+  let* () =
+    try
+      Journal.remove_family st.base;
+      if data <> "" then Journal.install_checkpoint st.base (fun oc -> output_string oc data);
+      Ok ()
+    with e -> Error ("bootstrap checkpoint install: " ^ Printexc.to_string e)
+  in
   let service =
     fresh_service ?limits:t.limits ~pipeline:t.pipeline ~resolved:t.resolved
       ~shards:(Array.length t.shards) shard

@@ -60,17 +60,7 @@ let follower_entry t id =
     Hashtbl.add t.followers id f;
     f
 
-(* Mirrors Service's on-disk family: active segment at [base], sealed
-   segments at [base.<i>], checkpoint at [base.ckpt] — with the server's
-   per-shard base [<journal>.shard<i>]. *)
-let shard_base t i = Printf.sprintf "%s.shard%d" t.journal i
-
-let segment_file base i = Printf.sprintf "%s.%d" base i
-
-let file_size path =
-  match Unix.stat path with
-  | { Unix.st_size; _ } -> st_size
-  | exception Unix.Unix_error _ -> 0
+let shard_base t i = Server.shard_journal t.journal i
 
 (* Read from [path] starting at [off]: at most ~[max_bytes], never past
    [cap] (the committed region), and always ending on a record boundary.
@@ -106,9 +96,9 @@ let behind_estimate t ~shard ~aseq ~abytes ~seg ~off =
   if seg >= aseq then max 0 (abytes - off)
   else begin
     let base = shard_base t shard in
-    let total = ref (max 0 (file_size (segment_file base seg) - off)) in
+    let total = ref (max 0 (Journal.file_size (Journal.segment_path base seg) - off)) in
     for j = seg + 1 to aseq - 1 do
-      total := !total + file_size (segment_file base j)
+      total := !total + Journal.file_size (Journal.segment_path base j)
     done;
     !total + abytes
   end
@@ -119,8 +109,7 @@ let behind_estimate t ~shard ~aseq ~abytes ~seg ~off =
    checkpointing is safe — the file is replaced atomically, so we read one
    consistent version and parse [covers] out of the bytes we shipped. *)
 let snapshot t shard =
-  let base = shard_base t shard in
-  let ckpt = base ^ ".ckpt" in
+  let ckpt = Journal.ckpt_path (shard_base t shard) in
   if not (Sys.file_exists ckpt) then Codec.Snapshot { shard; data = ""; next_seg = 1; next_off = 0 }
   else
     let ic = open_in_bin ckpt in
@@ -130,11 +119,10 @@ let snapshot t shard =
         (fun () -> really_input_string ic (in_channel_length ic))
     in
     match Journal.parse data with
-    | Ok ({ Journal.fields = "ckpt" :: "2" :: covers :: _; _ } :: _, None) -> (
-      match int_of_string_opt covers with
-      | Some covers when covers >= 0 ->
-        Codec.Snapshot { shard; data; next_seg = covers + 1; next_off = 0 }
-      | _ -> Codec.Error (Errors.fault "checkpoint coverage bound did not parse"))
+    | Ok ({ Journal.fields; _ } :: _, None) -> (
+      match Journal.parse_ckpt_header fields with
+      | Ok (covers, _) -> Codec.Snapshot { shard; data; next_seg = covers + 1; next_off = 0 }
+      | Error msg -> Codec.Error (Errors.fault msg))
     | Ok _ -> Codec.Error (Errors.fault "checkpoint file has no valid header record")
     | Error c ->
       Codec.Error
@@ -155,13 +143,13 @@ let rec serve t ~shard ~seg ~off ~max_bytes ~retries =
          journal was reset under it; make it start over. *)
       snapshot t shard
     else if seg < aseq then begin
-      let path = segment_file (shard_base t shard) seg in
+      let path = Journal.segment_path (shard_base t shard) seg in
       if not (Sys.file_exists path) then
         (* Compacted by a checkpoint — the history below the coverage
            bound now only exists as the checkpoint. *)
         snapshot t shard
       else
-        let size = file_size path in
+        let size = Journal.file_size path in
         if off >= size then
           Codec.Batch
             {

@@ -88,7 +88,7 @@ let shard_index ~shards principal = fnv1a principal mod shards
 
 let shard_count t = Array.length t.shards
 
-let segment_path base i = Printf.sprintf "%s.shard%d" base i
+let shard_journal base i = Printf.sprintf "%s.shard%d" base i
 
 let create ?limits ?journal ?trace ?(config = default_config) pipeline =
   if config.domains < 1 then invalid_arg "Server.create: domains must be >= 1";
@@ -105,7 +105,7 @@ let create ?limits ?journal ?trace ?(config = default_config) pipeline =
   let shards =
     Array.init config.domains (fun i ->
         Shard.create ~index:i ?limits
-          ?journal:(Option.map (fun base -> segment_path base i) journal)
+          ?journal:(Option.map (fun base -> shard_journal base i) journal)
           ~segment_bytes:config.segment_bytes
           ~checkpoint_every:config.checkpoint_every ?trace
           ~mailbox_capacity:config.mailbox_capacity
@@ -555,7 +555,7 @@ let recover t ~journal =
     if i >= shard_count t then Ok applied
     else
       match
-        Service.recover (Shard.service t.shards.(i)) ~journal:(segment_path journal i)
+        Service.recover (Shard.service t.shards.(i)) ~journal:(shard_journal journal i)
       with
       | Ok (r : Service.recovery) ->
         Metrics.incr t.metrics Metrics.Recoveries;

@@ -208,6 +208,11 @@ val shard_index : shards:int -> string -> int
     exposed so a replication follower can partition a configuration's
     principals exactly as the primary did. *)
 
+val shard_journal : string -> int -> string
+(** [shard_journal journal i] is shard [i]'s journal base,
+    [<journal>.shard<i>]: the base of that shard's whole family
+    ({!Disclosure.Journal}'s layout). *)
+
 val journal_positions : t -> (int * int) option array
 (** Per-shard [(active_segment, committed_bytes)] journal watermarks, by
     shard index. Safe from any domain (racy word reads, see

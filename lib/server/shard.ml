@@ -125,8 +125,8 @@ type t = {
    either way — never a durability artifact). *)
 let spill_path ~index journal =
   match journal with
-  | Some base -> base ^ ".spill"
-  | None -> Filename.temp_file "disclosure" (Printf.sprintf ".shard%d.spill" index)
+  | Some base -> Disclosure.Journal.spill_path base
+  | None -> Filename.temp_file (Printf.sprintf "disclosure-spill%d-" index) ""
 
 let create ~index ?limits ?journal ?(segment_bytes = 0) ?(checkpoint_every = 0) ?trace
     ~mailbox_capacity ~cache_capacity ?(drain = 64) ?(group_commit = false) ?resident

@@ -442,7 +442,7 @@ let stats t =
 let compact ?(force = false) t =
   if force || (t.dead_records > 64 && t.dead_records > t.spilled) then begin
     let sp = t.spill in
-    let tmp = sp.path ^ ".tmp" in
+    let tmp = Journal.tmp_path sp.path in
     match
       flush sp.oc;
       let oc = open_out_bin tmp in

@@ -17,6 +17,7 @@ module Service = Disclosure.Service
 module Monitor = Disclosure.Monitor
 module Pipeline = Disclosure.Pipeline
 module Sview = Disclosure.Sview
+module Journal = Disclosure.Journal
 
 let pq = Cq.Parser.query_exn
 
@@ -79,17 +80,9 @@ let count_newlines s = String.fold_left (fun n c -> if c = '\n' then n + 1 else 
 
 let rm f = try Sys.remove f with Sys_error _ -> ()
 
-let cleanup base =
-  rm base;
-  rm (base ^ ".ckpt");
-  rm (base ^ ".ckpt.tmp");
-  for i = 1 to 16 do
-    rm (Printf.sprintf "%s.%d" base i)
-  done
-
 let with_base f =
   let base = Filename.temp_file "disclosure-crash" ".journal" in
-  Fun.protect ~finally:(fun () -> cleanup base) (fun () -> f base)
+  Fun.protect ~finally:(fun () -> Journal.remove_family base) (fun () -> f base)
 
 let recover_fresh base =
   let fresh = make_service () in

@@ -21,6 +21,7 @@ module Guard = Disclosure.Guard
 module Faults = Disclosure.Faults
 module Mclock = Disclosure.Mclock
 module Sview = Disclosure.Sview
+module Journal = Disclosure.Journal
 module Explain = Disclosure.Explain
 module Policyfile = Disclosure.Policyfile
 module Metrics = Server.Metrics
@@ -111,16 +112,9 @@ let with_tmp_base f =
   let base = Filename.temp_file "disclosure-explain" ".journal" in
   Fun.protect
     ~finally:(fun () ->
-      let rm p = try Sys.remove p with Sys_error _ -> () in
-      rm base;
+      Journal.remove_family base;
       for i = 0 to 3 do
-        let shard = Printf.sprintf "%s.shard%d" base i in
-        rm shard;
-        rm (shard ^ ".ckpt");
-        rm (shard ^ ".ckpt.tmp");
-        for n = 1 to 8 do
-          rm (Printf.sprintf "%s.%d" shard n)
-        done
+        Journal.remove_family (Server.shard_journal base i)
       done)
     (fun () -> f base)
 

@@ -18,6 +18,7 @@ module Service = Disclosure.Service
 module Monitor = Disclosure.Monitor
 module Pipeline = Disclosure.Pipeline
 module Sview = Disclosure.Sview
+module Journal = Disclosure.Journal
 
 let pq = Cq.Parser.query_exn
 
@@ -278,15 +279,8 @@ let test_group_commit_flush_fault_aborts_batch () =
    works again and recovery still matches the live state. *)
 let test_checkpoint_faults_fail_safe () =
   let path = Filename.temp_file "disclosure-ckptfault" ".log" in
-  let rm f = try Sys.remove f with Sys_error _ -> () in
   Fun.protect
-    ~finally:(fun () ->
-      rm path;
-      rm (path ^ ".ckpt");
-      rm (path ^ ".ckpt.tmp");
-      for i = 1 to 16 do
-        rm (Printf.sprintf "%s.%d" path i)
-      done)
+    ~finally:(fun () -> Journal.remove_family path)
     (fun () ->
       let service = make_service ~journal:path () in
       ignore (Service.submit service ~principal:"app" q_slots);
@@ -327,13 +321,8 @@ let test_checkpoint_faults_fail_safe () =
    and the journal keeps appending where it was. *)
 let test_rotation_fault_never_refuses () =
   let path = Filename.temp_file "disclosure-rotfault" ".log" in
-  let rm f = try Sys.remove f with Sys_error _ -> () in
   Fun.protect
-    ~finally:(fun () ->
-      rm path;
-      for i = 1 to 16 do
-        rm (Printf.sprintf "%s.%d" path i)
-      done)
+    ~finally:(fun () -> Journal.remove_family path)
     (fun () ->
       let service =
         let s =

@@ -16,6 +16,7 @@ module Monitor = Disclosure.Monitor
 module Guard = Disclosure.Guard
 module Pipeline = Disclosure.Pipeline
 module Sview = Disclosure.Sview
+module Journal = Disclosure.Journal
 module Faults = Disclosure.Faults
 module Frame = Net.Frame
 module Codec = Net.Codec
@@ -77,12 +78,9 @@ let with_tmp_base f =
   let base = Filename.temp_file "disclosure-net" ".journal" in
   Fun.protect
     ~finally:(fun () ->
-      let rm f = try Sys.remove f with Sys_error _ -> () in
-      rm base;
+      Journal.remove_family base;
       for i = 0 to domains - 1 do
-        let shard = Printf.sprintf "%s.shard%d" base i in
-        rm shard;
-        rm (shard ^ ".ckpt")
+        Journal.remove_family (Server.shard_journal base i)
       done)
     (fun () -> f base)
 

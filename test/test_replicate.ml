@@ -24,6 +24,8 @@ module Sview = Disclosure.Sview
 module Policyfile = Disclosure.Policyfile
 module Source = Replicate.Source
 module Follower = Replicate.Follower
+module Journal = Disclosure.Journal
+module Faults = Disclosure.Faults
 
 let pq = Cq.Parser.query_exn
 
@@ -95,15 +97,10 @@ let count_newlines s =
 
 let rm f = try Sys.remove f with Sys_error _ -> ()
 
+(* Every shard family a test server or follower can grow under [base]. *)
 let cleanup_family base =
   for shard = 0 to 3 do
-    let b = Printf.sprintf "%s.shard%d" base shard in
-    rm b;
-    rm (b ^ ".ckpt");
-    rm (b ^ ".ckpt.tmp");
-    for i = 1 to 16 do
-      rm (Printf.sprintf "%s.%d" b i)
-    done
+    Journal.remove_family (Server.shard_journal base shard)
   done;
   rm base
 
@@ -264,16 +261,8 @@ let test_tiered_follower () =
   with_bases (fun jbase mbase ->
       let tbase = Filename.temp_file "disclosure-rep-tiered" ".journal" in
       rm tbase;
-      let cleanup_spills base =
-        for shard = 0 to 3 do
-          rm (Printf.sprintf "%s.shard%d.spill" base shard)
-        done
-      in
       Fun.protect
-        ~finally:(fun () ->
-          cleanup_family tbase;
-          cleanup_spills tbase;
-          cleanup_spills mbase)
+        ~finally:(fun () -> cleanup_family tbase)
         (fun () ->
           let shards = 2 in
           let server = make_primary ~journal:jbase ~shards () in
@@ -560,6 +549,48 @@ let test_checkpoint_bootstrap () =
         then Alcotest.fail "promoted state differs after re-bootstrap";
         Server.stop promoted);
       Server.stop server)
+
+(* Regression: a bootstrap checkpoint the follower cannot install is an
+   [Error] from [apply_batch], never an escaping exception; over the wire
+   the poll loop records it, and promotion refuses the diverged follower. *)
+let test_bootstrap_install_fails_closed () =
+  with_bases (fun jbase mbase ->
+      with_sock (fun addr ->
+          let shards = 1 in
+          let server = make_primary ~journal:jbase ~shards () in
+          Server.start server;
+          run_history server;
+          (match Server.checkpoint server with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "checkpoint: %s" e);
+          let source = Source.create ~server ~journal:jbase () in
+          let snapshot = Source.serve_pull source ~shard:0 ~seg:0 ~off:0 ~max_bytes:0 in
+          (match snapshot with
+          | Net.Codec.Snapshot { data; _ } when data <> "" -> ()
+          | _ -> Alcotest.fail "seg 0 pull must answer a non-empty Snapshot");
+          let fol = make_follower ~journal:mbase ~shards () in
+          let failed_rename f = Faults.with_fault Faults.Ckpt_rename (Faults.Raise "rename") f in
+          (match failed_rename (fun () -> Follower.apply_batch fol ~shard:0 snapshot) with
+          | Error _ -> ()
+          | Ok () -> Alcotest.fail "a failed checkpoint install must be an Error"
+          | exception e -> Alcotest.failf "install failure escaped: %s" (Printexc.to_string e));
+          let mirror = Server.shard_journal mbase 0 in
+          Alcotest.(check bool) "no checkpoint installed" false
+            (Sys.file_exists (Journal.ckpt_path mirror));
+          Alcotest.(check bool) "no staging file left" false
+            (Sys.file_exists (Journal.tmp_path (Journal.ckpt_path mirror)));
+          let listener = Net.Listener.create ~extend:(Source.handler source) ~server addr in
+          let client = Net.Client.connect addr in
+          ignore (failed_rename (fun () -> Follower.poll_once fol client));
+          Alcotest.(check bool) "poll records the failure" true (Follower.last_error fol <> None);
+          (match Follower.promote fol ~config:(config ~shards) () with
+          | Error _ -> ()
+          | Ok (promoted, _) ->
+            Server.stop promoted;
+            Alcotest.fail "a follower whose install failed must not promote");
+          Net.Client.close client;
+          Net.Listener.stop listener;
+          Server.stop server))
 
 (* --- online reload: flip, carry-over, reset, invalid no-op ------------- *)
 
@@ -975,6 +1006,8 @@ let () =
           Alcotest.test_case "tiered follower: bounded, identical, promotable"
             `Quick test_tiered_follower;
           Alcotest.test_case "poll_once catches up in one pass" `Quick test_poll_once_catches_up;
+          Alcotest.test_case "failed bootstrap install fails closed" `Quick
+            test_bootstrap_install_fails_closed;
           Alcotest.test_case "checkpoint bootstrap and re-bootstrap" `Quick
             test_checkpoint_bootstrap;
         ] );

@@ -13,6 +13,7 @@ module Monitor = Disclosure.Monitor
 module Pipeline = Disclosure.Pipeline
 module Guard = Disclosure.Guard
 module Sview = Disclosure.Sview
+module Journal = Disclosure.Journal
 
 let domains =
   match Sys.getenv_opt "SERVER_DOMAINS" with
@@ -262,17 +263,9 @@ let with_tmp_base f =
   let base = Filename.temp_file "disclosure-server" ".journal" in
   Fun.protect
     ~finally:(fun () ->
-      let rm f = try Sys.remove f with Sys_error _ -> () in
-      rm base;
-      (* Each shard base can grow rotated segments and a checkpoint. *)
+      Journal.remove_family base;
       for i = 0 to 7 do
-        let shard = Printf.sprintf "%s.shard%d" base i in
-        rm shard;
-        rm (shard ^ ".ckpt");
-        rm (shard ^ ".ckpt.tmp");
-        for n = 1 to 64 do
-          rm (Printf.sprintf "%s.%d" shard n)
-        done
+        Journal.remove_family (Server.shard_journal base i)
       done)
     (fun () -> f base)
 

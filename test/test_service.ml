@@ -104,25 +104,25 @@ let test_label_roundtrip () =
 
 (* --- decision journal, snapshot, recovery ---------------------------- *)
 
-(* Remove the whole segment family a journal base can grow: the active
-   segment, rotated segments, and the checkpoint. *)
-let cleanup_journal base =
-  let rm f = try Sys.remove f with Sys_error _ -> () in
-  rm base;
-  rm (base ^ ".ckpt");
-  rm (base ^ ".ckpt.tmp");
-  for i = 1 to 64 do
-    rm (Printf.sprintf "%s.%d" base i)
-  done
-
 let with_tmp_journal f =
   let path = Filename.temp_file "disclosure-journal" ".log" in
-  Fun.protect ~finally:(fun () -> cleanup_journal path) (fun () -> f path)
+  Fun.protect ~finally:(fun () -> Journal.remove_family path) (fun () -> f path)
 
-let make_journaled_service ?(format = `V2) ?(segment_bytes = 0) path =
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* Rewrite a clean v2 journal as the pre-v2 TSV image of the same history,
+   one raw [principal TAB label TAB decision] line per record, and return
+   it. Replay still reads that format; nothing writes it any more. *)
+let rewrite_as_legacy ?(torn = "") path =
+  let records = fst (Result.get_ok (Journal.read_file path)) in
+  let line r = String.concat "\t" r.Journal.fields ^ "\n" in
+  let image = String.concat "" (List.map line records) in
+  Out_channel.with_open_bin path (fun oc -> output_string oc (image ^ torn));
+  image
+
+let make_journaled_service ?(segment_bytes = 0) path =
   let service =
-    Service.create ~journal:path ~journal_format:format ~segment_bytes
-      (Pipeline.create [ v1; v2; v3 ])
+    Service.create ~journal:path ~segment_bytes (Pipeline.create [ v1; v2; v3 ])
   in
   Service.register_stateless service ~principal:"calendar-app" ~views:[ v2 ];
   Service.register service ~principal:"crm-app"
@@ -305,11 +305,12 @@ let test_recover_torn_final_line () =
     close_out oc
   in
   let run_history path =
-    let service = make_journaled_service ~format:`Legacy path in
+    let service = make_journaled_service path in
     ignore (Service.submit service ~principal:"calendar-app" (pq "Q(x) :- Meetings(x, y)"));
     ignore (Service.submit service ~principal:"crm-app" (pq "Q(x,y,z) :- Contacts(x,y,z)"));
     let live = Service.snapshot service in
     Service.close service;
+    ignore (rewrite_as_legacy path);
     live
   in
   (* Torn variants a partial write could leave: a cut inside the principal,
@@ -350,45 +351,41 @@ let test_recover_torn_final_line () =
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "four-field line must fail replay")
 
-(* Regression: a tolerated torn final line is truncated away at recovery, so
-   a service that keeps appending to the same journal afterwards starts its
-   first new record on a clean boundary instead of merging it with the
-   partial bytes (the legacy-format counterpart of test_crash.ml's
-   crash/restart/crash sequence). *)
+(* Regression: a tolerated torn final legacy line is truncated away at
+   recovery, so the next append starts at the commit point instead of
+   merging with the partial bytes (the legacy counterpart of test_crash.ml's
+   crash/restart/crash sequence). The new record is v2, so the check is on
+   the bytes: the committed legacy prefix, then one clean v2 record. *)
 let test_legacy_append_after_torn_recovery () =
   with_tmp_journal (fun path ->
-      let service = make_journaled_service ~format:`Legacy path in
+      let service = make_journaled_service path in
       ignore (Service.submit service ~principal:"calendar-app" (pq "Q(x) :- Meetings(x, y)"));
       Service.close service;
-      (let oc = open_out_gen [ Open_append ] 0o644 path in
-       output_string oc "crm-app\t-\tansw";
-       close_out oc);
+      let committed = rewrite_as_legacy ~torn:"crm-app\t-\tansw" path in
       (* Restart in production order: open the journal for appending first,
          then recover over it. *)
-      let restarted = make_journaled_service ~format:`Legacy path in
+      let restarted = make_journaled_service path in
       (match Service.recover restarted ~journal:path with
       | Ok r -> Helpers.check_bool "torn tail reported" true r.Service.torn_tail
       | Error e -> Alcotest.fail (Service.recovery_error_to_string e));
+      Helpers.check_string "torn legacy line truncated on disk" committed (read_file path);
       ignore (Service.submit restarted ~principal:"crm-app" (pq "Q(x,y,z) :- Contacts(x,y,z)"));
-      let live = Service.snapshot restarted in
       Service.close restarted;
-      let fresh = make_service () in
-      (match Service.recover fresh ~journal:path with
-      | Ok r ->
-        Helpers.check_int "torn line gone, both commits replay" 2 r.Service.applied;
-        Helpers.check_bool "clean tail after truncation" true (not r.Service.torn_tail)
-      | Error e -> Alcotest.fail (Service.recovery_error_to_string e));
-      Helpers.check_bool "recovered = live" true (Service.snapshot fresh = live))
+      let after = read_file path and n = String.length committed in
+      Helpers.check_string "committed prefix untouched" committed (String.sub after 0 n);
+      match Journal.parse (String.sub after n (String.length after - n)) with
+      | Ok ([ { Journal.fields = "crm-app" :: _; _ } ], None) -> ()
+      | _ -> Alcotest.fail "the append must be one clean record at the commit point")
 
 (* Regression: a legacy journal whose first principal begins with the v2
-   magic bytes ("J2 " — legal, legacy only refuses separators) must still be
-   routed to the legacy parser: format detection reads the whole v2 header
-   shape, not just the magic. *)
+   magic bytes ("J2 " — legal in the legacy format, which only excluded
+   separators) must still be routed to the legacy parser: format detection
+   reads the whole v2 header shape, not just the magic. *)
 let test_legacy_principal_with_v2_magic () =
   with_tmp_journal (fun path ->
       let principal = "J2 app" in
       let make ?journal () =
-        let s = Service.create ?journal ~journal_format:`Legacy (Pipeline.create [ v1; v2; v3 ]) in
+        let s = Service.create ?journal (Pipeline.create [ v1; v2; v3 ]) in
         Service.register_stateless s ~principal ~views:[ v2 ];
         s
       in
@@ -396,6 +393,8 @@ let test_legacy_principal_with_v2_magic () =
       ignore (Service.submit service ~principal (pq "Q(x) :- Meetings(x, y)"));
       let live = Service.snapshot service in
       Service.close service;
+      ignore (rewrite_as_legacy path);
+      Helpers.check_bool "routed to the legacy parser" false (Journal.is_v2_file path);
       let fresh = make () in
       (match Service.recover fresh ~journal:path with
       | Ok r -> Helpers.check_int "legacy record replays" 1 r.Service.applied
@@ -407,10 +406,8 @@ let test_legacy_principal_with_v2_magic () =
 (* A principal name carrying every separator the record format uses. *)
 let hostile = "evil\tapp\ninjected\t-\tanswered\r"
 
-let make_hostile_service ?journal ?journal_format () =
-  let service =
-    Service.create ?journal ?journal_format (Pipeline.create [ v1; v2; v3 ])
-  in
+let make_hostile_service ?journal () =
+  let service = Service.create ?journal (Pipeline.create [ v1; v2; v3 ]) in
   Service.register_stateless service ~principal:hostile ~views:[ v2 ];
   Service.register service ~principal:"crm-app"
     ~partitions:[ ("meetings", [ v1; v2 ]); ("contacts", [ v3 ]) ];
@@ -418,8 +415,7 @@ let make_hostile_service ?journal ?journal_format () =
 
 (* Regression: a principal name containing tabs and newlines must not forge
    record boundaries. The v2 format escapes it and round-trips through
-   recovery; the legacy format cannot escape, so submission refuses before
-   anything reaches the file or the monitor. *)
+   recovery. *)
 let test_journal_field_injection_v2 () =
   with_tmp_journal (fun path ->
       let service = make_hostile_service ~journal:path () in
@@ -442,20 +438,6 @@ let test_journal_field_injection_v2 () =
       | Ok r -> Helpers.check_int "both records replay" 2 r.Service.applied
       | Error e -> Alcotest.fail (Service.recovery_error_to_string e));
       Helpers.check_bool "recovered = live" true (Service.snapshot fresh = live))
-
-let test_journal_field_injection_legacy_refused () =
-  with_tmp_journal (fun path ->
-      let service = make_hostile_service ~journal:path ~journal_format:`Legacy () in
-      (match Service.submit service ~principal:hostile (pq "Q(x) :- Meetings(x, y)") with
-      | Monitor.Refused (Guard.Malformed _) -> ()
-      | d ->
-        Alcotest.failf "legacy journal must refuse unescapable fields, got %a"
-          Monitor.pp_decision d);
-      Helpers.check_bool "nothing committed to the monitor" true
-        (Service.stats service ~principal:hostile = (0, 0));
-      Service.close service;
-      Helpers.check_bool "nothing reached the file" true
-        (In_channel.with_open_bin path In_channel.input_all = ""))
 
 let test_checkpoint_and_compaction () =
   with_tmp_journal (fun path ->
@@ -537,6 +519,49 @@ let test_segment_rotation_and_missing_segment () =
       | Error e ->
         Helpers.check_bool "missing segment is an io error" true (e.Service.kind = `Io)
       | Ok _ -> Alcotest.fail "a gap in the segment sequence must fail recovery")
+
+(* Regression: only the exact names rotation writes are segments. A stray
+   "<base>.01" once parsed as segment 1, so recovery of a healthy journal
+   failed on a phantom hole; a stray "<base>.0x1" was deleted by the next
+   checkpoint's compaction. *)
+let test_stray_segment_suffixes () =
+  List.iter
+    (fun suffix ->
+      with_tmp_journal (fun path ->
+          let stray = path ^ "." ^ suffix in
+          let service = make_journaled_service ~segment_bytes:1 path in
+          for _ = 1 to 3 do
+            ignore
+              (Service.submit service ~principal:"calendar-app" (pq "Q(x) :- Meetings(x, y)"))
+          done;
+          Out_channel.with_open_bin stray (fun oc -> output_string oc "not a segment\n");
+          let fresh = make_service () in
+          (match Service.recover fresh ~journal:path with
+          | Ok r -> Helpers.check_int ("recovery ignores ." ^ suffix) 3 r.Service.applied
+          | Error e -> Alcotest.fail (Service.recovery_error_to_string e));
+          Helpers.check_bool "recovered = live" true
+            (Service.snapshot fresh = Service.snapshot service);
+          Helpers.check_bool "checkpoint" true (Service.checkpoint service = Ok ());
+          Service.close service;
+          Journal.remove_family path;
+          Helpers.check_bool ("compaction and removal keep ." ^ suffix) true
+            (Sys.file_exists stray);
+          Sys.remove stray))
+    [ "01"; "0x1"; "1_0"; "+1"; "0b11" ]
+
+(* A family whose active file was sealed away and that has no checkpoint
+   yet (a follower mirror right after a segment boundary) still exists. *)
+let test_family_exists_with_only_sealed_segments () =
+  with_tmp_journal (fun path ->
+      let service = make_journaled_service ~segment_bytes:1 path in
+      ignore (Service.submit service ~principal:"calendar-app" (pq "Q(x) :- Meetings(x, y)"));
+      Service.close service;
+      Sys.remove path;
+      Helpers.check_bool "sealed segment counts" true (Journal.family_exists path);
+      Helpers.check_bool "resume past it" true (Journal.resume_cursor path = (2, 0));
+      Journal.remove_family path;
+      Helpers.check_bool "removed family is gone" false (Journal.family_exists path);
+      Helpers.check_bool "empty family bootstraps" true (Journal.resume_cursor path = (0, 0)))
 
 (* Property (qcheck): live ≡ full-replay ≡ checkpoint-plus-tail-replay over
    random histories, at every checkpoint cadence — including "after every
@@ -722,14 +747,16 @@ let suite =
       test_recover_torn_final_line;
     Alcotest.test_case "v2 escapes hostile journal fields" `Quick
       test_journal_field_injection_v2;
-    Alcotest.test_case "legacy refuses unescapable journal fields" `Quick
-      test_journal_field_injection_legacy_refused;
     Alcotest.test_case "checkpoint, compaction, tail replay" `Quick
       test_checkpoint_and_compaction;
     Alcotest.test_case "corrupt checkpoint fails closed" `Quick
       test_corrupt_checkpoint_fails_closed;
     Alcotest.test_case "segment rotation and missing-segment detection" `Quick
       test_segment_rotation_and_missing_segment;
+    Alcotest.test_case "stray segment suffixes are not segments" `Quick
+      test_stray_segment_suffixes;
+    Alcotest.test_case "a family of sealed segments exists" `Quick
+      test_family_exists_with_only_sealed_segments;
     prop_recovery_equivalence;
     prop_evict_reload_equivalence;
     Alcotest.test_case "monotonic clock" `Quick test_mclock_monotonic;

@@ -15,6 +15,7 @@ module Service = Disclosure.Service
 module Monitor = Disclosure.Monitor
 module Pipeline = Disclosure.Pipeline
 module Sview = Disclosure.Sview
+module Journal = Disclosure.Journal
 
 let pq = Cq.Parser.query_exn
 let sview s = Sview.of_string s
@@ -45,20 +46,10 @@ let queries =
 
 let rm f = try Sys.remove f with Sys_error _ -> ()
 
-let cleanup base =
-  rm base;
-  rm (base ^ ".ckpt");
-  rm (base ^ ".ckpt.tmp");
-  rm (base ^ ".spill");
-  rm (base ^ ".spill.tmp");
-  for i = 1 to 64 do
-    rm (Printf.sprintf "%s.%d" base i)
-  done
-
 let with_base f =
   let base = Filename.temp_file "disclosure-store" ".journal" in
   Sys.remove base;
-  Fun.protect ~finally:(fun () -> cleanup base) (fun () -> f base)
+  Fun.protect ~finally:(fun () -> Journal.remove_family base) (fun () -> f base)
 
 let read_all path = In_channel.with_open_bin path In_channel.input_all
 
@@ -397,7 +388,7 @@ let test_fault_in_fault_refuses () =
             true
             (Service.snapshot fresh = live);
           teardown fresh fstore;
-          cleanup (base ^ ".re")))
+          Journal.remove_family (base ^ ".re")))
     all_faults
 
 (* A corrupt spill record on disk is a typed fail-closed refusal; repairing
@@ -459,7 +450,7 @@ let test_reset_spilled_principal () =
       check_bool "reset-through-spill replays bit-identically" true
         (Service.snapshot fresh = live);
       teardown fresh fstore;
-      cleanup (base ^ ".re"))
+      Journal.remove_family (base ^ ".re"))
 
 (* Recovery replays through the tier: the recovering store's spill file is
    reset first (the journal is the authority), then repopulated by the
@@ -485,7 +476,7 @@ let test_recover_through_tier () =
         (Service.snapshot fresh = live);
       check_bool "replay stayed within budget" true (Store.resident fstore <= 1);
       teardown fresh (Some fstore);
-      cleanup (base ^ ".re"))
+      Journal.remove_family (base ^ ".re"))
 
 let test_compaction () =
   with_base (fun base ->
