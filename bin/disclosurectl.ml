@@ -507,9 +507,9 @@ let serve_until_signal ~server ~listener ~source ~config_file =
   Server.drain server
 
 (* The multicore serving layer: the same deployment configs and workload
-   format as `replay`, but queries are dispatched to Server's sharded worker
-   domains (per-principal decision sequences are identical to `replay` by
-   construction; see lib/server/server.mli). *)
+   format as `replay`, but queries are dispatched to Server's shards, which
+   their callers run (per-principal decision sequences are identical to
+   `replay` by construction; see lib/server/server.mli). *)
 let serve_cmd =
   let config_arg =
     Arg.(
@@ -538,7 +538,10 @@ let serve_cmd =
     Arg.(
       value
       & opt positive_int Server.default_config.Server.domains
-      & info [ "domains" ] ~docv:"N" ~doc:"Worker domains (shards).")
+      & info [ "domains" ] ~docv:"N" ~doc:
+            "Shards. Principals are split across them by a stable hash; \
+             callers run each shard's queue themselves, so different shards \
+             decide in parallel on different callers.")
   in
   let mailbox_arg =
     Arg.(
@@ -555,17 +558,16 @@ let serve_cmd =
       & opt positive_int Server.default_config.Server.drain
       & info [ "drain" ] ~docv:"N"
           ~doc:
-            "Max mailbox messages a shard worker dequeues per wakeup — batching \
-             amortizes the wakeup cost under load without changing processing \
-             order or overload shedding.")
+            "Max mailbox messages one round of a shard runs — batching amortizes \
+             the claim under load without changing processing order.")
   in
   let group_commit_arg =
     Arg.(
       value & flag
       & info [ "group-commit" ]
           ~doc:
-            "Batch journal flushes across each drained mailbox batch: one \
-             covering fsync per drain instead of one per decision, with every \
+            "Batch journal flushes across each round of a shard: one covering \
+             fsync per round instead of one per decision, with every \
              decision's reply held until the covering flush. Decisions, journal \
              bytes, and recovery are bit-identical to per-decision commits; a \
              failed covering flush refuses the whole batch fail-closed.")

@@ -962,7 +962,7 @@ let replay_legacy t ~file ~tolerate_torn ~on_record =
     Fun.protect
       ~finally:(fun () -> close_in_noerr ic)
       (fun () ->
-        let apply lineno line =
+        let apply line =
           let torn fmt = Printf.ksprintf (fun s -> `Torn s) fmt in
           let fatal kind fmt = Printf.ksprintf (fun s -> `Fatal (kind, s)) fmt in
           if String.trim line = "" then `Noop
@@ -993,10 +993,10 @@ let replay_legacy t ~file ~tolerate_torn ~on_record =
                         = None)
                 in
                 match (kind, truncation_damage) with
-                | `Replay, true -> torn "%s:%d: truncated decision %S" file lineno decision
-                | kind, _ -> fatal kind "%s:%d: %s" file lineno msg))
-            | _ :: _ :: _ :: _ :: _ -> fatal `Corrupt_record "%s:%d: malformed journal line %S" file lineno line
-            | _ -> torn "%s:%d: malformed journal line %S" file lineno line
+                | `Replay, true -> torn "truncated decision %S" decision
+                | kind, _ -> fatal kind "%s" msg))
+            | _ :: _ :: _ :: _ :: _ -> fatal `Corrupt_record "malformed journal line %S" line
+            | _ -> torn "malformed journal line %S" line
         in
         (* Each line is paired with its starting byte offset so a tolerated
            torn final line can be truncated away. *)
@@ -1009,7 +1009,7 @@ let replay_legacy t ~file ~tolerate_torn ~on_record =
           | None -> Ok (applied, None)
           | Some (off, line) -> (
             let next = input () in
-            match apply lineno line with
+            match apply line with
             | `Noop -> loop (lineno + 1) next applied
             | `Applied -> loop (lineno + 1) next (applied + 1)
             | `Fatal (kind, msg) -> Error { file; offset = lineno; kind; detail = msg }
@@ -1109,6 +1109,30 @@ let truncate_torn_tail t ~file ~offset =
         detail = "failed to truncate the torn tail: " ^ Printexc.to_string e;
       }
 
+(* Nothing writes the legacy format any more, so an active segment still in
+   it must not receive the next (v2) append: format detection is per file,
+   and a mixed file fails the next recovery closed on its first v2 line.
+   Once replayed, a non-empty legacy active segment is sealed under the
+   next segment index (through the open channel when this service holds
+   it, so appends resume on a fresh v2 file), leaving one format per file. *)
+let seal_legacy_active t base =
+  if Journal.file_size base = 0 || Journal.is_v2_file base then Ok ()
+  else
+    match
+      match (t.journal, t.jcfg) with
+      | Open_journal j, Some cfg when cfg.base = base -> rotate_exn t cfg j
+      | _ -> Sys.rename base (Journal.segment_path base (Journal.next_segment base))
+    with
+    | () -> Ok ()
+    | exception e ->
+      Error
+        {
+          file = base;
+          offset = 0;
+          kind = `Io;
+          detail = "failed to seal the legacy active segment: " ^ Printexc.to_string e;
+        }
+
 let recover ?(on_record = fun ~principal:_ ~label:_ ~decision:_ -> ()) t ~journal:base =
   Hashtbl.iter (fun _ m -> Monitor.reset m) t.monitors;
   (* The journal is the authority: whatever the tier spilled before the
@@ -1155,7 +1179,9 @@ let recover ?(on_record = fun ~principal:_ ~label:_ ~decision:_ -> ()) t ~journa
   else begin
     let last = List.length files - 1 in
     let rec replay i applied torn_any = function
-      | [] -> Ok { applied; from_checkpoint; torn_tail = torn_any }
+      | [] ->
+        let* () = seal_legacy_active t base in
+        Ok { applied; from_checkpoint; torn_tail = torn_any }
       | file :: rest ->
         let tolerate_torn = i = last in
         let* n, torn =

@@ -64,15 +64,15 @@ type reply =
    The handler answers [Now resp] for immediate work or [Later thunk] for
    deferred work (the listener submits the query into its shard's mailbox
    and defers the await) — so by the end of phase 1 {e every} buffered
-   query is already in flight across the shards, and a pipelining client's
-   window lands in the shard's drained batch together: one group-commit
-   fsync covers it.
+   query is queued on its shard, and the first await of phase 2 runs a
+   pipelining client's window as one round: one group-commit fsync covers
+   it.
 
    Phase 2 forces the deferred replies in arrival order (responses match
    requests positionally) and vectorizes the whole batch's responses into
    a single write. The [Net] stage histogram times each frame's phase-1
-   work — decode and dispatch; a deferred await is mailbox wait, which the
-   server already accounts under [Wait].
+   work — decode and dispatch; a deferred await runs the shard's round,
+   whose queueing the server already accounts under [Wait].
 
    A raised [Net_write] fault (or a handler/thunk exception) propagates to
    [serve]'s backstop exactly as it did when each response was written
@@ -140,12 +140,17 @@ let drain_frames w ~handle =
     | Some m when !pending <> [] ->
       Metrics.record_size m Metrics.Pipeline_window (List.length !pending)
     | _ -> ());
-    (* Phase 2: force deferred replies in order and buffer every response.
-       A fatal deferred response closes like a fatal immediate one —
+    (* Phase 2: force every deferred reply, in order, then buffer the
+       responses. Every thunk is forced, even past a fatal reply: forcing is
+       what runs the shard round that decides a submitted query, and an
+       accepted query must not wait for some unrelated caller to run it. A
+       fatal deferred response closes like a fatal immediate one —
        responses completed before it still go out first, then [serve]
        sends the closing error frame; replies after it are dropped (their
-       queries were already submitted and decided; the client sees a torn
-       connection). *)
+       queries were decided; the client sees a torn connection). *)
+    let responses =
+      List.map (function Now resp -> resp | Later force -> force ()) (List.rev !pending)
+    in
     let out = Buffer.create chunk in
     let respond response =
       Disclosure.Faults.trip Disclosure.Faults.Net_write;
@@ -153,14 +158,14 @@ let drain_frames w ~handle =
     in
     let stop = ref false in
     List.iter
-      (fun reply ->
+      (fun resp ->
         if not !stop then
-          match (match reply with Now resp -> resp | Later force -> force ()) with
+          match resp with
           | Codec.Error e when Errors.fatal e ->
             verdict := Close_error e;
             stop := true
           | resp -> respond resp)
-      (List.rev !pending);
+      responses;
     (* One vectorized write for every response buffered this batch. *)
     if Buffer.length out > 0 then begin
       Fdio.write_all w.fd (Buffer.contents out);

@@ -46,15 +46,14 @@ let locked m f =
 
 let metrics t = Server.metrics t.server
 
-(* The request → reply map, run on the connection's domain. Submitting
-   into the shard mailboxes from a foreign domain is exactly what they are
-   for; overload comes back as an already-resolved [Refused Overload]
-   ticket and crosses the wire like any other decision — it is never
-   journaled, same as in-process shedding. Queries are submitted here but
-   awaited in the deferred thunk ([Conn.Later]): the frame loop dispatches
-   every buffered frame before forcing any await, so a pipelined window
-   lands in the shard mailboxes as one batch — with group commit, one
-   covering fsync — instead of paying a full shard round trip per frame. *)
+(* The request → reply map, run on the connection's domain. Overload comes
+   back as an already-resolved [Refused Overload] ticket and crosses the
+   wire like any other decision — it is never journaled, same as
+   in-process shedding. Queries are submitted here but awaited in the
+   deferred thunk ([Conn.Later]), and awaiting runs the shard's round on
+   this domain: the frame loop dispatches every buffered frame before
+   forcing any await, so a pipelined window runs as one round — with group
+   commit, one covering fsync. *)
 (* The listener's own span for a served query. With [ctx] (the client's
    trace context from the wire frame) the span joins the client's trace —
    and the same ctx was forwarded to the shard, so client, listener, and

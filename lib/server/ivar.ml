@@ -1,44 +1,37 @@
+(* The shard a ticket belongs to, with its message type hidden: reading the
+   ticket runs that shard's rounds until one of them fills it. *)
+type home = Home : _ Mailbox.t -> home
+
 type 'a t = {
-  mutex : Mutex.t;
-  cond : Condition.t;
-  mutable value : 'a option;
+  value : 'a option Atomic.t;
+  home : home option;
 }
 
-let create () = { mutex = Mutex.create (); cond = Condition.create (); value = None }
+let create ?home () =
+  { value = Atomic.make None; home = Option.map (fun mb -> Home mb) home }
 
-let create_filled v =
-  { mutex = Mutex.create (); cond = Condition.create (); value = Some v }
+let create_filled v = { value = Atomic.make (Some v); home = None }
 
-let try_fill t v =
-  Mutex.lock t.mutex;
-  match t.value with
-  | None ->
-    t.value <- Some v;
-    Condition.broadcast t.cond;
-    Mutex.unlock t.mutex;
-    true
-  | Some _ ->
-    Mutex.unlock t.mutex;
-    false
+let try_fill t v = Atomic.compare_and_set t.value None (Some v)
 
-let fill t v =
-  if not (try_fill t v) then invalid_arg "Ivar.fill: already filled"
+let fill t v = if not (try_fill t v) then invalid_arg "Ivar.fill: already filled"
+
+let filled t () = Atomic.get t.value <> None
 
 let read t =
-  Mutex.lock t.mutex;
-  let rec wait () =
-    match t.value with
-    | Some v ->
-      Mutex.unlock t.mutex;
-      v
-    | None ->
-      Condition.wait t.cond t.mutex;
-      wait ()
-  in
-  wait ()
+  (match t.home with
+  | Some (Home mb) -> Mailbox.await mb (filled t)
+  | None -> ());
+  match Atomic.get t.value with
+  | Some v -> v
+  | None -> invalid_arg "Ivar.read: empty ivar with no shard to run"
 
 let peek t =
-  Mutex.lock t.mutex;
-  let v = t.value in
-  Mutex.unlock t.mutex;
-  v
+  match Atomic.get t.value with
+  | Some _ as v -> v
+  | None -> (
+    match t.home with
+    | Some (Home mb) ->
+      Mailbox.poll mb (filled t);
+      Atomic.get t.value
+    | None -> None)

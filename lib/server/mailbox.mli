@@ -1,41 +1,41 @@
-(** A bounded multi-producer single-consumer mailbox (mutex + condition
-    variables). Producers on any domain feed one consumer domain; the bound
-    is the serving layer's overload valve: {!try_push} refuses instead of
-    blocking when the consumer has fallen [capacity] messages behind. *)
+(** A shard's bounded FIFO with no thread of its own (flat combining): a
+    caller that needs it to move claims it, takes up to [drain] messages and
+    runs them as one {e round} outside the mutex. One claim at a time keeps
+    queue order and lets the round body run without locks. The bound is the
+    overload valve: {!try_push} sheds when the queue is full and no round can
+    run on the caller. *)
 
 type 'a t
 
-val create : capacity:int -> 'a t
-(** @raise Invalid_argument when [capacity < 1]. *)
+val create : capacity:int -> drain:int -> metrics:Metrics.t -> 'a t
+(** Rounds bump [metrics]' [Combine_rounds]; blocked awaits bump
+    [Ticket_waits].
+    @raise Invalid_argument when [capacity < 1] or [drain < 1]. *)
+
+val start : 'a t -> ('a list -> unit) -> unit
+(** Install the round body (it gets each round's messages in queue order
+    and must settle every ticket it is handed) and wake every waiter.
+    @raise Invalid_argument when already started. *)
 
 val try_push : 'a t -> 'a -> bool
-(** Non-blocking enqueue. [false] when the mailbox is full or closed — the
-    caller must treat the message as shed (fail closed); the mailbox is
-    untouched. *)
+(** Non-blocking enqueue. On a full queue of a started, unclaimed mailbox
+    the caller first runs one round itself. [false] (shed) when closed, or
+    full while another caller holds the claim or before {!start}. *)
 
 val push : 'a t -> 'a -> bool
-(** Blocking enqueue: waits for space. [false] only when the mailbox is (or
-    becomes) closed. Used for control messages (drain barriers) that must not
-    be shed under load. *)
+(** {!try_push} for control messages that must not be shed: where that
+    sheds, this waits for the next round to end (or for {!start}). [false]
+    only once closed. *)
 
-val pop : 'a t -> 'a option
-(** Consumer side: blocks until a message is available. [None] once the
-    mailbox is closed {e and} drained — messages enqueued before {!close}
-    are always delivered. *)
+val await : 'a t -> (unit -> bool) -> unit
+(** Returns once [ready ()] holds (it must only turn true inside a round),
+    running rounds while the mailbox is started, unclaimed and non-empty,
+    and otherwise waiting for the current round to end. *)
 
-val pop_batch : 'a t -> max:int -> 'a list
-(** Consumer side: blocks until at least one message is available, then
-    drains up to [max] under one lock acquisition, in queue order. [[]]
-    once the mailbox is closed {e and} drained. Batching amortizes the
-    wakeup/lock round per message into one per batch under load, while a
-    lone message still dequeues immediately — same delivery order and
-    close semantics as [max] successive {!pop}s.
-    @raise Invalid_argument when [max < 1]. *)
+val poll : 'a t -> (unit -> bool) -> unit
+(** {!await} that returns instead of waiting. *)
 
-val close : 'a t -> unit
-(** Idempotent. Wakes all waiters; subsequent pushes fail, pops drain the
-    remaining messages then return [None]. *)
-
-val length : 'a t -> int
-
-val is_closed : 'a t -> bool
+val finish : 'a t -> unit
+(** Close (later pushes fail), wait for any claim to end, then run the
+    remaining messages on the caller. A never-started mailbox keeps its
+    queue. *)

@@ -64,6 +64,8 @@ type counter =
   | Rep_pulls
   | Rep_shipped_bytes
   | Rep_applied_records
+  | Combine_rounds
+  | Ticket_waits
 
 let counter_index = function
   | Submitted -> 0
@@ -87,6 +89,8 @@ let counter_index = function
   | Rep_pulls -> 18
   | Rep_shipped_bytes -> 19
   | Rep_applied_records -> 20
+  | Combine_rounds -> 21
+  | Ticket_waits -> 22
 
 let counter_name = function
   | Submitted -> "submitted"
@@ -110,6 +114,8 @@ let counter_name = function
   | Rep_pulls -> "rep_pulls"
   | Rep_shipped_bytes -> "rep_shipped_bytes"
   | Rep_applied_records -> "rep_applied_records"
+  | Combine_rounds -> "combine_rounds"
+  | Ticket_waits -> "ticket_waits"
 
 let counters =
   [
@@ -134,11 +140,13 @@ let counters =
     Rep_pulls;
     Rep_shipped_bytes;
     Rep_applied_records;
+    Combine_rounds;
+    Ticket_waits;
   ]
 
-let n_counters = 21
+let n_counters = 23
 
-(* Per-shard runtime gauges, sampled by each worker domain from its own
+(* Per-shard runtime gauges, sampled by each shard's rounds from
    [Gc.quick_stat]. Gauges are set, not accumulated: the newest sample
    wins, and a racy read sees some recent value per cell. *)
 type gauge =
@@ -316,7 +324,7 @@ let create ?(shards = 1) () =
 let shard_count t = Array.length t.gauge_cells
 
 (* Out-of-range shards are dropped, not raised on: a gauge sample must
-   never be able to crash a worker. *)
+   never be able to crash a round. *)
 let set_gauge t ~shard g v =
   if shard >= 0 && shard < Array.length t.gauge_cells then
     Atomic.set t.gauge_cells.(shard).(gauge_index g) v
@@ -632,7 +640,7 @@ let to_prometheus t =
     (fun g ->
       let name = Printf.sprintf "disclosure_shard_%s" (gauge_name g) in
       Obs.Prometheus.header b ~name
-        ~help:(Printf.sprintf "Per-shard %s, sampled by the worker domain." (gauge_name g))
+        ~help:(Printf.sprintf "Per-shard %s, sampled by the shard." (gauge_name g))
         ~typ:"gauge";
       for shard = 0 to shard_count t - 1 do
         Obs.Prometheus.sample b ~name

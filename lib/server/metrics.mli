@@ -9,7 +9,9 @@ type stage =
   | Net
       (** Server-side handling of one wire request: frame decoded to
           response bytes written, on the connection's domain ([lib/net]). *)
-  | Wait  (** Mailbox residency: enqueue on the client domain to dequeue by the worker. *)
+  | Wait
+      (** Mailbox residency: enqueue by the submitter to the start of the
+          round that runs it. *)
   | Admit  (** Pre-decision label admission on the cached submit path. *)
   | Canonicalize
       (** Computing the label-cache key: interning the query's exact
@@ -50,10 +52,17 @@ type counter =
   | Rep_pulls  (** Replication pull requests served (primary side). *)
   | Rep_shipped_bytes  (** Journal/checkpoint bytes shipped to followers. *)
   | Rep_applied_records  (** Shipped records replayed (follower side). *)
+  | Combine_rounds
+      (** Rounds a caller ran on a shard it claimed: each takes up to
+          [drain] queued messages and runs them as one batch. *)
+  | Ticket_waits
+      (** Times a caller awaiting a ticket blocked on its shard's condition
+          because another caller held the claim (or the shard was not yet
+          started). [0] in a closed loop with one caller per shard. *)
 
 (** Per-shard runtime gauges (newest sample wins, no accumulation), fed by
-    each worker domain from its own [Gc.quick_stat] — plus the journal
-    watermark gauges, refreshed per decision by the worker (and exactly at
+    each shard's rounds from [Gc.quick_stat] — plus the journal
+    watermark gauges, refreshed per decision by the shard (and exactly at
     every barrier and stats scrape), and the follower-side replication lag. *)
 type gauge =
   | Gc_minor_collections
@@ -132,7 +141,7 @@ val count : t -> counter -> int
 
 val set_gauge : t -> shard:int -> gauge -> int -> unit
 (** Overwrite the shard's gauge with a fresh sample. Out-of-range shards
-    are ignored — a gauge sample must never crash a worker. *)
+    are ignored — a gauge sample must never crash a round. *)
 
 val gauge_value : t -> shard:int -> gauge -> int
 (** [0] for out-of-range shards. *)

@@ -1,8 +1,10 @@
 (* The concurrent serving layer: principals partitioned across N shards by a
-   stable hash, each shard a worker domain exclusively owning a sequential
+   stable hash, each shard exclusively owning a sequential
    Disclosure.Service, a label cache, and a journal segment. Clients talk to
-   shards only through bounded mailboxes; a full mailbox sheds the query as
-   Refused Overload without blocking or touching any monitor. *)
+   shards only through bounded mailboxes, and decisions run on the callers
+   themselves: whoever awaits a ticket runs its shard's queue under the
+   shard's claim (flat combining). A full mailbox that no caller can run
+   sheds the query as Refused Overload without touching any monitor. *)
 
 module Metrics = Metrics
 module Mailbox = Mailbox
@@ -168,11 +170,11 @@ let start t =
   Array.iter Shard.start t.shards;
   Atomic.set t.state Running;
   Log.info (fun m ->
-      m "serving on %d domain(s), mailbox capacity %d, cache capacity %d"
+      m "serving on %d shard(s), mailbox capacity %d, cache capacity %d"
         t.config.domains t.config.mailbox_capacity t.config.cache_capacity)
 
 (* Submission is allowed in Created too: messages queue in the mailboxes and
-   are processed once [start] spawns the workers. Tests use this to fill a
+   run once [start] lets callers run rounds. Tests use this to fill a
    mailbox deterministically. *)
 let admit t ~principal =
   (match state t with
@@ -183,19 +185,20 @@ let admit t ~principal =
   Metrics.incr t.metrics Metrics.Submitted;
   shard_of t principal
 
-(* Fail-closed load shedding: the decision is made here, on the client's
-   domain, without touching the shard — the monitor stays bit-identical
-   and nothing is journaled (the journal belongs to the worker domain;
-   Overload never commits state, so recovery is unaffected). *)
+(* Fail-closed load shedding: the decision is made here, without touching
+   the shard — the monitor stays bit-identical and nothing is journaled
+   (the journal belongs to the claim holder; Overload never commits state,
+   so recovery is unaffected). *)
 let shed t =
   Metrics.incr t.metrics Metrics.Overloaded;
   Metrics.incr t.metrics Metrics.Refused
 
 let submit ?ctx t ~principal query : ticket =
   let shard = admit t ~principal in
-  let ticket = Ivar.create () in
+  let mailbox = Shard.mailbox shard in
+  let ticket = Ivar.create ~home:mailbox () in
   if
-    Mailbox.try_push (Shard.mailbox shard)
+    Mailbox.try_push mailbox
       (Shard.Query
          { principal; query; ticket; enqueued_ns = Disclosure.Mclock.now_ns (); ctx })
   then ticket
@@ -206,9 +209,10 @@ let submit ?ctx t ~principal query : ticket =
 
 let submit_explained ?ctx t ~principal query : explained_ticket =
   let shard = admit t ~principal in
-  let ticket = Ivar.create () in
+  let mailbox = Shard.mailbox shard in
+  let ticket = Ivar.create ~home:mailbox () in
   if
-    Mailbox.try_push (Shard.mailbox shard)
+    Mailbox.try_push mailbox
       (Shard.Explain
          { principal; query; ticket; enqueued_ns = Disclosure.Mclock.now_ns (); ctx })
   then ticket
@@ -227,66 +231,51 @@ let await_explained (ticket : explained_ticket) = Ivar.read ticket
 
 let submit_sync t ~principal query = await (submit t ~principal query)
 
+(* Send one control message to every shard (a blocking push: control
+   messages are never shed), then read each reply in shard order — reading
+   runs the shard's rounds. [None] for a shard whose mailbox is closed. *)
+let control t make =
+  Array.map
+    (fun shard ->
+      let mailbox = Shard.mailbox shard in
+      let iv = Ivar.create ~home:mailbox () in
+      if Mailbox.push mailbox (make shard iv) then Some iv else None)
+    t.shards
+  |> Array.map (Option.map Ivar.read)
+
+(* The first failing shard's error, prefixed with its index. *)
+let first_error results =
+  let error = ref None in
+  Array.iteri
+    (fun i r ->
+      match (!error, r) with
+      | None, Error msg -> error := Some (Printf.sprintf "shard %d: %s" i msg)
+      | _ -> ())
+    results;
+  match !error with None -> Ok () | Some e -> Error e
+
 let drain t =
   match state t with
   | Created | Stopped -> ()
-  | Running ->
-    let barriers =
-      Array.map
-        (fun shard ->
-          let iv = Ivar.create () in
-          if Mailbox.push (Shard.mailbox shard) (Shard.Barrier iv) then Some iv
-          else None)
-        t.shards
-    in
-    Array.iter (Option.iter Ivar.read) barriers
+  | Running -> ignore (control t (fun _ iv -> Shard.Barrier iv))
 
 let stop t =
   match state t with
   | Stopped -> ()
   | Created ->
-    (* Never started: no workers to join, but queued messages would leave
-       their tickets forever unfilled — resolve them fail-closed. *)
-    Array.iter (fun shard -> Mailbox.close (Shard.mailbox shard)) t.shards;
+    (* Never started: queued messages would leave their tickets forever
+       unfilled — resolve them fail-closed. *)
     Array.iter
       (fun shard ->
-        let rec flush () =
-          match Mailbox.pop (Shard.mailbox shard) with
-          | None -> ()
-          | Some (Shard.Barrier iv) ->
-            Ivar.fill iv ();
-            flush ()
-          | Some (Shard.Checkpoint iv) ->
-            Ivar.fill iv (Error "server stopped before start");
-            flush ()
-          | Some (Shard.Reload { reply; _ }) ->
-            Ivar.fill reply (Error "server stopped before start");
-            flush ()
-          | Some (Shard.Query { ticket; _ }) ->
-            Metrics.incr t.metrics Metrics.Refused;
-            ignore
-              (Ivar.try_fill ticket
-                 (Monitor.Refused (Guard.Fault "server stopped before start")));
-            flush ()
-          | Some (Shard.Explain { ticket; principal; _ }) ->
-            Metrics.incr t.metrics Metrics.Refused;
-            let reason = Guard.Fault "server stopped before start" in
-            ignore
-              (Ivar.try_fill ticket
-                 ( Monitor.Refused reason,
-                   Some (Disclosure.Explain.refused ~principal ~stage:"admit" reason) ));
-            flush ()
-        in
-        flush ();
+        Shard.abandon shard;
         Shard.close_store shard;
         Service.close (Shard.service shard))
       t.shards;
     Atomic.set t.state Stopped
   | Running ->
-    Array.iter (fun shard -> Mailbox.close (Shard.mailbox shard)) t.shards;
-    Array.iter Shard.join t.shards;
     Array.iter
       (fun shard ->
+        Shard.stop shard;
         Shard.close_store shard;
         Service.close (Shard.service shard))
       t.shards;
@@ -367,7 +356,7 @@ let compile_stats t =
     t.shards
 
 (* Tiered-store statistics summed over shards; [None] when the server was
-   not configured with a resident budget. Plain-int reads of worker-domain
+   not configured with a resident budget. Plain-int reads of claim-holder
    counters — same racy-read contract as the gauges. *)
 let store_stats t =
   match t.config.resident with
@@ -413,7 +402,7 @@ let journal_position t ~shard =
     invalid_arg "Server.journal_position: shard out of range";
   Shard.journal_position t.shards.(shard)
 
-(* Workers refresh these gauges per decision; a scrape-time refresh makes
+(* Rounds refresh these gauges per decision; a scrape-time refresh makes
    them exact even on an idle server, so replication lag is computable
    from one scrape of each node. *)
 let refresh_journal_gauges t =
@@ -503,41 +492,16 @@ let stats_json t =
 
 (* Each shard checkpoints its own journal independently; this drives one
    checkpoint on every shard. Quiescent servers checkpoint inline on the
-   calling domain; a running server sends each worker a Checkpoint control
-   message, so the snapshot happens on the owning domain with no locks. *)
+   calling domain; a running server sends each shard a Checkpoint control
+   message, so the snapshot happens inside a round, under the claim. *)
 let checkpoint t =
   match state t with
-  | Created | Stopped ->
-    Array.fold_left
-      (fun acc shard ->
-        match (acc, Shard.checkpoint shard) with
-        | Error _, _ -> acc
-        | Ok (), Ok () -> Ok ()
-        | Ok (), Error msg ->
-          Error (Printf.sprintf "shard %d: %s" (Shard.index shard) msg))
-      (Ok ()) t.shards
+  | Created | Stopped -> first_error (Array.map Shard.checkpoint t.shards)
   | Running ->
-    let tickets =
-      Array.map
-        (fun shard ->
-          let iv = Ivar.create () in
-          if Mailbox.push (Shard.mailbox shard) (Shard.Checkpoint iv) then (shard, Some iv)
-          else (shard, None))
-        t.shards
-    in
-    Array.fold_left
-      (fun acc (shard, iv) ->
-        let result =
-          match iv with
-          | Some iv -> Ivar.read iv
-          | None -> Error "mailbox closed"
-        in
-        match (acc, result) with
-        | Error _, _ -> acc
-        | Ok (), Ok () -> Ok ()
-        | Ok (), Error msg ->
-          Error (Printf.sprintf "shard %d: %s" (Shard.index shard) msg))
-      (Ok ()) tickets
+    first_error
+      (Array.map
+         (Option.value ~default:(Error "mailbox closed"))
+         (control t (fun _ iv -> Shard.Checkpoint iv)))
 
 (* --- recovery ---------------------------------------------------------- *)
 
@@ -570,10 +534,10 @@ let recover t ~journal =
 (* Validate → swap, with no connection ever dropped: validation happens
    first on a throwaway journal-less service (so every config-level error —
    unknown views, duplicate principals, partition caps — is caught before
-   any shard is touched), then each shard swaps its own service on its own
-   worker domain via a Reload control message. Mailbox ordering is the
+   any shard is touched), then each shard swaps its own service inside one
+   of its rounds via a Reload control message. Mailbox ordering is the
    consistency story: every query is decided by exactly the policy version
-   live when its shard's worker dequeues it. The new assignment table and
+   live when its shard's round dequeues it. The new assignment table and
    registration order are published only after every shard has swapped, so
    a principal new in the configuration becomes submittable only once its
    shard can decide for it; in the window where a shard has swapped but the
@@ -623,49 +587,18 @@ let reload t policy =
           match state t with
           | Stopped -> Error "server stopped during reload"
           | Created ->
-            Array.fold_left
-              (fun acc shard ->
-                match acc with
-                | Error _ -> acc
-                | Ok () -> (
-                  match
-                    Shard.reload shard ~pipeline
-                      ~principals:per_shard.(Shard.index shard)
-                  with
-                  | Ok () -> Ok ()
-                  | Error msg ->
-                    Error (Printf.sprintf "shard %d: %s" (Shard.index shard) msg)))
-              (Ok ()) t.shards
+            first_error
+              (Array.map
+                 (fun shard ->
+                   Shard.reload shard ~pipeline ~principals:per_shard.(Shard.index shard))
+                 t.shards)
           | Running ->
-            let tickets =
-              Array.map
-                (fun shard ->
-                  let iv = Ivar.create () in
-                  if
-                    Mailbox.push (Shard.mailbox shard)
-                      (Shard.Reload
-                         {
-                           pipeline;
-                           principals = per_shard.(Shard.index shard);
-                           reply = iv;
-                         })
-                  then (shard, Some iv)
-                  else (shard, None))
-                t.shards
-            in
-            Array.fold_left
-              (fun acc (shard, iv) ->
-                let result =
-                  match iv with
-                  | Some iv -> Ivar.read iv
-                  | None -> Error "mailbox closed"
-                in
-                match (acc, result) with
-                | Error _, _ -> acc
-                | Ok (), Ok () -> Ok ()
-                | Ok (), Error msg ->
-                  Error (Printf.sprintf "shard %d: %s" (Shard.index shard) msg))
-              (Ok ()) tickets
+            first_error
+              (Array.map
+                 (Option.value ~default:(Error "mailbox closed"))
+                 (control t (fun shard reply ->
+                      Shard.Reload
+                        { pipeline; principals = per_shard.(Shard.index shard); reply })))
         in
         match swept with
         | Error _ as e -> e

@@ -1,9 +1,15 @@
 (** The concurrent serving layer over {!Disclosure.Service}: principals are
-    partitioned across [N] worker domains (shards) by a stable hash of their
-    name. Each shard {e exclusively owns} a sequential service, an optional
-    label cache keyed by the interned query, and its own append-only
-    journal segment ([<base>.shard<i>]); clients reach a shard only through
-    a bounded mailbox.
+    partitioned across [N] shards by a stable hash of their name. Each shard
+    {e exclusively owns} a sequential service, an optional label cache keyed
+    by the interned query, and its own append-only journal segment
+    ([<base>.shard<i>]); clients reach a shard only through a bounded
+    mailbox.
+
+    There are no worker threads. Decisions run on the callers (flat
+    combining, see {!Mailbox}): a caller awaiting a ticket claims its
+    shard, runs up to [drain] queued messages as one round, and hands the
+    claim back. Callers on one shard combine; callers on different shards
+    run in parallel.
 
     Because every principal's queries land on one shard and each shard is
     single-threaded, the per-principal decision sequence is identical to
@@ -13,16 +19,17 @@
     syntactically identical query produced.
 
     Overload is fail-closed and non-blocking: when a shard's mailbox is
-    full, {!submit} immediately returns a ticket already resolved to
+    full, {!submit} first runs one round itself if the shard is started and
+    unclaimed; otherwise (another caller holds the claim, or the server has
+    not started) it returns a ticket already resolved to
     [Refused Disclosure.Guard.Overload]. The shed query never reaches the
-    shard, so the monitor stays bit-identical; it is {e not} journaled (the
-    journal belongs to the worker domain, and [Overload] never commits
-    state, so recovery is unaffected).
+    shard, so the monitor stays bit-identical; it is {e not} journaled
+    ([Overload] never commits state, so recovery is unaffected).
 
     Lifecycle: {!create} → {!register}… → {!start} → {!submit}/{!await}… →
     {!stop}. Registration is only allowed before {!start}; submission is
-    also allowed before {!start} (messages queue and are processed once the
-    workers spawn — tests use this for deterministic overload). *)
+    also allowed before {!start} (messages queue and run once the server
+    starts — tests use this for deterministic overload). *)
 
 module Metrics = Metrics
 module Mailbox = Mailbox
@@ -31,30 +38,30 @@ module Ivar = Ivar
 module Shard = Shard
 
 type config = {
-  domains : int;  (** Number of shards = worker domains (≥ 1). *)
+  domains : int;
+      (** Number of shards (≥ 1). The name predates flat combining: no
+          domain is spawned per shard. *)
   mailbox_capacity : int;  (** Per-shard mailbox bound (≥ 1). *)
   cache_capacity : int;  (** Per-shard label-cache entries; [0] disables. *)
   checkpoint_every : int;
       (** Automatic per-shard checkpoint cadence, in decisions processed by
           that shard; [0] disables. Each shard checkpoints its own journal
-          independently — no cross-domain locks. *)
+          independently — no cross-shard locks. *)
   segment_bytes : int;
       (** Per-shard journal-segment rotation threshold in bytes; [0] never
           rotates. *)
   drain : int;
-      (** Max mailbox messages a shard worker dequeues per wakeup (≥ 1) —
-          one lock round amortized over the batch cuts per-query [Wait]
-          overhead under load. Processing stays strictly in dequeue order
-          on the one worker domain, and overload shedding still happens at
-          push time against [mailbox_capacity]. *)
+      (** Max mailbox messages one round takes (≥ 1) — one claim amortized
+          over the batch. Processing stays strictly in queue order under
+          the shard's one claim. *)
   group_commit : bool;
-      (** Batch journal flushes across each drained mailbox batch (see
-          {!Shard.create}): one covering fsync per drain instead of one per
-          decision, with every ticket in the batch filled only after that
-          flush. Decisions, journal bytes, and recovery are bit-identical
-          to per-decision commits; a failed covering flush refuses the
-          whole batch with the monitors rolled back. No effect on
-          journal-less servers beyond the deferred ticket fills. *)
+      (** Batch journal flushes across each round (see {!Shard.create}):
+          one covering fsync per round instead of one per decision, with
+          every ticket in the batch filled only after that flush.
+          Decisions, journal bytes, and recovery are bit-identical to
+          per-decision commits; a failed covering flush refuses the whole
+          batch with the monitors rolled back. No effect on journal-less
+          servers beyond the deferred ticket fills. *)
   resident : Store.budget option;
       (** Per-shard resident-set budget for the tiered principal store
           ({!Store}): cold principals spill to [<journal>.shard<i>.spill]
@@ -113,13 +120,16 @@ val principals : t -> string list
 (** Global registration order. *)
 
 val start : t -> unit
-(** Spawn the worker domains.
+(** Let callers run the shards' rounds, waking any caller already awaiting
+    a ticket. Spawns nothing.
     @raise Invalid_argument when already started or stopped. *)
 
 val submit : ?ctx:int * int -> t -> principal:string -> Cq.Query.t -> ticket
-(** Enqueue a query on the principal's shard. Never blocks: a full mailbox
-    sheds the query with a ticket already resolved to
-    [Refused Overload] (see the overview above). [ctx], when given, is the
+(** Enqueue a query on the principal's shard; nothing runs until a caller
+    awaits. The one exception is a full mailbox: a started, unclaimed
+    shard runs one round on the caller first, otherwise the query is shed
+    with a ticket already resolved to [Refused Overload] (see the overview
+    above). [ctx], when given, is the
     caller's [(trace_id, parent_span_id)] (typically decoded from a wire
     frame): the shard's spans for this query join that trace.
     @raise Disclosure.Service.Unknown_principal
@@ -138,7 +148,10 @@ val submit_explained :
     @raise Invalid_argument after {!stop}. *)
 
 val await : ticket -> Disclosure.Monitor.decision
-(** Blocks until the shard has decided (immediately for shed queries). *)
+(** Runs the shard's rounds on the caller until the ticket is filled,
+    blocking only while another caller holds the shard's claim or before
+    {!start} (immediate for shed queries). {!Ivar.peek} does the same
+    without blocking. *)
 
 val await_explained :
   explained_ticket -> Disclosure.Monitor.decision * Disclosure.Explain.t option
@@ -147,13 +160,14 @@ val submit_sync : t -> principal:string -> Cq.Query.t -> Disclosure.Monitor.deci
 (** [await (submit t ~principal q)]. *)
 
 val drain : t -> unit
-(** Blocks until every shard has processed all messages enqueued before the
-    call (a barrier message per shard). No-op unless running. *)
+(** Returns once every shard has processed all messages enqueued before the
+    call (a barrier message per shard, run by this caller when no one else
+    is). No-op unless running. *)
 
 val stop : t -> unit
-(** Close the mailboxes, let the workers drain queued messages, join them,
-    and close the journals. Queries enqueued before [stop] are still
-    decided. Idempotent. On a never-started server, queued tickets resolve
+(** Close the mailboxes, wait for running rounds, run the queued messages
+    on the caller, and close the journals. Queries enqueued before [stop]
+    are still decided. Idempotent. On a never-started server, queued tickets resolve
     fail-closed to [Refused (Fault _)]. *)
 
 (** {1 Introspection}
@@ -226,7 +240,7 @@ val journal_position : t -> shard:int -> (int * int) option
 val flush_counts : t -> int array
 (** Per-shard journal flush (fsync) counts by shard index
     ({!Shard.flush_count}) — one per decision without [group_commit], one
-    per drained batch with it; the group-commit benchmark and tests divide
+    per round with it; the group-commit benchmark and tests divide
     by decisions to bound fsyncs per decision. Racy word reads; exact on a
     quiescent or drained server. *)
 
@@ -256,8 +270,8 @@ val checkpoint : t -> (unit, string) result
 (** Checkpoint every shard's journal now (sealing its active segment,
     snapshotting its monitors to [<journal>.shard<i>.ckpt], compacting
     covered segments — see {!Disclosure.Service.checkpoint}). On a running
-    server this is a control message processed by each worker on its own
-    domain; on a quiescent server it runs inline. Independent of the
+    server this is a control message run inside each shard's rounds; on a
+    quiescent server it runs inline. Independent of the
     automatic [checkpoint_every] cadence. Returns the first failing shard's
     error; a failure on one shard does not stop the others. *)
 
@@ -278,7 +292,7 @@ val reload : t -> Disclosure.Policyfile.t -> (unit, string) result
 (** Swap in a new policy configuration with zero downtime: validate the
     whole configuration first (unknown views, duplicate principals,
     partition caps — any error aborts before a single shard is touched),
-    then swap each shard's service on its own worker domain via a
+    then swap each shard's service inside one of its rounds via a
     {!Shard.msg.Reload} control message. No connection is dropped and no
     query is lost: mailbox ordering decides every query under exactly one
     policy version. Principals whose partition lists are unchanged keep

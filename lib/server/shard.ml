@@ -1,9 +1,10 @@
 (* One shard: a single-threaded Disclosure.Service plus its label cache,
-   owned exclusively by one worker domain that drains a bounded mailbox.
-   Exclusive ownership is the whole concurrency story — the service, its
-   journal channel, and the cache are only ever touched from the worker
-   domain (or from the caller's domain before [start] / after [join]), so
-   none of them need locks and the sequential service semantics carry over
+   behind a bounded mailbox that callers run themselves (flat combining:
+   whoever awaits a ticket runs the shard's queued messages under the
+   shard's claim). Exclusive ownership is the whole concurrency story — the
+   service, its journal channel, and the cache are only ever touched by the
+   claim holder (or by the owner before [start] / after [stop]), so none of
+   them need locks and the sequential service semantics carry over
    shard-locally unchanged. *)
 
 module Service = Disclosure.Service
@@ -62,7 +63,7 @@ type pending =
 type t = {
   index : int;
   mutable service : Service.t;
-      (* Mutable for online policy reload: the worker (or the quiescent
+      (* Mutable for online policy reload: the claim holder (or the quiescent
          owner) swaps in a freshly staged service on the same journal base.
          Foreign domains may read the field (journal watermarks) but only
          through the racy-safe [Service.journal_position]. *)
@@ -73,7 +74,7 @@ type t = {
          restarts its id space anyway). *)
   mutable artifact : Artifact.t;
       (* The AOT-compiled labeler for the live pipeline. Swapped together
-         with the service on reload (version + 1); worker-domain only, like
+         with the service on reload (version + 1); claim-holder only, like
          the cache. *)
   mailbox : msg Mailbox.t;
   metrics : Metrics.t;
@@ -81,7 +82,7 @@ type t = {
   scope : Obs.Trace.scope option ref;
       (* The in-flight query's trace scope. A ref (not a mutable field)
          because the service's observe callback is built before this record
-         exists and must share the cell. Worker-domain only. *)
+         exists and must share the cell. Claim-holder only. *)
   limits : Guard.limits option;
   journal : string option; (* this shard's journal base path *)
   segment_bytes : int;
@@ -91,21 +92,20 @@ type t = {
   mutable registered : (string * (string * Disclosure.Sview.t list) list) list;
       (* Registration set of the live service, for reload's carry-over
          decision (unchanged partitions keep their monitor state). *)
-  drain : int; (* max messages dequeued per mailbox wakeup *)
   group_commit : bool;
-      (* Batch journal flushes across each drained mailbox batch: the worker
-         opens a Service batch before the first query of a drain, defers
+      (* Batch journal flushes across each round: the claim holder opens a
+         Service batch before the round's first query, defers
          every ticket fill into [deferred], and fills them all after the one
          covering flush. Control messages (barrier/checkpoint/reload) force
          the flush first, so their ordering guarantees are unchanged. *)
   mutable deferred : (pending * Monitor.decision * Explain.t option) list;
-      (* Decisions awaiting the covering flush, newest first. Worker-domain
+      (* Decisions awaiting the covering flush, newest first. Claim-holder
          only. *)
   mutable last_cache : string;
       (* How the label cache handled the query being processed: "exact" on a
          hit of its one exact key, "miss" / "off" when the labeler ran, or
          "none" when the query refused before either was consulted. Reset at
-         the top of every query; worker-domain only. Feeds the per-tier
+         the top of every query; claim-holder only. Feeds the per-tier
          metrics and the explanation's [cache_level]. *)
   checkpoint_every : int; (* decisions between automatic checkpoints; 0 = never *)
   mutable decided : int; (* decisions since the last automatic checkpoint *)
@@ -116,8 +116,7 @@ type t = {
          staged service. *)
   mutable store : Store.t option;
       (* The tiered principal store wrapping [service] when [resident] is
-         set. Worker-domain only, like the service it manages. *)
-  mutable domain : unit Domain.t option;
+         set. Claim-holder only, like the service it manages. *)
 }
 
 (* The spill file sits next to the shard's journal segments; a journal-less
@@ -132,7 +131,6 @@ let create ~index ?limits ?journal ?(segment_bytes = 0) ?(checkpoint_every = 0) 
     ~mailbox_capacity ~cache_capacity ?(drain = 64) ?(group_commit = false) ?resident
     ~metrics pipeline =
   if checkpoint_every < 0 then invalid_arg "Shard.create: checkpoint_every must be >= 0";
-  if drain < 1 then invalid_arg "Shard.create: drain must be >= 1";
   let scope = ref None in
   let observe (o : Service.observation) =
     let stage =
@@ -172,7 +170,7 @@ let create ~index ?limits ?journal ?(segment_bytes = 0) ?(checkpoint_every = 0) 
     service;
     cache;
     artifact = Artifact.compile pipeline;
-    mailbox = Mailbox.create ~capacity:mailbox_capacity;
+    mailbox = Mailbox.create ~capacity:mailbox_capacity ~drain ~metrics;
     metrics;
     trace;
     scope;
@@ -181,7 +179,6 @@ let create ~index ?limits ?journal ?(segment_bytes = 0) ?(checkpoint_every = 0) 
     segment_bytes;
     observe;
     registered = [];
-    drain;
     group_commit;
     deferred = [];
     last_cache = "none";
@@ -190,7 +187,6 @@ let create ~index ?limits ?journal ?(segment_bytes = 0) ?(checkpoint_every = 0) 
     processed = 0;
     resident;
     store;
-    domain = None;
   }
 
 let index t = t.index
@@ -267,7 +263,7 @@ let sample_store t =
     Metrics.set_gauge t.metrics ~shard:t.index Metrics.Fault_ins s.Store.stat_fault_ins;
     Metrics.set_gauge t.metrics ~shard:t.index Metrics.Spill_bytes s.Store.stat_spill_bytes
 
-(* Eviction runs at decision/batch boundaries on the worker domain;
+(* Eviction runs at decision/batch boundaries, under the claim;
    [Store.enforce] is itself a no-op while a group-commit batch is open
    (mid-batch eviction would break the batch-abort rollback). *)
 let enforce_store t = match t.store with Some s -> Store.enforce s | None -> ()
@@ -383,7 +379,7 @@ let checkpoint t =
 
 (* The automatic cadence: every [checkpoint_every] decisions, checkpoint the
    shard's own journal — each shard seals, snapshots, and compacts its own
-   segment family independently, with no cross-domain coordination. A failed
+   segment family independently, with no cross-shard coordination. A failed
    checkpoint never affects the decision path: it is logged, durability
    stays on the full journal, and the next cadence point retries. *)
 (* Split so group commit can count decisions per query but only trigger the
@@ -461,13 +457,13 @@ let partitions_equal ps qs =
     ps qs
 
 (* Swap in a new policy configuration without dropping a single decision.
-   Runs on the worker domain (a [Reload] control message) or inline on a
-   quiescent shard, so the mailbox serializes it against queries: every
-   query is decided by exactly one policy version — the one live when the
-   worker dequeues it.
+   Runs in a round (a [Reload] control message) or inline on a quiescent
+   shard, so the mailbox serializes it against queries: every query is
+   decided by exactly one policy version — the one live when its round
+   dequeues it.
 
    The staged service opens the same journal base in append mode while the
-   live one still holds it; that is safe because this domain owns both and
+   live one still holds it; that is safe because the claim holder owns both and
    nothing appends between staging and swap, so the staged byte count
    cannot go stale. Registration failures abort with the live service
    untouched (fail closed: the old policy keeps serving).
@@ -719,56 +715,66 @@ let flush_group t =
     checkpoint_if_due t
   end
 
-let run t =
-  (* Drain up to [drain] messages per wakeup: one lock round and one
-     condition wait amortized over the whole batch cuts the per-query Wait
-     overhead under load. Messages are processed strictly in dequeue order
-     on this one domain, so the sequential-equivalence contract (and every
-     barrier/reload ordering argument) is untouched — a batch is just N
-     back-to-back pops that skipped the lock between them. Overload
-     shedding is also untouched: it happens at push time against the
-     mailbox bound, which batching does not change.
+(* One round, on whichever caller holds the shard's claim: messages run
+   strictly in queue order, so the sequential-equivalence contract (and
+   every barrier/reload ordering argument) holds no matter which caller
+   runs it. With [group_commit], each round is also one journal batch: a
+   Service batch opens before the first query, control messages force the
+   covering flush first (so a barrier still implies every earlier decision
+   is settled, and a checkpoint never sees an open batch), and the round
+   ends with the flush that fills every deferred ticket. *)
+let run_batch t batch =
+  if t.group_commit then begin
+    List.iter
+      (fun msg ->
+        match msg with
+        | Query _ | Explain _ ->
+          if not (Service.batch_active t.service) then Service.batch_begin t.service;
+          process t msg
+        | Barrier _ | Checkpoint _ | Reload _ ->
+          flush_group t;
+          process t msg)
+      batch;
+    flush_group t
+  end
+  else List.iter (process t) batch
 
-     With [group_commit], each drained batch also becomes one journal
-     batch: a Service batch opens before the first query, control messages
-     force the covering flush first (so a barrier still implies every
-     earlier decision is settled, and a checkpoint never sees an open
-     batch), and the drain ends with the flush that fills every deferred
-     ticket. *)
-  let rec loop () =
-    match Mailbox.pop_batch t.mailbox ~max:t.drain with
-    | [] -> ()
-    | batch ->
-      if t.group_commit then begin
-        List.iter
-          (fun msg ->
-            match msg with
-            | Query _ | Explain _ ->
-              if not (Service.batch_active t.service) then
-                Service.batch_begin t.service;
-              process t msg
-            | Barrier _ | Checkpoint _ | Reload _ ->
-              flush_group t;
-              process t msg)
-          batch;
-        flush_group t
-      end
-      else List.iter (process t) batch;
-      loop ()
+let fail_closed t ~stage reason msg =
+  let refuse ticket v =
+    if Ivar.try_fill ticket v then Metrics.incr t.metrics Metrics.Refused
   in
-  loop ()
+  match msg with
+  | Query { ticket; _ } -> refuse ticket (Monitor.Refused (Guard.Fault reason))
+  | Explain { ticket; principal; _ } ->
+    let r = Guard.Fault reason in
+    refuse ticket (Monitor.Refused r, Some (Explain.refused ~principal ~stage r))
+  | Barrier iv -> ignore (Ivar.try_fill iv ())
+  | Checkpoint iv -> ignore (Ivar.try_fill iv (Error reason))
+  | Reload { reply; _ } -> ignore (Ivar.try_fill reply (Error reason))
 
-let start t =
-  match t.domain with
-  | Some _ -> invalid_arg "Shard.start: already started"
-  | None -> t.domain <- Some (Domain.spawn (fun () -> run t))
+(* A round that raises must not strand its callers: the open group-commit
+   batch is flushed (its decisions are already committed to the monitors),
+   and every ticket the round has not settled is refused fail-closed — the
+   messages behind the failure never reached a monitor. *)
+let round t batch =
+  try run_batch t batch
+  with e ->
+    let reason = "shard round failed: " ^ Printexc.to_string e in
+    Log.err (fun m -> m "shard %d: %s" t.index reason);
+    t.scope := None;
+    (try flush_group t with _ -> t.deferred <- []);
+    List.iter (fail_closed t ~stage:"shard" reason) batch
 
-let join t =
-  match t.domain with
-  | None -> ()
-  | Some d ->
-    Domain.join d;
-    t.domain <- None
+let start t = Mailbox.start t.mailbox (round t)
+
+let stop t = Mailbox.finish t.mailbox
+
+(* A never-started shard decides nothing: its one and only round refuses
+   whatever was queued. *)
+let abandon t =
+  Mailbox.start t.mailbox
+    (List.iter (fail_closed t ~stage:"admit" "server stopped before start"));
+  Mailbox.finish t.mailbox
 
 (* --- cache statistics -------------------------------------------------- *)
 

@@ -1,9 +1,9 @@
 (** One shard of the serving layer: a single-threaded
-    {!Disclosure.Service} plus an optional label cache, owned exclusively by
-    one worker domain draining a bounded mailbox. Because only the worker
-    (or the caller's domain strictly before {!start} / after {!join}) ever
-    touches the service, its journal channel, or the cache, none of them
-    need locks and the sequential service semantics carry over unchanged. *)
+    {!Disclosure.Service} plus an optional label cache behind a bounded
+    mailbox that its callers run ({!Mailbox}). Because only the claim holder
+    (or the owner strictly before {!start} / after {!stop}) ever touches the
+    service, its journal channel, or the cache, none of them need locks and
+    the sequential service semantics carry over unchanged. *)
 
 type msg =
   | Query of {
@@ -12,7 +12,7 @@ type msg =
       ticket : Disclosure.Monitor.decision Ivar.t;
       enqueued_ns : int64;
           (** {!Disclosure.Mclock.now_ns} at submit time, for the [Wait]
-              histogram and the wait span; [0L] when unknown (the worker
+              histogram and the wait span; [0L] when unknown (the round
               then skips wait accounting). *)
       ctx : (int * int) option;
           (** Inherited wire trace context [(trace_id, parent_span_id)]:
@@ -27,7 +27,7 @@ type msg =
       ctx : (int * int) option;
     }
       (** Like [Query] — the decision is identical, committed, and
-          journaled — but the worker additionally captures the decision's
+          journaled — but the round additionally captures the decision's
           provenance ({!Disclosure.Service.capture_begin}) and stitches in
           the two facts only the shard knows: which compiled tier labeled
           the query ({!Compile.Artifact.last_tier}, or ["cache"] on a
@@ -36,10 +36,10 @@ type msg =
           commit a batch abort replaces it with a journal-stage refusal
           explanation. *)
   | Barrier of unit Ivar.t
-      (** Control message: the worker fills the ivar when it reaches the
-          barrier, i.e. after every earlier message has been processed. *)
+      (** Control message: filled when a round reaches the barrier, i.e.
+          after every earlier message has been processed. *)
   | Checkpoint of (unit, string) result Ivar.t
-      (** Control message: the worker checkpoints its service's journal
+      (** Control message: the round checkpoints the service's journal
           ({!Disclosure.Service.checkpoint}) and fills the ivar with the
           result. *)
   | Reload of {
@@ -47,10 +47,10 @@ type msg =
       principals : (string * (string * Disclosure.Sview.t list) list) list;
       reply : (unit, string) result Ivar.t;
     }
-      (** Control message: the worker swaps in the new policy configuration
+      (** Control message: the round swaps in the new policy configuration
           ({!reload}) and fills the ivar with the result. Mailbox ordering
           is the exactly-one-policy-version guarantee: every query is
-          decided by whichever service is live when the worker dequeues
+          decided by whichever service is live when its round dequeues
           it. *)
 
 type t
@@ -71,12 +71,10 @@ val create :
   Disclosure.Pipeline.t ->
   t
 (** [cache_capacity = 0] disables the label cache. [drain] (default 64)
-    caps how many mailbox messages the worker dequeues per wakeup
-    ({!Mailbox.pop_batch}) — processing order and the shed-at-push
-    overload valve are unchanged.
+    caps how many mailbox messages one round takes.
 
-    [group_commit] (default [false]) makes each drained mailbox batch one
-    journal batch ({!Disclosure.Service.batch_begin} / [batch_end]): every
+    [group_commit] (default [false]) makes each round one journal batch
+    ({!Disclosure.Service.batch_begin} / [batch_end]): every
     decision's record buffers in the channel, one covering flush lands at
     the end of the drain, and every ticket in the batch is filled only
     after that flush — so clients still never observe a decision whose
@@ -94,7 +92,7 @@ val create :
     at that size, and [checkpoint_every] (default [0] = never) checkpoints
     the shard's journal every that many processed decisions — each shard
     seals, snapshots, and compacts its own segment family independently, no
-    cross-domain locks. The shard's service reports stage timings into
+    cross-shard locks. The shard's service reports stage timings into
     [metrics] (including [Checkpoint] and [Rotate]), and a failed automatic
     checkpoint is logged, never surfaced as a refusal.
 
@@ -114,14 +112,15 @@ val create :
     head/tail sampling. Checkpoints trace as forced ["maintenance"] scopes.
     The shard also feeds [metrics]' per-shard Gc gauges, resampled every
     few dozen queries and at every barrier.
-    @raise Invalid_argument on a negative [checkpoint_every]. *)
+    @raise Invalid_argument on a negative [checkpoint_every] or a [drain]
+    below 1. *)
 
 val index : t -> int
 
 val service : t -> Disclosure.Service.t
 (** The shard's underlying service. Must only be used before {!start} or
-    after {!join} (registration, recovery, snapshots) — while the worker
-    runs, the worker owns it. *)
+    after {!stop} (registration, recovery, snapshots) — while running, the
+    claim holder owns it. *)
 
 val register :
   t ->
@@ -140,8 +139,8 @@ val journal_position : t -> (int * int) option
 
 val flush_count : t -> int
 (** {!Disclosure.Service.flush_count} of the live service (also exported as
-    the [journal_flushes] per-shard gauge). Exact only while the worker is
-    quiescent. *)
+    the [journal_flushes] per-shard gauge). Exact only while no round is
+    running. *)
 
 val reload :
   t ->
@@ -154,14 +153,14 @@ val reload :
     principals whose partition lists are unchanged, reset the label cache,
     and checkpoint the carried state so recovery never replays old-policy
     records through the new configuration. Must only be called while the
-    worker is quiescent (before {!start} or after {!join}); while running,
+    shard is quiescent (before {!start} or after {!stop}); while running,
     send a {!msg.Reload} message instead. *)
 
 val mailbox : t -> msg Mailbox.t
 
 val handle : t -> principal:string -> Cq.Query.t -> Disclosure.Monitor.decision
 (** Process one query inline (cache lookup, labeling, decision, journal,
-    commit) on the calling domain. Called by the worker; exposed for
+    commit) on the calling domain. Called by rounds; exposed for
     deterministic single-threaded tests. Decision-for-decision equivalent to
     [Disclosure.Service.submit] on the shard's service. *)
 
@@ -170,22 +169,30 @@ val process : t -> msg -> unit
 
 val checkpoint : t -> (unit, string) result
 (** Checkpoint the shard's journal now, on the calling domain. Must only be
-    used while the worker is quiescent (before {!start} or after {!join});
+    used while the shard is quiescent (before {!start} or after {!stop});
     while running, send a {!msg.Checkpoint} message instead. *)
 
 val start : t -> unit
-(** Spawn the worker domain.
+(** Let callers run rounds ({!Mailbox.start}); spawns nothing. A round
+    that raises refuses every ticket it has not settled with
+    [Refused (Fault _)] instead of stranding its callers.
     @raise Invalid_argument when already started. *)
 
-val join : t -> unit
-(** Wait for the worker to exit (it exits when the mailbox is closed and
-    drained). No-op when never started. *)
+val stop : t -> unit
+(** Close the mailbox, wait for any running round, then run every queued
+    message on the caller ({!Mailbox.finish}). *)
+
+val abandon : t -> unit
+(** Stop a never-started shard: close its mailbox and settle every queued
+    ticket without deciding it — queries refuse with [Refused (Fault _)],
+    barriers fill, checkpoints and reloads report [Error].
+    @raise Invalid_argument on a started shard. *)
 
 val artifact : t -> Compile.Artifact.t
 (** The shard's live AOT-compiled labeler. Swapped (with a bumped version)
-    by every {!reload}. Must only be inspected while the worker is
-    quiescent (before {!start}, after {!join}, or after a barrier) — its
-    memo tables are worker-domain state, like the cache. *)
+    by every {!reload}. Must only be inspected while the shard is
+    quiescent (before {!start}, after {!stop}, or after a barrier) — its
+    memo tables are claim-holder state, like the cache. *)
 
 val compile_stats : t -> Compile.Artifact.stats
 (** {!Compile.Artifact.stats} of the live artifact: version, fallbacks,
@@ -201,8 +208,8 @@ type cache_stats = {
 }
 
 val cache_stats : t -> cache_stats
-(** All zero when the cache is disabled. Exact only while the worker is
-    quiescent (before {!start}, after {!join}, or after a barrier). *)
+(** All zero when the cache is disabled. Exact only while the shard is
+    quiescent (before {!start}, after {!stop}, or after a barrier). *)
 
 val store : t -> Store.t option
 (** The shard's tiered principal store, when created with [?resident].
@@ -214,5 +221,5 @@ val store_stats : t -> Store.stats option
 
 val close_store : t -> unit
 (** Close the tiered store (uninstall its tier hooks, close the spill
-    channels). Called by the server on stop, after {!join}; idempotent and
+    channels). Called by the server on stop, after {!stop}; idempotent and
     a no-op without a store. *)

@@ -457,6 +457,167 @@ let test_group_commit_differential () =
             (Server.snapshot fresh = snap_on);
           Server.stop fresh))
 
+(* --- flat combining ------------------------------------------------------ *)
+
+(* Callers run the shards: 1–3 submitter domains, each owning its own
+   principals, combine on the same shards, with group commit on and off.
+   Per-principal decisions must equal the sequential service, and the
+   journal the run leaves must replay to the live state. *)
+let test_concurrent_submitters () =
+  let rng = Random.State.make [| 0xF1A7 |] in
+  for run = 0 to 23 do
+    let submitters = 1 + (run mod 3) in
+    let group_commit = run / 3 mod 2 = 1 in
+    let history = random_history rng ~steps:(1 + Random.State.int rng 60) in
+    with_tmp_base (fun base ->
+        let server = make_server ~journal:base ~group_commit () in
+        Server.start server;
+        let owner principal =
+          let rec find i = if principals.(i) = principal then i else find (i + 1) in
+          find 0 mod submitters
+        in
+        let decisions =
+          Array.init submitters (fun k ->
+              let mine = List.filter (fun (p, _) -> owner p = k) history in
+              Domain.spawn (fun () -> run_history_on_server server mine))
+          |> Array.to_list |> List.concat_map Domain.join
+        in
+        Server.drain server;
+        let live = Server.snapshot server in
+        Server.stop server;
+        let service = make_service () in
+        let expected = run_history_on_service service history in
+        check_bool
+          (Printf.sprintf "%d submitter(s), group commit %b: decisions ≡ service"
+             submitters group_commit)
+          true
+          (sequences_equal (group_by_principal decisions) (group_by_principal expected));
+        let fresh = make_server () in
+        (match Server.recover fresh ~journal:base with
+        | Ok _ -> ()
+        | Error e -> Alcotest.fail (Service.recovery_error_to_string e));
+        check_bool "replay = live" true (Server.snapshot fresh = live);
+        Server.stop fresh)
+  done
+
+(* The idle-full rule: a started shard whose queue is at capacity with
+   nobody awaiting must not deadlock a barrier (the blocking push runs a
+   round itself) nor shed the next submit. *)
+let test_full_idle_queue () =
+  let capacity = 4 in
+  let server = make_server ~domains:1 ~mailbox_capacity:capacity () in
+  Server.start server;
+  let fill () =
+    List.init capacity (fun _ -> Server.submit server ~principal:"calendar-app" queries.(0))
+  in
+  let first = fill () in
+  Server.drain server;
+  check_bool "drain on a full idle queue settles it" true
+    (List.for_all (fun t -> Server.Ivar.peek t <> None) first);
+  let second = fill () in
+  let next = Server.submit server ~principal:"calendar-app" queries.(0) in
+  check_bool "submit onto a full idle queue is decided, not shed" true
+    (Server.await next = Monitor.Answered);
+  check_int "nothing shed" 0
+    (Server.Metrics.count (Server.metrics server) Server.Metrics.Overloaded);
+  check_bool "the queue ahead of it was decided too" true
+    (List.for_all (fun t -> Server.Ivar.peek t <> None) second);
+  Server.stop server
+
+(* A caller blocked on the claim is woken by the round that settles its
+   ticket — here a round another domain runs, held open until the waiter
+   has certainly blocked. *)
+let test_waiter_woken_by_other_round () =
+  let module Mb = Server.Mailbox in
+  let metrics = Server.Metrics.create () in
+  let mb = Mb.create ~capacity:8 ~drain:8 ~metrics in
+  let entered = Atomic.make false and release = Atomic.make false in
+  Mb.start mb (fun batch ->
+      List.iter
+        (fun (hold, ticket) ->
+          if hold then begin
+            Atomic.set entered true;
+            while not (Atomic.get release) do
+              Domain.cpu_relax ()
+            done
+          end;
+          Server.Ivar.fill ticket ())
+        batch);
+  let held = Server.Ivar.create ~home:mb () and waited = Server.Ivar.create ~home:mb () in
+  check_bool "queued" true (Mb.try_push mb (true, held) && Mb.try_push mb (false, waited));
+  let runner = Domain.spawn (fun () -> Server.Ivar.read held) in
+  while not (Atomic.get entered) do
+    Domain.cpu_relax ()
+  done;
+  let waiter = Domain.spawn (fun () -> Server.Ivar.read waited) in
+  while Server.Metrics.count metrics Server.Metrics.Ticket_waits = 0 do
+    Domain.cpu_relax ()
+  done;
+  Atomic.set release true;
+  Domain.join runner;
+  Domain.join waiter;
+  check_int "one round settled both tickets" 1
+    (Server.Metrics.count metrics Server.Metrics.Combine_rounds)
+
+(* [Ivar.peek] runs rounds but never waits: polling the last ticket alone
+   decides an idle shard's whole queue — before start it only reports. *)
+let test_peek_drives_idle_shard () =
+  let server = make_server ~domains:1 () in
+  let history = random_history (Random.State.make [| 0x9EE4 |]) ~steps:30 in
+  let tickets = List.map (fun (principal, q) -> Server.submit server ~principal q) history in
+  let last = List.nth tickets (List.length tickets - 1) in
+  check_bool "peek before start is None" true (Server.Ivar.peek last = None);
+  Server.start server;
+  check_bool "one peek decides the idle shard's queue" true (Server.Ivar.peek last <> None);
+  let service = make_service () in
+  let expected = run_history_on_service service history in
+  let decisions =
+    List.map2 (fun (principal, _) t -> (principal, Option.get (Server.Ivar.peek t))) history
+      tickets
+  in
+  check_bool "peeked decisions ≡ service" true
+    (sequences_equal (group_by_principal decisions) (group_by_principal expected));
+  Server.stop server
+
+(* [stop] runs whatever is still queued on the caller: no ticket is left
+   unsettled and the decisions are the sequential ones. *)
+let test_stop_settles_queue () =
+  let server = make_server () in
+  Server.start server;
+  let history = random_history (Random.State.make [| 0x5709 |]) ~steps:40 in
+  let tickets = List.map (fun (principal, q) -> Server.submit server ~principal q) history in
+  Server.stop server;
+  check_bool "every ticket settled by stop" true
+    (List.for_all (fun t -> Server.Ivar.peek t <> None) tickets);
+  let service = make_service () in
+  let expected = run_history_on_service service history in
+  let decisions = List.map2 (fun (principal, _) t -> (principal, Server.await t)) history tickets in
+  check_bool "stop-time decisions ≡ service" true
+    (sequences_equal (group_by_principal decisions) (group_by_principal expected))
+
+(* Attribution: a closed loop with one caller is one round per decision and
+   never waits. *)
+let test_combining_counters () =
+  let server = make_server () in
+  Server.start server;
+  let n = 25 in
+  for i = 1 to n do
+    ignore
+      (Server.submit_sync server
+         ~principal:principals.(i mod Array.length principals)
+         queries.(i mod Array.length queries))
+  done;
+  let m = Server.metrics server in
+  check_int "one round per closed-loop decision" n
+    (Server.Metrics.count m Server.Metrics.Combine_rounds);
+  check_int "no waits" 0 (Server.Metrics.count m Server.Metrics.Ticket_waits);
+  (* Every exporter (stats JSON, Prometheus, disclosurectl stats) walks
+     this list. *)
+  check_bool "counters exported" true
+    (List.mem Server.Metrics.Combine_rounds Server.Metrics.counters
+    && List.mem Server.Metrics.Ticket_waits Server.Metrics.counters);
+  Server.stop server
+
 (* --- lifecycle and misc ------------------------------------------------ *)
 
 let test_unknown_principal () =
@@ -504,57 +665,54 @@ let test_metrics_accounting () =
 
 (* --- mailbox, cache, ivar unit tests ----------------------------------- *)
 
+(* The bounded queue under flat combining: shedding before start, the
+   full-queue rule once started (a push onto a full, unclaimed queue runs
+   one round on the pusher instead of shedding), and finish. *)
 let test_mailbox () =
-  let mb = Server.Mailbox.create ~capacity:2 in
-  check_bool "push 1" true (Server.Mailbox.try_push mb 1);
-  check_bool "push 2" true (Server.Mailbox.try_push mb 2);
-  check_bool "push 3 refused at capacity" false (Server.Mailbox.try_push mb 3);
-  check_bool "pop 1" true (Server.Mailbox.pop mb = Some 1);
-  check_bool "push after pop" true (Server.Mailbox.try_push mb 4);
-  Server.Mailbox.close mb;
-  check_bool "push after close refused" false (Server.Mailbox.try_push mb 5);
-  check_bool "drains after close" true (Server.Mailbox.pop mb = Some 2);
-  check_bool "drains after close (2)" true (Server.Mailbox.pop mb = Some 4);
-  check_bool "empty after drain" true (Server.Mailbox.pop mb = None);
+  let module Mb = Server.Mailbox in
+  let metrics = Server.Metrics.create () in
+  let mb = Mb.create ~capacity:2 ~drain:1 ~metrics in
+  let ran = ref [] in
+  check_bool "push 1" true (Mb.try_push mb 1);
+  check_bool "push 2" true (Mb.try_push mb 2);
+  check_bool "push 3 shed at capacity before start" false (Mb.try_push mb 3);
+  Mb.start mb (fun batch -> ran := !ran @ batch);
+  check_bool "nothing runs on start" true (!ran = []);
+  check_bool "full + started + unclaimed: push runs a round, then enqueues" true
+    (Mb.try_push mb 3);
+  check_bool "that round took one drain's worth, in order" true (!ran = [ 1 ]);
+  Mb.finish mb;
+  check_bool "finish runs the remainder in order" true (!ran = [ 1; 2; 3 ]);
+  check_bool "push after finish refused" false (Mb.try_push mb 4);
+  check_bool "blocking push after finish refused" false (Mb.push mb 4);
+  check_int "one round per message at drain 1" 3
+    (Server.Metrics.count metrics Server.Metrics.Combine_rounds);
   Alcotest.check_raises "capacity validated" (Invalid_argument
       "Mailbox.create: capacity must be >= 1") (fun () ->
-      ignore (Server.Mailbox.create ~capacity:0))
+      ignore (Mb.create ~capacity:0 ~drain:1 ~metrics));
+  Alcotest.check_raises "drain validated" (Invalid_argument
+      "Mailbox.create: drain must be >= 1") (fun () ->
+      ignore (Mb.create ~capacity:1 ~drain:0 ~metrics))
 
-let test_mailbox_pop_batch () =
-  let module Mb = Server.Mailbox in
-  (* Queue order, batch cap, and remainder batches. *)
-  let mb = Mb.create ~capacity:16 in
-  for i = 1 to 10 do
-    check_bool "push" true (Mb.try_push mb i)
-  done;
-  check_bool "first batch in order" true (Mb.pop_batch mb ~max:4 = [ 1; 2; 3; 4 ]);
-  check_bool "second batch" true (Mb.pop_batch mb ~max:4 = [ 5; 6; 7; 8 ]);
-  check_bool "short final batch" true (Mb.pop_batch mb ~max:4 = [ 9; 10 ]);
-  (* A lone message dequeues immediately — no waiting to fill a batch. *)
-  check_bool "push lone" true (Mb.try_push mb 11);
-  check_bool "lone message" true (Mb.pop_batch mb ~max:64 = [ 11 ]);
-  (* Close semantics mirror pop's: drain the backlog, then []. *)
-  check_bool "push 12" true (Mb.try_push mb 12);
-  check_bool "push 13" true (Mb.try_push mb 13);
-  Mb.close mb;
-  check_bool "drains after close" true (Mb.pop_batch mb ~max:64 = [ 12; 13 ]);
-  check_bool "empty after drain" true (Mb.pop_batch mb ~max:64 = []);
-  Alcotest.check_raises "max validated"
-    (Invalid_argument "Mailbox.pop_batch: max must be >= 1") (fun () ->
-      ignore (Mb.pop_batch (Mb.create ~capacity:1) ~max:0));
-  (* A draining batch must wake BLOCKED producers (broadcast, not one
-     signal per message): fill, block two pushers on other domains, drain. *)
-  let mb = Mb.create ~capacity:2 in
-  check_bool "fill 1" true (Mb.try_push mb 1);
-  check_bool "fill 2" true (Mb.try_push mb 2);
-  let pushers = Array.init 2 (fun i -> Domain.spawn (fun () -> Mb.push mb (10 + i))) in
-  (* Both producers are (about to be) parked on the not_full condition. *)
-  let first = Mb.pop_batch mb ~max:2 in
-  check_bool "drained the backlog" true (first = [ 1; 2 ]);
-  check_bool "both producers complete" true
-    (Array.for_all (fun d -> Domain.join d) pushers);
-  let rest = List.sort compare (Mb.pop_batch mb ~max:4) in
-  check_bool "both blocked pushes delivered" true (rest = [ 10; 11 ])
+(* A round takes at most [drain] messages: a queue pre-filled with
+   2·drain+1 queries is run in exactly three rounds by one await on the
+   last ticket, which never has to wait. *)
+let test_rounds_take_drain () =
+  let server = make_server ~domains:1 () in
+  let drain = Server.default_config.Server.drain in
+  let q = queries.(0) in
+  let tickets =
+    List.init ((2 * drain) + 1) (fun i ->
+        Server.submit server ~principal:principals.(i mod Array.length principals) q)
+  in
+  Server.start server;
+  let m = Server.metrics server in
+  ignore (Server.await (List.nth tickets (2 * drain)));
+  check_int "three rounds" 3 (Server.Metrics.count m Server.Metrics.Combine_rounds);
+  check_int "no waits" 0 (Server.Metrics.count m Server.Metrics.Ticket_waits);
+  check_bool "every earlier ticket settled by those rounds" true
+    (List.for_all (fun t -> Server.Ivar.peek t <> None) tickets);
+  Server.stop server
 
 let test_label_cache_lru () =
   let c = Server.Label_cache.create ~capacity:2 in
@@ -655,6 +813,19 @@ let () =
           Alcotest.test_case "group commit: identical decisions, fewer fsyncs" `Quick
             test_group_commit_differential;
         ] );
+      ( "combining",
+        [
+          Alcotest.test_case "1–3 submitter domains ≡ service, replay = live" `Quick
+            test_concurrent_submitters;
+          Alcotest.test_case "full idle queue: drain completes, submit decided" `Quick
+            test_full_idle_queue;
+          Alcotest.test_case "waiter woken by another caller's round" `Quick
+            test_waiter_woken_by_other_round;
+          Alcotest.test_case "peek alone drives an idle shard" `Quick
+            test_peek_drives_idle_shard;
+          Alcotest.test_case "stop settles a non-empty queue" `Quick test_stop_settles_queue;
+          Alcotest.test_case "combine_rounds and ticket_waits" `Quick test_combining_counters;
+        ] );
       ( "lifecycle",
         [
           Alcotest.test_case "unknown principal" `Quick test_unknown_principal;
@@ -667,7 +838,7 @@ let () =
       ( "components",
         [
           Alcotest.test_case "bounded mailbox" `Quick test_mailbox;
-          Alcotest.test_case "batched dequeue" `Quick test_mailbox_pop_batch;
+          Alcotest.test_case "batched dequeue" `Quick test_rounds_take_drain;
           Alcotest.test_case "label cache LRU" `Quick test_label_cache_lru;
           Alcotest.test_case "hot key does not churn the LRU list" `Quick
             test_label_cache_hot_key_no_churn;

@@ -368,14 +368,52 @@ let test_legacy_append_after_torn_recovery () =
       (match Service.recover restarted ~journal:path with
       | Ok r -> Helpers.check_bool "torn tail reported" true r.Service.torn_tail
       | Error e -> Alcotest.fail (Service.recovery_error_to_string e));
-      Helpers.check_string "torn legacy line truncated on disk" committed (read_file path);
+      (* The committed legacy prefix is sealed as its own segment: the next
+         append starts a fresh v2 active file instead of joining it. *)
+      Helpers.check_string "torn line truncated; legacy prefix sealed" committed
+        (read_file (Journal.segment_path path 1));
       ignore (Service.submit restarted ~principal:"crm-app" (pq "Q(x,y,z) :- Contacts(x,y,z)"));
       Service.close restarted;
-      let after = read_file path and n = String.length committed in
-      Helpers.check_string "committed prefix untouched" committed (String.sub after 0 n);
-      match Journal.parse (String.sub after n (String.length after - n)) with
+      Helpers.check_string "sealed prefix untouched" committed
+        (read_file (Journal.segment_path path 1));
+      match Journal.parse (read_file path) with
       | Ok ([ { Journal.fields = "crm-app" :: _; _ } ], None) -> ()
-      | _ -> Alcotest.fail "the append must be one clean record at the commit point")
+      | _ -> Alcotest.fail "the active file must be one clean v2 record")
+
+(* Regression: recovering over a legacy active segment, deciding once and
+   recovering again used to fail closed — the v2 append landed in the
+   legacy file, whose parser then rejected it as an unknown principal.
+   The second recovery must replay both formats, each from its own file. *)
+let test_legacy_recover_twice () =
+  with_tmp_journal (fun path ->
+      let service = make_journaled_service path in
+      ignore (Service.submit service ~principal:"calendar-app" (pq "Q(x) :- Meetings(x, y)"));
+      Service.close service;
+      ignore (rewrite_as_legacy path);
+      let restart () =
+        let s = make_journaled_service path in
+        match Service.recover s ~journal:path with
+        | Ok r -> (s, r.Service.applied)
+        | Error e -> Alcotest.fail (Service.recovery_error_to_string e)
+      in
+      let first, applied = restart () in
+      Helpers.check_int "legacy record replayed" 1 applied;
+      ignore (Service.submit first ~principal:"crm-app" (pq "Q(x,y,z) :- Contacts(x,y,z)"));
+      let live = Service.snapshot first in
+      Service.close first;
+      let second, applied = restart () in
+      Helpers.check_int "legacy and v2 records replayed" 2 applied;
+      Helpers.check_bool "recovered = live" true (Service.snapshot second = live);
+      Service.close second);
+  (* A legacy replay error names its file and line once. *)
+  with_tmp_journal (fun path ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc "ghost\t-\tanswered\n");
+      match Service.recover (make_journaled_service path) ~journal:path with
+      | Ok _ -> Alcotest.fail "unknown principal must fail closed"
+      | Error e ->
+        Helpers.check_string "one file:line prefix"
+          (path ^ ":1: unknown principal \"ghost\"")
+          (Service.recovery_error_to_string e))
 
 (* Regression: a legacy journal whose first principal begins with the v2
    magic bytes ("J2 " — legal in the legacy format, which only excluded
@@ -741,6 +779,8 @@ let suite =
       test_close_then_submit_warns;
     Alcotest.test_case "legacy append after a torn-tail recovery" `Quick
       test_legacy_append_after_torn_recovery;
+    Alcotest.test_case "recover twice over a legacy active segment" `Quick
+      test_legacy_recover_twice;
     Alcotest.test_case "legacy principal starting with the v2 magic" `Quick
       test_legacy_principal_with_v2_magic;
     Alcotest.test_case "recover tolerates a torn final line only" `Quick
