@@ -854,7 +854,7 @@ let serve_cmd =
             Format.print_flush ();
             serve_until_signal ~server ~listener ~source:(Some source) ~config_file
           | None -> ());
-          if stats then Format.printf "@.%s@." (Server.stats_json server);
+          if stats then Format.printf "@.%s@." (Obs.Json.to_string (Server.stats_json server));
           Server.stop server;
           0
       end
@@ -876,7 +876,7 @@ let serve_cmd =
       | Some tr, Some path -> write_file path (Obs.Chrome.export tr)
       | _ -> ());
       match metrics_out with
-      | Some path -> write_file path (Server.Metrics.to_prometheus (Server.metrics server))
+      | Some path -> write_file path (Server.prometheus server)
       | None -> ()
     in
     (match Sys.os_type with
@@ -967,7 +967,7 @@ let serve_cmd =
       (Server.principals server);
     (* Sample stats before [stop]: stopping closes the shard stores, so the
        tiered-store block would read as the zero accumulator afterwards. *)
-    let stats_doc = if stats then Some (Server.stats_json server) else None in
+    let stats_doc = if stats then Some (Obs.Json.to_string (Server.stats_json server)) else None in
     Server.stop server;
     dump ();
     (match trace with
@@ -1360,9 +1360,9 @@ let analyze_cmd =
 (* --- stats ---------------------------------------------------------- *)
 
 (* Pretty-print the JSON document emitted by [serve --stats] (or a bare
-   [Metrics.to_json] document) as a human-readable report: uptime,
-   throughput, counters, the per-stage latency table, cache, and trace
-   retention. *)
+   [Metrics.to_json] document) as a human-readable report: uptime and
+   throughput, then every registered number ([Metrics.pp_stats]), then
+   trace retention. *)
 let stats_cmd =
   let file_arg =
     Arg.(
@@ -1405,46 +1405,7 @@ let stats_cmd =
       | Some n, true -> Format.printf "throughput: %.1f queries/s@." (n /. up)
       | _ -> ())
     | _ -> ());
-    Format.printf "@.counters:@.";
-    List.iter
-      (fun c ->
-        let name = Server.Metrics.counter_name c in
-        match int_of name metrics with
-        | Some v -> Format.printf "  %-18s %d@." name v
-        | None -> ())
-      Server.Metrics.counters;
-    (match J.member "stages" metrics with
-    | None -> ()
-    | Some stages ->
-      Format.printf "@.%-14s %10s %12s %12s %12s@." "stage" "count" "mean" "p50" "p99";
-      List.iter
-        (fun s ->
-          let name = Server.Metrics.stage_name s in
-          match J.member name stages with
-          | None -> ()
-          | Some h ->
-            let ns path = Option.value ~default:0. (num path h) in
-            let count = match int_of "count" h with Some c -> c | None -> 0 in
-            if count > 0 then
-              Format.printf "  %-12s %10d %11.1fus %11.1fus %11.1fus@." name count
-                (ns "mean_ns" /. 1e3) (ns "p50_ns" /. 1e3) (ns "p99_ns" /. 1e3))
-        Server.Metrics.stages);
-    (match J.member "cache" doc with
-    | None -> ()
-    | Some c ->
-      let g path = match int_of path c with Some v -> v | None -> 0 in
-      Format.printf "@.label cache: %d/%d entries, %d hits, %d misses, %d evictions@."
-        (g "entries") (g "capacity") (g "hits") (g "misses") (g "evictions"));
-    (match J.member "store" doc with
-    | None -> ()
-    | Some st ->
-      let g path = match int_of path st with Some v -> v | None -> 0 in
-      Format.printf
-        "@.tiered store: %d resident, %d spilled, %d fresh principal(s)@."
-        (g "resident") (g "spilled") (g "fresh");
-      Format.printf
-        "  %d fault-in(s), %d spill write(s), %d eviction(s), %d spill byte(s)@."
-        (g "fault_ins") (g "spill_writes") (g "evictions") (g "spill_bytes"));
+    Format.printf "@.%a@." Server.Metrics.pp_stats doc;
     (match J.member "trace" doc with
     | None -> ()
     | Some tr ->

@@ -58,6 +58,8 @@ let tier_rank = function
   | Tier_matcher -> 3
   | Tier_fallback -> 4
 
+let tiers = [ Tier_query_memo; Tier_atom_memo; Tier_diagram; Tier_matcher; Tier_fallback ]
+
 let tier_name = function
   | Tier_query_memo -> "memo"
   | Tier_atom_memo -> "atom-memo"

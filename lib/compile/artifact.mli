@@ -27,6 +27,9 @@ type tier =
   | Tier_matcher
   | Tier_fallback
 
+val tiers : tier list
+(** Every tier, in escalation order. *)
+
 val tier_name : tier -> string
 (** ["memo"], ["atom-memo"], ["diagram"], ["matcher"], ["fallback"]. *)
 

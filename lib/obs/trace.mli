@@ -28,7 +28,7 @@
     writing and returns a racy-but-coherent snapshot — every slot it reads
     is a complete span (slots hold immutable records), but the set of spans
     is whatever the rings held at the instant each slot was read. Exact
-    results require quiescent workers, same as {!Server.cache_stats}. *)
+    results require quiescent workers. *)
 
 type span = {
   trace_id : int;  (** Shared by all spans of one query. *)

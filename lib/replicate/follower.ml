@@ -437,35 +437,13 @@ let service t ~shard =
   t.shards.(shard).service
 
 let store_stats t =
-  match t.resident with
-  | None -> None
-  | Some _ ->
-    Some
-      (Array.fold_left
-         (fun (acc : Store.stats) st ->
-           match st.store with
-           | None -> acc
-           | Some store ->
-             let s = Store.stats store in
-             {
-               Store.stat_resident = acc.Store.stat_resident + s.Store.stat_resident;
-               stat_spilled = acc.stat_spilled + s.Store.stat_spilled;
-               stat_fresh = acc.stat_fresh + s.Store.stat_fresh;
-               stat_fault_ins = acc.stat_fault_ins + s.Store.stat_fault_ins;
-               stat_spill_writes = acc.stat_spill_writes + s.Store.stat_spill_writes;
-               stat_evictions = acc.stat_evictions + s.Store.stat_evictions;
-               stat_spill_bytes = acc.stat_spill_bytes + s.Store.stat_spill_bytes;
-             })
-         {
-           Store.stat_resident = 0;
-           stat_spilled = 0;
-           stat_fresh = 0;
-           stat_fault_ins = 0;
-           stat_spill_writes = 0;
-           stat_evictions = 0;
-           stat_spill_bytes = 0;
-         }
-         t.shards)
+  Option.map
+    (fun _ ->
+      Store.sum
+        (List.filter_map
+           (fun st -> Option.map Store.stats st.store)
+           (Array.to_list t.shards)))
+    t.resident
 
 let stats_json t =
   locked t.mutex (fun () ->

@@ -17,8 +17,6 @@ type ('k, 'v) t = {
   table : ('k, ('k, 'v) node) Hashtbl.t;
   mutable head : ('k, 'v) node option;
   mutable tail : ('k, 'v) node option;
-  mutable hits : int;
-  mutable misses : int;
   mutable evictions : int;
   mutable promotions : int;
 }
@@ -30,8 +28,6 @@ let create ~capacity =
     table = Hashtbl.create (min capacity 1024);
     head = None;
     tail = None;
-    hits = 0;
-    misses = 0;
     evictions = 0;
     promotions = 0;
   }
@@ -66,16 +62,13 @@ let push_front t node =
 let find t key =
   match Hashtbl.find_opt t.table key with
   | Some node ->
-    t.hits <- t.hits + 1;
     if not (at_head t node) then begin
       t.promotions <- t.promotions + 1;
       unlink t node;
       push_front t node
     end;
     Some node.value
-  | None ->
-    t.misses <- t.misses + 1;
-    None
+  | None -> None
 
 let mem t key = Hashtbl.mem t.table key
 
@@ -104,10 +97,6 @@ let add t key value =
 let length t = Hashtbl.length t.table
 
 let capacity t = t.capacity
-
-let hits t = t.hits
-
-let misses t = t.misses
 
 let evictions t = t.evictions
 

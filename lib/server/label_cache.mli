@@ -1,10 +1,12 @@
-(** An LRU cache with hit/miss/eviction counters. O(1) find and add (hash
+(** An LRU cache with an eviction counter. O(1) find and add (hash
     table + intrusive recency list). Keys are any structural type —
     the shards key on hash-consed int query ids from the compiled
     artifact's interner; string keys remain supported.
 
     {b Not thread-safe.} The serving layer gives each shard its own cache;
-    only the shard's worker domain ever touches it, so no lock is needed. *)
+    only the shard's claim holder ever touches it, so no lock is needed.
+    Hits and misses are counted by the caller ({!Metrics}), which outlives
+    the caches a reload replaces. *)
 
 type ('k, 'v) t
 
@@ -12,10 +14,10 @@ val create : capacity:int -> ('k, 'v) t
 (** @raise Invalid_argument when [capacity < 1]. *)
 
 val find : ('k, 'v) t -> 'k -> 'v option
-(** Bumps the entry to most-recently-used on hit. Counts a hit or a miss. *)
+(** Bumps the entry to most-recently-used on hit. *)
 
 val mem : ('k, 'v) t -> 'k -> bool
-(** Does not affect recency or counters. *)
+(** Does not affect recency. *)
 
 val add : ('k, 'v) t -> 'k -> 'v -> unit
 (** Insert or replace, making the entry most-recently-used. At capacity, the
@@ -24,8 +26,6 @@ val add : ('k, 'v) t -> 'k -> 'v -> unit
 val length : ('k, 'v) t -> int
 val capacity : ('k, 'v) t -> int
 
-val hits : ('k, 'v) t -> int
-val misses : ('k, 'v) t -> int
 val evictions : ('k, 'v) t -> int
 
 val promotions : ('k, 'v) t -> int

@@ -1,8 +1,14 @@
-(** Lock-free serving-layer metrics: atomic event counters plus per-stage
-    latency histograms with power-of-two nanosecond buckets. All operations
-    are safe to call concurrently from any domain; reads ([count],
-    [histogram], [pp], [to_json]) are racy-but-coherent snapshots (each cell
-    is read atomically, the set of cells is not). *)
+(** Lock-free serving-layer metrics and the one registry every exporter
+    walks. Each exported number is declared once in [metrics.ml] — its
+    name, help text and, for a number the stats document also summarizes,
+    its place there — and {!to_json}, {!to_prometheus}, {!sections} and
+    {!pp_stats} are walks over those declarations: adding a counter, gauge
+    or histogram member is one constructor plus one declaration row, and no
+    exporter changes.
+
+    All operations are safe to call concurrently from any domain; reads are
+    racy-but-coherent snapshots (each cell is read atomically, the set of
+    cells is not). *)
 
 (** Pipeline stages timed by the serving layer. *)
 type stage =
@@ -60,10 +66,10 @@ type counter =
           because another caller held the claim (or the shard was not yet
           started). [0] in a closed loop with one caller per shard. *)
 
-(** Per-shard runtime gauges (newest sample wins, no accumulation), fed by
-    each shard's rounds from [Gc.quick_stat] — plus the journal
-    watermark gauges, refreshed per decision by the shard (and exactly at
-    every barrier and stats scrape), and the follower-side replication lag. *)
+(** Per-shard gauges: the newest sample wins, nothing accumulates. The
+    shard writes all of them in one sample on a cadence,
+    at barriers, checkpoints and reloads, and at every stats or Prometheus
+    scrape; a follower writes its journal and lag gauges itself. *)
 type gauge =
   | Gc_minor_collections
   | Gc_major_collections
@@ -72,42 +78,45 @@ type gauge =
   | Journal_offset  (** Committed bytes in the shard's active segment. *)
   | Journal_flushes
       (** Journal flushes issued by the shard's service: one per decision
-          without group commit, one per drained batch with it — the
-          fsync-amortization benchmarks divide this by decisions. *)
+          without group commit, one per drained batch with it. *)
   | Replication_lag
       (** On a follower: bytes of committed primary journal this node has
-          not yet applied (set by the replay loop). On a primary with a
-          replication source: the worst last-reported lag across known
-          followers (set as pulls are served). *)
+          not yet applied. On a primary with a replication source: the
+          worst last-reported lag across known followers. *)
+  | Cache_entries  (** Labels held by the shard's label cache. *)
+  | Cache_capacity  (** The label cache's capacity ([0] when disabled). *)
   | Compile_version
-      (** Version of the shard's live AOT-compiled labeling artifact; bumped
-          by every online policy reload. *)
+      (** Version of the shard's compiled labeling artifact; bumped by every
+          online policy reload. *)
+  | Compile_groups  (** Compiled (relation, arity) groups. *)
+  | Diagram_groups  (** Groups on the decision-diagram tier. *)
+  | Diagram_nodes  (** Decision-diagram nodes across the artifact. *)
   | Compile_fallbacks
-      (** Queries the compiled labeler escaped to the interpreter for
-          (outside the compiled fragment). [0] on the standard workload. *)
+      (** Queries the compiled labeler escaped to the interpreter for. *)
+  | Atom_hits  (** Per-atom memo hits of the live artifact. *)
+  | Atom_misses
+  | Query_hits  (** Whole-query memo hits of the live artifact. *)
+  | Query_misses
   | Intern_entries  (** Live entries in the shard's hash-consing table. *)
-  | Diagram_nodes
-      (** Total decision-diagram nodes in the shard's compiled artifact. *)
+  | Intern_capacity
+  | Intern_hits
+  | Intern_misses
+  | Intern_flushes
   | Resident_principals
-      (** Principals whose monitors are in the shard's resident table ([0]
-          without a tiered store: gauges report the store's view). *)
+      (** Principals whose monitors are resident (tiered store only). *)
   | Spilled_principals  (** Principals represented by a spill record on disk. *)
+  | Fresh_principals  (** Non-resident principals with pristine state. *)
   | Fault_ins  (** Successful fault-ins since the store was created. *)
+  | Spill_writes  (** Spill records written since the store was created. *)
+  | Store_evictions  (** Evictions (pristine drops + spills). *)
   | Spill_bytes  (** Current size of the shard's spill file. *)
 
-(** The labeler tier that decided a query, for per-tier decision counters
-    and latency histograms — {!Compile.Artifact.tier} plus the two
-    serving-layer outcomes the artifact never sees. Fed by the shard with
-    the whole submit latency (labeling + decision + journal), so tier
-    histograms show what each tier buys end to end. *)
+(** The labeler tier that decided a query: a label-cache hit, or the
+    compiled artifact's own deciding tier. Recorded with the whole submit
+    latency (labeling + decision + journal). *)
 type tier =
-  | Tier_cache  (** Label-cache hit: no labeling ran at all. *)
-  | Tier_query_memo  (** Whole-query memo hit in the compiled artifact. *)
-  | Tier_atom_memo  (** Every atom served by the per-group atom memo. *)
-  | Tier_diagram  (** At least one atom evaluated a decision diagram. *)
-  | Tier_matcher  (** At least one atom fell to the flat matcher scan. *)
-  | Tier_fallback  (** At least one atom escaped to the interpreted labeler. *)
-  | Tier_interpreter  (** No compiled artifact: the interpreted pipeline labeled. *)
+  | Cached
+  | Compiled of Compile.Artifact.tier
 
 (** Dimensionless batching-shape histograms (same power-of-two buckets,
     values instead of nanoseconds). *)
@@ -123,6 +132,8 @@ val create : ?shards:int -> unit -> t
 
 val shard_count : t -> int
 
+(** {1 The registry} *)
+
 val stages : stage list
 val counters : counter list
 val gauges : gauge list
@@ -134,6 +145,8 @@ val counter_name : counter -> string
 val gauge_name : gauge -> string
 val tier_name : tier -> string
 val size_name : size -> string
+
+(** {1 Recording} *)
 
 val incr : t -> counter -> unit
 val add : t -> counter -> int -> unit
@@ -148,8 +161,7 @@ val gauge_value : t -> shard:int -> gauge -> int
 
 val record : t -> stage -> float -> unit
 (** [record t stage seconds] adds one observation of [seconds] to the
-    stage's histogram. Negative samples are clamped to [0] — they cannot
-    underflow the bucket index. *)
+    stage's histogram. Negative samples are clamped to [0]. *)
 
 val time : t -> stage -> (unit -> 'a) -> 'a
 (** Runs the thunk and {!record}s its duration (monotonic clock, never
@@ -162,42 +174,51 @@ val record_size : t -> size -> int -> unit
 (** One batching-shape observation (a batch's decision count, a wakeup's
     frame count). Negative values are clamped to [0]. *)
 
+(** {1 Reading} *)
+
 type histogram = {
   count : int;
-  total_ns : int;
-  buckets : int array;  (** [buckets.(i)] counts observations in [[2{^i}, 2{^i+1}) ns]. *)
+  total_ns : int;  (** The sum of the values; dimensionless for {!size}. *)
+  buckets : int array;  (** [buckets.(i)] counts values in [[2{^i}, 2{^i+1})]. *)
 }
 
 val histogram : t -> stage -> histogram
-
 val tier_histogram : t -> tier -> histogram
-
 val size_histogram : t -> size -> histogram
-(** [total_ns] holds the dimensionless sum and [buckets.(i)] counts values
-    in [[2{^i}, 2{^i+1})] — the histogram shape is shared, the unit is not. *)
 
 val mean_ns : histogram -> float
 
 val percentile_ns : histogram -> float -> int
 (** [percentile_ns h 0.99] is an upper bound (the enclosing bucket's upper
-    edge) on the 99th-percentile latency in nanoseconds; [0] when empty. *)
+    edge) on the 99th percentile; [0] when empty. *)
 
-val pp : Format.formatter -> t -> unit
+(** {1 Exporters} *)
 
-val to_json : t -> string
-(** One JSON object: each counter by name, a ["stages"] object mapping
-    stage names to [{count, total_ns, mean_ns, p50_ns, p99_ns}], a
-    ["tiers"] object of per-tier [{count, total_ns, mean_ns, p99_ns}], a
-    ["sizes"] object of per-shape [{count, total, mean, p99}], and a
-    ["shards"] array of per-shard gauge objects. *)
+val to_json : t -> Obs.Json.t
+(** One object: each counter by name; a ["stages"] object of per-stage
+    [{count, total_ns, mean_ns, p50_ns, p99_ns}]; a ["tiers"] object of the
+    same per tier; a ["sizes"] object of per-shape [{count, total, mean,
+    p50, p99}]; and a ["shards"] array of per-shard gauge objects. *)
+
+val sections : t -> (string * Obs.Json.t) list
+(** The stats document's summary sections, [cache], [compile] and
+    [store], each an object of the numbers declared for it: counters by
+    value, per-shard gauges summed over shards (the artifact version takes
+    the maximum instead). *)
 
 val to_prometheus : t -> string
 (** Prometheus text exposition (format 0.0.4): every counter as
-    [disclosure_<name>_total], every stage histogram as a
-    [disclosure_stage_duration_seconds{stage="..."}] family member with
-    cumulative power-of-two buckets ([le] in seconds), [_sum], and
-    [_count], per-tier decisions as [disclosure_tier_decisions_total] and
-    latency as [disclosure_tier_duration_seconds{tier="..."}], the batching
-    shapes as [disclosure_group_commit_batch_size] /
-    [disclosure_pipeline_window_depth] value histograms, and every gauge as
+    [disclosure_<name>_total]; the stage and tier histograms as the
+    [disclosure_stage_duration_seconds{stage=...}] and
+    [disclosure_tier_duration_seconds{tier=...}] families (cumulative
+    power-of-two buckets, [le] in seconds), tier decision counts as
+    [disclosure_tier_decisions_total{tier=...}]; each batching shape as its
+    own [disclosure_<name>] histogram; every gauge as
     [disclosure_shard_<name>{shard="i"}]. *)
+
+val pp_stats : Format.formatter -> Obs.Json.t -> unit
+(** The human-readable report of a stats document ([Server.stats_json]) or
+    of a bare {!to_json} document: every counter, every histogram member
+    (count, mean, p50, p99), every section and every per-shard gauge, each
+    found by its declared name. Numbers missing from the document are
+    skipped. *)

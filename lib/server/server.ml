@@ -299,20 +299,6 @@ let snapshot t =
       (principal, List.assoc principal (Service.snapshot (owning_service t principal))))
     (principals t)
 
-let cache_stats t =
-  Array.fold_left
-    (fun (acc : Shard.cache_stats) shard ->
-      let s = Shard.cache_stats shard in
-      {
-        Shard.hits = acc.hits + s.hits;
-        misses = acc.misses + s.misses;
-        evictions = acc.evictions + s.evictions;
-        entries = acc.entries + s.entries;
-        capacity = acc.capacity + s.capacity;
-      })
-    { Shard.hits = 0; misses = 0; evictions = 0; entries = 0; capacity = 0 }
-    t.shards
-
 (* Aggregated compiled-labeler statistics: counters sum across shards,
    the version is the maximum (shards reload in lockstep, so a mixed
    version is only ever visible mid-reload). Counter reads are racy word
@@ -359,34 +345,9 @@ let compile_stats t =
    not configured with a resident budget. Plain-int reads of claim-holder
    counters — same racy-read contract as the gauges. *)
 let store_stats t =
-  match t.config.resident with
-  | None -> None
-  | Some _ ->
-    Some
-      (Array.fold_left
-         (fun (acc : Store.stats) shard ->
-           match Shard.store_stats shard with
-           | None -> acc
-           | Some s ->
-             {
-               Store.stat_resident = acc.Store.stat_resident + s.Store.stat_resident;
-               stat_spilled = acc.stat_spilled + s.Store.stat_spilled;
-               stat_fresh = acc.stat_fresh + s.Store.stat_fresh;
-               stat_fault_ins = acc.stat_fault_ins + s.Store.stat_fault_ins;
-               stat_spill_writes = acc.stat_spill_writes + s.Store.stat_spill_writes;
-               stat_evictions = acc.stat_evictions + s.Store.stat_evictions;
-               stat_spill_bytes = acc.stat_spill_bytes + s.Store.stat_spill_bytes;
-             })
-         {
-           Store.stat_resident = 0;
-           stat_spilled = 0;
-           stat_fresh = 0;
-           stat_fault_ins = 0;
-           stat_spill_writes = 0;
-           stat_evictions = 0;
-           stat_spill_bytes = 0;
-         }
-         t.shards)
+  Option.map
+    (fun _ -> Store.sum (List.filter_map Shard.store_stats (Array.to_list t.shards)))
+    t.config.resident
 
 (* Per-shard journal watermarks, readable from any domain (racy word
    reads — see Service.journal_position). [None] for journal-less shards
@@ -402,91 +363,62 @@ let journal_position t ~shard =
     invalid_arg "Server.journal_position: shard out of range";
   Shard.journal_position t.shards.(shard)
 
-(* Rounds refresh these gauges per decision; a scrape-time refresh makes
-   them exact even on an idle server, so replication lag is computable
-   from one scrape of each node. *)
-let refresh_journal_gauges t =
-  Array.iter
-    (fun shard ->
-      match Shard.journal_position shard with
-      | None -> ()
-      | Some (seq, bytes) ->
-        Metrics.set_gauge t.metrics ~shard:(Shard.index shard) Metrics.Journal_segment seq;
-        Metrics.set_gauge t.metrics ~shard:(Shard.index shard) Metrics.Journal_offset bytes)
-    t.shards
+(* Scrapes resample every shard first, so one scrape is exact even on an
+   idle server (replication lag is primary offset minus follower offset,
+   each from one scrape). *)
+let sample t = Array.iter Shard.sample t.shards
 
 let prometheus t =
-  refresh_journal_gauges t;
+  sample t;
   Metrics.to_prometheus t.metrics
 
 (* One self-describing stats document: uptime and start timestamp ride
    along with the counters so a single scrape is rate-computable
-   (queries/s = submitted / uptime_s) without scraping twice. Embeds
-   Metrics.to_json verbatim — both sides are the same hand-rolled compact
-   JSON, and the obs test suite parses the whole document to keep it
-   honest. *)
+   (queries/s = submitted / uptime_s) without scraping twice. The summary
+   sections and the embedded metrics document are walks over the metric
+   registry; the [store] section is left out without a tiered store. *)
 let stats_json t =
-  refresh_journal_gauges t;
-  let cache = cache_stats t in
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"started_at\": %.3f, \"uptime_s\": %.3f, \"shards\": %d, \"principals\": %d, "
-       t.started_at (uptime_s t) (shard_count t)
-       (Hashtbl.length (Atomic.get t.assignment)));
-  Buffer.add_string b "\"journal\": [";
-  Array.iteri
-    (fun i shard ->
-      if i > 0 then Buffer.add_string b ", ";
-      match Shard.journal_position shard with
-      | None -> Buffer.add_string b "null"
-      | Some (seq, bytes) ->
-        Buffer.add_string b
-          (Printf.sprintf "{\"segment\": %d, \"offset\": %d}" seq bytes))
-    t.shards;
-  Buffer.add_string b "], ";
-  (match t.trace with
-  | None -> ()
-  | Some tr ->
-    Buffer.add_string b
-      (Printf.sprintf
-         "\"trace\": {\"sample\": %d, \"slow_ns\": %d, \"retained\": %d, \"dropped\": %d}, "
-         (Obs.Trace.sample_rate tr) (Obs.Trace.slow_ns tr) (Obs.Trace.retained tr)
-         (Obs.Trace.dropped tr)));
-  Buffer.add_string b
-    (Printf.sprintf
-       "\"cache\": {\"hits\": %d, \"misses\": %d, \"evictions\": %d, \"entries\": %d, \
-        \"capacity\": %d}, "
-       cache.Shard.hits cache.Shard.misses cache.Shard.evictions cache.Shard.entries
-       cache.Shard.capacity);
-  (match store_stats t with
-  | None -> ()
-  | Some s ->
-    Buffer.add_string b
-      (Printf.sprintf
-         "\"store\": {\"resident\": %d, \"spilled\": %d, \"fresh\": %d, \
-          \"fault_ins\": %d, \"spill_writes\": %d, \"evictions\": %d, \
-          \"spill_bytes\": %d}, "
-         s.Store.stat_resident s.Store.stat_spilled s.Store.stat_fresh
-         s.Store.stat_fault_ins s.Store.stat_spill_writes s.Store.stat_evictions
-         s.Store.stat_spill_bytes));
-  let cs = compile_stats t in
-  Buffer.add_string b
-    (Printf.sprintf
-       "\"compile\": {\"version\": %d, \"groups\": %d, \"diagram_groups\": %d, \
-        \"diagram_nodes\": %d, \"fallbacks\": %d, \"atom_hits\": %d, \"atom_misses\": \
-        %d, \"query_hits\": %d, \"query_misses\": %d, \"intern_entries\": %d, \
-        \"intern_capacity\": %d, \"intern_hits\": %d, \"intern_misses\": %d, \
-        \"intern_flushes\": %d}, "
-       cs.Compile.Artifact.version cs.Compile.Artifact.groups
-       cs.Compile.Artifact.diagram_groups cs.Compile.Artifact.diagram_nodes
-       cs.Compile.Artifact.fallbacks cs.Compile.Artifact.atom_hits
-       cs.Compile.Artifact.atom_misses cs.Compile.Artifact.query_hits
-       cs.Compile.Artifact.query_misses cs.Compile.Artifact.intern_entries
-       cs.Compile.Artifact.intern_capacity cs.Compile.Artifact.intern_hits
-       cs.Compile.Artifact.intern_misses cs.Compile.Artifact.intern_flushes);
-  Buffer.add_string b (Printf.sprintf "\"metrics\": %s}" (Metrics.to_json t.metrics));
-  Buffer.contents b
+  sample t;
+  let num i = Obs.Json.Num (float_of_int i) in
+  let journal =
+    Array.to_list
+      (Array.map
+         (fun shard ->
+           match Shard.journal_position shard with
+           | None -> Obs.Json.Null
+           | Some (seq, bytes) -> Obs.Json.Obj [ ("segment", num seq); ("offset", num bytes) ])
+         t.shards)
+  in
+  let trace =
+    match t.trace with
+    | None -> []
+    | Some tr ->
+      [
+        ( "trace",
+          Obs.Json.Obj
+            [
+              ("sample", num (Obs.Trace.sample_rate tr));
+              ("slow_ns", num (Obs.Trace.slow_ns tr));
+              ("retained", num (Obs.Trace.retained tr));
+              ("dropped", num (Obs.Trace.dropped tr));
+            ] );
+      ]
+  in
+  let sections =
+    List.filter
+      (fun (name, _) -> name <> "store" || t.config.resident <> None)
+      (Metrics.sections t.metrics)
+  in
+  Obs.Json.Obj
+    ([
+       ("started_at", Obs.Json.Num t.started_at);
+       ("uptime_s", Obs.Json.Num (uptime_s t));
+       ("shards", num (shard_count t));
+       ("principals", num (Hashtbl.length (Atomic.get t.assignment)));
+       ("journal", Obs.Json.List journal);
+     ]
+    @ trace @ sections
+    @ [ ("metrics", Metrics.to_json t.metrics) ])
 
 (* --- checkpointing ------------------------------------------------------ *)
 

@@ -204,9 +204,6 @@ val is_running : t -> bool
     is atomic) — the networked front-end uses it to gate submissions during
     shutdown. *)
 
-val cache_stats : t -> Shard.cache_stats
-(** Summed over shards. *)
-
 val compile_stats : t -> Compile.Artifact.stats
 (** Compiled-labeler statistics summed over shards (the [version] field is
     the maximum — shards reload in lockstep, so versions only diverge for
@@ -245,24 +242,22 @@ val flush_counts : t -> int array
     quiescent or drained server. *)
 
 val prometheus : t -> string
-(** {!Metrics.to_prometheus} after refreshing the per-shard journal
-    watermark gauges, so a single scrape carries the exact committed
+(** {!Metrics.to_prometheus} after resampling every shard's gauges
+    ({!Shard.sample}), so a single scrape carries the exact committed
     offsets (replication lag = primary offset − follower offset, no second
     scrape). *)
 
-val stats_json : t -> string
-(** One JSON object with everything a dashboard needs from a single scrape:
-    [started_at] (epoch seconds), [uptime_s], [shards], [principals], a
-    [journal] array of per-shard [{segment, offset}] committed watermarks
-    ([null] for journal-less shards), [cache] totals, a [store] object of
-    tiered-store totals when [config.resident] is set (resident / spilled /
-    fresh principals, fault-ins, spill writes, evictions, spill bytes),
-    [compile] totals
-    (artifact version, fallback count, memo and interner statistics,
-    diagram size — see {!compile_stats}), the full {!Metrics.to_json}
-    document under [metrics], and — when tracing — a [trace] object with
-    the sampling configuration and retained/dropped scope counts. Rates are single-scrape computable:
-    [submitted / uptime_s]. *)
+val stats_json : t -> Obs.Json.t
+(** One JSON object with everything a dashboard needs from a single scrape,
+    after the same resample as {!prometheus}: [started_at] (epoch seconds),
+    [uptime_s], [shards], [principals], a [journal] array of per-shard
+    [{segment, offset}] committed watermarks ([null] for journal-less
+    shards), the registry's summary sections ({!Metrics.sections}: [cache],
+    [compile], and [store] when [config.resident] is set), the full
+    {!Metrics.to_json} document under [metrics], and — when tracing — a
+    [trace] object with the sampling configuration and retained/dropped
+    scope counts. Rates are single-scrape computable:
+    [submitted / uptime_s]. Render it with {!Metrics.pp_stats}. *)
 
 (** {1 Checkpointing and recovery} *)
 

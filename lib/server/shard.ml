@@ -43,11 +43,11 @@ type msg =
       reply : (unit, string) result Ivar.t;
     }
 
-(* How many decisions between Gc.quick_stat samples. quick_stat is cheap
-   but not free; once per 64 queries keeps the gauges seconds-fresh under
-   load for well under 1% overhead, and every barrier resamples so
-   quiescent reads are exact. *)
-let gc_sample_period = 64
+(* How many decisions between gauge samples. A sample is cheap but not
+   free; once per 64 queries keeps the gauges seconds-fresh under load for
+   well under 1% overhead, and barriers and scrapes resample so quiescent
+   reads are exact. *)
+let sample_period = 64
 
 (* Who gets told the decision: a plain ticket, or an explain ticket that also
    receives the captured provenance. The principal rides along so a
@@ -226,42 +226,56 @@ let timed t stage f =
 let note t k v =
   match !(t.scope) with Some sc -> Obs.Trace.annotate sc k v | None -> ()
 
-let sample_gc t =
-  let s = Gc.quick_stat () in
-  Metrics.set_gauge t.metrics ~shard:t.index Metrics.Gc_minor_collections
-    s.Gc.minor_collections;
-  Metrics.set_gauge t.metrics ~shard:t.index Metrics.Gc_major_collections
-    s.Gc.major_collections;
-  Metrics.set_gauge t.metrics ~shard:t.index Metrics.Gc_promoted_words
-    (int_of_float s.Gc.promoted_words)
-
-(* The journal watermark gauges: two atomic stores per decision, so the
-   committed frontier is always one scrape away (replication lag is
-   primary offset minus follower offset, no second scrape needed). *)
-let sample_journal t =
-  Metrics.set_gauge t.metrics ~shard:t.index Metrics.Journal_flushes
-    (Service.flush_count t.service);
-  match Service.journal_position t.service with
-  | None -> ()
-  | Some (seq, bytes) ->
-    Metrics.set_gauge t.metrics ~shard:t.index Metrics.Journal_segment seq;
-    Metrics.set_gauge t.metrics ~shard:t.index Metrics.Journal_offset bytes
-
 let flush_count t = Service.flush_count t.service
 
-(* Tiered-store gauges, refreshed wherever the other gauges are — plain int
-   reads of the store's counters. *)
-let sample_store t =
+(* Every per-shard gauge, written in one pass: on the decision cadence, at
+   barriers, checkpoints and reloads, and at every stats or Prometheus
+   scrape (so a scrape is exact even on an idle server). Off the claim the
+   artifact, cache and store reads are racy word reads, exact on a
+   quiescent or drained shard. *)
+let sample t =
+  let set = Metrics.set_gauge t.metrics ~shard:t.index in
+  let gc = Gc.quick_stat () in
+  set Metrics.Gc_minor_collections gc.Gc.minor_collections;
+  set Metrics.Gc_major_collections gc.Gc.major_collections;
+  set Metrics.Gc_promoted_words (int_of_float gc.Gc.promoted_words);
+  set Metrics.Journal_flushes (Service.flush_count t.service);
+  (match Service.journal_position t.service with
+  | None -> ()
+  | Some (seq, bytes) ->
+    set Metrics.Journal_segment seq;
+    set Metrics.Journal_offset bytes);
+  (match t.cache with
+  | None -> ()
+  | Some c ->
+    set Metrics.Cache_entries (Label_cache.length c);
+    set Metrics.Cache_capacity (Label_cache.capacity c));
+  let c = Artifact.stats t.artifact in
+  set Metrics.Compile_version c.Artifact.version;
+  set Metrics.Compile_groups c.Artifact.groups;
+  set Metrics.Diagram_groups c.Artifact.diagram_groups;
+  set Metrics.Diagram_nodes c.Artifact.diagram_nodes;
+  set Metrics.Compile_fallbacks c.Artifact.fallbacks;
+  set Metrics.Atom_hits c.Artifact.atom_hits;
+  set Metrics.Atom_misses c.Artifact.atom_misses;
+  set Metrics.Query_hits c.Artifact.query_hits;
+  set Metrics.Query_misses c.Artifact.query_misses;
+  set Metrics.Intern_entries c.Artifact.intern_entries;
+  set Metrics.Intern_capacity c.Artifact.intern_capacity;
+  set Metrics.Intern_hits c.Artifact.intern_hits;
+  set Metrics.Intern_misses c.Artifact.intern_misses;
+  set Metrics.Intern_flushes c.Artifact.intern_flushes;
   match t.store with
   | None -> ()
   | Some store ->
     let s = Store.stats store in
-    Metrics.set_gauge t.metrics ~shard:t.index Metrics.Resident_principals
-      s.Store.stat_resident;
-    Metrics.set_gauge t.metrics ~shard:t.index Metrics.Spilled_principals
-      s.Store.stat_spilled;
-    Metrics.set_gauge t.metrics ~shard:t.index Metrics.Fault_ins s.Store.stat_fault_ins;
-    Metrics.set_gauge t.metrics ~shard:t.index Metrics.Spill_bytes s.Store.stat_spill_bytes
+    set Metrics.Resident_principals s.Store.stat_resident;
+    set Metrics.Spilled_principals s.Store.stat_spilled;
+    set Metrics.Fresh_principals s.Store.stat_fresh;
+    set Metrics.Fault_ins s.Store.stat_fault_ins;
+    set Metrics.Spill_writes s.Store.stat_spill_writes;
+    set Metrics.Store_evictions s.Store.stat_evictions;
+    set Metrics.Spill_bytes s.Store.stat_spill_bytes
 
 (* Eviction runs at decision/batch boundaries, under the claim;
    [Store.enforce] is itself a no-op while a group-commit batch is open
@@ -272,17 +286,6 @@ let enforce_store t = match t.store with Some s -> Store.enforce s | None -> ()
    accumulate as spilled principals fault back in, and a checkpoint is the
    natural quiescent point to drop them. *)
 let compact_store t = match t.store with Some s -> Store.compact s | None -> ()
-
-(* Compiled-labeler gauges, refreshed on the gc cadence, at barriers, and
-   after every reload — four plain int stores. *)
-let sample_compile t =
-  let s = Artifact.stats t.artifact in
-  Metrics.set_gauge t.metrics ~shard:t.index Metrics.Compile_version s.Artifact.version;
-  Metrics.set_gauge t.metrics ~shard:t.index Metrics.Compile_fallbacks
-    s.Artifact.fallbacks;
-  Metrics.set_gauge t.metrics ~shard:t.index Metrics.Intern_entries
-    s.Artifact.intern_entries;
-  Metrics.set_gauge t.metrics ~shard:t.index Metrics.Diagram_nodes s.Artifact.diagram_nodes
 
 (* --- query handling --------------------------------------------------- *)
 
@@ -407,35 +410,23 @@ let outcome_of = function
   | Monitor.Answered -> "answered"
   | Monitor.Refused reason -> "refused:" ^ Guard.refusal_to_tag reason
 
-(* Which serving tier decided the query just handled, in the metrics enum
-   (which extends the artifact's escalation ladder with [Tier_cache] for
-   label-cache hits and [Tier_interpreter] for artifact-less services). [None]
-   when the query refused before cache or labeler were consulted (admission,
-   overload) — there is no tier to charge. Valid only immediately after
-   [handle]: [Artifact.label] resets its escalation at entry, so [last_tier]
-   describes exactly the query that just ran it. *)
-let metrics_tier t =
+(* Which tier decided the query just handled: a label-cache hit, or the
+   artifact's own deciding tier. [None] when the query refused before cache
+   or labeler were consulted (admission, overload) — there is no tier to
+   charge. Valid only immediately after [handle]: [Artifact.label] resets
+   its escalation at entry, so [last_tier] describes exactly the query that
+   just ran it. *)
+let tier t =
   match t.last_cache with
-  | "exact" -> Some Metrics.Tier_cache
-  | "off" | "miss" ->
-    Some
-      (match Artifact.last_tier t.artifact with
-      | Artifact.Tier_query_memo -> Metrics.Tier_query_memo
-      | Artifact.Tier_atom_memo -> Metrics.Tier_atom_memo
-      | Artifact.Tier_diagram -> Metrics.Tier_diagram
-      | Artifact.Tier_matcher -> Metrics.Tier_matcher
-      | Artifact.Tier_fallback -> Metrics.Tier_fallback)
+  | "exact" -> Some Metrics.Cached
+  | "off" | "miss" -> Some (Metrics.Compiled (Artifact.last_tier t.artifact))
   | _ -> None
 
 (* The service captures everything it can see; the shard owns the two facts
    the service cannot know — which compiled tier labeled the query and which
    cache level served it — and stitches them into the explanation here. *)
 let stitch_explain t e =
-  let tier =
-    match metrics_tier t with
-    | Some mt -> Metrics.tier_name mt
-    | None -> e.Explain.tier
-  in
+  let tier = match tier t with Some mt -> Metrics.tier_name mt | None -> e.Explain.tier in
   { e with Explain.tier; cache_level = t.last_cache }
 
 (* Fill a ticket and bump the outcome counters — the one place clients are
@@ -550,20 +541,18 @@ let reload t ~pipeline ~principals =
         (fun c -> Label_cache.create ~capacity:(Label_cache.capacity c))
         t.cache;
     t.decided <- 0;
-    sample_journal t;
-    sample_compile t;
-    sample_store t;
-    match t.journal with
+    (match t.journal with
     | None -> ()
     | Some _ -> (
       match Service.checkpoint t.service with
-      | Ok () -> sample_journal t
+      | Ok () -> ()
       | Error msg ->
         Log.warn (fun m ->
             m
               "shard %d: post-reload checkpoint failed (recovery fails closed on the \
                pre-reload history until the next checkpoint): %s"
-              t.index msg))
+              t.index msg)));
+    sample t
   with
   | () -> Ok ()
   | exception e -> Error ("reload failed: " ^ Printexc.to_string e)
@@ -573,16 +562,12 @@ let rec process t msg =
   | Barrier iv ->
     (* Barriers are the quiescence points: resample so gauge reads right
        after a drain are exact, not up to a period stale. *)
-    sample_gc t;
-    sample_journal t;
-    sample_compile t;
-    sample_store t;
+    sample t;
     Ivar.fill iv ()
   | Checkpoint iv ->
     let r = checkpoint t in
     (match r with Ok () -> compact_store t | Error _ -> ());
-    sample_journal t;
-    sample_store t;
+    sample t;
     Ivar.fill iv r
   | Reload { pipeline; principals; reply } ->
     Ivar.fill reply (reload t ~pipeline ~principals)
@@ -634,9 +619,8 @@ and serve t ~principal ~query ~enqueued_ns ~ctx ~explain pending =
       (try Service.refuse t.service ~principal reason
        with _ -> Monitor.Refused reason)
   in
-  (match metrics_tier t with
-  | Some tier ->
-    Metrics.record_tier t.metrics tier (Disclosure.Mclock.elapsed_s ~since:t0)
+  (match tier t with
+  | Some tier -> Metrics.record_tier t.metrics tier (Disclosure.Mclock.elapsed_s ~since:t0)
   | None -> ());
   let explanation =
     if explain then Option.map (stitch_explain t) (Service.capture_take t.service)
@@ -657,13 +641,8 @@ and serve t ~principal ~query ~enqueued_ns ~ctx ~explain pending =
     t.deferred <- (pending, decision, explanation) :: t.deferred
   else settle t pending decision explanation;
   t.processed <- t.processed + 1;
-  if t.processed mod gc_sample_period = 0 then begin
-    sample_gc t;
-    sample_compile t;
-    sample_store t
-  end;
-  maybe_auto_checkpoint t;
-  sample_journal t
+  if t.processed mod sample_period = 0 then sample t;
+  maybe_auto_checkpoint t
 
 (* End the open group-commit batch and settle every deferred ticket. On a
    successful flush each ticket gets its decision; on a batch abort every
@@ -711,7 +690,6 @@ let flush_group t =
       deferred;
     (* The batch is closed: this is the eviction point under group commit. *)
     enforce_store t;
-    sample_journal t;
     checkpoint_if_due t
   end
 
@@ -776,16 +754,6 @@ let abandon t =
     (List.iter (fail_closed t ~stage:"admit" "server stopped before start"));
   Mailbox.finish t.mailbox
 
-(* --- cache statistics -------------------------------------------------- *)
-
-type cache_stats = {
-  hits : int;
-  misses : int;
-  evictions : int;
-  entries : int;
-  capacity : int;
-}
-
 let artifact t = t.artifact
 
 let compile_stats t = Artifact.stats t.artifact
@@ -802,15 +770,3 @@ let close_store t =
   | Some s ->
     Store.close s;
     t.store <- None
-
-let cache_stats t =
-  match t.cache with
-  | None -> { hits = 0; misses = 0; evictions = 0; entries = 0; capacity = 0 }
-  | Some c ->
-    {
-      hits = Label_cache.hits c;
-      misses = Label_cache.misses c;
-      evictions = Label_cache.evictions c;
-      entries = Label_cache.length c;
-      capacity = Label_cache.capacity c;
-    }

@@ -110,8 +110,8 @@ val create :
     span), every timed stage lands inside it, and the scope closes with the
     decision as its [outcome] attribute — subject to the recorder's
     head/tail sampling. Checkpoints trace as forced ["maintenance"] scopes.
-    The shard also feeds [metrics]' per-shard Gc gauges, resampled every
-    few dozen queries and at every barrier.
+    The shard also writes all of [metrics]' per-shard gauges ({!sample})
+    every few dozen queries and at every barrier, checkpoint and reload.
     @raise Invalid_argument on a negative [checkpoint_every] or a [drain]
     below 1. *)
 
@@ -136,6 +136,12 @@ val journal_position : t -> (int * int) option
 (** {!Disclosure.Service.journal_position} of the live service: the
     [(active_segment, committed_bytes)] watermark. Safe from any domain
     (racy word reads); briefly [None] while a reload swaps services. *)
+
+val sample : t -> unit
+(** Write every per-shard gauge of the shard's metrics from its live state
+    (Gc, journal, label cache, compiled artifact, tiered store). Safe from
+    any domain: off the claim the reads are racy word reads, exact on a
+    quiescent or drained shard. *)
 
 val flush_count : t -> int
 (** {!Disclosure.Service.flush_count} of the live service (also exported as
@@ -199,25 +205,13 @@ val compile_stats : t -> Compile.Artifact.stats
     memo hit rates, interner occupancy, diagram size. Same quiescence
     caveat as {!artifact}. *)
 
-type cache_stats = {
-  hits : int;
-  misses : int;
-  evictions : int;
-  entries : int;
-  capacity : int;
-}
-
-val cache_stats : t -> cache_stats
-(** All zero when the cache is disabled. Exact only while the shard is
-    quiescent (before {!start}, after {!stop}, or after a barrier). *)
-
 val store : t -> Store.t option
 (** The shard's tiered principal store, when created with [?resident].
     Same quiescence caveat as {!artifact}. *)
 
 val store_stats : t -> Store.stats option
 (** {!Store.stats} of the shard's store; [None] without one. Same
-    quiescence caveat as {!cache_stats}. *)
+    quiescence caveat as {!artifact}. *)
 
 val close_store : t -> unit
 (** Close the tiered store (uninstall its tier hooks, close the spill

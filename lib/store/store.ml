@@ -435,6 +435,28 @@ let stats t =
     stat_spill_bytes = t.spill_bytes;
   }
 
+let sum =
+  List.fold_left
+    (fun a s ->
+      {
+        stat_resident = a.stat_resident + s.stat_resident;
+        stat_spilled = a.stat_spilled + s.stat_spilled;
+        stat_fresh = a.stat_fresh + s.stat_fresh;
+        stat_fault_ins = a.stat_fault_ins + s.stat_fault_ins;
+        stat_spill_writes = a.stat_spill_writes + s.stat_spill_writes;
+        stat_evictions = a.stat_evictions + s.stat_evictions;
+        stat_spill_bytes = a.stat_spill_bytes + s.stat_spill_bytes;
+      })
+    {
+      stat_resident = 0;
+      stat_spilled = 0;
+      stat_fresh = 0;
+      stat_fault_ins = 0;
+      stat_spill_writes = 0;
+      stat_evictions = 0;
+      stat_spill_bytes = 0;
+    }
+
 (* Rewrite the spill file with only the records entries still point at.
    Offsets move, so every surviving entry is repointed; a failure leaves the
    old file (and old offsets) fully intact. Called by the shard after a

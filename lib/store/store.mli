@@ -109,6 +109,9 @@ type stats = {
 
 val stats : t -> stats
 
+val sum : stats list -> stats
+(** Field-by-field totals, e.g. over the shards of a server. *)
+
 val close : t -> unit
 (** Uninstall the tier hooks (the service reverts to always-resident for
     whatever is still resident) and close the spill channels. Idempotent. *)

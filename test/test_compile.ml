@@ -445,7 +445,7 @@ let test_reload_recompiles () =
   check_bool "fresh artifact started from empty memos" true
     (s1.Artifact.query_misses >= 1 && s1.Artifact.query_hits = 0);
   (* stats_json surfaces the compile block for operators. *)
-  let stats = Server.stats_json server in
+  let stats = Obs.Json.to_string (Server.stats_json server) in
   let contains hay needle =
     let nh = String.length hay and nn = String.length needle in
     let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in

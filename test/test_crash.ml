@@ -13,6 +13,8 @@
    - the checkpoint file is written atomically, so ANY damage to it (every
      truncation, every byte flip) is a typed [`Corrupt_checkpoint] refusal. *)
 
+open Support
+
 module Service = Disclosure.Service
 module Monitor = Disclosure.Monitor
 module Pipeline = Disclosure.Pipeline
@@ -70,8 +72,6 @@ let run_history ?(after = fun _ _ -> ()) service =
       after (i + 1) service)
     history;
   states
-
-let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let write_file path s =
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)

@@ -14,6 +14,8 @@
    Its own executable: it arms the global fault hooks, spawns worker
    domains, binds sockets, and runs a replication pull. *)
 
+open Support
+
 module Service = Disclosure.Service
 module Monitor = Disclosure.Monitor
 module Pipeline = Disclosure.Pipeline
@@ -108,20 +110,6 @@ let make_server ?limits ?journal ?trace ?(domains = domains)
   register_all server;
   server
 
-let with_tmp_base f =
-  let base = Filename.temp_file "disclosure-explain" ".journal" in
-  Fun.protect
-    ~finally:(fun () ->
-      Journal.remove_family base;
-      for i = 0 to 3 do
-        Journal.remove_family (Server.shard_journal base i)
-      done)
-    (fun () -> f base)
-
-let read_file path =
-  if not (Sys.file_exists path) then ""
-  else In_channel.with_open_bin path In_channel.input_all
-
 let with_socket f =
   let path = Filename.temp_file "disclosure-explain" ".sock" in
   Fun.protect
@@ -150,7 +138,7 @@ let run_differential ~group_commit () =
     Server.drain server;
     (* Journal bytes before the checkpoint compacts them away... *)
     let journals =
-      List.init domains (fun i -> read_file (Printf.sprintf "%s.shard%d" base i))
+      List.init domains (fun i -> read_opt (Printf.sprintf "%s.shard%d" base i))
     in
     (match Server.checkpoint server with
     | Ok () -> ()
@@ -159,7 +147,7 @@ let run_differential ~group_commit () =
     (* ... and the checkpoint bytes after. *)
     let files =
       List.map2
-        (fun i j -> (j, read_file (Printf.sprintf "%s.shard%d.ckpt" base i)))
+        (fun i j -> (j, read_opt (Printf.sprintf "%s.shard%d.ckpt" base i)))
         (List.init domains Fun.id) journals
     in
     (decisions, files)

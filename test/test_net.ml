@@ -12,6 +12,8 @@
    - overload over the wire is the same fail-closed [Refused Overload] it
      is in-process, with monitor and journal untouched by the shed query. *)
 
+open Support
+
 module Monitor = Disclosure.Monitor
 module Guard = Disclosure.Guard
 module Pipeline = Disclosure.Pipeline
@@ -73,20 +75,6 @@ let with_socket f =
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () -> f (Net.Addr.Unix_socket path))
-
-let with_tmp_base f =
-  let base = Filename.temp_file "disclosure-net" ".journal" in
-  Fun.protect
-    ~finally:(fun () ->
-      Journal.remove_family base;
-      for i = 0 to domains - 1 do
-        Journal.remove_family (Server.shard_journal base i)
-      done)
-    (fun () -> f base)
-
-let read_file path =
-  if not (Sys.file_exists path) then ""
-  else In_channel.with_open_bin path In_channel.input_all
 
 (* --- frame codec: pure torture ----------------------------------------- *)
 
@@ -317,7 +305,7 @@ let test_e2e_bit_identical_journal () =
                 check_bool
                   (Printf.sprintf "shard %d journal bytes identical" i)
                   true
-                  (String.equal (read_file (base_wire ^ seg)) (read_file (base_proc ^ seg)))
+                  (String.equal (read_opt (base_wire ^ seg)) (read_opt (base_proc ^ seg)))
               done)))
 
 (* The pipelined client against a group-commit server: the whole history
@@ -364,7 +352,7 @@ let test_pipelined_e2e_bit_identical () =
                 check_bool
                   (Printf.sprintf "shard %d journal bytes identical" i)
                   true
-                  (String.equal (read_file (base_pipe ^ seg)) (read_file (base_proc ^ seg)))
+                  (String.equal (read_opt (base_pipe ^ seg)) (read_opt (base_proc ^ seg)))
               done;
               check_bool "group commit flushed at most once per decision" true
                 (flushes <= List.length history))))
@@ -640,7 +628,7 @@ let test_malformed_torture_over_wire () =
           Server.stop server;
           for i = 0 to domains - 1 do
             check_bool "nothing journaled" true
-              (String.equal "" (read_file (Printf.sprintf "%s.shard%d" base i)))
+              (String.equal "" (read_opt (Printf.sprintf "%s.shard%d" base i)))
           done))
 
 (* --- overload over the wire --------------------------------------------- *)
@@ -697,7 +685,7 @@ let test_overload_over_wire_bit_identical () =
               for i = 0 to domains - 1 do
                 let seg = Printf.sprintf ".shard%d" i in
                 check_bool "journal bytes bit-identical (shed never journaled)" true
-                  (String.equal (read_file (base_wire ^ seg)) (read_file (base_proc ^ seg)))
+                  (String.equal (read_opt (base_wire ^ seg)) (read_opt (base_proc ^ seg)))
               done)))
 
 (* Concurrent hammer: several client domains against tiny mailboxes. Every
@@ -863,7 +851,7 @@ let test_net_fault_matrix () =
           Server.start server;
           let listener = Net.Listener.create ~server addr in
           let journal_bytes () =
-            List.init domains (fun i -> read_file (Printf.sprintf "%s.shard%d" base i))
+            List.init domains (fun i -> read_opt (Printf.sprintf "%s.shard%d" base i))
           in
           List.iter
             (fun stage ->

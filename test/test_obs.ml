@@ -110,7 +110,7 @@ let test_metrics_json_round_trip () =
   run_workload server;
   Server.stop server;
   let m = Server.metrics server in
-  let doc = parse_ok "Metrics.to_json" (Metrics.to_json m) in
+  let doc = parse_ok "Metrics.to_json" (Json.to_string (Metrics.to_json m)) in
   List.iter
     (fun c ->
       let name = Metrics.counter_name c in
@@ -139,7 +139,7 @@ let test_stats_json_round_trip () =
   Server.start server;
   run_workload server;
   Server.stop server;
-  let doc = parse_ok "Server.stats_json" (Server.stats_json server) in
+  let doc = parse_ok "Server.stats_json" (Json.to_string (Server.stats_json server)) in
   let num name =
     match Option.bind (Json.member name doc) Json.to_float with
     | Some v -> v
@@ -257,7 +257,7 @@ let test_store_gauges_populate () =
     check_bool "evictions happened" true (s.Store.stat_evictions > 0);
     check_bool "fault-ins happened" true (s.Store.stat_fault_ins > 0);
     check_bool "resident within budget" true (s.Store.stat_resident <= 2));
-  let stats_doc = parse_ok "Server.stats_json" (Server.stats_json server) in
+  let stats_doc = parse_ok "Server.stats_json" (Json.to_string (Server.stats_json server)) in
   Server.stop server;
   let m = Server.metrics server in
   check_bool "fault_in stage recorded samples" true
@@ -272,12 +272,7 @@ let test_store_gauges_populate () =
     (fun g ->
       ignore
         (value (Printf.sprintf "disclosure_shard_%s{shard=\"0\"}" (Metrics.gauge_name g))))
-    [
-      Metrics.Resident_principals;
-      Metrics.Spilled_principals;
-      Metrics.Fault_ins;
-      Metrics.Spill_bytes;
-    ];
+    Metrics.gauges;
   check_bool "prometheus fault_ins populated" true
     (value "disclosure_shard_fault_ins{shard=\"0\"}" > 0.0);
   check_bool "prometheus resident within budget" true
@@ -288,6 +283,127 @@ let test_store_gauges_populate () =
     match Option.bind (Json.member "fault_ins" store_doc) Json.to_float with
     | Some v -> check_bool "stats_json store.fault_ins populated" true (v > 0.0)
     | None -> Alcotest.fail "store block missing fault_ins")
+
+(* --- the registry reaches every exporter -------------------------------- *)
+
+(* Does some line of [text] start (after indentation) with [word] followed by
+   a space? The report prints one row per registered number that way. *)
+let has_row text word =
+  List.exists
+    (fun line ->
+      String.starts_with ~prefix:(word ^ " ") (String.trim line ^ " ")
+      && String.length (String.trim line) > String.length word)
+    (String.split_on_char '\n' text)
+
+let test_registry_parity () =
+  let server = make_server ~domains:2 () in
+  Server.start server;
+  run_workload server;
+  let samples = prom_samples (Server.prometheus server) in
+  let stats = Server.stats_json server in
+  let report = Format.asprintf "%a" Metrics.pp_stats stats in
+  Server.stop server;
+  let metrics =
+    match Json.member "metrics" (parse_ok "stats" (Json.to_string stats)) with
+    | Some m -> m
+    | None -> Alcotest.fail "stats document embeds no metrics"
+  in
+  let in_prom name =
+    if not (List.mem_assoc name samples) then Alcotest.failf "prometheus lacks %s" name
+  in
+  let in_json what obj name =
+    if Json.member name obj = None then Alcotest.failf "%s JSON lacks %s" what name
+  in
+  let in_report name =
+    if not (has_row report name) then Alcotest.failf "stats report lacks a %s row" name
+  in
+  let family key =
+    match Json.member key metrics with
+    | Some obj -> obj
+    | None -> Alcotest.failf "metrics JSON lacks %s" key
+  in
+  List.iter
+    (fun c ->
+      let name = Metrics.counter_name c in
+      in_json "metrics" metrics name;
+      in_prom (Printf.sprintf "disclosure_%s_total" name);
+      in_report name)
+    Metrics.counters;
+  List.iter
+    (fun s ->
+      let name = Metrics.stage_name s in
+      in_json "stages" (family "stages") name;
+      in_prom (Printf.sprintf "disclosure_stage_duration_seconds_count{stage=\"%s\"}" name);
+      in_report name)
+    Metrics.stages;
+  List.iter
+    (fun tier ->
+      let name = Metrics.tier_name tier in
+      in_json "tiers" (family "tiers") name;
+      in_prom (Printf.sprintf "disclosure_tier_duration_seconds_count{tier=\"%s\"}" name);
+      in_prom (Printf.sprintf "disclosure_tier_decisions_total{tier=\"%s\"}" name);
+      in_report name)
+    Metrics.tiers;
+  List.iter
+    (fun size ->
+      let name = Metrics.size_name size in
+      in_json "sizes" (family "sizes") name;
+      in_prom (Printf.sprintf "disclosure_%s_count" name);
+      in_report name)
+    Metrics.sizes;
+  let shards =
+    match Option.bind (Json.member "shards" metrics) Json.to_list with
+    | Some shards -> shards
+    | None -> Alcotest.fail "metrics JSON lacks the shards array"
+  in
+  check_int "one gauge object per shard" 2 (List.length shards);
+  List.iter
+    (fun g ->
+      let name = Metrics.gauge_name g in
+      List.iteri
+        (fun shard obj ->
+          in_json (Printf.sprintf "shard %d" shard) obj name;
+          in_prom (Printf.sprintf "disclosure_shard_%s{shard=\"%d\"}" name shard))
+        shards;
+      in_report name)
+    Metrics.gauges
+
+(* Regression: a reload installs fresh label caches, and the stats
+   document's cache section used to read their counters — restarting at 0
+   while [metrics.cache_*] kept counting. *)
+let test_cache_section_survives_reload () =
+  let server = make_server () in
+  Server.start server;
+  run_workload server;
+  let policy : Disclosure.Policyfile.t =
+    {
+      Disclosure.Policyfile.views = [ v1; v2; v3 ];
+      principals =
+        [
+          ("calendar-app", [ ("default", [ "V2" ]) ]);
+          ("crm-app", [ ("meetings", [ "V1"; "V2" ]); ("contacts", [ "V3" ]) ]);
+        ];
+    }
+  in
+  (match Server.reload server policy with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "reload: %s" e);
+  run_workload server;
+  let doc = parse_ok "Server.stats_json" (Json.to_string (Server.stats_json server)) in
+  Server.stop server;
+  let at path =
+    match
+      List.fold_left (fun obj key -> Option.bind obj (Json.member key)) (Some doc) path
+      |> Fun.flip Option.bind Json.to_float
+    with
+    | Some v -> int_of_float v
+    | None -> Alcotest.failf "stats document lacks %s" (String.concat "." path)
+  in
+  check_bool "hits before and after the reload" true (at [ "metrics"; "cache_hits" ] > 0);
+  List.iter
+    (fun (field, counter) ->
+      check_int ("cache." ^ field) (at [ "metrics"; counter ]) (at [ "cache"; field ]))
+    [ ("hits", "cache_hits"); ("misses", "cache_misses"); ("evictions", "cache_evictions") ]
 
 (* --- tracing a served workload ---------------------------------------- *)
 
@@ -440,6 +556,9 @@ let () =
             test_prometheus_well_formed;
           Alcotest.test_case "tiered-store gauges populate" `Quick
             test_store_gauges_populate;
+          Alcotest.test_case "registry parity" `Quick test_registry_parity;
+          Alcotest.test_case "cache section survives reload" `Quick
+            test_cache_section_survives_reload;
           Alcotest.test_case "chrome nesting" `Quick test_chrome_nesting;
         ] );
       ( "sampling",

@@ -18,6 +18,8 @@
    - graceful drain with a follower attached flushes the shipped stream
      to the last committed record while queries are already refused. *)
 
+open Support
+
 module Monitor = Disclosure.Monitor
 module Pipeline = Disclosure.Pipeline
 module Sview = Disclosure.Sview
@@ -88,9 +90,6 @@ let make_follower ~journal ~shards () =
 let run_history server =
   List.iter (fun (principal, q) -> ignore (Server.submit_sync server ~principal q)) history;
   Server.drain server
-
-let read_file path = In_channel.with_open_bin path In_channel.input_all
-let read_opt path = if Sys.file_exists path then read_file path else ""
 
 let count_newlines s =
   String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 s
@@ -962,7 +961,7 @@ let test_stats_and_prometheus () =
         let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
         go 0
       in
-      let stats = Server.stats_json server in
+      let stats = Obs.Json.to_string (Server.stats_json server) in
       List.iter
         (fun needle ->
           if not (contains stats needle) then

@@ -1,5 +1,7 @@
 (* Tests for the multi-principal service layer and label serialization. *)
 
+open Support
+
 module Service = Disclosure.Service
 module Monitor = Disclosure.Monitor
 module Pipeline = Disclosure.Pipeline
@@ -107,8 +109,6 @@ let test_label_roundtrip () =
 let with_tmp_journal f =
   let path = Filename.temp_file "disclosure-journal" ".log" in
   Fun.protect ~finally:(fun () -> Journal.remove_family path) (fun () -> f path)
-
-let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 (* Rewrite a clean v2 journal as the pre-v2 TSV image of the same history,
    one raw [principal TAB label TAB decision] line per record, and return
@@ -660,7 +660,6 @@ let prop_evict_reload_equivalence =
       [ ("slots", [ v2 ]) ]; [ ("meetings", [ v1; v2 ]); ("contacts", [ v3 ]) ];
     |]
   in
-  let read_file f = In_channel.with_open_bin f In_channel.input_all in
   let run ~tiered cadence path history =
     let service = Service.create ~journal:path (Pipeline.create [ v1; v2; v3 ]) in
     let store =
