@@ -70,15 +70,14 @@ let setup_logs =
   in
   Term.(const init $ quiet_arg $ verbose_arg)
 
-let read_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let or_fail = function Ok x -> x | Error e -> failwith e
+
+let read_file path = In_channel.with_open_text path In_channel.input_all
 
 let write_file path contents =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc contents)
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc contents;
+      flush oc)
 
 let parse_views path =
   let text = read_file path in
@@ -403,17 +402,9 @@ let replay_cmd =
              journal can later rebuild monitor state via Service.recover.")
   in
   let run () config_file syntax workload_file fuel deadline journal =
-    let config =
-      match Disclosure.Policyfile.parse_file config_file with
-      | Ok c -> c
-      | Error e -> failwith e
-    in
+    let config = or_fail (Disclosure.Policyfile.parse_file config_file) in
     let limits = limits_of fuel deadline in
-    let service =
-      match Disclosure.Policyfile.load ~limits ?journal config with
-      | Ok s -> s
-      | Error e -> failwith e
-    in
+    let service = or_fail (Disclosure.Policyfile.load ~limits ?journal config) in
     let lines =
       match workload_file with
       | Some path ->
@@ -750,11 +741,8 @@ let serve_cmd =
       group_commit cache resident checkpoint_every segment_bytes stats trace_out trace_sample
       slow_ms metrics_out listen max_connections conn_deadline max_frame follow
       poll_interval failover_after follower_id =
-    let config =
-      match Disclosure.Policyfile.parse_file config_file with
-      | Ok c -> c
-      | Error e -> failwith e
-    in
+    let config = or_fail (Disclosure.Policyfile.parse_file config_file) in
+    let resolved = or_fail (Disclosure.Policyfile.resolve config) in
     let limits = limits_of fuel deadline in
     let sconfig =
       {
@@ -882,20 +870,9 @@ let serve_cmd =
     (match Sys.os_type with
     | "Unix" -> Sys.set_signal Sys.sigusr1 (Sys.Signal_handle (fun _ -> dump ()))
     | _ -> ());
-    let resolve name =
-      match
-        List.find_opt
-          (fun v -> String.equal v.Sview.name name)
-          config.Disclosure.Policyfile.views
-      with
-      | Some v -> v
-      | None -> failwith ("policy references unknown view " ^ name)
-    in
     List.iter
-      (fun (principal, partitions) ->
-        Server.register server ~principal
-          ~partitions:(List.map (fun (n, names) -> (n, List.map resolve names)) partitions))
-      config.Disclosure.Policyfile.principals;
+      (fun (principal, partitions) -> Server.register server ~principal ~partitions)
+      resolved;
     Server.start server;
     (match listen with
     | Some addr ->
@@ -1227,11 +1204,7 @@ let replicate_cmd =
              table; the default is pid-qualified and fresh per process.")
   in
   let run () connect config_file journal shards poll_interval once follower_id =
-    let config =
-      match Disclosure.Policyfile.parse_file config_file with
-      | Ok c -> c
-      | Error e -> failwith e
-    in
+    let config = or_fail (Disclosure.Policyfile.parse_file config_file) in
     let shards =
       if shards > 0 then shards
       else
@@ -1292,11 +1265,8 @@ let analyze_cmd =
       & info [ "c"; "config" ] ~docv:"FILE" ~doc:"Deployment configuration to analyze.")
   in
   let run () config_file =
-    let config =
-      match Disclosure.Policyfile.parse_file config_file with
-      | Ok c -> c
-      | Error e -> failwith e
-    in
+    let config = or_fail (Disclosure.Policyfile.parse_file config_file) in
+    let resolved = or_fail (Disclosure.Policyfile.resolve config) in
     let pipeline = Pipeline.create config.Disclosure.Policyfile.views in
     let registry = Pipeline.registry pipeline in
     Format.printf "%d security views over %d relations; %d principals@.@."
@@ -1321,13 +1291,7 @@ let analyze_cmd =
     (* Per-principal policy diagnostics. *)
     List.iter
       (fun (principal, partitions) ->
-        let resolve name =
-          List.find (fun v -> String.equal v.Sview.name name) views
-        in
-        let policy =
-          Policy.make registry
-            (List.map (fun (n, names) -> (n, List.map resolve names)) partitions)
-        in
+        let policy = Policy.make registry partitions in
         (match Policy.redundant_partitions policy with
         | [] -> ()
         | redundant ->
@@ -1347,7 +1311,7 @@ let analyze_cmd =
                       (String.concat ", " (List.map (fun v -> v.Sview.name) common)))
               parts)
           parts)
-      config.Disclosure.Policyfile.principals;
+      resolved;
     Format.printf "@.analysis complete.@.";
     0
   in
@@ -1432,11 +1396,7 @@ let stats_cmd =
    restored monitor state (its labels are gone, so compacted decisions
    contribute to the totals but not to the witnessed-view union). *)
 let run_ledger config_file journal =
-  let config =
-    match Disclosure.Policyfile.parse_file config_file with
-    | Ok c -> c
-    | Error e -> failwith e
-  in
+  let config = or_fail (Disclosure.Policyfile.parse_file config_file) in
   let family_exists = Disclosure.Journal.family_exists in
   let bases =
     if family_exists journal then [ journal ]
@@ -1494,11 +1454,7 @@ let run_ledger config_file journal =
   let per_family = ref [] in
   List.iter
     (fun base ->
-      let service =
-        match Disclosure.Policyfile.load config with
-        | Ok s -> s
-        | Error e -> failwith e
-      in
+      let service = or_fail (Disclosure.Policyfile.load config) in
       let registry = Pipeline.registry (Service.pipeline service) in
       let on_record ~principal ~label ~decision =
         let e = entry principal in

@@ -1,7 +1,12 @@
-(* The v2 record codec (framing, escaping, CRC) and the layout of the
-   journal family on disk. The codec is pure string-in/string-out so the
+(* The v2 record codec (framing, escaping, CRC), the layout of the journal
+   family on disk, and the one append-only writer every file of the family
+   is written through. The codec is pure string-in/string-out so the
    torture tests can exercise every byte offset without a file system in
-   the loop; Service owns the channels and the torn-vs-corrupt policy. *)
+   the loop; Service owns the torn-vs-corrupt policy. *)
+
+let src = Logs.Src.create "disclosure.journal" ~doc:"Append-only journal-family writer"
+
+module Log = (val Logs.src_log src : Logs.LOG)
 
 let magic = "J2 "
 
@@ -183,12 +188,7 @@ let parse content =
   in
   go 0 []
 
-let read_file path =
-  let ic = open_in_bin path in
-  let content =
-    Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> In_channel.input_all ic)
-  in
-  parse content
+let read_file path = parse (In_channel.with_open_bin path In_channel.input_all)
 
 (* The full header shape: magic, 8 hex CRC digits, a space, at least one
    length digit, a space. The magic alone is not enough — a legacy line's
@@ -291,25 +291,31 @@ let resume_cursor base =
   | 1, 0 -> (0, 0)
   | cursor -> cursor
 
-let install_checkpoint base write =
-  let tmp = tmp_path (ckpt_path base) in
-  Faults.trip Faults.Checkpoint;
-  let oc = open_out_bin tmp in
-  (try
-     write oc;
-     flush oc;
-     Unix.fsync (Unix.descr_of_out_channel oc);
-     close_out oc
-   with e ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
+(* Stage [path]'s replacement under its [tmp_path] and rename it into
+   place; on any failure the staging file is removed and [path] is left as
+   it was. *)
+let stage_and_rename ?(fsync = false) ?(before_rename = ignore) path fill =
+  let tmp = tmp_path path in
   try
-    Faults.trip Faults.Ckpt_rename;
-    Sys.rename tmp (ckpt_path base)
+    let r =
+      Out_channel.with_open_bin tmp (fun oc ->
+          let r = fill oc in
+          flush oc;
+          if fsync then Unix.fsync (Unix.descr_of_out_channel oc);
+          r)
+    in
+    before_rename ();
+    Sys.rename tmp path;
+    r
   with e ->
     (try Sys.remove tmp with Sys_error _ -> ());
     raise e
+
+let install_checkpoint base write =
+  Faults.trip Faults.Checkpoint;
+  stage_and_rename ~fsync:true
+    ~before_rename:(fun () -> Faults.trip Faults.Ckpt_rename)
+    (ckpt_path base) write
 
 let family_exists base =
   Sys.file_exists base || Sys.file_exists (ckpt_path base) || sealed_segments base <> []
@@ -319,3 +325,128 @@ let remove_family base =
   List.iter (fun (_, path) -> rm path) (sealed_segments base);
   List.iter rm
     [ base; ckpt_path base; tmp_path (ckpt_path base); spill_path base; tmp_path (spill_path base) ]
+
+let truncate_file path size =
+  let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> Unix.ftruncate fd size)
+
+let seal_active base = Sys.rename base (segment_path base (next_segment base))
+
+(* --- the append-only writer --------------------------------------------- *)
+
+module Writer = struct
+  type t = {
+    path : string;
+    stage : Faults.stage option; (* tripped between buffer and flush *)
+    mutable oc : out_channel;
+    mutable closed : bool; (* for good: never flickers, unlike [oc] *)
+    mutable segment : int;
+    mutable committed : int;
+    mutable pending : int;
+    mutable poisoned : string option;
+  }
+
+  let open_channel path = open_out_gen [ Open_append; Open_creat ] 0o644 path
+
+  let create ?stage ?(segment = 0) path =
+    let oc = open_channel path in
+    let committed = file_size path in
+    { path; stage; oc; closed = false; segment; committed; pending = 0; poisoned = None }
+
+  let path w = w.path
+  let position w = (w.segment, w.committed)
+  let committed w = w.committed
+  let pending w = w.pending
+  let poisoned w = w.poisoned
+  let is_open w = not w.closed
+
+  let channel w =
+    match (w.closed, w.poisoned) with
+    | true, _ -> raise (Sys_error (w.path ^ ": writer is closed"))
+    | false, Some msg -> failwith (w.path ^ ": writer poisoned by a failed append: " ^ msg)
+    | false, None -> w.oc
+
+  let append w s =
+    let oc = channel w in
+    (try output_string oc s
+     with e ->
+       w.poisoned <- Some (Printexc.to_string e);
+       raise e);
+    w.pending <- w.pending + String.length s
+
+  (* Close the channel (dropping what it still buffers), cut the file to
+     the frontier, and reopen. *)
+  let cut w =
+    close_out_noerr w.oc;
+    w.pending <- 0;
+    w.poisoned <- None;
+    truncate_file w.path w.committed;
+    w.oc <- open_channel w.path
+
+  (* A failed append or flush may leave a prefix of the pending bytes on
+     disk and the rest in the channel buffer; the next append would be
+     concatenated onto that garbage, forming a line no parser can explain.
+     If the cut fails too, the writer closes for good: refusing later
+     appends is fail-closed, appending them after garbage is not. *)
+  let rollback w =
+    if (not w.closed) && (w.pending > 0 || w.poisoned <> None) then
+      try cut w
+      with e ->
+        w.closed <- true;
+        Log.err (fun m ->
+            m "%s unrecoverable after a failed write, closing it: %s" w.path
+              (Printexc.to_string e))
+
+  let commit w =
+    match
+      let oc = channel w in
+      Option.iter Faults.trip w.stage;
+      flush oc
+    with
+    | () ->
+      w.committed <- w.committed + w.pending;
+      w.pending <- 0
+    | exception e ->
+      rollback w;
+      raise e
+
+  let write w s =
+    match append w s with
+    | () -> commit w
+    | exception e ->
+      rollback w;
+      raise e
+
+  let truncate w size =
+    w.committed <- size;
+    cut w
+
+  (* After a rename (or a failed one), appends resume at the end of
+     whatever file now has the name. *)
+  let reopen w =
+    close_out_noerr w.oc;
+    w.oc <- open_channel w.path;
+    w.committed <- file_size w.path
+
+  let seal w =
+    let oc = channel w in
+    match
+      close_out oc;
+      Sys.rename w.path (segment_path w.path w.segment)
+    with
+    | () ->
+      w.segment <- w.segment + 1;
+      reopen w
+    | exception e ->
+      reopen w;
+      raise e
+
+  let replace w fill =
+    let r = stage_and_rename w.path fill in
+    reopen w;
+    r
+
+  let close w =
+    w.closed <- true;
+    close_out_noerr w.oc
+end

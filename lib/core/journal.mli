@@ -1,6 +1,6 @@
 (** The versioned on-disk record format behind {!Service}'s decision journal
-    and checkpoints, and the layout of the files that hold them (DESIGN.md
-    §8).
+    and checkpoints, the layout of the files that hold them, and the one
+    append-only {!Writer} they are written through (DESIGN.md §8).
 
     Version 2 frames each record as one line:
 
@@ -133,3 +133,79 @@ val family_exists : string -> bool
 
 val remove_family : string -> unit
 (** Delete every file of the family, staging files included. *)
+
+val truncate_file : string -> int -> unit
+(** Cut a file that no {!Writer} holds to [size] bytes. *)
+
+val seal_active : string -> unit
+(** Seal [base] as [base.<next_segment base>] when no {!Writer} holds it. *)
+
+(** {1 The append-only writer}
+
+    The active segment, a follower's mirror of it and the tiered store's
+    spill file are all written through one {!Writer.t}. It holds the
+    {e committed frontier}: every byte below it is a whole, flushed record.
+    A write is "{!Writer.append}; {!Writer.commit}", a group-commit batch
+    "append … append; commit". A failed append {e poisons} the writer
+    until {!Writer.rollback} cuts the file back to the frontier; a failed
+    rollback closes the writer for good, so nothing is ever appended after
+    garbage. *)
+
+module Writer : sig
+  type t
+
+  val create : ?stage:Faults.stage -> ?segment:int -> string -> t
+  (** Open [path] for appending, creating it. The frontier starts at the
+      file's size. {!commit} trips [stage] between buffer and flush; {!seal}
+      names the file [segment] (default [0]: a file that is never
+      sealed). *)
+
+  val path : t -> string
+
+  val position : t -> int * int
+  (** [(segment, committed)]: racy but memory-safe from another domain. A
+      concurrent reader may see a not-yet-committed suffix, which parses as
+      a torn tail. *)
+
+  val committed : t -> int
+
+  val pending : t -> int
+  (** Bytes appended since the last commit. *)
+
+  val poisoned : t -> string option
+
+  val is_open : t -> bool
+  (** [false] once closed, or after a failed rollback. *)
+
+  val append : t -> string -> unit
+  (** Buffer without flushing; a failure poisons the writer.
+      @raise Sys_error when closed, [Failure] when poisoned. *)
+
+  val commit : t -> unit
+  (** Trip the stage, flush, and advance the frontier over the pending
+      bytes. On failure, {!rollback} and re-raise. *)
+
+  val write : t -> string -> unit
+  (** [append] then [commit], rolling back on any failure. *)
+
+  val rollback : t -> unit
+  (** Drop whatever is pending or poisoned: close, truncate to the
+      frontier, reopen. Never raises; a failure is logged and closes the
+      writer. *)
+
+  val truncate : t -> int -> unit
+  (** Cut the file to [size] and make that the frontier. *)
+
+  val seal : t -> unit
+  (** Rename the file to [segment_path path segment], advance [segment],
+      and open a fresh file under [path]. On failure, reopen [path] and
+      re-raise. *)
+
+  val replace : t -> (out_channel -> 'a) -> 'a
+  (** Rewrite the file whole: [fill] writes [tmp_path path], which is
+      renamed into place (no fsync) and reopened. On failure the staging
+      file is removed and the old file and writer are untouched. *)
+
+  val close : t -> unit
+  (** Idempotent. *)
+end

@@ -73,12 +73,7 @@ let parse ?path text =
   | exception Err msg -> Error msg
 
 let parse_file path =
-  match
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
+  match In_channel.with_open_text path In_channel.input_all with
   | text -> parse ~path text
   | exception Sys_error msg -> Error msg
 

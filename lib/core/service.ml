@@ -2,21 +2,6 @@ let src = Logs.Src.create "disclosure.service" ~doc:"Disclosure-control referenc
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-type journal_cfg = {
-  base : string;
-  segment_bytes : int; (* rotation threshold; 0 = never rotate *)
-}
-
-type open_journal = {
-  mutable oc : out_channel;
-  mutable bytes : int; (* size of the active segment *)
-}
-
-type journal_state =
-  | No_journal
-  | Open_journal of open_journal
-  | Closed_journal
-
 type observation = {
   stage : [ `Admit | `Label | `Decide | `Journal | `Checkpoint | `Rotate | `Fault_in ];
   seconds : float;
@@ -47,26 +32,23 @@ type tier = {
   tier_reset : unit -> unit;
 }
 
-(* An open group-commit batch (see [batch_begin]). Appends buffer in the
-   channel without flushing and [j.bytes] stays at the durable frontier;
-   monitor commits happen inline (a later decision in the batch must see an
-   earlier one's narrowed mask) but each touched principal's pre-batch state
-   is saved so an abort can restore it. [poisoned] records the first append
-   failure: from then on every append in the batch refuses, and [batch_end]
-   rolls the whole batch back instead of flushing. *)
+(* The monitor half of an open group-commit batch (see [batch_begin]); the
+   journal half is the writer's pending bytes. Monitor commits happen
+   inline (a later decision in the batch must see an earlier one's narrowed
+   mask) but each touched principal's pre-batch state is saved so an abort
+   can restore it. *)
 type batch = {
-  mutable pending_bytes : int;
-  mutable pending_records : int;
+  mutable records : int; (* records appended since [batch_begin] *)
   saved : (string, Monitor.state) Hashtbl.t;
-  mutable poisoned : string option;
 }
 
 type t = {
   pipeline : Pipeline.t;
   limits : Guard.limits;
-  jcfg : journal_cfg option;
-  mutable journal : journal_state;
-  mutable seq : int; (* index the next rotated segment will get *)
+  journal : Journal.Writer.t option;
+      (* the active segment; its segment index is the one the next rotation
+         seals *)
+  segment_bytes : int; (* rotation threshold; 0 = never rotate *)
   mutable rotations : int;
   mutable checkpoints : int;
   mutable flushes : int; (* journal flushes issued (per-decision or per-batch) *)
@@ -95,20 +77,18 @@ exception Duplicate_principal of string
 
 let create ?(limits = Guard.no_limits) ?journal ?(segment_bytes = 0) ?observe pipeline =
   if segment_bytes < 0 then invalid_arg "Service.create: segment_bytes must be >= 0";
-  let jcfg = Option.map (fun base -> { base; segment_bytes }) journal in
-  let journal, seq =
-    match jcfg with
-    | None -> (No_journal, 1)
-    | Some { base; _ } ->
-      let oc = open_out_gen [ Open_append; Open_creat ] 0o644 base in
-      (Open_journal { oc; bytes = Journal.file_size base }, Journal.next_segment base)
+  let journal =
+    Option.map
+      (fun base ->
+        Journal.Writer.create ~stage:Faults.Journal_flush ~segment:(Journal.next_segment base)
+          base)
+      journal
   in
   {
     pipeline;
     limits;
-    jcfg;
     journal;
-    seq;
+    segment_bytes;
     rotations = 0;
     checkpoints = 0;
     flushes = 0;
@@ -317,99 +297,46 @@ let cold_view t =
    label existed) and the decision is "answered", "refused:<tag>", or
    "reset". The v2 format (Journal) frames, escapes, and checksums each
    record; pre-v2 journals (raw TAB-separated lines) still replay but are
-   never written. Appends are flushed so the journal never trails a
-   committed decision, and a failed append rolls the segment back to the
-   last committed record so it never gains unparseable bytes either.
-   The [Journal] fault stage trips before anything is written, the
-   [Journal_flush] stage after the record is buffered but before it is
-   durable. *)
+   never written. The segment's {!Journal.Writer} takes each record:
+   "append; commit" per decision, or just "append" inside a group-commit
+   batch, whose one covering commit is [batch_end]'s. The [Journal] fault
+   stage trips before anything is written, the writer's [Journal_flush]
+   stage after the record is buffered but before it is durable. *)
 
-(* A failed append may leave a prefix of the record on disk (partial write)
-   and the rest in the channel buffer; either way the next successful append
-   would be concatenated onto the garbage, forming a line no parser can
-   explain, and the *next* recovery would fail closed on a journal whose
-   every committed record was well-formed when written. Discard the channel
-   (dropping whatever is still buffered), truncate the file back to the last
-   committed record, and reopen. If even that fails, seal the journal:
-   refusing later decisions is fail-closed; appending them after garbage is
-   not. *)
-let discard_partial_append t cfg j =
-  try
-    close_out_noerr j.oc;
-    let fd = Unix.openfile cfg.base [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644 in
-    Fun.protect
-      ~finally:(fun () -> Unix.close fd)
-      (fun () -> Unix.ftruncate fd j.bytes);
-    j.oc <- open_out_gen [ Open_append; Open_creat ] 0o644 cfg.base
-  with e ->
-    t.journal <- Closed_journal;
-    Log.err (fun m ->
-        m "journal unrecoverable after a failed append — sealing it (decisions from \
-           here on are refused rather than journaled after garbage): %s"
-          (Printexc.to_string e))
+let live_journal t =
+  match t.journal with Some w when Journal.Writer.is_open w -> Some w | _ -> None
 
-(* Write [s] (one framed record) and flush it, committing [j.bytes] only
-   on success; on failure, roll the segment back to the commit point before
-   re-raising. The [Journal_flush] fault stage injects at the most
-   dangerous instant: bytes handed to the channel, none of them durable.
-
-   Inside an open group-commit batch the flush is deferred: the record only
-   reaches the channel buffer, [j.bytes] (the durable frontier replication
-   readers watch) stays put, and [batch_end] issues the one covering flush.
-   A failed append poisons the batch — the channel may hold a partial
-   record, so nothing else may be appended and the whole batch must roll
-   back rather than flush garbage. *)
-let append_bytes t cfg j s =
+(* Inside a batch a failed append poisons the writer, so every later
+   append refuses and [batch_end] rolls the whole batch back. *)
+let append_record t w s =
   match t.batch with
   | Some b -> (
-    match b.poisoned with
+    match Journal.Writer.poisoned w with
     | Some msg ->
       raise (Guard.Refuse (Guard.Fault ("journal batch already failed: " ^ msg)))
     | None ->
-      (try output_string j.oc s
-       with e ->
-         b.poisoned <- Some (Printexc.to_string e);
-         raise e);
-      b.pending_bytes <- b.pending_bytes + String.length s;
-      b.pending_records <- b.pending_records + 1)
+      Journal.Writer.append w s;
+      b.records <- b.records + 1)
   | None ->
-    (try
-       output_string j.oc s;
-       Faults.trip Faults.Journal_flush;
-       flush j.oc
-     with e ->
-       discard_partial_append t cfg j;
-       raise e);
-    t.flushes <- t.flushes + 1;
-    j.bytes <- j.bytes + String.length s
+    Journal.Writer.write w s;
+    t.flushes <- t.flushes + 1
 
-(* Rotate the active segment: close, rename to the next numbered segment,
-   reopen a fresh active file. Raises on failure, but always leaves [j.oc]
-   an open channel on [base] so the journal survives a failed rotation. *)
-let rotate_exn t cfg j =
+(* Raises on failure, but the writer always reopens the active file, so the
+   journal survives a failed rotation. *)
+let rotate_exn t w =
   observed t `Rotate (fun () ->
       Faults.trip Faults.Rotate;
-      close_out j.oc;
-      let reopen () =
-        j.oc <- open_out_gen [ Open_append; Open_creat ] 0o644 cfg.base;
-        j.bytes <- Journal.file_size cfg.base
-      in
-      match Sys.rename cfg.base (Journal.segment_path cfg.base t.seq) with
-      | () ->
-        t.seq <- t.seq + 1;
-        t.rotations <- t.rotations + 1;
-        reopen ()
-      | exception e ->
-        reopen ();
-        raise e)
+      Journal.Writer.seal w;
+      t.rotations <- t.rotations + 1)
 
-(* Never rotates inside an open batch: closing the channel would flush the
-   buffered (not yet covered) records into the sealed segment. [j.bytes]
-   does not advance during a batch anyway, so the size check re-fires at
-   [batch_end] once the flush lands. *)
-let maybe_rotate t cfg j =
-  if t.batch = None && cfg.segment_bytes > 0 && j.bytes >= cfg.segment_bytes then
-    try rotate_exn t cfg j
+(* Never rotates inside an open batch: sealing would carry the buffered
+   (not yet covered) records into the sealed segment. The frontier does not
+   advance during a batch anyway, so the size check re-fires at
+   [batch_end] once the commit lands. *)
+let maybe_rotate t w =
+  if t.batch = None && t.segment_bytes > 0 && Journal.Writer.committed w >= t.segment_bytes
+  then
+    try rotate_exn t w
     with e ->
       (* The decision's record is already durable in the active segment;
          a failed rotation only delays compaction, so it must not surface
@@ -427,8 +354,8 @@ let journal_append t ~principal ~label ~decision =
       (fun () ->
         Faults.trip Faults.Journal;
         match t.journal with
-        | No_journal -> ()
-        | Closed_journal ->
+        | None -> ()
+        | Some w when not (Journal.Writer.is_open w) ->
           if not t.warned_closed then begin
             t.warned_closed <- true;
             Log.warn (fun m ->
@@ -437,12 +364,11 @@ let journal_append t ~principal ~label ~decision =
                    is lost from here on (decision for %s not journaled)"
                   principal)
           end
-        | Open_journal j ->
-          let cfg = Option.get t.jcfg in
+        | Some w ->
           let s = Journal.encode [ principal; label; decision ] in
-          append_bytes t cfg j s;
+          append_record t w s;
           appended := String.length s;
-          maybe_rotate t cfg j)
+          maybe_rotate t w)
   with
   | () -> Ok ()
   | exception Guard.Refuse reason -> Error reason
@@ -458,9 +384,7 @@ let flush_count t = t.flushes
 
 let batch_begin t =
   if t.batch <> None then invalid_arg "Service.batch_begin: a batch is already open";
-  t.batch <-
-    Some
-      { pending_bytes = 0; pending_records = 0; saved = Hashtbl.create 8; poisoned = None }
+  t.batch <- Some { records = 0; saved = Hashtbl.create 8 }
 
 (* Capture [principal]'s pre-batch monitor state (first touch only) so an
    aborted batch can restore it. Called by every commit path and by
@@ -472,10 +396,10 @@ let batch_save t ~principal m =
     if not (Hashtbl.mem b.saved principal) then Hashtbl.add b.saved principal (Monitor.state m)
 
 (* Undo the whole batch: every touched monitor returns to its pre-batch
-   state and the segment is rolled back to the durable frontier (the channel
-   may hold partial bytes of any record in the batch — none of them were
-   covered by a flush, so recovery semantics are exactly as if each decision
-   had individually failed its journal append before commit). *)
+   state and the segment is rolled back to the committed frontier (none of
+   the batch's bytes were covered by a flush, so recovery semantics are
+   exactly as if each decision had individually failed its journal append
+   before commit). *)
 let batch_abort t b msg =
   Hashtbl.iter
     (fun principal st ->
@@ -483,9 +407,7 @@ let batch_abort t b msg =
       | Some m -> Monitor.restore m st
       | None -> ())
     b.saved;
-  (match (t.journal, t.jcfg) with
-  | Open_journal j, Some cfg -> discard_partial_append t cfg j
-  | _ -> ());
+  Option.iter Journal.Writer.rollback (live_journal t);
   t.batch <- None;
   Error (Guard.Fault msg)
 
@@ -493,58 +415,44 @@ let batch_end t =
   match t.batch with
   | None -> Ok ()
   | Some b -> (
-    match b.poisoned with
-    | Some msg -> batch_abort t b ("journal batch aborted: " ^ msg)
-    | None ->
-      if b.pending_records = 0 then begin
+    match Option.map (fun w -> (w, Journal.Writer.poisoned w)) (live_journal t) with
+    | Some (_, Some msg) -> batch_abort t b ("journal batch aborted: " ^ msg)
+    | Some (w, None) when b.records > 0 -> (
+      let bytes = Journal.Writer.pending w in
+      match
+        observed t `Journal
+          ~detail:(fun () ->
+            [
+              ("journal_bytes", string_of_int bytes);
+              ("group_records", string_of_int b.records);
+            ])
+          (fun () -> Journal.Writer.commit w)
+      with
+      | () ->
+        t.flushes <- t.flushes + 1;
         t.batch <- None;
+        maybe_rotate t w;
         Ok ()
-      end
-      else (
-        match (t.journal, t.jcfg) with
-        | Open_journal j, Some cfg -> (
-          match
-            observed t `Journal
-              ~detail:(fun () ->
-                [
-                  ("journal_bytes", string_of_int b.pending_bytes);
-                  ("group_records", string_of_int b.pending_records);
-                ])
-              (fun () ->
-                Faults.trip Faults.Journal_flush;
-                flush j.oc)
-          with
-          | () ->
-            j.bytes <- j.bytes + b.pending_bytes;
-            t.flushes <- t.flushes + 1;
-            t.batch <- None;
-            maybe_rotate t cfg j;
-            Ok ()
-          | exception e ->
-            batch_abort t b ("journal batch flush: " ^ Printexc.to_string e))
-        | _ ->
-          (* The journal closed or was never configured: there is nothing
-             durable to flush, and the commits already happened inline. *)
-          t.batch <- None;
-          Ok ()))
+      | exception e -> batch_abort t b ("journal batch flush: " ^ Printexc.to_string e))
+    | _ ->
+      (* Nothing appended, or the journal closed or was never configured:
+         there is nothing durable to commit, and the monitor commits
+         already happened inline. *)
+      t.batch <- None;
+      Ok ())
 
 let close t =
   (* Ending any open batch first keeps [close]'s contract ("durable up to
-     the last submission"): close_out would flush the buffered records
-     anyway, but without advancing the committed frontier or running the
-     abort path — so settle the batch properly before touching the
-     channel. *)
+     the last submission"): closing the writer would flush the buffered
+     records anyway, but without advancing the committed frontier or
+     running the abort path — so settle the batch properly first. *)
   (match batch_end t with
   | Ok () -> ()
   | Error reason ->
     Log.warn (fun m ->
         m "open journal batch failed at close (its decisions were rolled back): %s"
           (Guard.refusal_to_tag reason)));
-  match t.journal with
-  | No_journal | Closed_journal -> ()
-  | Open_journal j ->
-    close_out j.oc;
-    t.journal <- Closed_journal
+  Option.iter Journal.Writer.close t.journal
 
 (* --- checkpoints ------------------------------------------------------- *)
 
@@ -564,22 +472,22 @@ let pristine_fields =
    record per principal, installed atomically ({!Journal.install_checkpoint}):
    a crash anywhere leaves either the old checkpoint or the new one. *)
 let checkpoint t =
-  match (t.journal, t.jcfg) with
-  | (No_journal, _ | _, None) -> Error "Service.checkpoint: no journal configured"
-  | Closed_journal, _ -> Error "Service.checkpoint: journal is closed"
-  | Open_journal _, _ when t.batch <> None ->
+  match t.journal with
+  | None -> Error "Service.checkpoint: no journal configured"
+  | Some w when not (Journal.Writer.is_open w) -> Error "Service.checkpoint: journal is closed"
+  | Some _ when t.batch <> None ->
     (* The checkpoint's rotate would seal buffered, uncovered records into a
        numbered segment. Callers (the shard) end the batch first. *)
     Error "Service.checkpoint: a journal batch is open"
-  | Open_journal j, Some cfg -> (
+  | Some w -> (
     match
       observed t `Checkpoint (fun () ->
           (* Rotate first: the snapshot below covers everything appended so
              far, so the active segment must be sealed under a numbered name
              or recovery would replay its records on top of the checkpoint.
              A failed rotation aborts the checkpoint. *)
-          if j.bytes > 0 then rotate_exn t cfg j;
-          let covers = t.seq - 1 in
+          if Journal.Writer.committed w > 0 then rotate_exn t w;
+          let covers = fst (Journal.Writer.position w) - 1 in
           let ps = principals t in
           let buf = Buffer.create (64 * (List.length ps + 1)) in
           Journal.add_record buf (Journal.ckpt_header ~covers ~count:(List.length ps));
@@ -605,7 +513,7 @@ let checkpoint t =
                 | Some (Spilled { record; _ }) -> Buffer.add_string buf record
                 | None -> raise (Unknown_principal principal)))
             ps;
-          Journal.install_checkpoint cfg.base (fun oc -> Buffer.output_buffer oc buf);
+          Journal.install_checkpoint (Journal.Writer.path w) (fun oc -> Buffer.output_buffer oc buf);
           t.checkpoints <- t.checkpoints + 1;
           (* Compaction: segments at or below the bound are superseded by the
              checkpoint. A failed delete only leaves garbage recovery will
@@ -616,7 +524,7 @@ let checkpoint t =
                 try Sys.remove path
                 with Sys_error msg ->
                   Log.warn (fun m -> m "compaction could not remove %s: %s" path msg))
-            (Journal.sealed_segments cfg.base))
+            (Journal.sealed_segments (Journal.Writer.path w)))
     with
     | () -> Ok ()
     | exception e -> Error ("checkpoint failed: " ^ Printexc.to_string e))
@@ -788,15 +696,9 @@ let reset t ~principal =
 
 let restore t ~principal state = Monitor.restore (monitor_of t principal) state
 
-(* The committed frontier of the active segment, for replication readers on
-   other domains. Two word-sized reads — racy but memory-safe: every append
-   flushes before its decision commits, so the on-disk file always holds at
-   least [bytes] bytes of well-formed records (a concurrent reader may see a
-   not-yet-committed suffix, which parses as a torn tail). *)
-let journal_position t =
-  match t.journal with
-  | Open_journal j -> Some (t.seq, j.bytes)
-  | No_journal | Closed_journal -> None
+(* The writer's committed frontier, for replication readers on other
+   domains ({!Journal.Writer.position}: racy but memory-safe). *)
+let journal_position t = Option.map Journal.Writer.position (live_journal t)
 
 (* --- snapshot & recovery ----------------------------------------------- *)
 
@@ -883,19 +785,21 @@ let apply_decision t ~principal ~label_s ~decision =
           Ok ()
         | Some _ -> Ok ())))
 
-(* The unit step of recovery's replay, exposed so a replication follower can
-   apply shipped records continuously instead of re-reading whole files.
-   Journals nothing: the follower mirrors the primary's bytes verbatim. *)
-let apply_journal_record t fields =
+(* The unit step of recovery's replay and of a replication follower's
+   apply: one decision record, checked for shape, then applied. *)
+let apply_record ?(on_record = fun ~principal:_ ~label:_ ~decision:_ -> ()) t fields =
   match fields with
-  | [ principal; label_s; decision ] -> (
-    match apply_decision t ~principal ~label_s ~decision with
-    | Ok () -> Ok ()
-    | Error (_kind, msg) -> Error msg)
+  | [ principal; label_s; decision ] ->
+    Result.map
+      (fun () -> on_record ~principal ~label:label_s ~decision)
+      (apply_decision t ~principal ~label_s ~decision)
   | _ ->
     Error
-      (Printf.sprintf "record has %d field(s), decision records have 3"
-         (List.length fields))
+      ( `Corrupt_record,
+        Printf.sprintf "record has %d field(s), decision records have 3" (List.length fields) )
+
+(* Journals nothing: the follower mirrors the primary's bytes verbatim. *)
+let apply_journal_record t fields = Result.map_error snd (apply_record t fields)
 
 (* Replay one v2 segment. The framing layer (Journal) has already separated
    torn-tail damage from corruption; a torn tail is tolerated only in the
@@ -931,23 +835,9 @@ let replay_v2 t ~file ~tolerate_torn ~on_record =
         | [] ->
           Ok (applied, Option.map (fun (tr : Journal.torn) -> tr.Journal.torn_offset) torn)
         | ({ Journal.offset; fields } : Journal.record) :: rest -> (
-          match fields with
-          | [ principal; label_s; decision ] -> (
-            match apply_decision t ~principal ~label_s ~decision with
-            | Ok () ->
-              on_record ~principal ~label:label_s ~decision;
-              loop (applied + 1) rest
-            | Error (kind, detail) -> Error { file; offset; kind; detail })
-          | _ ->
-            Error
-              {
-                file;
-                offset;
-                kind = `Corrupt_record;
-                detail =
-                  Printf.sprintf "record has %d field(s), decision records have 3"
-                    (List.length fields);
-              })
+          match apply_record ~on_record t fields with
+          | Ok () -> loop (applied + 1) rest
+          | Error (kind, detail) -> Error { file; offset; kind; detail })
       in
       loop 0 records)
 
@@ -1077,61 +967,44 @@ let load_checkpoint t base =
         in
         apply entries)
 
+(* A recovery-time repair of [file]; its failure is a typed [`Io] error:
+   recovery must not hand back a service whose journal is not
+   append-safe. *)
+let repair ~file ?(offset = 0) what f =
+  match f () with
+  | () -> Ok ()
+  | exception e ->
+    Error { file; offset; kind = `Io; detail = what ^ ": " ^ Printexc.to_string e }
+
 (* A tolerated torn tail must also come off the disk: the active segment is
-   held open in append mode ({!create}), so leaving the partial record in
+   held open for appending ({!create}), so leaving the partial record in
    place would concatenate the first post-recovery decision onto it — and
    the *next* recovery would fail closed on the merged line, defeating
    durability exactly on the ordinary crash / restart / crash sequence.
-   When this service holds the file open (the Server.create-then-recover
-   path), truncate through its own descriptor and resync the byte count so
-   appends resume at the commit point; otherwise truncate by path, healing
-   the file for whoever opens it next. A truncation failure is a typed
-   refusal: recovery must not hand back a service whose journal is not
-   append-safe. *)
+   When this service holds the file (the Server.create-then-recover path),
+   its writer truncates and moves its frontier back, so appends resume at
+   the commit point; otherwise the file is truncated by path, healing it
+   for whoever opens it next. *)
 let truncate_torn_tail t ~file ~offset =
-  match
-    match (t.journal, t.jcfg) with
-    | Open_journal j, Some cfg when cfg.base = file ->
-      flush j.oc;
-      Unix.ftruncate (Unix.descr_of_out_channel j.oc) offset;
-      j.bytes <- offset
-    | _ ->
-      let fd = Unix.openfile file [ Unix.O_WRONLY ] 0o644 in
-      Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> Unix.ftruncate fd offset)
-  with
-  | () -> Ok ()
-  | exception e ->
-    Error
-      {
-        file;
-        offset;
-        kind = `Io;
-        detail = "failed to truncate the torn tail: " ^ Printexc.to_string e;
-      }
+  repair ~file ~offset "failed to truncate the torn tail" (fun () ->
+      match live_journal t with
+      | Some w when Journal.Writer.path w = file -> Journal.Writer.truncate w offset
+      | _ -> Journal.truncate_file file offset)
 
 (* Nothing writes the legacy format any more, so an active segment still in
    it must not receive the next (v2) append: format detection is per file,
    and a mixed file fails the next recovery closed on its first v2 line.
    Once replayed, a non-empty legacy active segment is sealed under the
-   next segment index (through the open channel when this service holds
-   it, so appends resume on a fresh v2 file), leaving one format per file. *)
+   next segment index (through this service's writer when it holds the
+   file, so appends resume on a fresh v2 file), leaving one format per
+   file. *)
 let seal_legacy_active t base =
   if Journal.file_size base = 0 || Journal.is_v2_file base then Ok ()
   else
-    match
-      match (t.journal, t.jcfg) with
-      | Open_journal j, Some cfg when cfg.base = base -> rotate_exn t cfg j
-      | _ -> Sys.rename base (Journal.segment_path base (Journal.next_segment base))
-    with
-    | () -> Ok ()
-    | exception e ->
-      Error
-        {
-          file = base;
-          offset = 0;
-          kind = `Io;
-          detail = "failed to seal the legacy active segment: " ^ Printexc.to_string e;
-        }
+    repair ~file:base "failed to seal the legacy active segment" (fun () ->
+        match live_journal t with
+        | Some w when Journal.Writer.path w = base -> rotate_exn t w
+        | _ -> Journal.seal_active base)
 
 let recover ?(on_record = fun ~principal:_ ~label:_ ~decision:_ -> ()) t ~journal:base =
   Hashtbl.iter (fun _ m -> Monitor.reset m) t.monitors;

@@ -281,20 +281,22 @@ val journal_position : t -> (int * int) option
 (** [(active_segment_index, committed_bytes)]: the index the active segment
     will receive when rotated (so rotated segments are exactly
     [1 .. index - 1] minus compaction) and the byte count of the last
-    committed record boundary. [None] when no journal is configured or it
-    is closed/sealed. Safe to call from any domain — two word-sized racy
-    reads. Every append is flushed before its decision commits, so the
-    on-disk active segment always holds at least [committed_bytes] bytes of
+    committed record boundary: the position of the segment's
+    {!Journal.Writer}. [None] when no journal is configured or it is
+    closed. Safe to call from any domain — two word-sized racy reads.
+    Every record is committed before its decision is, so the on-disk
+    active segment always holds at least [committed_bytes] bytes of
     well-formed records; a concurrent reader may also see a trailing
     not-yet-committed suffix, which parses as a torn tail
     ({!Journal.parse}). Replication readers rely on exactly this. *)
 
 (** {1 Group commit}
 
-    Per-decision durability pays one [flush] per record. A group-commit
-    batch amortizes it: between {!batch_begin} and {!batch_end}, journal
-    appends buffer in the channel and the one flush at {!batch_end} covers
-    them all — fsyncs drop from N per batch to 1. The serving layer opens a
+    Per-decision durability pays one [flush] per record: "append; commit"
+    on the segment's {!Journal.Writer}. A group-commit batch amortizes it:
+    between {!batch_begin} and {!batch_end} it is "append … append;
+    commit", and the one flush at {!batch_end} covers every record — flushes
+    drop from N per batch to 1. The serving layer opens a
     batch around each drained mailbox batch and holds every decision's
     ticket until the covering flush, so callers still never observe a
     decision whose record is not durable.
@@ -307,7 +309,8 @@ val journal_position : t -> (int * int) option
     - The committed frontier ({!journal_position}) only advances at the
       covering flush, so replication readers never ship uncovered bytes.
     - If any append or the covering flush fails, the {e whole batch}
-      aborts: the file is truncated back to the durable frontier, every
+      aborts: a failed append poisons the writer, so every later append in
+      the batch refuses; the file is rolled back to the frontier, every
       touched monitor is restored to its pre-batch state, and {!batch_end}
       returns [Error] — the caller refuses every decision in the batch,
       exactly as if each had individually failed its append before commit.

@@ -5,6 +5,7 @@ module Log = (val Logs.src_log src : Logs.LOG)
 module Metrics = Server.Metrics
 module Service = Disclosure.Service
 module Journal = Disclosure.Journal
+module Faults = Disclosure.Faults
 module Json = Obs.Json
 module Codec = Net.Codec
 module Errors = Net.Errors
@@ -12,14 +13,15 @@ module Client = Net.Client
 
 type shard_state = {
   base : string;
-  mutable service : Service.t;
-  mutable store : Store.t option;
+  service : Service.t;
+  store : Store.t option;
       (** Tiered principal store over [service] when the follower was
           created with a resident budget — the standby bounds its resident
           set exactly like the primary, rebuilding spill state from the
           mirrored journal it replays. *)
-  mutable seg : int;  (** Local active-segment index; [0] = bootstrap needed. *)
-  mutable off : int;  (** Committed bytes in the local active file. *)
+  mirror : Journal.Writer.t;
+      (** The local active file. Its position is the shard's cursor:
+          segment index ([0] = bootstrap needed) and committed bytes. *)
   mutable behind : int;  (** Primary's last estimate of unshipped bytes. *)
 }
 
@@ -83,12 +85,20 @@ let attach_store ?resident ~resolved ~shards shard service base =
     Store.enforce store;
     Some store
 
+(* A shard over its mirror family at [segment]: the store first (it
+   truncates the spill file, so a previous store must already be closed),
+   then the mirror's writer, which trips the journal's flush stage as the
+   primary's does. *)
+let open_shard ?resident ~resolved ~shards shard service base ~segment =
+  let store = attach_store ?resident ~resolved ~shards shard service base in
+  let mirror = Journal.Writer.create ~stage:Faults.Journal_flush ~segment base in
+  { base; service; store; mirror; behind = 0 }
+
+let cursor_of st = Journal.Writer.position st.mirror
+
 let close_shard st =
-  (match st.store with
-  | Some store ->
-    Store.close store;
-    st.store <- None
-  | None -> ());
+  Journal.Writer.close st.mirror;
+  Option.iter Store.close st.store;
   Service.close st.service
 
 (* Distinct per process-lifetime by construction; pid-qualified so two
@@ -115,26 +125,25 @@ let create ?id ?limits ?(max_bytes = Source.default_max_bytes) ?trace ?resident 
            if !err = None then begin
              let base = Server.shard_journal journal i in
              let service = fresh_service ?limits ~pipeline ~resolved ~shards i in
-             let tiered () = attach_store ?resident ~resolved ~shards i service base in
              (* The resume cursor comes from the mirror alone, exactly as
                 the primary seeds its own rotation sequence. An empty family
                 is a follower that never mirrored a byte: bootstrap state
-                ([seg = 0]), not a recovery error. *)
-             if Journal.resume_cursor base = (0, 0) then
-               states.(i) <-
-                 Some { base; service; store = tiered (); seg = 0; off = 0; behind = 0 }
-             else
-               match Service.recover service ~journal:base with
-               | Error e ->
-                 Service.close service;
-                 err :=
-                   Some
-                     (Printf.sprintf "shard %d mirror: %s" i
-                        (Service.recovery_error_to_string e))
-               | Ok _ ->
-                 let seg, off = Journal.resume_cursor base in
-                 states.(i) <-
-                   Some { base; service; store = tiered (); seg; off; behind = 0 }
+                (segment 0), not a recovery error. *)
+             let recovered =
+               match Journal.resume_cursor base with
+               | 0, 0 -> Ok 0
+               | _ ->
+                 let resumed _ = fst (Journal.resume_cursor base) in
+                 Result.map resumed (Service.recover service ~journal:base)
+             in
+             match recovered with
+             | Error e ->
+               Service.close service;
+               err :=
+                 Some
+                   (Printf.sprintf "shard %d mirror: %s" i (Service.recovery_error_to_string e))
+             | Ok segment ->
+               states.(i) <- Some (open_shard ?resident ~resolved ~shards i service base ~segment)
            end
          done
        with e -> err := Some ("follower init failed: " ^ Printexc.to_string e));
@@ -164,23 +173,22 @@ let create ?id ?limits ?(max_bytes = Source.default_max_bytes) ?trace ?resident 
 
 (* --- applying shipped bytes ------------------------------------------- *)
 
-let append_mirror st data next_seg =
-  if data <> "" then begin
-    let oc = open_out_gen [ Open_append; Open_creat ] 0o644 st.base in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        output_string oc data;
-        flush oc);
-    st.off <- st.off + String.length data
-  end;
-  (* The batch completed segment [st.seg]: seal the mirror the same way
-     the primary sealed its own — rename, fresh active. *)
-  while st.seg <> 0 && st.seg < next_seg do
-    if Sys.file_exists st.base then Sys.rename st.base (Journal.segment_path st.base st.seg);
-    st.seg <- st.seg + 1;
-    st.off <- 0
-  done
+(* Mirror a validated batch through the shard's writer, then seal the
+   segment it completed as the primary sealed its own. A failed write is
+   already rolled back, cursor unchanged; the [Error] fails the follower
+   closed, since the batch's records are already replayed. *)
+let mirror_batch st data next_seg =
+  match
+    if data <> "" then Journal.Writer.write st.mirror data;
+    while
+      let seg, _ = cursor_of st in
+      seg <> 0 && seg < next_seg
+    do
+      Journal.Writer.seal st.mirror
+    done
+  with
+  | () -> Ok ()
+  | exception e -> Error ("mirror write: " ^ Printexc.to_string e)
 
 (* Replace the shard's whole mirror with a shipped checkpoint. A failed
    install or recovery is an [Error], never an exception: the caller fails
@@ -192,6 +200,8 @@ let rebootstrap t ~shard ~data ~next_seg =
   let ( let* ) = Result.bind in
   let* () =
     try
+      (* The family goes away under the writer: close it first. *)
+      Journal.Writer.close st.mirror;
       Journal.remove_family st.base;
       if data <> "" then Journal.install_checkpoint st.base (fun oc -> output_string oc data);
       Ok ()
@@ -215,24 +225,25 @@ let rebootstrap t ~shard ~data ~next_seg =
   | Error e ->
     Service.close service;
     Error e
-  | Ok () ->
-    (* Release the old store's spill file before the new store truncates
-       the same path. *)
+  | Ok () -> (
     close_shard st;
-    st.service <- service;
-    st.store <-
-      attach_store ?resident:t.resident ~resolved:t.resolved
-        ~shards:(Array.length t.shards) shard service st.base;
-    st.seg <- next_seg;
-    st.off <- 0;
-    st.behind <- 0;
-    Ok ()
+    match
+      open_shard ?resident:t.resident ~resolved:t.resolved ~shards:(Array.length t.shards)
+        shard service st.base ~segment:next_seg
+    with
+    | exception e ->
+      Service.close service;
+      Error ("bootstrap mirror: " ^ Printexc.to_string e)
+    | fresh ->
+      t.shards.(shard) <- fresh;
+      Ok ())
 
 let sample_gauges t =
   Array.iteri
     (fun i st ->
-      Metrics.set_gauge t.metrics ~shard:i Metrics.Journal_segment st.seg;
-      Metrics.set_gauge t.metrics ~shard:i Metrics.Journal_offset st.off;
+      let seg, off = cursor_of st in
+      Metrics.set_gauge t.metrics ~shard:i Metrics.Journal_segment seg;
+      Metrics.set_gauge t.metrics ~shard:i Metrics.Journal_offset off;
       Metrics.set_gauge t.metrics ~shard:i Metrics.Replication_lag st.behind)
     t.shards
 
@@ -274,13 +285,14 @@ let apply_response t ~shard resp =
         match replay records with
         | Error _ as e -> e
         | Ok () ->
-          append_mirror st data next_seg;
-          st.behind <- behind;
-          if next_seg = st.seg && next_off <> st.off then
-            Error
-              (Printf.sprintf "cursor skew: primary says (%d,%d), mirror is at (%d,%d)"
-                 next_seg next_off st.seg st.off)
-          else Ok ())
+          Result.bind (mirror_batch st data next_seg) (fun () ->
+              st.behind <- behind;
+              let seg, off = cursor_of st in
+              if next_seg = seg && next_off <> off then
+                Error
+                  (Printf.sprintf "cursor skew: primary says (%d,%d), mirror is at (%d,%d)"
+                     next_seg next_off seg off)
+              else Ok ()))
     end
   | Codec.Snapshot { shard = s; data; next_seg; next_off = _ } ->
     if s <> shard then
@@ -297,7 +309,8 @@ let apply_batch t ~shard resp = locked t.mutex (fun () -> apply_response t ~shar
 exception Diverged of string
 
 let pull_shard t client shard =
-  let st = t.shards.(shard) in
+  (* Re-read the shard's state each round: a snapshot replaces it. *)
+  let cursor () = cursor_of t.shards.(shard) in
   let total = ref 0 in
   let continue = ref true in
   while !continue && not (Atomic.get t.stopping) do
@@ -317,7 +330,8 @@ let pull_shard t client shard =
       match sc with Some s -> Obs.Trace.query_end s ~outcome | None -> ()
     in
     match
-      Client.pull ~follower:t.id ?ctx client ~shard ~seg:st.seg ~off:st.off
+      let seg, off = cursor () in
+      Client.pull ~follower:t.id ?ctx client ~shard ~seg ~off
         ~max_bytes:t.max_bytes
     with
     | Error e ->
@@ -337,7 +351,7 @@ let pull_shard t client shard =
       | Some s, Codec.Snapshot { data; _ } ->
         Obs.Trace.annotate s "bytes" (string_of_int (String.length data))
       | _ -> ());
-      let before = (st.seg, st.off) in
+      let before = cursor () in
       let applied =
         locked t.mutex (fun () ->
             let n =
@@ -363,7 +377,7 @@ let pull_shard t client shard =
            claims), and the final empty batch both ends the pass and shows
            the source we asked FROM the committed watermark — which is what
            its [caught_up] drain gate measures (possession proof). *)
-        if (st.seg, st.off) = before then continue := false)
+        if cursor () = before then continue := false)
   done;
   !total
 
@@ -420,11 +434,11 @@ let id t = t.id
 let cursor t ~shard =
   if shard < 0 || shard >= Array.length t.shards then invalid_arg "Follower.cursor";
   locked t.mutex (fun () ->
-      let st = t.shards.(shard) in
-      (st.seg, st.off))
+      cursor_of t.shards.(shard))
 
-let lag t =
-  locked t.mutex (fun () -> Array.fold_left (fun acc st -> acc + st.behind) 0 t.shards)
+let total_behind t = Array.fold_left (fun acc st -> acc + st.behind) 0 t.shards
+
+let lag t = locked t.mutex (fun () -> total_behind t)
 
 let applied t = locked t.mutex (fun () -> t.applied)
 
@@ -451,10 +465,11 @@ let stats_json t =
       let shards =
         Array.to_list t.shards
         |> List.map (fun st ->
+               let seg, off = cursor_of st in
                Json.Obj
                  [
-                   ("segment", Json.Num (float_of_int st.seg));
-                   ("offset", Json.Num (float_of_int st.off));
+                   ("segment", Json.Num (float_of_int seg));
+                   ("offset", Json.Num (float_of_int off));
                    ("behind", Json.Num (float_of_int st.behind));
                  ])
       in
@@ -464,7 +479,7 @@ let stats_json t =
              ("role", Json.Str "follower");
              ("shards", Json.Num (float_of_int (Array.length t.shards)));
              ("applied", Json.Num (float_of_int t.applied));
-             ("lag_bytes", Json.Num (float_of_int (Array.fold_left (fun a st -> a + st.behind) 0 t.shards)));
+             ("lag_bytes", Json.Num (float_of_int (total_behind t)));
              ("journal", Json.List shards);
            ]
           @

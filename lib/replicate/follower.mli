@@ -11,8 +11,10 @@
       tail): bytes are validated (framing, CRC, replayability) and then
       written unmodified; rotations replay the primary's own renames;
     - {e fail closed, never divergent}: a batch that fails validation or
-      replay never reaches the mirror, the poll loop halts with
-      {!last_error} set, and {!promote} refuses. A killed or partitioned
+      replay never reaches the mirror; a mirror write that fails is rolled
+      back to the committed prefix ({!Disclosure.Journal.Writer}). Either
+      way the poll loop halts with {!last_error} set, and {!promote}
+      refuses. A killed or partitioned
       follower resumes from its mirror alone — {!create} recovers the
       local family exactly as the primary would after a crash, and the
       resume cursor is derived from the recovered files.
@@ -73,7 +75,10 @@ val apply_batch : t -> shard:int -> Net.Codec.response -> (unit, string) result
     [Snapshot] re-bootstraps the shard). Exposed for deterministic tests;
     the poll loop goes through this same path. [Error] means the response
     was rejected {e before} touching the mirror (corrupt, torn,
-    unreplayable, wrong shard) — fail closed. *)
+    unreplayable, wrong shard), or that the mirror write failed and was
+    rolled back with the cursor unchanged — fail closed. The mirror's
+    writer trips {!Disclosure.Faults.Journal_flush} before its flush, as
+    the primary's does. *)
 
 val poll_once : t -> Net.Client.t -> int
 (** One full pull pass on the calling domain: every shard is pulled until

@@ -69,12 +69,8 @@ let shard_base t i = Server.shard_journal t.journal i
    single record larger than [max_bytes] is shipped whole (the window
    grows), otherwise a follower could never make progress past it. *)
 let read_records path ~off ~cap ~max_bytes =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let cap = min cap (in_channel_length ic) in
-      let avail = cap - off in
+  In_channel.with_open_bin path (fun ic ->
+      let avail = min cap (in_channel_length ic) - off in
       if avail <= 0 then ""
       else
         let rec attempt want =
@@ -112,12 +108,7 @@ let snapshot t shard =
   let ckpt = Journal.ckpt_path (shard_base t shard) in
   if not (Sys.file_exists ckpt) then Codec.Snapshot { shard; data = ""; next_seg = 1; next_off = 0 }
   else
-    let ic = open_in_bin ckpt in
-    let data =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
+    let data = In_channel.with_open_bin ckpt In_channel.input_all in
     match Journal.parse data with
     | Ok ({ Journal.fields; _ } :: _, None) -> (
       match Journal.parse_ckpt_header fields with

@@ -349,15 +349,12 @@ let store_stats t =
     (fun _ -> Store.sum (List.filter_map Shard.store_stats (Array.to_list t.shards)))
     t.config.resident
 
-(* Per-shard journal watermarks, readable from any domain (racy word
-   reads — see Service.journal_position). [None] for journal-less shards
-   and, briefly, for a shard mid-reload. *)
-let journal_positions t = Array.map Shard.journal_position t.shards
-
-(* Same read discipline as the watermarks: racy word reads, exact only on
-   a quiescent or drained server. *)
+(* Racy word reads, exact only on a quiescent or drained server. *)
 let flush_counts t = Array.map Shard.flush_count t.shards
 
+(* A shard's journal watermark, readable from any domain (racy word reads —
+   see Service.journal_position). [None] for a journal-less shard and,
+   briefly, for a shard mid-reload. *)
 let journal_position t ~shard =
   if shard < 0 || shard >= shard_count t then
     invalid_arg "Server.journal_position: shard out of range";

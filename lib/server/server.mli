@@ -224,15 +224,12 @@ val shard_journal : string -> int -> string
     [<journal>.shard<i>]: the base of that shard's whole family
     ({!Disclosure.Journal}'s layout). *)
 
-val journal_positions : t -> (int * int) option array
-(** Per-shard [(active_segment, committed_bytes)] journal watermarks, by
-    shard index. Safe from any domain (racy word reads, see
-    {!Disclosure.Service.journal_position}); [None] for journal-less shards
-    and, briefly, for a shard mid-reload. *)
-
 val journal_position : t -> shard:int -> (int * int) option
-(** One shard's watermark. @raise Invalid_argument on an out-of-range
-    shard. *)
+(** The shard's [(active_segment, committed_bytes)] journal watermark. Safe
+    from any domain (racy word reads, see
+    {!Disclosure.Service.journal_position}); [None] for a journal-less
+    shard and, briefly, for a shard mid-reload.
+    @raise Invalid_argument on an out-of-range shard. *)
 
 val flush_counts : t -> int array
 (** Per-shard journal flush (fsync) counts by shard index

@@ -30,19 +30,14 @@ type entry = {
   mutable in_ring : bool;
 }
 
-type spill = {
-  path : string;
-  mutable oc : out_channel;
-  mutable ic : in_channel;
-}
-
 type t = {
   service : Service.t;
   budget : budget;
   mutable target : int;
       (* resolved resident-principal target; 0 = a Bytes budget not yet
          resolved, which only happens while nothing is resident *)
-  spill : spill;
+  mutable spill : Journal.Writer.t;
+  mutable reader : in_channel; (* the fault-in reader *)
   index : (string, entry) Hashtbl.t;
   ring : entry Queue.t; (* clock hand: pop front, second chance pushes back *)
   mutable resident : int;
@@ -50,7 +45,6 @@ type t = {
   mutable fault_ins : int;
   mutable spill_writes : int;
   mutable evictions : int;
-  mutable spill_bytes : int; (* committed size of the spill file *)
   mutable dead_records : int; (* spill records no entry points at anymore *)
   mutable pinned : string option; (* mid-fault-in principal, exempt from eviction *)
   mutable closed : bool;
@@ -75,36 +69,15 @@ let spill_refuse fmt =
 
 (* --- spill file --------------------------------------------------------- *)
 
-(* Truncate the spill file back to a bare header. Used at creation and by
+(* A spill file holding a bare header. Used at creation and by
    [tier_reset]: spilled state never survives a recovery — the journal
    replay is the authority and rebuilds it through the replay's own
    evictions. *)
-let spill_reset sp =
-  close_out_noerr sp.oc;
-  close_in_noerr sp.ic;
-  sp.oc <- open_out_gen [ Open_wronly; Open_creat; Open_trunc ] 0o644 sp.path;
-  output_string sp.oc spill_header;
-  flush sp.oc;
-  sp.ic <- open_in_bin sp.path;
-  String.length spill_header
-
 let spill_open path =
-  let oc = open_out_gen [ Open_wronly; Open_creat; Open_trunc ] 0o644 path in
-  output_string oc spill_header;
-  flush oc;
-  { path; oc; ic = open_in_bin path }
-
-(* A failed spill write may leave partial bytes in the channel or the file;
-   offsets handed out so far all point below [t.spill_bytes], so truncating
-   back there and reopening restores append-safety. *)
-let spill_rollback t =
-  let sp = t.spill in
-  close_out_noerr sp.oc;
-  let fd = Unix.openfile sp.path [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644 in
-  Fun.protect
-    ~finally:(fun () -> Unix.close fd)
-    (fun () -> Unix.ftruncate fd t.spill_bytes);
-  sp.oc <- open_out_gen [ Open_append; Open_creat ] 0o644 sp.path
+  let w = Journal.Writer.create path in
+  Journal.Writer.truncate w 0;
+  Journal.Writer.write w spill_header;
+  w
 
 (* A failed read may leave the buffered reader holding the very bytes that
    failed validation; [seek_in] back to the same offset would serve them
@@ -112,58 +85,59 @@ let spill_rollback t =
    file. Reopening the reader makes every retry observe the current bytes.
    If the reopen itself fails the channel stays closed and the next read
    refuses again — still fail-closed, and the reopen is retried then. *)
-let spill_refresh_reader sp =
-  close_in_noerr sp.ic;
-  try sp.ic <- open_in_bin sp.path with Sys_error _ -> ()
+let spill_refresh_reader t =
+  close_in_noerr t.reader;
+  try t.reader <- open_in_bin (Journal.Writer.path t.spill) with Sys_error _ -> ()
 
 (* Verify one principal's spill record — frame, CRC, record shape, and the
    principal name before the state is even parsed — and return its state.
    Any failure becomes a [Resource (Spill _)] refusal: the principal's
    history exists but cannot be trusted, and treating it as fresh would
    forget disclosures. *)
-let spill_check sp e ~off record =
+let spill_check t e ~off record =
+  let path = Journal.Writer.path t.spill in
   match Journal.parse record with
-  | Error c -> spill_refuse "%s: corrupt spill record at %d: %s" sp.path off c.Journal.corrupt_reason
+  | Error c -> spill_refuse "%s: corrupt spill record at %d: %s" path off c.Journal.corrupt_reason
   | Ok (_, Some torn) ->
-    spill_refuse "%s: torn spill record at %d: %s" sp.path off torn.Journal.torn_reason
+    spill_refuse "%s: torn spill record at %d: %s" path off torn.Journal.torn_reason
   | Ok ([ { Journal.fields = "p" :: principal :: state_fields; _ } ], None) -> (
     if not (String.equal principal e.principal) then
-      spill_refuse "%s: spill record at %d names %S, expected %S" sp.path off principal
+      spill_refuse "%s: spill record at %d names %S, expected %S" path off principal
         e.principal;
     match Monitor.state_of_fields state_fields with
     | Some st -> st
-    | None -> spill_refuse "%s: malformed spill state at %d" sp.path off)
-  | Ok _ -> spill_refuse "%s: unexpected spill record shape at %d" sp.path off
+    | None -> spill_refuse "%s: malformed spill state at %d" path off)
+  | Ok _ -> spill_refuse "%s: unexpected spill record shape at %d" path off
 
 (* An I/O failure reading the spill file — injected fault included — is a
    refusal too. *)
-let spill_io sp ~off ~len f =
+let spill_io t ~off ~len f =
   try f () with
   | (Out_of_memory | Stack_overflow | Guard.Refuse _) as ex -> raise ex
-  | ex -> spill_refuse "%s: read at %d+%d: %s" sp.path off len (Printexc.to_string ex)
+  | ex ->
+    spill_refuse "%s: read at %d+%d: %s" (Journal.Writer.path t.spill) off len
+      (Printexc.to_string ex)
 
-(* Fault-in: read one record back at its offset and verify it. *)
+(* Fault-in: read one committed record back at its offset and verify it. *)
 let spill_read t e ~off ~len =
-  let sp = t.spill in
   try
-    spill_io sp ~off ~len (fun () ->
+    spill_io t ~off ~len (fun () ->
         Faults.trip Faults.Fault_in;
-        flush sp.oc;
-        seek_in sp.ic off;
-        really_input_string sp.ic len)
-    |> spill_check sp e ~off
+        seek_in t.reader off;
+        really_input_string t.reader len)
+    |> spill_check t e ~off
   with Guard.Refuse _ as ex ->
-    spill_refresh_reader sp;
+    spill_refresh_reader t;
     raise ex
 
 (* The committed spill file in one sequential read, through a descriptor of
    its own: the fault-in reader's buffer may hold bytes the disk no longer
    has. *)
 let spill_image t =
-  let sp = t.spill in
-  spill_io sp ~off:0 ~len:t.spill_bytes (fun () ->
-      flush sp.oc;
-      In_channel.with_open_bin sp.path (fun ic -> really_input_string ic t.spill_bytes))
+  let len = Journal.Writer.committed t.spill in
+  spill_io t ~off:0 ~len (fun () ->
+      In_channel.with_open_bin (Journal.Writer.path t.spill) (fun ic ->
+          really_input_string ic len))
 
 (* --- clock eviction ----------------------------------------------------- *)
 
@@ -174,10 +148,10 @@ let ring_add t e =
   end
 
 (* Evict one entry: pristine monitors are dropped with zero I/O, dirty ones
-   get a spill record written (and flushed — no fsync: durability comes from
-   the journal, the spill only needs to be readable by this process) before
-   the monitor leaves the resident table. A spill failure aborts the
-   eviction with the principal still resident and its state untouched. *)
+   get a spill record committed (no fsync: durability comes from the
+   journal, the spill only needs to be readable by this process) before the
+   monitor leaves the resident table. A failed write is rolled back and
+   aborts the eviction with the principal still resident and untouched. *)
 let evict t e =
   match Service.resident_monitor t.service e.principal with
   | None -> ()
@@ -190,19 +164,9 @@ let evict t e =
     end
     else begin
       Faults.trip Faults.Spill;
-      let sp = t.spill in
       let s = Journal.encode ("p" :: e.principal :: Monitor.state_fields (Monitor.state m)) in
-      let off = t.spill_bytes in
-      (try
-         output_string sp.oc s;
-         flush sp.oc
-       with ex ->
-         (try spill_rollback t
-          with ex2 ->
-            Log.err (fun f ->
-                f "spill file unrecoverable after failed write: %s" (Printexc.to_string ex2)));
-         raise ex);
-      t.spill_bytes <- off + String.length s;
+      let off = Journal.Writer.committed t.spill in
+      Journal.Writer.write t.spill s;
       t.spill_writes <- t.spill_writes + 1;
       e.status <- Spilled { off; len = String.length s };
       ignore (Service.detach t.service ~principal:e.principal);
@@ -290,7 +254,8 @@ let fault_in t e =
       let m = Monitor.create e.policy in
       (try Monitor.restore m st
        with Invalid_argument msg ->
-         spill_refuse "%s: spill state rejected for %s: %s" t.spill.path e.principal msg);
+         spill_refuse "%s: spill state rejected for %s: %s" (Journal.Writer.path t.spill)
+           e.principal msg);
       Service.adopt t.service ~principal:e.principal m;
       e.status <- Resident;
       e.referenced <- true;
@@ -335,7 +300,7 @@ let tier_cold t () =
       | Spilled { off; len } ->
         if off + len > String.length !image then image := spill_image t;
         let record = String.sub !image off len in
-        let state = spill_check t.spill e ~off record in
+        let state = spill_check t e ~off record in
         Some (Service.Spilled { record; state }))
 
 let tier_touch t principal =
@@ -353,7 +318,10 @@ let tier_reset t =
         t.spilled <- t.spilled - 1;
         e.status <- Fresh)
     t.index;
-  t.spill_bytes <- spill_reset t.spill;
+  let path = Journal.Writer.path t.spill in
+  Journal.Writer.close t.spill;
+  t.spill <- spill_open path;
+  spill_refresh_reader t;
   t.dead_records <- 0
 
 (* --- public API --------------------------------------------------------- *)
@@ -363,12 +331,14 @@ let create ~budget ~spill service =
   | Principals n when n < 1 -> invalid_arg "Store.create: budget must be >= 1 principal"
   | Bytes n when n < 1 -> invalid_arg "Store.create: budget must be >= 1 byte"
   | _ -> ());
+  let writer = spill_open spill in
   let t =
     {
       service;
       budget;
       target = (match budget with Principals n -> max 1 n | Bytes _ -> 0);
-      spill = spill_open spill;
+      spill = writer;
+      reader = open_in_bin spill;
       index = Hashtbl.create 1024;
       ring = Queue.create ();
       resident = 0;
@@ -376,7 +346,6 @@ let create ~budget ~spill service =
       fault_ins = 0;
       spill_writes = 0;
       evictions = 0;
-      spill_bytes = String.length spill_header;
       dead_records = 0;
       pinned = None;
       closed = false;
@@ -432,7 +401,7 @@ let stats t =
     stat_fault_ins = t.fault_ins;
     stat_spill_writes = t.spill_writes;
     stat_evictions = t.evictions;
-    stat_spill_bytes = t.spill_bytes;
+    stat_spill_bytes = Journal.Writer.committed t.spill;
   }
 
 let sum =
@@ -463,44 +432,27 @@ let sum =
    successful checkpoint; cheap no-op until enough records have died. *)
 let compact ?(force = false) t =
   if force || (t.dead_records > 64 && t.dead_records > t.spilled) then begin
-    let sp = t.spill in
-    let tmp = Journal.tmp_path sp.path in
     match
-      flush sp.oc;
-      let oc = open_out_bin tmp in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () ->
+      Journal.Writer.replace t.spill (fun oc ->
           output_string oc spill_header;
           let pos = ref (String.length spill_header) in
-          let moves =
-            Hashtbl.fold
-              (fun _ e acc ->
-                match e.status with
-                | Spilled { off; len } ->
-                  seek_in sp.ic off;
-                  let image = really_input_string sp.ic len in
-                  output_string oc image;
-                  let noff = !pos in
-                  pos := !pos + len;
-                  (e, noff, len) :: acc
-                | Resident | Fresh -> acc)
-              t.index []
-          in
-          flush oc;
-          (moves, !pos))
+          Hashtbl.fold
+            (fun _ e acc ->
+              match e.status with
+              | Spilled { off; len } ->
+                seek_in t.reader off;
+                output_string oc (really_input_string t.reader len);
+                let noff = !pos in
+                pos := !pos + len;
+                (e, noff, len) :: acc
+              | Resident | Fresh -> acc)
+            t.index [])
     with
-    | moves, size ->
-      close_out_noerr sp.oc;
-      close_in_noerr sp.ic;
-      Sys.rename tmp sp.path;
-      sp.oc <- open_out_gen [ Open_append; Open_creat ] 0o644 sp.path;
-      sp.ic <- open_in_bin sp.path;
+    | moves ->
+      spill_refresh_reader t;
       List.iter (fun (e, off, len) -> e.status <- Spilled { off; len }) moves;
-      t.spill_bytes <- size;
       t.dead_records <- 0
     | exception ex ->
-      (try Sys.remove tmp with Sys_error _ -> ());
       Log.warn (fun f -> f "spill compaction failed (keeping old file): %s" (Printexc.to_string ex))
   end
 
@@ -508,6 +460,6 @@ let close t =
   if not t.closed then begin
     t.closed <- true;
     Service.clear_tier t.service;
-    close_out_noerr t.spill.oc;
-    close_in_noerr t.spill.ic
+    Journal.Writer.close t.spill;
+    close_in_noerr t.reader
   end

@@ -28,8 +28,9 @@
 
     The spill file is process-private scratch, not a durability artifact:
     it is reset at creation and on every {!Disclosure.Service.recover}
-    (journal replay is the authority on history), flushed but never fsynced,
-    and compacted after checkpoints. Like the service it wraps, a store is
+    (journal replay is the authority on history), committed record by
+    record through a {!Disclosure.Journal.Writer} but never fsynced, and
+    compacted after checkpoints. Like the service it wraps, a store is
     owned by one domain. *)
 
 type t
@@ -114,4 +115,5 @@ val sum : stats list -> stats
 
 val close : t -> unit
 (** Uninstall the tier hooks (the service reverts to always-resident for
-    whatever is still resident) and close the spill channels. Idempotent. *)
+    whatever is still resident) and close the spill file's writer and
+    reader. Idempotent. *)

@@ -479,6 +479,43 @@ let test_harness_bookkeeping () =
   Alcotest.(check bool) "with_fault disarms on raise" true
     (Faults.armed Faults.Decide = None)
 
+(* The one append-only writer under its own fault stage: a failed commit
+   rolls the file back to the frontier and leaves the writer usable; a
+   seal renames the file under the next segment index and opens a fresh
+   one; a rollback that cannot cut the file closes the writer for good,
+   so nothing is ever appended after garbage. *)
+let test_writer_rollback_seal_close () =
+  let path = Filename.temp_file "disclosure-writer" ".log" in
+  Fun.protect
+    ~finally:(fun () -> Journal.remove_family path)
+    (fun () ->
+      let read () = In_channel.with_open_bin path In_channel.input_all in
+      let w = Journal.Writer.create ~stage:Faults.Journal_flush ~segment:1 path in
+      let r1 = Journal.encode [ "a"; "-"; "answered" ] in
+      Journal.Writer.write w r1;
+      (match
+         Faults.with_fault Faults.Journal_flush (Faults.Raise "disk full") (fun () ->
+             Journal.Writer.write w (Journal.encode [ "b"; "-"; "answered" ]))
+       with
+      | () -> Alcotest.fail "a faulted commit must raise"
+      | exception Faults.Injected _ -> ());
+      Alcotest.(check string) "rolled back to the frontier" r1 (read ());
+      Alcotest.(check (pair int int)) "frontier unchanged" (1, String.length r1)
+        (Journal.Writer.position w);
+      Journal.Writer.write w r1;
+      Journal.Writer.seal w;
+      Alcotest.(check string) "sealed as segment 1" (r1 ^ r1)
+        (In_channel.with_open_bin (Journal.segment_path path 1) In_channel.input_all);
+      Alcotest.(check (pair int int)) "fresh active file" (2, 0) (Journal.Writer.position w);
+      Journal.Writer.append w r1;
+      Sys.remove path;
+      Journal.Writer.rollback w;
+      Alcotest.(check bool) "failed rollback closes the writer" false (Journal.Writer.is_open w);
+      (match Journal.Writer.write w r1 with
+      | () -> Alcotest.fail "a closed writer must refuse appends"
+      | exception Sys_error _ -> ());
+      Alcotest.(check bool) "nothing appended after the failure" false (Sys.file_exists path))
+
 let () =
   Alcotest.run "disclosure-faults"
     [
@@ -499,6 +536,8 @@ let () =
             test_journal_flush_fault_rolls_back;
           Alcotest.test_case "checkpoint faults fail safe" `Quick
             test_checkpoint_faults_fail_safe;
+          Alcotest.test_case "journal writer: rollback, seal, close for good" `Quick
+            test_writer_rollback_seal_close;
           Alcotest.test_case "rotation fault never refuses" `Quick
             test_rotation_fault_never_refuses;
           Alcotest.test_case "alive mask monotone under faults" `Quick

@@ -591,6 +591,55 @@ let test_bootstrap_install_fails_closed () =
           Net.Listener.stop listener;
           Server.stop server))
 
+(* Regression: a mirror write that fails after the batch was validated and
+   replayed is an [Error] from [apply_batch], never an escaping exception.
+   The mirror is rolled back to its committed prefix and the cursor stays
+   put; over the wire the poll loop records the failure, and promotion
+   refuses the follower — its services hold records its mirror does not. *)
+let test_mirror_write_fails_closed () =
+  with_bases (fun jbase mbase ->
+      with_sock (fun addr ->
+          let shards = 1 in
+          let server = make_primary ~journal:jbase ~shards () in
+          Server.start server;
+          run_history server;
+          let source = Source.create ~server ~journal:jbase () in
+          let fol = make_follower ~journal:mbase ~shards () in
+          catch_up source fol ~shards;
+          run_history server;
+          let mirror = Server.shard_journal mbase 0 in
+          let cursor = Follower.cursor fol ~shard:0 in
+          let bytes = read_opt mirror in
+          let failed_flush f = Faults.with_fault Faults.Journal_flush (Faults.Raise "disk full") f in
+          let seg, off = cursor in
+          let batch = Source.serve_pull source ~shard:0 ~seg ~off ~max_bytes:0 in
+          (match batch with
+          | Net.Codec.Batch { data; _ } when data <> "" -> ()
+          | _ -> Alcotest.fail "the second history must ship as a non-empty batch");
+          (match failed_flush (fun () -> Follower.apply_batch fol ~shard:0 batch) with
+          | Error _ -> ()
+          | Ok () -> Alcotest.fail "a failed mirror write must be an Error"
+          | exception e -> Alcotest.failf "mirror failure escaped: %s" (Printexc.to_string e));
+          let unchanged what =
+            Alcotest.(check (pair int int)) (what ^ ": cursor unchanged") cursor
+              (Follower.cursor fol ~shard:0);
+            Alcotest.(check string) (what ^ ": mirror rolled back") bytes (read_opt mirror)
+          in
+          unchanged "apply_batch";
+          let listener = Net.Listener.create ~extend:(Source.handler source) ~server addr in
+          let client = Net.Client.connect addr in
+          ignore (failed_flush (fun () -> Follower.poll_once fol client));
+          Alcotest.(check bool) "poll records the failure" true (Follower.last_error fol <> None);
+          unchanged "poll_once";
+          (match Follower.promote fol ~config:(config ~shards) () with
+          | Error _ -> ()
+          | Ok (promoted, _) ->
+            Server.stop promoted;
+            Alcotest.fail "a follower whose mirror write failed must not promote");
+          Net.Client.close client;
+          Net.Listener.stop listener;
+          Server.stop server))
+
 (* --- online reload: flip, carry-over, reset, invalid no-op ------------- *)
 
 let policy_open_calendar : Policyfile.t =
@@ -1007,6 +1056,8 @@ let () =
           Alcotest.test_case "poll_once catches up in one pass" `Quick test_poll_once_catches_up;
           Alcotest.test_case "failed bootstrap install fails closed" `Quick
             test_bootstrap_install_fails_closed;
+          Alcotest.test_case "failed mirror write fails closed" `Quick
+            test_mirror_write_fails_closed;
           Alcotest.test_case "checkpoint bootstrap and re-bootstrap" `Quick
             test_checkpoint_bootstrap;
         ] );

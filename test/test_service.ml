@@ -589,6 +589,34 @@ let test_stray_segment_suffixes () =
 
 (* A family whose active file was sealed away and that has no checkpoint
    yet (a follower mirror right after a segment boundary) still exists. *)
+(* The [`Journal] observations report the bytes each commit covers: one
+   record per decision, and the whole batch at a group commit's covering
+   flush — read before the flush empties the batch. *)
+let test_journal_observations_count_bytes () =
+  with_tmp_base (fun base ->
+      let seen = ref [] in
+      let observe (o : Service.observation) =
+        if o.Service.stage = `Journal then seen := o.Service.detail :: !seen
+      in
+      let service = Service.create ~journal:base ~observe (Pipeline.create [ v1; v2; v3 ]) in
+      Service.register service ~principal:"crm-app" ~partitions:[ ("meetings", [ v1; v2 ]) ];
+      let q = pq "Q(x) :- Meetings(x, y)" in
+      ignore (Service.submit service ~principal:"crm-app" q);
+      let one = Journal.file_size base in
+      Alcotest.(check (option string)) "per-decision bytes" (Some (string_of_int one))
+        (List.assoc_opt "journal_bytes" (List.hd !seen));
+      Service.batch_begin service;
+      ignore (Service.submit service ~principal:"crm-app" q);
+      ignore (Service.submit service ~principal:"crm-app" q);
+      Helpers.check_bool "batch commits" true (Service.batch_end service = Ok ());
+      let flush = List.hd !seen in
+      Alcotest.(check (option string)) "covering flush bytes"
+        (Some (string_of_int (Journal.file_size base - one)))
+        (List.assoc_opt "journal_bytes" flush);
+      Alcotest.(check (option string)) "covering flush records" (Some "2")
+        (List.assoc_opt "group_records" flush);
+      Service.close service)
+
 let test_family_exists_with_only_sealed_segments () =
   with_tmp_journal (fun path ->
       let service = make_journaled_service ~segment_bytes:1 path in
@@ -796,6 +824,8 @@ let suite =
       test_stray_segment_suffixes;
     Alcotest.test_case "a family of sealed segments exists" `Quick
       test_family_exists_with_only_sealed_segments;
+    Alcotest.test_case "journal observations count committed bytes" `Quick
+      test_journal_observations_count_bytes;
     prop_recovery_equivalence;
     prop_evict_reload_equivalence;
     Alcotest.test_case "monotonic clock" `Quick test_mclock_monotonic;
