@@ -397,9 +397,11 @@ let replay_cmd =
       & opt (some string) None
       & info [ "j"; "journal" ] ~docv:"FILE"
           ~doc:
-            "Append every decision to this journal file \
-             (principal<TAB>label<TAB>decision, one line per decision). The \
-             journal can later rebuild monitor state via Service.recover.")
+            "Append every decision to this journal file, refusals included, as \
+             checksummed v2 records: one 'J2 <crc32> <length> \
+             principal<TAB>label<TAB>decision' line per decision, fields \
+             escaped. The journal can later rebuild monitor state via \
+             Service.recover; 'audit' reads it.")
   in
   let run () config_file syntax workload_file fuel deadline journal =
     let config = or_fail (Disclosure.Policyfile.parse_file config_file) in
@@ -433,7 +435,7 @@ let replay_cmd =
                     Pipeline.label_ucq ~budget (Service.pipeline service) u)
               with
               | Ok label -> Service.submit_label service ~principal label
-              | Error reason -> Monitor.Refused reason
+              | Error reason -> Service.refuse service ~principal reason
             in
             Format.printf "%-20s %-55s %a@." principal query_s Monitor.pp_decision d)
       lines;

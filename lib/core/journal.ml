@@ -340,8 +340,9 @@ module Writer = struct
     stage : Faults.stage option; (* tripped between buffer and flush *)
     mutable oc : out_channel;
     mutable closed : bool; (* for good: never flickers, unlike [oc] *)
-    mutable segment : int;
-    mutable committed : int;
+    mutable frontier : int * int;
+        (* (segment, committed bytes), replaced as one value so a reader on
+           another domain never pairs one segment with another's size *)
     mutable pending : int;
     mutable poisoned : string option;
   }
@@ -351,11 +352,13 @@ module Writer = struct
   let create ?stage ?(segment = 0) path =
     let oc = open_channel path in
     let committed = file_size path in
-    { path; stage; oc; closed = false; segment; committed; pending = 0; poisoned = None }
+    { path; stage; oc; closed = false; frontier = (segment, committed); pending = 0;
+      poisoned = None }
 
   let path w = w.path
-  let position w = (w.segment, w.committed)
-  let committed w = w.committed
+  let position w = w.frontier
+  let committed w = snd w.frontier
+  let set_committed w n = w.frontier <- (fst w.frontier, n)
   let pending w = w.pending
   let poisoned w = w.poisoned
   let is_open w = not w.closed
@@ -380,7 +383,7 @@ module Writer = struct
     close_out_noerr w.oc;
     w.pending <- 0;
     w.poisoned <- None;
-    truncate_file w.path w.committed;
+    truncate_file w.path (committed w);
     w.oc <- open_channel w.path
 
   (* A failed append or flush may leave a prefix of the pending bytes on
@@ -404,7 +407,7 @@ module Writer = struct
       flush oc
     with
     | () ->
-      w.committed <- w.committed + w.pending;
+      set_committed w (committed w + w.pending);
       w.pending <- 0
     | exception e ->
       rollback w;
@@ -418,25 +421,24 @@ module Writer = struct
       raise e
 
   let truncate w size =
-    w.committed <- size;
+    set_committed w size;
     cut w
 
   (* After a rename (or a failed one), appends resume at the end of
-     whatever file now has the name. *)
-  let reopen w =
+     whatever file now has the name, in [segment]. *)
+  let reopen ?segment w =
+    let segment = Option.value segment ~default:(fst w.frontier) in
     close_out_noerr w.oc;
     w.oc <- open_channel w.path;
-    w.committed <- file_size w.path
+    w.frontier <- (segment, file_size w.path)
 
   let seal w =
     let oc = channel w in
     match
       close_out oc;
-      Sys.rename w.path (segment_path w.path w.segment)
+      Sys.rename w.path (segment_path w.path (fst w.frontier))
     with
-    | () ->
-      w.segment <- w.segment + 1;
-      reopen w
+    | () -> reopen ~segment:(fst w.frontier + 1) w
     | exception e ->
       reopen w;
       raise e

@@ -163,7 +163,9 @@ module Writer : sig
   val path : t -> string
 
   val position : t -> int * int
-  (** [(segment, committed)]: racy but memory-safe from another domain. A
+  (** [(segment, committed)]: racy but memory-safe from another domain,
+      and never torn — the pair is replaced as one value, so a reader never
+      sees a new segment's size under the old segment's number. A
       concurrent reader may see a not-yet-committed suffix, which parses as
       a torn tail. *)
 

@@ -227,8 +227,9 @@ val shard_journal : string -> int -> string
 val journal_position : t -> shard:int -> (int * int) option
 (** The shard's [(active_segment, committed_bytes)] journal watermark. Safe
     from any domain (racy word reads, see
-    {!Disclosure.Service.journal_position}); [None] for a journal-less
-    shard and, briefly, for a shard mid-reload.
+    {!Disclosure.Service.journal_position}); [None] only for a journal-less
+    shard — a reload publishes the staged service before closing the old
+    one, so a journaled shard never reads [None].
     @raise Invalid_argument on an out-of-range shard. *)
 
 val flush_counts : t -> int array

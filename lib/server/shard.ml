@@ -510,8 +510,12 @@ let reload t ~pipeline ~principals =
        which still reads spilled state through the old tier. *)
     (match t.store with Some old -> Store.close old | None -> ());
     t.store <- None;
-    Service.close t.service;
+    (* Publish the staged service before closing the old one: a closed
+       service reports no journal position, and a replication drain gate
+       reading that [None] would skip this shard as caught up. *)
+    let old = t.service in
     t.service <- staged;
+    Service.close old;
     (match t.resident with
     | None -> ()
     | Some budget -> (

@@ -135,7 +135,8 @@ val register :
 val journal_position : t -> (int * int) option
 (** {!Disclosure.Service.journal_position} of the live service: the
     [(active_segment, committed_bytes)] watermark. Safe from any domain
-    (racy word reads); briefly [None] while a reload swaps services. *)
+    (racy word reads); [None] only without a journal ({!reload} publishes
+    the staged service before closing the old one). *)
 
 val sample : t -> unit
 (** Write every per-shard gauge of the shard's metrics from its live state

@@ -17,31 +17,8 @@ open Support
 
 module Service = Disclosure.Service
 module Monitor = Disclosure.Monitor
-module Pipeline = Disclosure.Pipeline
-module Sview = Disclosure.Sview
 module Journal = Disclosure.Journal
-
-let pq = Cq.Parser.query_exn
-
-let v1 = Sview.of_string "V1(x, y) :- Meetings(x, y)"
-let v2 = Sview.of_string "V2(x) :- Meetings(x, y)"
-let v3 = Sview.of_string "V3(x, y, z) :- Contacts(x, y, z)"
-
-(* One principal name exercises the escape path, so flips land inside
-   backslash escapes too. *)
-let hostile = "tab\tapp"
-
-let make_service ?journal () =
-  let service = Service.create ?journal (Pipeline.create [ v1; v2; v3 ]) in
-  Service.register service ~principal:"crm-app"
-    ~partitions:[ ("meetings", [ v1; v2 ]); ("contacts", [ v3 ]) ];
-  Service.register_stateless service ~principal:"calendar-app" ~views:[ v2 ];
-  Service.register_stateless service ~principal:hostile ~views:[ v2 ];
-  service
-
-let q_contacts = pq "Q(x, y, z) :- Contacts(x, y, z)"
-let q_meetings = pq "Q(x, y) :- Meetings(x, y)"
-let q_slots = pq "Q(x) :- Meetings(x, y)"
+module Guard = Disclosure.Guard
 
 (* The deterministic history: one journal record per step. [run ~after]
    calls [after i service] after step [i] (1-based), e.g. to checkpoint. *)
@@ -73,17 +50,6 @@ let run_history ?(after = fun _ _ -> ()) service =
     history;
   states
 
-let write_file path s =
-  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
-
-let count_newlines s = String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 s
-
-let rm f = try Sys.remove f with Sys_error _ -> ()
-
-let with_base f =
-  let base = Filename.temp_file "disclosure-crash" ".journal" in
-  Fun.protect ~finally:(fun () -> Journal.remove_family base) (fun () -> f base)
-
 let recover_fresh base =
   let fresh = make_service () in
   Service.recover fresh ~journal:base |> Result.map (fun r -> (r, Service.snapshot fresh))
@@ -91,7 +57,7 @@ let recover_fresh base =
 (* --- truncation: every byte offset ------------------------------------ *)
 
 let test_truncate_every_offset () =
-  with_base (fun base ->
+  with_tmp_base (fun base ->
       let service = make_service ~journal:base () in
       let states = run_history service in
       Service.close service;
@@ -125,7 +91,7 @@ let test_truncate_every_offset () =
    bytes into a line no parser accepts, and the second recovery fails
    closed, losing every post-restart committed decision. *)
 let test_append_after_torn_recovery () =
-  with_base (fun base ->
+  with_tmp_base (fun base ->
       let service = make_service ~journal:base () in
       ignore (run_history service);
       Service.close service;
@@ -174,8 +140,8 @@ let test_append_after_torn_recovery () =
    never individually flushed — must recover to the exact state after the
    last fully committed record, never a partial application of a batch. *)
 let test_group_commit_truncate_every_offset () =
-  with_base (fun base_plain ->
-      with_base (fun base ->
+  with_tmp_base (fun base_plain ->
+      with_tmp_base (fun base ->
           let plain = make_service ~journal:base_plain () in
           ignore (run_history plain);
           Service.close plain;
@@ -235,7 +201,7 @@ let flip_patterns = [ 0x01; 0x80; 0xff ]
    may instead surface as a tolerated torn tail (e.g. flipping its
    newline), in which case the state must still be the exact prefix. *)
 let torture_record ~line =
-  with_base (fun base ->
+  with_tmp_base (fun base ->
       let service = make_service ~journal:base () in
       let states = run_history service in
       Service.close service;
@@ -282,7 +248,7 @@ let test_flip_first_record () = torture_record ~line:0
 (* --- checkpoint damage: no torn-tail excuse ---------------------------- *)
 
 let with_checkpointed_base f =
-  with_base (fun base ->
+  with_tmp_base (fun base ->
       let service = make_service ~journal:base () in
       let states =
         run_history service
@@ -307,7 +273,7 @@ let test_checkpoint_recovers_exactly () =
 
 let test_checkpoint_damage_fails_closed () =
   with_checkpointed_base (fun base _states ->
-      let ckpt = base ^ ".ckpt" in
+      let ckpt = Journal.ckpt_path base in
       let whole = read_file ckpt in
       let check_refused what =
         match recover_fresh base with
@@ -360,18 +326,14 @@ let test_truncate_tail_after_checkpoint () =
 
 (* --- spill-file torture: the tiered store's scratch file ---------------- *)
 
-module Guard = Disclosure.Guard
-
-let crm_partitions = [ ("meetings", [ v1; v2 ]); ("contacts", [ v3 ]) ]
-let cal_partitions = [ ("slots", [ v2 ]) ]
-
 (* A budget-1 tiered pair with crm-app's dirty state spilled: the calendar
    touch's fault-in displaces it. *)
 let make_spilled spill =
-  let service = Service.create (Pipeline.create [ v1; v2; v3 ]) in
+  let service = Service.create (pipeline ()) in
   let store = Store.create ~budget:(Store.Principals 1) ~spill service in
-  Store.register store ~principal:"crm-app" ~partitions:crm_partitions;
-  Store.register store ~principal:"calendar-app" ~partitions:cal_partitions;
+  List.iter
+    (fun principal -> Store.register store ~principal ~partitions:(partitions principal))
+    [ "crm-app"; "calendar-app" ];
   (match Service.submit service ~principal:"crm-app" q_contacts with
   | Monitor.Answered -> ()
   | d -> Alcotest.failf "fixture: crm setup got %a" Monitor.pp_decision d);
@@ -383,9 +345,10 @@ let make_spilled spill =
 
 (* The always-resident twin's state once the probe query succeeds. *)
 let spill_probe_expected () =
-  let service = Service.create (Pipeline.create [ v1; v2; v3 ]) in
-  Service.register service ~principal:"crm-app" ~partitions:crm_partitions;
-  Service.register service ~principal:"calendar-app" ~partitions:cal_partitions;
+  let service = Service.create (pipeline ()) in
+  List.iter
+    (fun principal -> Service.register service ~principal ~partitions:(partitions principal))
+    [ "crm-app"; "calendar-app" ];
   ignore (Service.submit service ~principal:"crm-app" q_contacts);
   ignore (Service.submit service ~principal:"calendar-app" q_slots);
   ignore (Service.submit service ~principal:"crm-app" q_contacts);
@@ -399,10 +362,8 @@ let spill_probe_expected () =
    fault-in must then return the exact spilled state. *)
 let test_spill_flip_every_byte () =
   let expected = spill_probe_expected () in
-  let spill = Filename.temp_file "disclosure-crash" ".spill" in
-  Fun.protect
-    ~finally:(fun () -> rm spill)
-    (fun () ->
+  with_tmp_base (fun base ->
+      let spill = Journal.spill_path base in
       let fixture = ref (make_spilled spill) in
       let good = ref (read_file spill) in
       for pos = 0 to String.length !good - 1 do
@@ -446,10 +407,8 @@ let test_spill_flip_every_byte () =
    rewriting the full bytes restores the exact state. *)
 let test_spill_truncate_every_offset () =
   let expected = spill_probe_expected () in
-  let spill = Filename.temp_file "disclosure-crash" ".spill" in
-  Fun.protect
-    ~finally:(fun () -> rm spill)
-    (fun () ->
+  with_tmp_base (fun base ->
+      let spill = Journal.spill_path base in
       let service, store = make_spilled spill in
       let good = read_file spill in
       for cut = 0 to String.length good - 1 do

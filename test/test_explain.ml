@@ -1,15 +1,14 @@
 (* Tests for decision provenance (Explain + the capture plumbing through
    Service, Shard, Server, the wire protocol, and replication).
 
-   The headline property is differential: provenance capture is pure
-   observation. A server asked to explain its decisions produces the SAME
-   decision sequence, the SAME journal bytes, and the SAME checkpoint bytes
-   as one that is not — including under group commit and under every
-   submission-path fault. The remaining groups pin the content contract
-   (every refusal-taxonomy variant yields a typed cause chain; an answered
-   explanation names its tier, cache level, and mask delta), the wire codec
-   round-trip, the cross-process trace stitching, and the offline audit
-   ledger's agreement with live stats.
+   That capture is pure observation — the same decisions, journal bytes and
+   checkpoint bytes with and without it, under group commit too — is the
+   differential oracle's explain axis (test/support/oracle.ml). This suite
+   pins the rest: every submission-path fault still explains its refusal,
+   every refusal-taxonomy variant yields a typed cause chain, an answered
+   explanation names its tier, cache level, and mask delta, the wire codec
+   round-trips, traces stitch across processes, and the offline audit
+   ledger agrees with live stats.
 
    Its own executable: it arms the global fault hooks, spawns worker
    domains, binds sockets, and runs a replication pull. *)
@@ -18,14 +17,10 @@ open Support
 
 module Service = Disclosure.Service
 module Monitor = Disclosure.Monitor
-module Pipeline = Disclosure.Pipeline
 module Guard = Disclosure.Guard
 module Faults = Disclosure.Faults
 module Mclock = Disclosure.Mclock
-module Sview = Disclosure.Sview
-module Journal = Disclosure.Journal
 module Explain = Disclosure.Explain
-module Policyfile = Disclosure.Policyfile
 module Metrics = Server.Metrics
 module Trace = Obs.Trace
 module Json = Obs.Json
@@ -33,40 +28,9 @@ module Codec = Net.Codec
 module Source = Replicate.Source
 module Follower = Replicate.Follower
 
-let pq = Cq.Parser.query_exn
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
-
-let v1 = Sview.of_string "V1(x, y) :- Meetings(x, y)"
-let v2 = Sview.of_string "V2(x) :- Meetings(x, y)"
-let v3 = Sview.of_string "V3(x, y, z) :- Contacts(x, y, z)"
-
-let pipeline () = Pipeline.create [ v1; v2; v3 ]
-
-let policy : Policyfile.t =
-  {
-    Policyfile.views = [ v1; v2; v3 ];
-    principals =
-      [
-        ("crm-app", [ ("meetings", [ "V1"; "V2" ]); ("contacts", [ "V3" ]) ]);
-        ("calendar-app", [ ("default", [ "V2" ]) ]);
-        ("hr-app", [ ("default", [ "V3" ]) ]);
-      ];
-  }
-
-let register_all server =
-  match Policyfile.resolve policy with
-  | Ok resolved ->
-    List.iter
-      (fun (principal, partitions) -> Server.register server ~principal ~partitions)
-      resolved
-  | Error e -> Alcotest.failf "resolve: %s" e
-
-let q_slots = pq "Q(x) :- Meetings(x, y)"
-let q_meetings = pq "Q(x, y) :- Meetings(x, y)"
-let q_contacts = pq "Q(x, y, z) :- Contacts(x, y, z)"
-let q_join = pq "Q(x, e) :- Meetings(x, y), Contacts(y, e, p)"
 
 (* A deterministic mixed history: answers, policy refusals, a partition
    kill (crm-app answers contacts, losing the meetings partition, then is
@@ -95,78 +59,11 @@ let decision_pp ppf = function
 
 let decision_t = Alcotest.testable decision_pp decision_eq
 
-let domains = 2
-
-let make_server ?limits ?journal ?trace ?(domains = domains)
-    ?(mailbox_capacity = 1024) ?(cache_capacity = 0) ?(group_commit = false) () =
-  let server =
-    Server.create ?limits ?journal ?trace
-      ~config:
-        { Server.domains; mailbox_capacity; cache_capacity; checkpoint_every = 0;
-          segment_bytes = 0; drain = Server.default_config.Server.drain; group_commit;
-          resident = None }
-      (pipeline ())
-  in
-  register_all server;
-  server
-
-let with_socket f =
-  let path = Filename.temp_file "disclosure-explain" ".sock" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () -> f (Net.Addr.Unix_socket path))
-
-(* --- differential: provenance capture is pure observation --------------- *)
-
-(* Run [history] once through [submit] and once through [submit_explained]
-   on identically configured journaled servers; decisions, journal bytes,
-   and checkpoint bytes must be bit-identical. *)
-let run_differential ~group_commit () =
-  let run ~explained base =
-    let server = make_server ~journal:base ~group_commit () in
-    Server.start server;
-    let decisions =
-      List.map
-        (fun (principal, q) ->
-          if explained then (
-            let d, e = Server.await_explained (Server.submit_explained server ~principal q) in
-            check_bool "explained ticket carries provenance" true (e <> None);
-            d)
-          else Server.submit_sync server ~principal q)
-        history
-    in
-    Server.drain server;
-    (* Journal bytes before the checkpoint compacts them away... *)
-    let journals =
-      List.init domains (fun i -> read_opt (Printf.sprintf "%s.shard%d" base i))
-    in
-    (match Server.checkpoint server with
-    | Ok () -> ()
-    | Error e -> Alcotest.failf "checkpoint: %s" e);
-    Server.stop server;
-    (* ... and the checkpoint bytes after. *)
-    let files =
-      List.map2
-        (fun i j -> (j, read_opt (Printf.sprintf "%s.shard%d.ckpt" base i)))
-        (List.init domains Fun.id) journals
-    in
-    (decisions, files)
-  in
-  with_tmp_base (fun base_off ->
-      with_tmp_base (fun base_on ->
-          let d_off, files_off = run ~explained:false base_off in
-          let d_on, files_on = run ~explained:true base_on in
-          Alcotest.(check (list decision_t)) "same decision sequence" d_off d_on;
-          check_bool "decisions were journaled" true
-            (List.exists (fun (j, _) -> String.length j > 0) files_off);
-          List.iteri
-            (fun i ((j_off, c_off), (j_on, c_on)) ->
-              check_string (Printf.sprintf "shard %d journal bytes" i) j_off j_on;
-              check_string (Printf.sprintf "shard %d checkpoint bytes" i) c_off c_on)
-            (List.combine files_off files_on)))
-
-let test_differential_plain () = run_differential ~group_commit:false ()
-let test_differential_group_commit () = run_differential ~group_commit:true ()
+let make_server ?limits ?journal ?trace ?domains ?mailbox_capacity ?(cache_capacity = 0)
+    ?group_commit () =
+  Support.make_server ?limits ?journal ?trace
+    ~config:(config ?domains ?mailbox_capacity ~cache_capacity ?group_commit ())
+    ()
 
 (* Single-threaded shard harness (worker never started): [Shard.process] on
    the calling domain, so the global fault hooks are safe and deterministic. *)
@@ -395,9 +292,6 @@ let test_wire_explain () =
 let test_stitched_trace () =
   with_tmp_base (fun jbase ->
       with_tmp_base (fun mbase ->
-          (* The temp files themselves would collide with journal recovery:
-             remove them so both families start empty. *)
-          List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ jbase; mbase ];
           with_socket (fun addr ->
               (* Primary: 1 shard on track 0, the listener (and the
                  replication source) on track 1. *)
@@ -594,8 +488,12 @@ let () =
     [
       ( "differential",
         [
-          Alcotest.test_case "per-decision commits" `Quick test_differential_plain;
-          Alcotest.test_case "group commit" `Quick test_differential_group_commit;
+          Oracle.slice "per-decision commits"
+            ~pin:(fun c -> Oracle.fixed_batches { c with explain = true; group_commit = false })
+            ~pin_twin:(fun c -> { c with explain = false });
+          Oracle.slice "group commit"
+            ~pin:(fun c -> Oracle.fixed_batches { c with explain = true; group_commit = true })
+            ~pin_twin:(fun c -> { c with explain = false });
           Alcotest.test_case "fault matrix" `Quick test_differential_fault_matrix;
         ] );
       ( "taxonomy",

@@ -1,7 +1,7 @@
 (* Fault-injection suite for the fail-closed reference monitor.
 
-   Self-contained (its own executable, no shared test helpers): arms every
-   fault at every pipeline stage and asserts the service's three robustness
+   Its own executable (the fault hooks are global): arms every fault at
+   every pipeline stage and asserts the service's three robustness
    invariants:
 
    1. fail-closed — a fault anywhere in the submission path yields a
@@ -12,30 +12,17 @@
       faults, and refusals, the alive mask only ever loses bits (except at
       an explicit reset). *)
 
+open Support
+
 module Guard = Disclosure.Guard
 module Faults = Disclosure.Faults
 module Service = Disclosure.Service
 module Monitor = Disclosure.Monitor
 module Pipeline = Disclosure.Pipeline
-module Sview = Disclosure.Sview
 module Journal = Disclosure.Journal
 
-let pq = Cq.Parser.query_exn
-
-let sview s = Sview.of_string s
-
-let v1 = sview "V1(x, y) :- Meetings(x, y)"
-let v2 = sview "V2(x) :- Meetings(x, y)"
-let v3 = sview "V3(x, y, z) :- Contacts(x, y, z)"
-
-let make_service ?limits ?journal () =
-  let service = Service.create ?limits ?journal (Pipeline.create [ v1; v2; v3 ]) in
-  Service.register service ~principal:"app"
-    ~partitions:[ ("meetings", [ v1; v2 ]); ("contacts", [ v3 ]) ];
-  service
-
-let q_slots = pq "Q(x) :- Meetings(x, y)"
-let q_meetings = pq "Q(x, y) :- Meetings(x, y)"
+(* The principal under test: two partitions, so an answer can narrow it. *)
+let app = "crm-app"
 
 let all_faults = [ Faults.Exhaust_fuel; Faults.Expire_deadline; Faults.Raise "injected" ]
 
@@ -53,13 +40,13 @@ let test_fault_matrix () =
           let service = make_service () in
           (* Establish non-trivial state: one answered query narrowed the
              wall to the meetings side. *)
-          (match Service.submit service ~principal:"app" q_slots with
+          (match Service.submit service ~principal:app q_slots with
           | Monitor.Answered -> ()
           | d -> Alcotest.failf "%s: setup not answered: %a" name Monitor.pp_decision d);
           let before = Service.snapshot service in
           let decision =
             Faults.with_fault stage fault (fun () ->
-                Service.submit service ~principal:"app" q_meetings)
+                Service.submit service ~principal:app q_meetings)
           in
           (match decision with
           | Monitor.Refused reason ->
@@ -69,7 +56,7 @@ let test_fault_matrix () =
           if Service.snapshot service <> before then
             Alcotest.failf "%s: refusal mutated monitor state" name;
           (* Recovery: once disarmed, the same query goes through. *)
-          match Service.submit service ~principal:"app" q_meetings with
+          match Service.submit service ~principal:app q_meetings with
           | Monitor.Answered -> ()
           | d ->
             Alcotest.failf "%s: not answered after clearing: %a" name
@@ -91,7 +78,7 @@ let test_fault_matrix_submit_label () =
           let before = Service.snapshot service in
           let decision =
             Faults.with_fault stage fault (fun () ->
-                Service.submit_label service ~principal:"app" label)
+                Service.submit_label service ~principal:app label)
           in
           (match stage with
           | Faults.Admission | Faults.Decide | Faults.Journal -> (
@@ -114,19 +101,19 @@ let test_fault_reasons () =
   let service = make_service () in
   (match
      Faults.with_fault Faults.Label Faults.Exhaust_fuel (fun () ->
-         Service.submit service ~principal:"app" q_slots)
+         Service.submit service ~principal:app q_slots)
    with
   | Monitor.Refused (Guard.Resource Guard.Fuel) -> ()
   | d -> Alcotest.failf "expected fuel refusal, got %a" Monitor.pp_decision d);
   (match
      Faults.with_fault Faults.Minimize Faults.Expire_deadline (fun () ->
-         Service.submit service ~principal:"app" q_slots)
+         Service.submit service ~principal:app q_slots)
    with
   | Monitor.Refused (Guard.Resource Guard.Deadline) -> ()
   | d -> Alcotest.failf "expected deadline refusal, got %a" Monitor.pp_decision d);
   match
     Faults.with_fault Faults.Dissect (Faults.Raise "bug #42") (fun () ->
-        Service.submit service ~principal:"app" q_slots)
+        Service.submit service ~principal:app q_slots)
   with
   | Monitor.Refused (Guard.Fault msg) ->
     let has_needle =
@@ -151,7 +138,7 @@ let hard_query =
 let test_real_fuel_exhaustion () =
   let service = make_service ~limits:(Guard.limits ~fuel:5 ()) () in
   let before = Service.snapshot service in
-  (match Service.submit service ~principal:"app" hard_query with
+  (match Service.submit service ~principal:app hard_query with
   | Monitor.Refused (Guard.Resource Guard.Fuel) -> ()
   | d -> Alcotest.failf "expected fuel exhaustion, got %a" Monitor.pp_decision d);
   Alcotest.(check bool) "state untouched" true (Service.snapshot service = before)
@@ -159,7 +146,7 @@ let test_real_fuel_exhaustion () =
 let test_real_deadline_expiry () =
   let service = make_service ~limits:(Guard.limits ~deadline:1e-9 ()) () in
   let before = Service.snapshot service in
-  (match Service.submit service ~principal:"app" hard_query with
+  (match Service.submit service ~principal:app hard_query with
   | Monitor.Refused (Guard.Resource Guard.Deadline) -> ()
   | d -> Alcotest.failf "expected deadline expiry, got %a" Monitor.pp_decision d);
   Alcotest.(check bool) "state untouched" true (Service.snapshot service = before)
@@ -167,20 +154,17 @@ let test_real_deadline_expiry () =
 (* Journal faults refuse before commit: the journal never trails the
    monitor, so a post-fault recovery reproduces the exact live state. *)
 let test_journal_fault_keeps_replay_equivalent () =
-  let path = Filename.temp_file "disclosure-faults" ".log" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
+  with_tmp_base (fun path ->
       let service = make_service ~journal:path () in
-      ignore (Service.submit service ~principal:"app" q_slots);
+      ignore (Service.submit service ~principal:app q_slots);
       let decision =
         Faults.with_fault Faults.Journal (Faults.Raise "disk full") (fun () ->
-            Service.submit service ~principal:"app" q_meetings)
+            Service.submit service ~principal:app q_meetings)
       in
       (match decision with
       | Monitor.Refused (Guard.Fault _) -> ()
       | d -> Alcotest.failf "expected journal fault, got %a" Monitor.pp_decision d);
-      ignore (Service.submit service ~principal:"app" q_meetings);
+      ignore (Service.submit service ~principal:app q_meetings);
       let live = Service.snapshot service in
       Service.close service;
       let fresh = make_service () in
@@ -196,22 +180,19 @@ let test_journal_fault_keeps_replay_equivalent () =
    successful append starts a clean record and recovery replays the journal
    instead of failing closed on a merged line. *)
 let test_journal_flush_fault_rolls_back () =
-  let path = Filename.temp_file "disclosure-flushfault" ".log" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
+  with_tmp_base (fun path ->
       let service = make_service ~journal:path () in
-      ignore (Service.submit service ~principal:"app" q_slots);
+      ignore (Service.submit service ~principal:app q_slots);
       let before = Service.snapshot service in
       (match
          Faults.with_fault Faults.Journal_flush (Faults.Raise "disk full") (fun () ->
-             Service.submit service ~principal:"app" q_meetings)
+             Service.submit service ~principal:app q_meetings)
        with
       | Monitor.Refused (Guard.Fault _) -> ()
       | d -> Alcotest.failf "expected a fault refusal, got %a" Monitor.pp_decision d);
       Alcotest.(check bool) "monitor untouched by the failed append" true
         (Service.snapshot service = before);
-      ignore (Service.submit service ~principal:"app" q_meetings);
+      ignore (Service.submit service ~principal:app q_meetings);
       let live = Service.snapshot service in
       Service.close service;
       let fresh = make_service () in
@@ -231,14 +212,11 @@ let test_journal_flush_fault_rolls_back () =
    [batch_end] returns the fault. Recovery then sees exactly the records
    earlier flushes covered, and the service keeps serving afterwards. *)
 let test_group_commit_flush_fault_aborts_batch () =
-  let path = Filename.temp_file "disclosure-batchfault" ".log" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
+  with_tmp_base (fun path ->
       let service = make_service ~journal:path () in
       (* One durably committed batch first. *)
       Service.batch_begin service;
-      ignore (Service.submit service ~principal:"app" q_slots);
+      ignore (Service.submit service ~principal:app q_slots);
       (match Service.batch_end service with
       | Ok () -> ()
       | Error r ->
@@ -247,7 +225,7 @@ let test_group_commit_flush_fault_aborts_batch () =
       let durable = Service.snapshot service in
       (* A batch whose covering flush fails. *)
       Service.batch_begin service;
-      ignore (Service.submit service ~principal:"app" q_meetings);
+      ignore (Service.submit service ~principal:app q_meetings);
       Alcotest.(check bool) "batch decisions commit inline before the flush" true
         (Service.snapshot service <> durable);
       (match
@@ -260,7 +238,7 @@ let test_group_commit_flush_fault_aborts_batch () =
       Alcotest.(check bool) "whole batch rolled back to the pre-batch state" true
         (Service.snapshot service = durable);
       (* The service keeps working after the abort (per-decision commits). *)
-      ignore (Service.submit service ~principal:"app" q_meetings);
+      ignore (Service.submit service ~principal:app q_meetings);
       let live = Service.snapshot service in
       Service.close service;
       let fresh = make_service () in
@@ -278,17 +256,14 @@ let test_group_commit_flush_fault_aborts_batch () =
    intact, and never touches the monitor; once disarmed, checkpointing
    works again and recovery still matches the live state. *)
 let test_checkpoint_faults_fail_safe () =
-  let path = Filename.temp_file "disclosure-ckptfault" ".log" in
-  Fun.protect
-    ~finally:(fun () -> Journal.remove_family path)
-    (fun () ->
+  with_tmp_base (fun path ->
       let service = make_service ~journal:path () in
-      ignore (Service.submit service ~principal:"app" q_slots);
+      ignore (Service.submit service ~principal:app q_slots);
       (match Service.checkpoint service with
       | Ok () -> ()
       | Error e -> Alcotest.fail e);
-      let good_ckpt = In_channel.with_open_bin (path ^ ".ckpt") In_channel.input_all in
-      ignore (Service.submit service ~principal:"app" q_meetings);
+      let good_ckpt = read_file (Journal.ckpt_path path) in
+      ignore (Service.submit service ~principal:app q_meetings);
       let before = Service.snapshot service in
       List.iter
         (fun stage ->
@@ -302,7 +277,7 @@ let test_checkpoint_faults_fail_safe () =
           Alcotest.(check bool) "monitor untouched by failed checkpoint" true
             (Service.snapshot service = before);
           Alcotest.(check string) "previous checkpoint left intact" good_ckpt
-            (In_channel.with_open_bin (path ^ ".ckpt") In_channel.input_all))
+            (read_file (Journal.ckpt_path path)))
         [ Faults.Rotate; Faults.Checkpoint; Faults.Ckpt_rename ];
       (* Disarmed, the same checkpoint goes through, and recovery agrees. *)
       (match Service.checkpoint service with
@@ -320,28 +295,23 @@ let test_checkpoint_faults_fail_safe () =
    record is already durable in the active segment, so the decision stands
    and the journal keeps appending where it was. *)
 let test_rotation_fault_never_refuses () =
-  let path = Filename.temp_file "disclosure-rotfault" ".log" in
-  Fun.protect
-    ~finally:(fun () -> Journal.remove_family path)
-    (fun () ->
+  with_tmp_base (fun path ->
       let service =
-        let s =
-          Service.create ~journal:path ~segment_bytes:16
-            (Pipeline.create [ v1; v2; v3 ])
-        in
-        Service.register s ~principal:"app"
-          ~partitions:[ ("meetings", [ v1; v2 ]); ("contacts", [ v3 ]) ];
+        let s = Service.create ~journal:path ~segment_bytes:16 (pipeline ()) in
+        List.iter
+          (fun (principal, partitions) -> Service.register s ~principal ~partitions)
+          deployment;
         s
       in
       (match
          Faults.with_fault Faults.Rotate (Faults.Raise "rename failed") (fun () ->
-             Service.submit service ~principal:"app" q_slots)
+             Service.submit service ~principal:app q_slots)
        with
       | Monitor.Answered -> ()
       | d ->
         Alcotest.failf "rotation failure must not refuse the decision, got %a"
           Monitor.pp_decision d);
-      ignore (Service.submit service ~principal:"app" q_meetings);
+      ignore (Service.submit service ~principal:app q_meetings);
       let live = Service.snapshot service in
       Service.close service;
       let fresh = make_service () in
@@ -372,12 +342,12 @@ let test_alive_mask_monotone () =
       make_service ~limits:(Guard.limits ~fuel:100_000 ()) ()
     in
     let monitor_mask () =
-      (List.assoc "app" (Service.snapshot service)).Monitor.alive_mask
+      (List.assoc app (Service.snapshot service)).Monitor.alive_mask
     in
     let mask = ref (monitor_mask ()) in
     for _step = 1 to 30 do
       let q = queries.(Random.State.int rng (Array.length queries)) in
-      let submit () = ignore (Service.submit service ~principal:"app" q) in
+      let submit () = ignore (Service.submit service ~principal:app q) in
       (if Random.State.int rng 3 = 0 then
          let stage = stages.(Random.State.int rng (Array.length stages)) in
          let fault = faults.(Random.State.int rng (Array.length faults)) in
@@ -401,16 +371,15 @@ let test_tiered_store_fault_matrix () =
   List.iter
     (fun fault ->
       let name = Format.asprintf "tier/%a" Faults.pp_fault fault in
-      let spill = Filename.temp_file "disclosure-faults" ".spill" in
-      Fun.protect
-        ~finally:(fun () -> try Sys.remove spill with Sys_error _ -> ())
-        (fun () ->
-          let service = Service.create (Pipeline.create [ v1; v2; v3 ]) in
-          let store = Store.create ~budget:(Store.Principals 1) ~spill service in
-          Store.register store ~principal:"app"
-            ~partitions:[ ("meetings", [ v1; v2 ]); ("contacts", [ v3 ]) ];
-          Store.register store ~principal:"other" ~partitions:[ ("slots", [ v2 ]) ];
-          (match Service.submit service ~principal:"app" q_slots with
+      with_tmp_base (fun base ->
+          let service = Service.create (pipeline ()) in
+          let store =
+            Store.create ~budget:(Store.Principals 1) ~spill:(Journal.spill_path base) service
+          in
+          List.iter
+            (fun principal -> Store.register store ~principal ~partitions:(partitions principal))
+            [ app; "calendar-app" ];
+          (match Service.submit service ~principal:app q_slots with
           | Monitor.Answered -> ()
           | d -> Alcotest.failf "%s: setup not answered: %a" name Monitor.pp_decision d);
           (* Spill: the eviction forced by the other principal's touch trips
@@ -418,15 +387,15 @@ let test_tiered_store_fault_matrix () =
           let before = Service.snapshot service in
           (match
              Faults.with_fault Faults.Spill fault (fun () ->
-                 Service.submit service ~principal:"other" q_slots)
+                 Service.submit service ~principal:"calendar-app" q_slots)
            with
           | Monitor.Answered -> ()
           | d ->
             Alcotest.failf "%s: a spill fault must never refuse, got %a" name
               Monitor.pp_decision d);
           if
-            Service.resident_monitor service "app" = None
-            || List.assoc "app" (Service.snapshot service) <> List.assoc "app" before
+            Service.resident_monitor service app = None
+            || List.assoc app (Service.snapshot service) <> List.assoc app before
           then Alcotest.failf "%s: aborted eviction touched the dirty principal" name;
           (* Disarmed, enforcement spills one of the two dirty principals
              (both have answered, so the victim's record is a real spill);
@@ -435,8 +404,8 @@ let test_tiered_store_fault_matrix () =
           if Store.resident store > 1 then
             Alcotest.failf "%s: eviction did not resume once disarmed" name;
           let victim, probe =
-            if Service.resident_monitor service "app" = None then ("app", q_meetings)
-            else ("other", q_slots)
+            if Service.resident_monitor service app = None then (app, q_meetings)
+            else ("calendar-app", q_slots)
           in
           let before = Service.snapshot service in
           (match
@@ -485,10 +454,7 @@ let test_harness_bookkeeping () =
    one; a rollback that cannot cut the file closes the writer for good,
    so nothing is ever appended after garbage. *)
 let test_writer_rollback_seal_close () =
-  let path = Filename.temp_file "disclosure-writer" ".log" in
-  Fun.protect
-    ~finally:(fun () -> Journal.remove_family path)
-    (fun () ->
+  with_tmp_base (fun path ->
       let read () = In_channel.with_open_bin path In_channel.input_all in
       let w = Journal.Writer.create ~stage:Faults.Journal_flush ~segment:1 path in
       let r1 = Journal.encode [ "a"; "-"; "answered" ] in

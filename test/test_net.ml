@@ -2,10 +2,10 @@
    server suite: these tests bind real sockets and spawn accept/connection
    domains, plus the fault matrix arms global hooks.
 
-   The headline properties:
-   - end-to-end equivalence: decisions over a real socket are bit-identical
-     to the in-process path — same decision sequence, same monitor states,
-     same journal bytes for the same history;
+   That the wire (plain and pipelined, under group commit too) decides
+   exactly as the in-process path and leaves the same journal bytes is the
+   differential oracle's transport axis (test/support/oracle.ml). This
+   suite pins the rest:
    - fail-closed robustness: garbage, torn, oversized, bit-flipped and
      late frames produce typed protocol errors and a closed connection —
      never a crash, never a hang, never a journaled decision;
@@ -16,8 +16,6 @@ open Support
 
 module Monitor = Disclosure.Monitor
 module Guard = Disclosure.Guard
-module Pipeline = Disclosure.Pipeline
-module Sview = Disclosure.Sview
 module Journal = Disclosure.Journal
 module Faults = Disclosure.Faults
 module Frame = Net.Frame
@@ -25,35 +23,12 @@ module Codec = Net.Codec
 module Errors = Net.Errors
 
 let domains = 2
-let pq = Cq.Parser.query_exn
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let v1 = Sview.of_string "V1(x, y) :- Meetings(x, y)"
-let v2 = Sview.of_string "V2(x) :- Meetings(x, y)"
-let v3 = Sview.of_string "V3(x, y, z) :- Contacts(x, y, z)"
-
-let pipeline () = Pipeline.create [ v1; v2; v3 ]
-
-let register_all server =
-  Server.register server ~principal:"calendar-app" ~partitions:[ ("default", [ v2 ]) ];
-  Server.register server ~principal:"crm-app"
-    ~partitions:[ ("meetings", [ v1; v2 ]); ("contacts", [ v3 ]) ];
-  Server.register server ~principal:"hr-app" ~partitions:[ ("default", [ v3 ]) ]
-
-let make_server ?journal ?trace ?(mailbox_capacity = 1024) ?(cache_capacity = 256)
-    ?(group_commit = false) () =
-  let server =
-    Server.create ?journal ?trace
-      ~config:
-        { Server.domains; mailbox_capacity; cache_capacity; checkpoint_every = 0;
-          segment_bytes = 0; drain = Server.default_config.Server.drain; group_commit;
-          resident = None }
-      (pipeline ())
-  in
-  register_all server;
-  server
+let make_server ?journal ?trace ?mailbox_capacity ?cache_capacity () =
+  Support.make_server ?journal ?trace ~config:(config ~domains ?mailbox_capacity ?cache_capacity ()) ()
 
 (* A deterministic mixed history: answers, policy refusals, malformed. *)
 let history =
@@ -69,12 +44,6 @@ let history =
     ("hr-app", "Q(x) :- Contacts(x, y, z)");
     ("calendar-app", "Q(y) :- Meetings(x, y)");
   ]
-
-let with_socket f =
-  let path = Filename.temp_file "disclosure-net" ".sock" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () -> f (Net.Addr.Unix_socket path))
 
 (* --- frame codec: pure torture ----------------------------------------- *)
 
@@ -267,95 +236,6 @@ let run_wire addr pairs =
           | Ok d -> d
           | Error e -> Alcotest.failf "wire error for %s: %s" principal (Errors.to_string e))
         pairs)
-
-(* The acceptance criterion: a history through listener + client over a real
-   Unix socket yields the same decisions, the same monitor states, and the
-   same journal bytes as the in-process path. *)
-let test_e2e_bit_identical_journal () =
-  with_tmp_base (fun base_wire ->
-      with_tmp_base (fun base_proc ->
-          with_socket (fun addr ->
-              let server = make_server ~journal:base_wire () in
-              Server.start server;
-              let listener = Net.Listener.create ~server addr in
-              let wire_decisions = run_wire addr history in
-              Net.Listener.stop listener;
-              Server.drain server;
-              let wire_snapshot = Server.snapshot server in
-              Server.stop server;
-              let server' = make_server ~journal:base_proc () in
-              Server.start server';
-              let proc_decisions =
-                List.map
-                  (fun (principal, q) -> Server.submit_sync server' ~principal (pq q))
-                  history
-              in
-              Server.drain server';
-              let proc_snapshot = Server.snapshot server' in
-              Server.stop server';
-              check_bool "decision sequences identical" true
-                (List.for_all2 Monitor.decision_equal wire_decisions proc_decisions);
-              check_bool "some were answered" true
-                (List.exists Monitor.is_answered wire_decisions);
-              check_bool "some were refused" true
-                (List.exists Monitor.is_refused wire_decisions);
-              check_bool "monitor states identical" true (wire_snapshot = proc_snapshot);
-              for i = 0 to domains - 1 do
-                let seg = Printf.sprintf ".shard%d" i in
-                check_bool
-                  (Printf.sprintf "shard %d journal bytes identical" i)
-                  true
-                  (String.equal (read_opt (base_wire ^ seg)) (read_opt (base_proc ^ seg)))
-              done)))
-
-(* The pipelined client against a group-commit server: the whole history
-   goes down one connection with a bounded in-flight window, and the
-   decisions come back in request order, bit-identical — decisions, monitor
-   states, journal bytes — to the serial in-process path with per-decision
-   commits. Pipelining and group commit change scheduling and fsync
-   batching, never semantics. *)
-let test_pipelined_e2e_bit_identical () =
-  with_tmp_base (fun base_pipe ->
-      with_tmp_base (fun base_proc ->
-          with_socket (fun addr ->
-              let server = make_server ~journal:base_pipe ~group_commit:true () in
-              Server.start server;
-              let listener = Net.Listener.create ~server addr in
-              let pipe_decisions =
-                Net.Client.with_connection addr (fun c ->
-                    Net.Client.query_batch_string ~depth:4 c history)
-                |> List.map (function
-                     | Ok d -> d
-                     | Error e ->
-                       Alcotest.failf "pipelined query failed: %s" (Errors.to_string e))
-              in
-              Net.Listener.stop listener;
-              Server.drain server;
-              let pipe_snapshot = Server.snapshot server in
-              let flushes = Array.fold_left ( + ) 0 (Server.flush_counts server) in
-              Server.stop server;
-              let server' = make_server ~journal:base_proc () in
-              Server.start server';
-              let proc_decisions =
-                List.map
-                  (fun (principal, q) -> Server.submit_sync server' ~principal (pq q))
-                  history
-              in
-              Server.drain server';
-              let proc_snapshot = Server.snapshot server' in
-              Server.stop server';
-              check_bool "pipelined decisions in request order, identical" true
-                (List.for_all2 Monitor.decision_equal pipe_decisions proc_decisions);
-              check_bool "monitor states identical" true (pipe_snapshot = proc_snapshot);
-              for i = 0 to domains - 1 do
-                let seg = Printf.sprintf ".shard%d" i in
-                check_bool
-                  (Printf.sprintf "shard %d journal bytes identical" i)
-                  true
-                  (String.equal (read_opt (base_pipe ^ seg)) (read_opt (base_proc ^ seg)))
-              done;
-              check_bool "group commit flushed at most once per decision" true
-                (flushes <= List.length history))))
 
 (* Mixed request kinds keep positional order through the pipelined frame
    loop: immediate replies (pings) interleave with deferred decisions. *)
@@ -628,7 +508,7 @@ let test_malformed_torture_over_wire () =
           Server.stop server;
           for i = 0 to domains - 1 do
             check_bool "nothing journaled" true
-              (String.equal "" (read_opt (Printf.sprintf "%s.shard%d" base i)))
+              (String.equal "" (read_opt (Server.shard_journal base i)))
           done))
 
 (* --- overload over the wire --------------------------------------------- *)
@@ -851,7 +731,7 @@ let test_net_fault_matrix () =
           Server.start server;
           let listener = Net.Listener.create ~server addr in
           let journal_bytes () =
-            List.init domains (fun i -> read_opt (Printf.sprintf "%s.shard%d" base i))
+            List.init domains (fun i -> read_opt (Server.shard_journal base i))
           in
           List.iter
             (fun stage ->
@@ -1006,10 +886,13 @@ let () =
         ] );
       ( "e2e",
         [
-          Alcotest.test_case "wire ≡ in-process, bit-identical journal" `Quick
-            test_e2e_bit_identical_journal;
-          Alcotest.test_case "pipelined client ≡ in-process under group commit" `Quick
-            test_pipelined_e2e_bit_identical;
+          Oracle.slice "wire ≡ in-process, bit-identical journal"
+            ~pin:(fun c -> Oracle.fixed_batches { c with transport = Wire })
+            ~pin_twin:(fun c -> { c with transport = In_process });
+          Oracle.slice "pipelined client ≡ in-process under group commit"
+            ~pin:(fun c ->
+              Oracle.fixed_batches { c with transport = Pipelined; group_commit = true })
+            ~pin_twin:(fun c -> { c with transport = In_process; group_commit = false });
           Alcotest.test_case "mixed pipelined requests keep positional order" `Quick
             test_pipelined_mixed_requests_ordered;
           Alcotest.test_case "ping and stats over the wire" `Quick test_ping_stats_over_wire;

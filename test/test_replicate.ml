@@ -21,39 +21,10 @@
 open Support
 
 module Monitor = Disclosure.Monitor
-module Pipeline = Disclosure.Pipeline
-module Sview = Disclosure.Sview
-module Policyfile = Disclosure.Policyfile
 module Source = Replicate.Source
 module Follower = Replicate.Follower
 module Journal = Disclosure.Journal
 module Faults = Disclosure.Faults
-
-let pq = Cq.Parser.query_exn
-
-let v1 = Sview.of_string "V1(x, y) :- Meetings(x, y)"
-let v2 = Sview.of_string "V2(x) :- Meetings(x, y)"
-let v3 = Sview.of_string "V3(x, y, z) :- Contacts(x, y, z)"
-
-(* One principal name exercises the escape path in shipped bytes. *)
-let hostile = "tab\tapp"
-
-(* The shared configuration: primary and follower must resolve the same
-   policy so the follower partitions principals exactly as the primary. *)
-let policy : Policyfile.t =
-  {
-    Policyfile.views = [ v1; v2; v3 ];
-    principals =
-      [
-        ("crm-app", [ ("meetings", [ "V1"; "V2" ]); ("contacts", [ "V3" ]) ]);
-        ("calendar-app", [ ("default", [ "V2" ]) ]);
-        (hostile, [ ("default", [ "V2" ]) ]);
-      ];
-  }
-
-let q_contacts = pq "Q(x, y, z) :- Contacts(x, y, z)"
-let q_meetings = pq "Q(x, y) :- Meetings(x, y)"
-let q_slots = pq "Q(x) :- Meetings(x, y)"
 
 let history : (string * Cq.Query.t) list =
   [
@@ -69,77 +40,18 @@ let history : (string * Cq.Query.t) list =
 
 let n_records = List.length history
 
-let config ~shards =
-  { Server.default_config with domains = shards; cache_capacity = 0 }
+let config ~shards = config ~domains:shards ~cache_capacity:0 ()
 
-let make_primary ?journal ~shards () =
-  let server = Server.create ?journal ~config:(config ~shards) (Pipeline.create [ v1; v2; v3 ]) in
-  (match Policyfile.resolve policy with
-  | Ok resolved ->
-    List.iter
-      (fun (principal, partitions) -> Server.register server ~principal ~partitions)
-      resolved
-  | Error e -> Alcotest.failf "resolve: %s" e);
-  server
-
-let make_follower ~journal ~shards () =
-  match Follower.create ~journal ~shards policy with
-  | Ok f -> f
-  | Error e -> Alcotest.failf "follower create: %s" e
+let make_primary ?journal ~shards () = make_server ?journal ~config:(config ~shards) ()
 
 let run_history server =
   List.iter (fun (principal, q) -> ignore (Server.submit_sync server ~principal q)) history;
   Server.drain server
 
-let count_newlines s =
-  String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 s
+let with_bases f = with_tmp_base (fun jbase -> with_tmp_base (f jbase))
 
-let rm f = try Sys.remove f with Sys_error _ -> ()
-
-(* Every shard family a test server or follower can grow under [base]. *)
-let cleanup_family base =
-  for shard = 0 to 3 do
-    Journal.remove_family (Server.shard_journal base shard)
-  done;
-  rm base
-
-let with_bases f =
-  let jbase = Filename.temp_file "disclosure-rep-primary" ".journal" in
-  let mbase = Filename.temp_file "disclosure-rep-mirror" ".journal" in
-  rm jbase;
-  rm mbase;
-  Fun.protect
-    ~finally:(fun () ->
-      cleanup_family jbase;
-      cleanup_family mbase)
-    (fun () -> f jbase mbase)
-
-let with_sock f =
-  let path = Filename.temp_file "disclosure-rep" ".sock" in
-  Fun.protect ~finally:(fun () -> rm path) (fun () -> f (Net.Addr.Unix_socket path))
-
-(* Drive the follower to convergence through an in-process pull loop
-   (no socket): ask from the follower's own cursor, apply, stop once the
-   source answers an empty batch with [behind = 0]. *)
-let catch_up source fol ~shards =
-  for shard = 0 to shards - 1 do
-    let rounds = ref 0 in
-    let continue = ref true in
-    while !continue do
-      incr rounds;
-      if !rounds > 10_000 then Alcotest.failf "shard %d: replication does not converge" shard;
-      let seg, off = Follower.cursor fol ~shard in
-      let resp = Source.serve_pull source ~shard ~seg ~off ~max_bytes:0 in
-      (match Follower.apply_batch fol ~shard resp with
-      | Ok () -> ()
-      | Error e -> Alcotest.failf "shard %d apply: %s" shard e);
-      match resp with
-      | Net.Codec.Batch { behind = 0; data = ""; _ } -> continue := false
-      | _ -> ()
-    done
-  done
-
-(* Same loop over the wire, through [Net.Client.pull]. *)
+(* Same loop as [Support.catch_up], over the wire through
+   [Net.Client.pull]. *)
 let catch_up_wire client fol ~shards =
   for shard = 0 to shards - 1 do
     let rounds = ref 0 in
@@ -160,26 +72,11 @@ let catch_up_wire client fol ~shards =
     done
   done
 
-let family_files base shard =
-  let b = Printf.sprintf "%s.shard%d" base shard in
-  (b, b ^ ".ckpt", List.init 16 (fun i -> Printf.sprintf "%s.%d" b (i + 1)))
-
 let check_family_equal ~what jbase mbase ~shards =
   for shard = 0 to shards - 1 do
-    let pa, pc, pr = family_files jbase shard in
-    let ma, mc, mr = family_files mbase shard in
-    if read_opt pa <> read_opt ma then
-      Alcotest.failf "%s: shard %d active segment differs from primary" what shard;
-    if read_opt pc <> read_opt mc then
-      Alcotest.failf "%s: shard %d checkpoint differs from primary" what shard;
-    List.iter2
-      (fun p m ->
-        if read_opt p <> read_opt m then
-          Alcotest.failf "%s: shard %d sealed segment %s differs" what shard (Filename.basename p))
-      pr mr
+    if family_bytes jbase shard <> family_bytes mbase shard then
+      Alcotest.failf "%s: shard %d family differs from the primary's" what shard
   done
-
-let sorted_snapshot l = List.sort (fun (a, _) (b, _) -> compare a b) l
 
 let follower_snapshot fol ~shards =
   List.concat_map
@@ -225,105 +122,58 @@ let test_codec_roundtrip () =
     (Net.Codec.Batch { shard = 0; data = ""; next_seg = 1; next_off = 0; behind = 0; trace = None });
   check_resp "snapshot" (Net.Codec.Snapshot { shard = 1; data = "ckpt\tbytes\n"; next_seg = 5; next_off = 0 })
 
-(* --- steady state: bit-identical mirror, equal replayed state ---------- *)
+(* --- tiered follower: bounded standby, bit-identical, promotable -------- *)
 
-let test_steady_state () =
-  with_bases (fun jbase mbase ->
+(* A follower with a resident budget replays the stream through the tiered
+   principal store: the per-shard budget actually bounds the standby's
+   resident set, and promotion inherits the budget with the history
+   intact. (Its mirror bytes equal the primary's: the oracle's follower
+   axis under a resident budget.) *)
+let test_tiered_follower () =
+  with_bases (fun jbase tbase ->
       let shards = 2 in
       let server = make_primary ~journal:jbase ~shards () in
       Server.start server;
       run_history server;
-      let source = Source.create ~server ~journal:jbase () in
-      let fol = make_follower ~journal:mbase ~shards () in
-      catch_up source fol ~shards;
-      check_family_equal ~what:"steady state" jbase mbase ~shards;
-      check_states_equal ~what:"steady state" server fol ~shards;
-      Alcotest.(check bool) "source sees follower caught up" true (Source.caught_up source);
-      Alcotest.(check int) "lag is zero" 0 (Follower.lag fol);
-      Alcotest.(check int) "every record replayed" n_records (Follower.applied fol);
-      Alcotest.(check bool) "no divergence" true (Follower.last_error fol = None);
-      (* Incremental: more primary traffic, second catch-up stays identical. *)
       run_history server;
-      catch_up source fol ~shards;
-      check_family_equal ~what:"incremental" jbase mbase ~shards;
-      check_states_equal ~what:"incremental" server fol ~shards;
+      let source = Source.create ~server ~journal:jbase () in
+      let tiered = make_follower ~resident:(Store.Principals 1) ~journal:tbase ~shards () in
+      catch_up source tiered ~shards;
+      (* The budget bites: at most one resident principal per shard, the
+         cold principals pushed down a tier. *)
+      (match Follower.store_stats tiered with
+      | None -> Alcotest.fail "store_stats must be Some on a tiered follower"
+      | Some s ->
+        Alcotest.(check bool) "resident bounded by the per-shard budget" true
+          (s.Store.stat_resident <= shards);
+        Alcotest.(check bool) "cold principals left the resident set" true
+          (s.Store.stat_spilled + s.Store.stat_fresh > 0));
+      Alcotest.(check int) "no lag" 0 (Follower.lag tiered);
+      Alcotest.(check bool) "no divergence" true (Follower.last_error tiered = None);
+      (* Promotion: recover over the mirror, budget inherited, history
+         intact (crm-app chose the contacts side, so meetings refuse). *)
+      (match Follower.promote tiered () with
+      | Error e -> Alcotest.failf "tiered promote: %s" e
+      | Ok (promoted, applied) ->
+        Alcotest.(check int) "every record replayed" (2 * n_records) applied;
+        Alcotest.(check bool) "promoted server inherits the budget" true
+          ((Server.config promoted).Server.resident = Some (Store.Principals 1));
+        Alcotest.(check bool) "promoted state = primary state" true
+          (sorted_snapshot (Server.snapshot promoted)
+          = sorted_snapshot (Server.snapshot server));
+        Server.start promoted;
+        Alcotest.(check bool) "promoted serves with the history intact" true
+          (Monitor.is_refused (Server.submit_sync promoted ~principal:"crm-app" q_meetings));
+        Alcotest.(check bool) "promoted answers within the chosen wall" true
+          (Server.submit_sync promoted ~principal:"crm-app" q_contacts = Monitor.Answered);
+        Server.stop promoted);
       Server.stop server)
-
-(* --- tiered follower: bounded standby, bit-identical, promotable -------- *)
-
-(* A follower with a resident budget replays the stream through the tiered
-   principal store: its mirror bytes and replayed state stay bit-identical
-   to an always-resident follower, the per-shard budget actually bounds the
-   standby's resident set, and promotion inherits the budget with the
-   history intact. *)
-let test_tiered_follower () =
-  with_bases (fun jbase mbase ->
-      let tbase = Filename.temp_file "disclosure-rep-tiered" ".journal" in
-      rm tbase;
-      Fun.protect
-        ~finally:(fun () -> cleanup_family tbase)
-        (fun () ->
-          let shards = 2 in
-          let server = make_primary ~journal:jbase ~shards () in
-          Server.start server;
-          run_history server;
-          run_history server;
-          let source = Source.create ~server ~journal:jbase () in
-          let plain = make_follower ~journal:mbase ~shards () in
-          let tiered =
-            match
-              Follower.create ~resident:(Store.Principals 1) ~journal:tbase ~shards
-                policy
-            with
-            | Ok f -> f
-            | Error e -> Alcotest.failf "tiered follower create: %s" e
-          in
-          catch_up source plain ~shards;
-          catch_up source tiered ~shards;
-          (* Bit-identity: the tiered mirror matches the primary's segment
-             family byte for byte (and hence the plain mirror too). *)
-          check_family_equal ~what:"tiered mirror" jbase tbase ~shards;
-          check_states_equal ~what:"tiered replay" server tiered ~shards;
-          Alcotest.(check bool) "tiered state = plain state" true
-            (sorted_snapshot (follower_snapshot tiered ~shards)
-            = sorted_snapshot (follower_snapshot plain ~shards));
-          (* The budget bites: at most one resident principal per shard, the
-             cold principals pushed down a tier. *)
-          (match Follower.store_stats tiered with
-          | None -> Alcotest.fail "store_stats must be Some on a tiered follower"
-          | Some s ->
-            Alcotest.(check bool) "resident bounded by the per-shard budget" true
-              (s.Store.stat_resident <= shards);
-            Alcotest.(check bool) "cold principals left the resident set" true
-              (s.Store.stat_spilled + s.Store.stat_fresh > 0));
-          Alcotest.(check int) "no lag" 0 (Follower.lag tiered);
-          Alcotest.(check bool) "no divergence" true (Follower.last_error tiered = None);
-          (* Promotion: recover over the mirror, budget inherited, history
-             intact (crm-app chose the contacts side, so meetings refuse). *)
-          (match Follower.promote tiered () with
-          | Error e -> Alcotest.failf "tiered promote: %s" e
-          | Ok (promoted, applied) ->
-            Alcotest.(check int) "every record replayed" (2 * n_records) applied;
-            Alcotest.(check bool) "promoted server inherits the budget" true
-              ((Server.config promoted).Server.resident = Some (Store.Principals 1));
-            Alcotest.(check bool) "promoted state = primary state" true
-              (sorted_snapshot (Server.snapshot promoted)
-              = sorted_snapshot (Server.snapshot server));
-            Server.start promoted;
-            Alcotest.(check bool) "promoted serves with the history intact" true
-              (Monitor.is_refused
-                 (Server.submit_sync promoted ~principal:"crm-app" q_meetings));
-            Alcotest.(check bool) "promoted answers within the chosen wall" true
-              (Server.submit_sync promoted ~principal:"crm-app" q_contacts
-              = Monitor.Answered);
-            Server.stop promoted);
-          Server.stop server))
 
 (* --- poll_once: one pass catches up completely from bootstrap ---------- *)
 
 let test_poll_once_catches_up () =
   with_bases (fun jbase mbase ->
-      with_sock (fun addr ->
+      with_socket (fun addr ->
           let shards = 2 in
           let server = make_primary ~journal:jbase ~shards () in
           Server.start server;
@@ -350,7 +200,7 @@ let test_poll_once_catches_up () =
 (* --- failover: kill the primary at EVERY record boundary --------------- *)
 
 let test_failover_every_record_boundary () =
-  with_bases (fun jbase mbase ->
+  with_tmp_base (fun jbase ->
       let shards = 1 in
       let server = make_primary ~journal:jbase ~shards () in
       Server.start server;
@@ -363,7 +213,7 @@ let test_failover_every_record_boundary () =
           states.(i + 1) <- sorted_snapshot (Server.snapshot server))
         history;
       Server.stop server;
-      let whole = read_file (jbase ^ ".shard0") in
+      let whole = read_file (Server.shard_journal jbase 0) in
       Alcotest.(check int) "every record committed" n_records (count_newlines whole);
       (* Every record-boundary prefix: the stream a follower holds when the
          primary dies right after shipping record [k]. Promotion must yield
@@ -372,7 +222,7 @@ let test_failover_every_record_boundary () =
         if cut = 0 || whole.[cut - 1] = '\n' then begin
           let prefix = String.sub whole 0 cut in
           let k = count_newlines prefix in
-          cleanup_family mbase;
+          with_tmp_base @@ fun mbase ->
           let fol = make_follower ~journal:mbase ~shards () in
           (match
              Follower.apply_batch fol ~shard:0
@@ -388,7 +238,7 @@ let test_failover_every_record_boundary () =
            with
           | Ok () -> ()
           | Error e -> Alcotest.failf "cut %d: apply: %s" cut e);
-          if read_opt (mbase ^ ".shard0") <> prefix then
+          if read_opt (Server.shard_journal mbase 0) <> prefix then
             Alcotest.failf "cut %d: mirror is not the exact shipped prefix" cut;
           match Follower.promote fol ~config:(config ~shards) () with
           | Error e -> Alcotest.failf "cut %d: promote: %s" cut e
@@ -406,21 +256,20 @@ let test_failover_every_record_boundary () =
 (* --- follower crash: torn mirror tail at every byte offset ------------- *)
 
 let test_follower_resume_torn_mirror () =
-  with_bases (fun jbase mbase ->
+  with_tmp_base (fun jbase ->
       let shards = 1 in
       let server = make_primary ~journal:jbase ~shards () in
       Server.start server;
       run_history server;
       let source = Source.create ~server ~journal:jbase () in
-      let whole = read_file (jbase ^ ".shard0") in
+      let whole = read_file (Server.shard_journal jbase 0) in
       (* A follower killed mid-append leaves a torn mirror tail. Re-creating
          it must drop the torn record, resume from the committed boundary,
          and re-converge to byte equality. *)
       List.iter
         (fun cut ->
-          cleanup_family mbase;
-          Out_channel.with_open_bin (mbase ^ ".shard0") (fun oc ->
-              Out_channel.output_string oc (String.sub whole 0 cut));
+          with_tmp_base @@ fun mbase ->
+          write_file (Server.shard_journal mbase 0) (String.sub whole 0 cut);
           let fol = make_follower ~journal:mbase ~shards () in
           let _seg, off = Follower.cursor fol ~shard:0 in
           let committed =
@@ -432,7 +281,7 @@ let test_follower_resume_torn_mirror () =
             Alcotest.failf "cut %d: resume cursor %d, expected committed boundary %d" cut off
               committed;
           catch_up source fol ~shards;
-          if read_opt (mbase ^ ".shard0") <> whole then
+          if read_opt (Server.shard_journal mbase 0) <> whole then
             Alcotest.failf "cut %d: re-converged mirror is not byte-identical" cut;
           check_states_equal ~what:(Printf.sprintf "torn mirror cut %d" cut) server fol ~shards)
         (List.init (String.length whole + 1) Fun.id);
@@ -446,7 +295,7 @@ let test_tamper_every_offset () =
       let server = make_primary ~journal:jbase ~shards () in
       Server.start server;
       run_history server;
-      let whole = read_file (jbase ^ ".shard0") in
+      let whole = read_file (Server.shard_journal jbase 0) in
       Server.stop server;
       let fol = make_follower ~journal:mbase ~shards () in
       (match
@@ -465,7 +314,7 @@ let test_tamper_every_offset () =
         (match apply data with
         | Error _ -> ()
         | Ok () -> Alcotest.failf "%s: tampered batch must be rejected" what);
-        if read_opt (mbase ^ ".shard0") <> "" then
+        if read_opt (Server.shard_journal mbase 0) <> "" then
           Alcotest.failf "%s: rejected batch reached the mirror" what;
         if Follower.cursor fol ~shard:0 <> (1, 0) then
           Alcotest.failf "%s: rejected batch moved the cursor" what
@@ -502,7 +351,7 @@ let test_tamper_every_offset () =
       | Ok () -> ()
       | Error e -> Alcotest.failf "pristine batch after tampering: %s" e);
       Alcotest.(check int) "all records replayed" n_records (Follower.applied fol);
-      if read_opt (mbase ^ ".shard0") <> whole then
+      if read_opt (Server.shard_journal mbase 0) <> whole then
         Alcotest.fail "mirror is not byte-identical after pristine apply")
 
 (* --- bootstrap and re-bootstrap through checkpoints -------------------- *)
@@ -554,7 +403,7 @@ let test_checkpoint_bootstrap () =
    the poll loop records it, and promotion refuses the diverged follower. *)
 let test_bootstrap_install_fails_closed () =
   with_bases (fun jbase mbase ->
-      with_sock (fun addr ->
+      with_socket (fun addr ->
           let shards = 1 in
           let server = make_primary ~journal:jbase ~shards () in
           Server.start server;
@@ -598,7 +447,7 @@ let test_bootstrap_install_fails_closed () =
    refuses the follower — its services hold records its mirror does not. *)
 let test_mirror_write_fails_closed () =
   with_bases (fun jbase mbase ->
-      with_sock (fun addr ->
+      with_socket (fun addr ->
           let shards = 1 in
           let server = make_primary ~journal:jbase ~shards () in
           Server.start server;
@@ -642,16 +491,7 @@ let test_mirror_write_fails_closed () =
 
 (* --- online reload: flip, carry-over, reset, invalid no-op ------------- *)
 
-let policy_open_calendar : Policyfile.t =
-  {
-    policy with
-    Policyfile.principals =
-      [
-        ("crm-app", [ ("meetings", [ "V1"; "V2" ]); ("contacts", [ "V3" ]) ]);
-        ("calendar-app", [ ("default", [ "V1"; "V2" ]) ]);
-        (hostile, [ ("default", [ "V2" ]) ]);
-      ];
-  }
+let policy_open_calendar = with_partitions "calendar-app" [ ("default", [ "V1"; "V2" ]) ]
 
 let test_reload_semantics () =
   let shards = 2 in
@@ -691,15 +531,8 @@ let test_reload_semantics () =
         (Server.submit_sync server ~principal:"crm-app" q_contacts <> Monitor.Answered);
       (* Changing a principal's partitions resets it: contacts comes back. *)
       let reshaped =
-        {
-          policy with
-          Policyfile.principals =
-            [
-              ("crm-app", [ ("all", [ "V1"; "V2"; "V3" ]) ]);
-              ("calendar-app", [ ("default", [ "V1"; "V2" ]) ]);
-              (hostile, [ ("default", [ "V2" ]) ]);
-            ];
-        }
+        with_partitions ~policy:policy_open_calendar "crm-app"
+          [ ("all", [ "V1"; "V2"; "V3" ]) ]
       in
       (match Server.reload server reshaped with
       | Ok () -> ()
@@ -725,13 +558,8 @@ let test_reload_recovery_equivalence () =
       (* Recovery under the NEW registration set must reproduce the live
          state: the reload checkpointed post-swap, so replay never pushes
          old-policy records through the new configuration. *)
-      let fresh = Server.create ~config:(config ~shards) (Pipeline.create [ v1; v2; v3 ]) in
-      (match Policyfile.resolve policy_open_calendar with
-      | Ok resolved ->
-        List.iter
-          (fun (principal, partitions) -> Server.register fresh ~principal ~partitions)
-          resolved
-      | Error e -> Alcotest.failf "resolve: %s" e);
+      let fresh = Server.create ~config:(config ~shards) (pipeline ()) in
+      register_all ~policy:policy_open_calendar fresh;
       match Server.recover fresh ~journal:jbase with
       | Error e ->
         Alcotest.failf "recovery after reload: %s" (Disclosure.Service.recovery_error_to_string e)
@@ -742,7 +570,7 @@ let test_reload_recovery_equivalence () =
 (* --- reload over the wire: zero dropped connections, monotone flip ----- *)
 
 let test_reload_zero_drop () =
-  with_sock (fun addr ->
+  with_socket (fun addr ->
       let shards = 2 in
       let server = make_primary ~shards () in
       Server.start server;
@@ -805,7 +633,7 @@ let test_reload_zero_drop () =
 
 let test_graceful_drain_with_follower () =
   with_bases (fun jbase mbase ->
-      with_sock (fun addr ->
+      with_socket (fun addr ->
           let shards = 2 in
           let server = make_primary ~journal:jbase ~shards () in
           Server.start server;
@@ -852,6 +680,39 @@ let test_graceful_drain_with_follower () =
           check_family_equal ~what:"drain" jbase mbase ~shards;
           check_states_equal ~what:"drain" server fol ~shards))
 
+(* Regression: reload swaps each shard's service, and the old code closed
+   the old service before publishing the staged one, so for a moment the
+   shard had no journal position — which the drain gate skipped as caught
+   up. Reloads overlapping a drain must never open a closed gate. *)
+let test_reload_keeps_drain_gate_closed () =
+  with_tmp_base (fun jbase ->
+      let shards = 1 in
+      let server = make_primary ~journal:jbase ~shards () in
+      Server.start server;
+      run_history server;
+      let source = Source.create ~server ~journal:jbase () in
+      Alcotest.(check bool) "nobody pulled: gate closed" false (Source.caught_up source);
+      let finished = Atomic.make false in
+      let reloader =
+        Domain.spawn (fun () ->
+            Fun.protect
+              ~finally:(fun () -> Atomic.set finished true)
+              (fun () ->
+                for _ = 1 to 100 do
+                  match Server.reload server policy with
+                  | Ok () -> ()
+                  | Error e -> failwith ("reload: " ^ e)
+                done))
+      in
+      Server.drain server;
+      let opened = ref 0 in
+      while not (Atomic.get finished) do
+        if Source.caught_up source then incr opened
+      done;
+      Domain.join reloader;
+      Alcotest.(check int) "gate never opened mid-reload" 0 !opened;
+      Server.stop server)
+
 (* --- client reconnect backoff ------------------------------------------ *)
 
 let test_connect_retry_backoff () =
@@ -888,7 +749,7 @@ let test_connect_retry_backoff () =
    with Invalid_argument _ -> ())
 
 let test_connect_retry_succeeds_after_refusals () =
-  with_sock (fun addr ->
+  with_socket (fun addr ->
       let server = make_primary ~shards:1 () in
       Server.start server;
       let listener = ref None in
@@ -1050,7 +911,8 @@ let () =
         [ Alcotest.test_case "pull/batch/snapshot round trips" `Quick test_codec_roundtrip ] );
       ( "replication",
         [
-          Alcotest.test_case "steady state is bit-identical" `Quick test_steady_state;
+          Oracle.slice "steady state is bit-identical" ~pin:(fun c ->
+              { c with Oracle.follower = Some (Option.value c.Oracle.follower ~default:8) });
           Alcotest.test_case "tiered follower: bounded, identical, promotable"
             `Quick test_tiered_follower;
           Alcotest.test_case "poll_once catches up in one pass" `Quick test_poll_once_catches_up;
@@ -1083,6 +945,8 @@ let () =
         [
           Alcotest.test_case "graceful drain flushes the follower" `Quick
             test_graceful_drain_with_follower;
+          Alcotest.test_case "reload overlapping a drain keeps the gate closed" `Quick
+            test_reload_keeps_drain_gate_closed;
         ] );
       ( "client",
         [

@@ -1,175 +1,40 @@
 (* Tests for the sharded multicore serving layer (lib/server). A separate
-   executable from the main suite: these tests spawn domains, and the domain
-   count is driven by the SERVER_DOMAINS environment variable so the CI
-   alias can sweep 1, 2, and 4 (default 2).
+   executable from the main suite: these tests spawn domains.
 
-   The headline property is sequential equivalence: for any history, every
-   principal's decision sequence through the server is identical to replaying
-   the same queries through a single-threaded Disclosure.Service — sharding,
-   mailboxes, and the label cache must be invisible in the decisions. *)
+   Equivalence with the sequential service under every serving axis is the
+   differential oracle's job (test/support/oracle.ml, run by
+   test_oracle.ml). This suite keeps what the oracle does not state: cache
+   hit accounting, overload shedding, per-shard segments and checkpoint
+   counters, group-commit flush bounds, the flat-combining rounds, and the
+   components. A test whose behaviour depends on the shard count loops over
+   1, 2 and 4 shards itself. *)
 
 open Support
 
 module Service = Disclosure.Service
 module Monitor = Disclosure.Monitor
-module Pipeline = Disclosure.Pipeline
 module Guard = Disclosure.Guard
-module Sview = Disclosure.Sview
-module Journal = Disclosure.Journal
-
-let domains =
-  match Sys.getenv_opt "SERVER_DOMAINS" with
-  | Some s -> (
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> n
-    | _ -> failwith ("bad SERVER_DOMAINS: " ^ s))
-  | None -> 2
-
-let pq = Cq.Parser.query_exn
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let v1 = Sview.of_string "V1(x, y) :- Meetings(x, y)"
-let v2 = Sview.of_string "V2(x) :- Meetings(x, y)"
-let v3 = Sview.of_string "V3(x, y, z) :- Contacts(x, y, z)"
-
-let pipeline () = Pipeline.create [ v1; v2; v3 ]
-
-let principals = [| "calendar-app"; "crm-app"; "hr-app"; "mail-app"; "todo-app" |]
-
-let register_all register =
-  register ~principal:"calendar-app" ~partitions:[ ("default", [ v2 ]) ];
-  register ~principal:"crm-app"
-    ~partitions:[ ("meetings", [ v1; v2 ]); ("contacts", [ v3 ]) ];
-  register ~principal:"hr-app" ~partitions:[ ("default", [ v3 ]) ];
-  register ~principal:"mail-app" ~partitions:[ ("default", [ v1; v3 ]) ];
-  register ~principal:"todo-app" ~partitions:[ ("default", [ v2; v3 ]) ]
-
-let make_server ?(domains = domains) ?journal ?(cache_capacity = 256) ?(mailbox_capacity = 1024)
-    ?(checkpoint_every = 0) ?(segment_bytes = 0) ?(group_commit = false) () =
-  let server =
-    Server.create ?journal
-      ~config:
-        { Server.domains; mailbox_capacity; cache_capacity; checkpoint_every;
-          segment_bytes; drain = Server.default_config.Server.drain; group_commit;
-          resident = None }
-      (pipeline ())
-  in
-  register_all (fun ~principal ~partitions -> Server.register server ~principal ~partitions);
-  server
-
-let make_service ?journal () =
-  let service = Service.create ?journal (pipeline ()) in
-  register_all (fun ~principal ~partitions ->
-      Service.register service ~principal ~partitions);
-  service
-
-let queries =
-  [|
-    pq "Q(x) :- Meetings(x, y)";
-    pq "Q(a) :- Meetings(a, b)";
-    pq "Q(x, y) :- Meetings(x, y)";
-    pq "Q(y) :- Meetings(x, y)";
-    pq "Q(x, y, z) :- Contacts(x, y, z)";
-    pq "Q(x) :- Contacts(x, y, z)";
-    pq "Q(x) :- Meetings(x, y), Contacts(y, e, p)";
-    pq "Q(x) :- Meetings(x, y), Meetings(x, z)";
-    pq "Q() :- Unknown(u)";
-  |]
-
-let random_history rng ~steps =
-  List.init steps (fun _ ->
-      ( principals.(Random.State.int rng (Array.length principals)),
-        queries.(Random.State.int rng (Array.length queries)) ))
-
-(* Per-principal decision sequences, in submission order. *)
-let group_by_principal pairs =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (principal, decision) ->
-      let prev = Option.value (Hashtbl.find_opt tbl principal) ~default:[] in
-      Hashtbl.replace tbl principal (decision :: prev))
-    pairs;
-  Array.to_list principals
-  |> List.map (fun p ->
-         (p, List.rev (Option.value (Hashtbl.find_opt tbl p) ~default:[])))
-
-let sequences_equal a b =
-  List.for_all2
-    (fun (p, ds) (p', ds') ->
-      String.equal p p'
-      && List.length ds = List.length ds'
-      && List.for_all2 Monitor.decision_equal ds ds')
-    a b
-
-(* --- sequential equivalence ------------------------------------------- *)
+let shard_counts = [ 1; 2; 4 ]
 
 let run_history_on_server server history =
   let tickets =
-    List.map
-      (fun (principal, q) -> (principal, Server.submit server ~principal q))
-      history
+    List.map (fun (principal, q) -> Server.submit server ~principal q) history
   in
-  List.map (fun (principal, ticket) -> (principal, Server.await ticket)) tickets
+  List.map Server.await tickets
 
 let run_history_on_service service history =
-  List.map
-    (fun (principal, q) -> (principal, Service.submit service ~principal q))
-    history
+  List.map (fun (principal, q) -> Service.submit service ~principal q) history
 
-let test_sequential_equivalence () =
-  let rng = Random.State.make [| 0xACE |] in
-  for _history = 1 to 120 do
-    let history = random_history rng ~steps:(1 + Random.State.int rng 20) in
-    let server = make_server () in
-    Server.start server;
-    let server_decisions = run_history_on_server server history in
-    Server.drain server;
-    let server_snapshot = Server.snapshot server in
-    Server.stop server;
-    let service = make_service () in
-    let service_decisions = run_history_on_service service history in
-    check_bool "per-principal decision sequences match single-threaded replay" true
-      (sequences_equal
-         (group_by_principal server_decisions)
-         (group_by_principal service_decisions));
-    check_bool "final monitor states match single-threaded replay" true
-      (Service.snapshot service = server_snapshot)
-  done
+let decisions_equal = List.for_all2 Monitor.decision_equal
 
-(* The same equivalence with the cache disabled: isolates sharding/mailbox
-   effects from cache effects. *)
-let test_sequential_equivalence_uncached () =
-  let rng = Random.State.make [| 0xBEE |] in
-  for _history = 1 to 40 do
-    let history = random_history rng ~steps:(1 + Random.State.int rng 20) in
-    let server = make_server ~cache_capacity:0 () in
-    Server.start server;
-    let decisions = run_history_on_server server history in
-    Server.drain server;
-    Server.stop server;
-    let service = make_service () in
-    let expected = run_history_on_service service history in
-    check_bool "uncached decision sequences match" true
-      (sequences_equal (group_by_principal decisions) (group_by_principal expected))
-  done
-
-(* A tiny LRU cache forces constant eviction; decisions must not change. *)
-let test_equivalence_under_eviction () =
-  let rng = Random.State.make [| 0xE51C7 |] in
-  let history = random_history rng ~steps:200 in
-  let server = make_server ~cache_capacity:2 () in
-  Server.start server;
-  let decisions = run_history_on_server server history in
-  Server.drain server;
-  let evictions = Server.Metrics.count (Server.metrics server) Server.Metrics.Cache_eviction in
-  Server.stop server;
-  let service = make_service () in
-  let expected = run_history_on_service service history in
-  check_bool "evicting cache still matches" true
-    (sequences_equal (group_by_principal decisions) (group_by_principal expected));
-  check_bool "evictions actually happened" true (evictions > 0)
+let recover_into server ~journal =
+  match Server.recover server ~journal with
+  | Ok n -> n
+  | Error e -> Alcotest.fail (Service.recovery_error_to_string e)
 
 (* The cache keys on the query's exact interned structure: a verbatim
    repeat hits, while an alpha-renamed or redundant-atom variant is labeled
@@ -206,7 +71,7 @@ let test_cache_hits_across_variants () =
    once (the Canonicalize stage) and is either a hit or a miss — no second
    key level is ever computed. *)
 let test_one_key_per_decision () =
-  let server = make_server ~domains:1 () in
+  let server = make_server ~config:(config ~domains:1 ()) () in
   Server.start server;
   let history =
     List.concat_map
@@ -233,11 +98,10 @@ let test_one_key_per_decision () =
    second query for the same shard must be shed as Refused Overload, with
    the shed principal's monitor left bit-identical. *)
 let test_overload_sheds_fail_closed () =
-  let server = make_server ~mailbox_capacity:1 ~cache_capacity:0 () in
+  let server = make_server ~config:(config ~mailbox_capacity:1 ~cache_capacity:0 ()) () in
   let before = Server.snapshot server in
-  let q = pq "Q(x) :- Meetings(x, y)" in
-  let t1 = Server.submit server ~principal:"calendar-app" q in
-  let t2 = Server.submit server ~principal:"calendar-app" q in
+  let t1 = Server.submit server ~principal:"calendar-app" q_slots in
+  let t2 = Server.submit server ~principal:"calendar-app" q_slots in
   (match Server.Ivar.peek t2 with
   | Some (Monitor.Refused Guard.Overload) -> ()
   | Some d -> Alcotest.failf "expected Refused Overload, got %a" Monitor.pp_decision d
@@ -262,57 +126,52 @@ let test_overload_refusal_tag () =
 (* --- journal segments and recovery ------------------------------------- *)
 
 let test_segmented_recovery () =
-  with_tmp_base (fun base ->
-      let rng = Random.State.make [| 0x10C |] in
-      let history = random_history rng ~steps:60 in
-      let server = make_server ~journal:base () in
-      Server.start server;
-      ignore (run_history_on_server server history);
-      Server.drain server;
-      let live = Server.snapshot server in
-      Server.stop server;
-      (* Each shard wrote its own segment. *)
-      let segments =
-        List.init domains (fun i -> Printf.sprintf "%s.shard%d" base i)
-      in
-      List.iter
-        (fun s -> check_bool ("segment exists: " ^ s) true (Sys.file_exists s))
-        segments;
-      (* A fresh server over the same deployment recovers bit-identically. *)
-      let fresh = make_server () in
-      (match Server.recover fresh ~journal:base with
-      | Ok n -> check_int "all decisions replayed" (List.length history) n
-      | Error e -> Alcotest.fail (Service.recovery_error_to_string e));
-      check_bool "recovered state = live state" true (Server.snapshot fresh = live);
-      let m = Server.metrics fresh in
-      check_int "one recovery per shard counted" domains
-        (Server.Metrics.count m Server.Metrics.Recoveries);
-      check_int "replayed records counted" (List.length history)
-        (Server.Metrics.count m Server.Metrics.Recovered_records);
-      Server.stop fresh)
+  List.iter
+    (fun domains ->
+      with_tmp_base (fun base ->
+          let rng = Random.State.make [| 0x10C |] in
+          let history = random_history rng ~steps:60 in
+          let server = make_server ~journal:base ~config:(config ~domains ()) () in
+          Server.start server;
+          ignore (run_history_on_server server history);
+          Server.drain server;
+          let live = Server.snapshot server in
+          Server.stop server;
+          (* Each shard wrote its own segment. *)
+          for i = 0 to domains - 1 do
+            let s = Server.shard_journal base i in
+            check_bool ("segment exists: " ^ s) true (Sys.file_exists s)
+          done;
+          (* A fresh server over the same deployment recovers bit-identically. *)
+          let fresh = make_server ~config:(config ~domains ()) () in
+          check_int "all decisions replayed" (List.length history)
+            (recover_into fresh ~journal:base);
+          check_bool "recovered state = live state" true (Server.snapshot fresh = live);
+          let m = Server.metrics fresh in
+          check_int "one recovery per shard counted" domains
+            (Server.Metrics.count m Server.Metrics.Recoveries);
+          check_int "replayed records counted" (List.length history)
+            (Server.Metrics.count m Server.Metrics.Recovered_records);
+          Server.stop fresh))
+    shard_counts
 
 let test_recovery_tolerates_torn_segment () =
   with_tmp_base (fun base ->
       let server = make_server ~journal:base () in
       Server.start server;
       check_bool "setup answered" true
-        (Server.submit_sync server ~principal:"calendar-app" (pq "Q(x) :- Meetings(x, y)")
-        = Monitor.Answered);
+        (Server.submit_sync server ~principal:"calendar-app" q_slots = Monitor.Answered);
       Server.drain server;
       let live = Server.snapshot server in
       Server.stop server;
       (* Simulate a crash mid-append on shard 0's segment: the record is cut
          off inside the principal name, before the first tab. *)
-      let victim = base ^ ".shard0" in
+      let victim = Server.shard_journal base 0 in
       let oc = open_out_gen [ Open_append ] 0o644 victim in
       output_string oc "calendar-ap";
       close_out oc;
       let fresh = make_server () in
-      (match Server.recover fresh ~journal:base with
-      | Ok _ -> ()
-      | Error e ->
-        Alcotest.failf "torn final segment line must be tolerated: %s"
-          (Service.recovery_error_to_string e));
+      ignore (recover_into fresh ~journal:base);
       check_bool "recovered state ignores the torn line" true
         (Server.snapshot fresh = live);
       Server.stop fresh)
@@ -320,182 +179,94 @@ let test_recovery_tolerates_torn_segment () =
 (* A running server checkpoints every shard via control messages; recovery
    then restores per-shard checkpoints and replays only the tails. *)
 let test_checkpointed_server_recovery () =
-  with_tmp_base (fun base ->
-      let rng = Random.State.make [| 0xCA47 |] in
-      let history = random_history rng ~steps:40 in
-      let tail = random_history rng ~steps:11 in
-      let server = make_server ~journal:base ~segment_bytes:512 () in
-      Server.start server;
-      ignore (run_history_on_server server history);
-      Server.drain server;
-      (match Server.checkpoint server with
-      | Ok () -> ()
-      | Error e -> Alcotest.fail e);
-      ignore (run_history_on_server server tail);
-      Server.drain server;
-      let live = Server.snapshot server in
-      let m = Server.metrics server in
-      check_bool "checkpoints counted" true
-        (Server.Metrics.count m Server.Metrics.Checkpoints >= domains);
-      check_bool "rotations counted" true
-        (Server.Metrics.count m Server.Metrics.Rotations >= 1);
-      Server.stop server;
-      let fresh = make_server () in
-      (match Server.recover fresh ~journal:base with
-      | Ok n ->
-        check_bool "only the tails replay" true (n <= List.length tail)
-      | Error e -> Alcotest.fail (Service.recovery_error_to_string e));
-      check_bool "checkpoint + tail = live" true (Server.snapshot fresh = live);
-      Server.stop fresh)
-
-(* The automatic cadence: every shard checkpoints itself as it processes
-   decisions, with no cross-shard coordination, and decisions are
-   unaffected. *)
-let test_auto_checkpoint_equivalence () =
-  with_tmp_base (fun base ->
-      let rng = Random.State.make [| 0xAD0C |] in
-      let history = random_history rng ~steps:60 in
-      let server = make_server ~journal:base ~checkpoint_every:5 () in
-      Server.start server;
-      let decisions = run_history_on_server server history in
-      Server.drain server;
-      let live = Server.snapshot server in
-      let m = Server.metrics server in
-      check_bool "automatic checkpoints happened" true
-        (Server.Metrics.count m Server.Metrics.Checkpoints > 0);
-      Server.stop server;
-      let service = make_service () in
-      let expected = run_history_on_service service history in
-      check_bool "auto-checkpointing never changes decisions" true
-        (sequences_equal (group_by_principal decisions) (group_by_principal expected));
-      let fresh = make_server () in
-      (match Server.recover fresh ~journal:base with
-      | Ok _ -> ()
-      | Error e -> Alcotest.fail (Service.recovery_error_to_string e));
-      check_bool "recovered = live under auto checkpoints" true
-        (Server.snapshot fresh = live);
-      Server.stop fresh)
+  List.iter
+    (fun domains ->
+      with_tmp_base (fun base ->
+          let rng = Random.State.make [| 0xCA47 |] in
+          let history = random_history rng ~steps:40 in
+          let tail = random_history rng ~steps:11 in
+          let server =
+            make_server ~journal:base ~config:(config ~domains ~segment_bytes:512 ()) ()
+          in
+          Server.start server;
+          ignore (run_history_on_server server history);
+          Server.drain server;
+          (match Server.checkpoint server with
+          | Ok () -> ()
+          | Error e -> Alcotest.fail e);
+          ignore (run_history_on_server server tail);
+          Server.drain server;
+          let live = Server.snapshot server in
+          let m = Server.metrics server in
+          check_bool "checkpoints counted" true
+            (Server.Metrics.count m Server.Metrics.Checkpoints >= domains);
+          check_bool "rotations counted" true
+            (Server.Metrics.count m Server.Metrics.Rotations >= 1);
+          Server.stop server;
+          let fresh = make_server ~config:(config ~domains ()) () in
+          check_bool "only the tails replay" true
+            (recover_into fresh ~journal:base <= List.length tail);
+          check_bool "checkpoint + tail = live" true (Server.snapshot fresh = live);
+          Server.stop fresh))
+    shard_counts
 
 (* --- group commit ------------------------------------------------------- *)
 
 (* One journaled pass over [history] with every query enqueued before
-   [start]: the workers then dequeue full [drain]-sized batches, so the
+   [start]: the rounds then dequeue full [drain]-sized batches, so the
    group-commit flush count is deterministic. Decisions are awaited after
    [drain] (group commit fills tickets only at each batch's covering
    flush). *)
-let journaled_pass ~group_commit base history =
-  let server = make_server ~journal:base ~group_commit () in
+let journaled_pass ~domains ~group_commit base history =
+  let server = make_server ~journal:base ~config:(config ~domains ~group_commit ()) () in
   let tickets =
     List.map (fun (principal, q) -> Server.submit server ~principal q) history
   in
   Server.start server;
   Server.drain server;
-  let decisions =
-    List.map2 (fun (principal, _) t -> (principal, Server.await t)) history tickets
-  in
-  let snapshot = Server.snapshot server in
+  let decisions = List.map Server.await tickets in
   let flushes = Array.fold_left ( + ) 0 (Server.flush_counts server) in
   Server.stop server;
-  let journals =
-    List.init domains (fun i -> read_file (Printf.sprintf "%s.shard%d" base i))
-  in
-  (decisions, snapshot, flushes, journals)
+  (decisions, flushes)
 
-(* The group-commit contract, differentially: against per-decision commits
-   over the same history, decisions, monitor states, and journal bytes are
-   all bit-identical, recovery restores the same state — and the observable
-   difference is strictly fewer fsyncs. *)
+(* The observable difference group commit makes: strictly fewer flushes,
+   bounded by the batching, for the same decisions. (Bit-identity of the
+   journal and recovery is the oracle's.) *)
 let test_group_commit_differential () =
-  with_tmp_base (fun base_off ->
-      with_tmp_base (fun base_on ->
-          let rng = Random.State.make [| 0x6C07 |] in
-          let history = random_history rng ~steps:200 in
-          let dec_off, snap_off, flushes_off, journals_off =
-            journaled_pass ~group_commit:false base_off history
-          in
-          let dec_on, snap_on, flushes_on, journals_on =
-            journaled_pass ~group_commit:true base_on history
-          in
-          check_bool "decision sequences identical" true
-            (sequences_equal (group_by_principal dec_off) (group_by_principal dec_on));
-          check_bool "monitor snapshots identical" true (snap_off = snap_on);
-          List.iteri
-            (fun i (off, on) ->
-              check_bool (Printf.sprintf "shard %d journal bit-identical" i) true
-                (String.equal off on))
-            (List.combine journals_off journals_on);
-          check_bool "per-decision mode flushed at least once per record" true
-            (flushes_off >= List.length history * 9 / 10);
-          check_bool
-            (Printf.sprintf "group commit flushes strictly fewer (%d < %d)" flushes_on
-               flushes_off)
-            true
-            (flushes_on < flushes_off);
-          (* Batches are bounded by [drain], so at most ceil(records/drain)
-             flushes per shard plus slack for short trailing batches. *)
-          let drain = Server.default_config.Server.drain in
-          let bound = ((List.length history + drain - 1) / drain) + (2 * domains) in
-          check_bool
-            (Printf.sprintf "flush count bounded by batching (%d <= %d)" flushes_on bound)
-            true (flushes_on <= bound);
-          (* The group-commit journal recovers to the live state. *)
-          let fresh = make_server () in
-          (match Server.recover fresh ~journal:base_on with
-          | Ok _ -> ()
-          | Error e -> Alcotest.fail (Service.recovery_error_to_string e));
-          check_bool "recovered from group-commit journal = live state" true
-            (Server.snapshot fresh = snap_on);
-          Server.stop fresh))
+  List.iter
+    (fun domains ->
+      with_tmp_base (fun base_off ->
+          with_tmp_base (fun base_on ->
+              let rng = Random.State.make [| 0x6C07 |] in
+              let history = random_history rng ~steps:200 in
+              let dec_off, flushes_off =
+                journaled_pass ~domains ~group_commit:false base_off history
+              in
+              let dec_on, flushes_on = journaled_pass ~domains ~group_commit:true base_on history in
+              check_bool "decision sequences identical" true (decisions_equal dec_off dec_on);
+              check_bool "per-decision mode flushed at least once per record" true
+                (flushes_off >= List.length history * 9 / 10);
+              check_bool
+                (Printf.sprintf "group commit flushes strictly fewer (%d < %d)" flushes_on
+                   flushes_off)
+                true (flushes_on < flushes_off);
+              (* Batches are bounded by [drain], so at most ceil(records/drain)
+                 flushes per shard plus slack for short trailing batches. *)
+              let drain = Server.default_config.Server.drain in
+              let bound = ((List.length history + drain - 1) / drain) + (2 * domains) in
+              check_bool
+                (Printf.sprintf "flush count bounded by batching (%d <= %d)" flushes_on bound)
+                true (flushes_on <= bound))))
+    shard_counts
 
 (* --- flat combining ------------------------------------------------------ *)
-
-(* Callers run the shards: 1–3 submitter domains, each owning its own
-   principals, combine on the same shards, with group commit on and off.
-   Per-principal decisions must equal the sequential service, and the
-   journal the run leaves must replay to the live state. *)
-let test_concurrent_submitters () =
-  let rng = Random.State.make [| 0xF1A7 |] in
-  for run = 0 to 23 do
-    let submitters = 1 + (run mod 3) in
-    let group_commit = run / 3 mod 2 = 1 in
-    let history = random_history rng ~steps:(1 + Random.State.int rng 60) in
-    with_tmp_base (fun base ->
-        let server = make_server ~journal:base ~group_commit () in
-        Server.start server;
-        let owner principal =
-          let rec find i = if principals.(i) = principal then i else find (i + 1) in
-          find 0 mod submitters
-        in
-        let decisions =
-          Array.init submitters (fun k ->
-              let mine = List.filter (fun (p, _) -> owner p = k) history in
-              Domain.spawn (fun () -> run_history_on_server server mine))
-          |> Array.to_list |> List.concat_map Domain.join
-        in
-        Server.drain server;
-        let live = Server.snapshot server in
-        Server.stop server;
-        let service = make_service () in
-        let expected = run_history_on_service service history in
-        check_bool
-          (Printf.sprintf "%d submitter(s), group commit %b: decisions ≡ service"
-             submitters group_commit)
-          true
-          (sequences_equal (group_by_principal decisions) (group_by_principal expected));
-        let fresh = make_server () in
-        (match Server.recover fresh ~journal:base with
-        | Ok _ -> ()
-        | Error e -> Alcotest.fail (Service.recovery_error_to_string e));
-        check_bool "replay = live" true (Server.snapshot fresh = live);
-        Server.stop fresh)
-  done
 
 (* The idle-full rule: a started shard whose queue is at capacity with
    nobody awaiting must not deadlock a barrier (the blocking push runs a
    round itself) nor shed the next submit. *)
 let test_full_idle_queue () =
   let capacity = 4 in
-  let server = make_server ~domains:1 ~mailbox_capacity:capacity () in
+  let server = make_server ~config:(config ~domains:1 ~mailbox_capacity:capacity ()) () in
   Server.start server;
   let fill () =
     List.init capacity (fun _ -> Server.submit server ~principal:"calendar-app" queries.(0))
@@ -552,7 +323,7 @@ let test_waiter_woken_by_other_round () =
 (* [Ivar.peek] runs rounds but never waits: polling the last ticket alone
    decides an idle shard's whole queue — before start it only reports. *)
 let test_peek_drives_idle_shard () =
-  let server = make_server ~domains:1 () in
+  let server = make_server ~config:(config ~domains:1 ()) () in
   let history = random_history (Random.State.make [| 0x9EE4 |]) ~steps:30 in
   let tickets = List.map (fun (principal, q) -> Server.submit server ~principal q) history in
   let last = List.nth tickets (List.length tickets - 1) in
@@ -561,12 +332,8 @@ let test_peek_drives_idle_shard () =
   check_bool "one peek decides the idle shard's queue" true (Server.Ivar.peek last <> None);
   let service = make_service () in
   let expected = run_history_on_service service history in
-  let decisions =
-    List.map2 (fun (principal, _) t -> (principal, Option.get (Server.Ivar.peek t))) history
-      tickets
-  in
-  check_bool "peeked decisions ≡ service" true
-    (sequences_equal (group_by_principal decisions) (group_by_principal expected));
+  let decisions = List.map (fun t -> Option.get (Server.Ivar.peek t)) tickets in
+  check_bool "peeked decisions ≡ service" true (decisions_equal decisions expected);
   Server.stop server
 
 (* [stop] runs whatever is still queued on the caller: no ticket is left
@@ -581,9 +348,8 @@ let test_stop_settles_queue () =
     (List.for_all (fun t -> Server.Ivar.peek t <> None) tickets);
   let service = make_service () in
   let expected = run_history_on_service service history in
-  let decisions = List.map2 (fun (principal, _) t -> (principal, Server.await t)) history tickets in
-  check_bool "stop-time decisions ≡ service" true
-    (sequences_equal (group_by_principal decisions) (group_by_principal expected))
+  let decisions = List.map Server.await tickets in
+  check_bool "stop-time decisions ≡ service" true (decisions_equal decisions expected)
 
 (* Attribution: a closed loop with one caller is one round per decision and
    never waits. *)
@@ -613,7 +379,7 @@ let test_combining_counters () =
 let test_unknown_principal () =
   let server = make_server () in
   Alcotest.check_raises "unknown" (Service.Unknown_principal "nobody") (fun () ->
-      ignore (Server.submit server ~principal:"nobody" (pq "Q(x) :- Meetings(x, y)")));
+      ignore (Server.submit server ~principal:"nobody" q_slots));
   Server.stop server
 
 let test_register_after_start_rejected () =
@@ -627,7 +393,7 @@ let test_register_after_start_rejected () =
 
 let test_stop_before_start_resolves_tickets () =
   let server = make_server () in
-  let t = Server.submit server ~principal:"calendar-app" (pq "Q(x) :- Meetings(x, y)") in
+  let t = Server.submit server ~principal:"calendar-app" q_slots in
   Server.stop server;
   match Server.await t with
   | Monitor.Refused (Guard.Fault _) -> ()
@@ -688,7 +454,7 @@ let test_mailbox () =
    2·drain+1 queries is run in exactly three rounds by one await on the
    last ticket, which never has to wait. *)
 let test_rounds_take_drain () =
-  let server = make_server ~domains:1 () in
+  let server = make_server ~config:(config ~domains:1 ()) () in
   let drain = Server.default_config.Server.drain in
   let q = queries.(0) in
   let tickets =
@@ -766,17 +532,15 @@ let test_ivar () =
   check_bool "prefilled" true (Server.Ivar.read (Server.Ivar.create_filled 7) = 7)
 
 let () =
-  Printf.printf "SERVER_DOMAINS=%d\n%!" domains;
   Alcotest.run "disclosure-server"
     [
       ( "equivalence",
         [
-          Alcotest.test_case "server ≡ single-threaded service over 120 random histories"
-            `Quick test_sequential_equivalence;
-          Alcotest.test_case "uncached server ≡ service" `Quick
-            test_sequential_equivalence_uncached;
-          Alcotest.test_case "equivalence survives constant eviction" `Quick
-            test_equivalence_under_eviction;
+          Oracle.slice "server ≡ single-threaded service over random histories" ~pin:(fun c ->
+              { c with Oracle.cache = 256 });
+          Oracle.slice "uncached server ≡ service" ~pin:(fun c -> { c with Oracle.cache = 0 });
+          Oracle.slice "equivalence survives constant eviction" ~pin:(fun c ->
+              { c with Oracle.cache = 2 });
           Alcotest.test_case "cache hits across query variants" `Quick
             test_cache_hits_across_variants;
           Alcotest.test_case "one cache key per decision" `Quick
@@ -796,15 +560,15 @@ let () =
             test_recovery_tolerates_torn_segment;
           Alcotest.test_case "explicit checkpoint on a running server" `Quick
             test_checkpointed_server_recovery;
-          Alcotest.test_case "automatic per-shard checkpoint cadence" `Quick
-            test_auto_checkpoint_equivalence;
+          Oracle.slice "automatic per-shard checkpoint cadence" ~pin:(fun c ->
+              { c with Oracle.checkpoint = Oracle.Every 2 });
           Alcotest.test_case "group commit: identical decisions, fewer fsyncs" `Quick
             test_group_commit_differential;
         ] );
       ( "combining",
         [
-          Alcotest.test_case "1–3 submitter domains ≡ service, replay = live" `Quick
-            test_concurrent_submitters;
+          Oracle.slice "1–3 submitter domains ≡ service, replay = live" ~pin:(fun c ->
+              { c with Oracle.transport = Oracle.In_process });
           Alcotest.test_case "full idle queue: drain completes, submit decided" `Quick
             test_full_idle_queue;
           Alcotest.test_case "waiter woken by another caller's round" `Quick

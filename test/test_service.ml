@@ -106,9 +106,7 @@ let test_label_roundtrip () =
 
 (* --- decision journal, snapshot, recovery ---------------------------- *)
 
-let with_tmp_journal f =
-  let path = Filename.temp_file "disclosure-journal" ".log" in
-  Fun.protect ~finally:(fun () -> Journal.remove_family path) (fun () -> f path)
+let with_tmp_journal = Support.with_tmp_base
 
 (* Rewrite a clean v2 journal as the pre-v2 TSV image of the same history,
    one raw [principal TAB label TAB decision] line per record, and return

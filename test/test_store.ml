@@ -1,68 +1,37 @@
-(* Differential suite for the tiered principal store (DESIGN.md §14).
+(* Suite for the tiered principal store (DESIGN.md §14).
 
-   Self-contained (its own executable: it arms the global fault hooks). The
-   contract under test is bit-identity: whatever the eviction schedule, a
-   service wrapped in a store must produce the same decisions, the same
-   journal bytes, and the same checkpoint bytes as an always-resident
-   service over the same history — including under group commit and the
-   spill/fault-in fault points. Fail-closed: a spill record that cannot be
-   read back refuses the touching query with [Resource (Spill _)] and
-   leaves every resident monitor bit-identical. *)
+   Self-contained (its own executable: it arms the global fault hooks).
+   That a tiered server's decisions, journal bytes and checkpoint bytes are
+   bit-identical to an always-resident one's, under group commit too, is
+   the differential oracle's resident-budget axis (test/support/oracle.ml).
+   This suite pins the store's own contract: eviction, spill and fault-in
+   counters, the fresh tier, budgets, compaction, and fail-closed spill
+   faults — a spill record that cannot be read back refuses the touching
+   query with [Resource (Spill _)] and leaves every resident monitor
+   bit-identical. *)
+
+open Support
 
 module Guard = Disclosure.Guard
 module Faults = Disclosure.Faults
 module Service = Disclosure.Service
 module Monitor = Disclosure.Monitor
-module Pipeline = Disclosure.Pipeline
-module Sview = Disclosure.Sview
 module Journal = Disclosure.Journal
-
-let pq = Cq.Parser.query_exn
-let sview s = Sview.of_string s
-
-let v1 = sview "V1(x, y) :- Meetings(x, y)"
-let v2 = sview "V2(x) :- Meetings(x, y)"
-let v3 = sview "V3(x, y, z) :- Contacts(x, y, z)"
-
-let specs =
-  [
-    ("calendar-app", [ ("slots", [ v2 ]) ]);
-    ("crm-app", [ ("meetings", [ v1; v2 ]); ("contacts", [ v3 ]) ]);
-    ("audit-app", [ ("all", [ v1; v2; v3 ]) ]);
-  ]
-
-let principals = Array.of_list (List.map fst specs)
-
-let queries =
-  [|
-    pq "Q(x) :- Meetings(x, y)";
-    pq "Q(x, y) :- Meetings(x, y)";
-    pq "Q(y) :- Meetings(x, y)";
-    pq "Q(x, y, z) :- Contacts(x, y, z)";
-    pq "Q(x) :- Contacts(x, y, z)";
-    pq "Q(x) :- Meetings(x, y), Contacts(y, e, p)";
-    pq "Q() :- Unknown(u)";
-  |]
-
-let rm f = try Sys.remove f with Sys_error _ -> ()
-
-let with_base f =
-  let base = Filename.temp_file "disclosure-store" ".journal" in
-  Sys.remove base;
-  Fun.protect ~finally:(fun () -> Journal.remove_family base) (fun () -> f base)
-
-let read_all path = In_channel.with_open_bin path In_channel.input_all
+module Pipeline = Disclosure.Pipeline
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+(* Q(x) :- Contacts(x, y, z): answerable from the contacts side alone. *)
+let q_contact_ids = queries.(5)
+
 (* Build a journaled service, optionally tiered with [budget]. Returns the
    service and the store (when tiered). *)
 let make ?budget base =
-  let service = Service.create ~journal:base (Pipeline.create [ v1; v2; v3 ]) in
+  let service = Service.create ~journal:base (pipeline ()) in
   let store =
     Option.map
-      (fun b -> Store.create ~budget:b ~spill:(base ^ ".spill") service)
+      (fun b -> Store.create ~budget:b ~spill:(Journal.spill_path base) service)
       budget
   in
   List.iter
@@ -70,7 +39,7 @@ let make ?budget base =
       match store with
       | Some s -> Store.register s ~principal ~partitions
       | None -> Service.register service ~principal ~partitions)
-    specs;
+    deployment;
   (service, store)
 
 let teardown service store =
@@ -80,32 +49,31 @@ let teardown service store =
 (* --- construction ------------------------------------------------------- *)
 
 let test_create_validation () =
-  with_base (fun base ->
+  with_tmp_base (fun base ->
       let service = Service.create (Pipeline.create [ v1; v2 ]) in
       Alcotest.check_raises "zero principals"
         (Invalid_argument "Store.create: budget must be >= 1 principal")
         (fun () ->
-          ignore (Store.create ~budget:(Store.Principals 0) ~spill:(base ^ ".spill") service));
+          ignore (Store.create ~budget:(Store.Principals 0) ~spill:(Journal.spill_path base) service));
       Alcotest.check_raises "zero bytes"
         (Invalid_argument "Store.create: budget must be >= 1 byte") (fun () ->
-          ignore (Store.create ~budget:(Store.Bytes 0) ~spill:(base ^ ".spill") service));
+          ignore (Store.create ~budget:(Store.Bytes 0) ~spill:(Journal.spill_path base) service));
       let store =
-        Store.create ~budget:(Store.Principals 1) ~spill:(base ^ ".spill") service
+        Store.create ~budget:(Store.Principals 1) ~spill:(Journal.spill_path base) service
       in
       (* One tier per service: the second wrapper must be rejected. *)
       check_bool "second tier rejected" true
         (match Store.create ~budget:(Store.Principals 1) ~spill:(base ^ ".spill2") service with
         | _ -> false
         | exception Invalid_argument _ -> true);
-      rm (base ^ ".spill2");
       Store.close store;
       Service.close service)
 
 (* The spill path is process-private scratch: stale bytes from a previous
    process must not survive Store.create. *)
 let test_spill_truncated_at_create () =
-  with_base (fun base ->
-      Out_channel.with_open_bin (base ^ ".spill") (fun oc ->
+  with_tmp_base (fun base ->
+      Out_channel.with_open_bin (Journal.spill_path base) (fun oc ->
           Out_channel.output_string oc "stale garbage from a dead process");
       let service, store = make ~budget:(Store.Principals 1) base in
       let st = Store.stats (Option.get store) in
@@ -116,14 +84,14 @@ let test_spill_truncated_at_create () =
 (* --- eviction, fault-in, tiers ------------------------------------------ *)
 
 let test_eviction_and_fault_in () =
-  with_base (fun base ->
+  with_tmp_base (fun base ->
       let service, store = make ~budget:(Store.Principals 1) base in
       let store = Option.get store in
       (* Dirty crm-app (one answered query narrows its wall), then force it
          out: budget 1 and two other registered principals. *)
       check_bool "crm answered" true
-        (Service.submit service ~principal:"crm-app" queries.(3) = Monitor.Answered);
-      ignore (Service.submit service ~principal:"calendar-app" queries.(0));
+        (Service.submit service ~principal:"crm-app" q_contacts = Monitor.Answered);
+      ignore (Service.submit service ~principal:"calendar-app" q_slots);
       Store.enforce store;
       check_bool "resident within budget" true (Store.resident store <= 1);
       let st = Store.stats store in
@@ -133,16 +101,16 @@ let test_eviction_and_fault_in () =
       (* Touching the spilled principal faults it back in with its history:
          the contacts side was chosen, so meetings must still refuse. *)
       check_bool "faulted-in history intact (refuses meetings)" true
-        (Service.submit service ~principal:"crm-app" queries.(1) |> Monitor.is_refused);
+        (Service.submit service ~principal:"crm-app" q_meetings |> Monitor.is_refused);
       check_bool "faulted-in history intact (answers contacts)" true
-        (Service.submit service ~principal:"crm-app" queries.(4) = Monitor.Answered);
+        (Service.submit service ~principal:"crm-app" q_contact_ids = Monitor.Answered);
       check_bool "fault-ins counted" true
         ((Store.stats store).Store.stat_fault_ins > 0);
       teardown service (Some store))
 
 (* Pristine monitors take the fresh tier: zero spill I/O. *)
 let test_fresh_tier_zero_io () =
-  with_base (fun base ->
+  with_tmp_base (fun base ->
       let service, store = make ~budget:(Store.Principals 1) base in
       let store = Option.get store in
       Store.enforce store;
@@ -152,11 +120,11 @@ let test_fresh_tier_zero_io () =
       check_bool "evicted principals are fresh" true (st.Store.stat_fresh >= 2);
       (* A fresh principal faults in as pristine: full lattice available. *)
       check_bool "fresh fault-in answers" true
-        (Service.submit service ~principal:"crm-app" queries.(3) = Monitor.Answered);
+        (Service.submit service ~principal:"crm-app" q_contacts = Monitor.Answered);
       teardown service (Some store))
 
 let test_stats_invariant () =
-  with_base (fun base ->
+  with_tmp_base (fun base ->
       let service, store = make ~budget:(Store.Principals 2) base in
       let store = Option.get store in
       let rng = Random.State.make [| 0xACE |] in
@@ -169,11 +137,9 @@ let test_stats_invariant () =
       done;
       let st = Store.stats store in
       check_int "tiers partition the population"
-        (List.length specs)
+        (Array.length principals)
         (st.Store.stat_resident + st.Store.stat_spilled + st.Store.stat_fresh);
       teardown service (Some store))
-
-(* --- the differential matrix -------------------------------------------- *)
 
 (* One random history: (principal index, action index) pairs; action >=
    Array.length queries means reset. *)
@@ -182,109 +148,16 @@ let random_history rng steps =
       ( Random.State.int rng (Array.length principals),
         Random.State.int rng (Array.length queries + 1) ))
 
-(* Run [history] through a journaled service — always-resident when [budget]
-   is [None] — enforcing eviction every [cadence] steps and checkpointing
-   mid-history. Returns (decisions, snapshot, tail bytes, checkpoint bytes). *)
-let run_history ?budget ~cadence history base =
-  let service, store = make ?budget base in
-  let steps = List.length history in
-  let decisions = ref [] in
-  List.iteri
-    (fun i (pi, ai) ->
-      let principal = principals.(pi) in
-      (if ai >= Array.length queries then Service.reset service ~principal
-       else decisions := Service.submit service ~principal queries.(ai) :: !decisions);
-      (match store with
-      | Some s when (i + 1) mod cadence = 0 -> Store.enforce s
-      | _ -> ());
-      if i = steps / 2 then begin
-        (match Service.checkpoint service with
-        | Ok () -> ()
-        | Error msg -> Alcotest.failf "checkpoint failed: %s" msg);
-        match store with Some s -> Store.compact s | None -> ()
-      end)
-    history;
-  let snap = Service.snapshot service in
-  teardown service store;
-  (List.rev !decisions, snap, read_all base, read_all (base ^ ".ckpt"))
-
-let test_differential_matrix () =
-  let rng = Random.State.make [| 0x7EED |] in
-  List.iter
-    (fun budget ->
-      List.iter
-        (fun cadence ->
-          for _ = 1 to 10 do
-            let history = random_history rng (4 + Random.State.int rng 16) in
-            let d0, s0, j0, c0 =
-              with_base (fun b -> run_history ~cadence:1 history b)
-            in
-            let d1, s1, j1, c1 =
-              with_base (fun b ->
-                  run_history ~budget:(Store.Principals budget) ~cadence history b)
-            in
-            let name = Printf.sprintf "budget %d cadence %d" budget cadence in
-            check_bool (name ^ ": decisions identical") true (d0 = d1);
-            check_bool (name ^ ": snapshot identical") true (s0 = s1);
-            check_bool (name ^ ": journal bytes identical") true (String.equal j0 j1);
-            check_bool (name ^ ": checkpoint bytes identical") true (String.equal c0 c1)
-          done)
-        [ 1; 3 ])
-    [ 1; 2; 8 ]
-
-(* The same differential under group commit: decisions batch between
-   [batch_begin]/[batch_end], eviction runs at batch boundaries (and is a
-   no-op inside an open batch). *)
+(* Under group commit, eviction waits for the batch boundary: an aborting
+   batch restores pre-batch state through the resident table. (The
+   decisions and bytes it leaves are the oracle's.) *)
 let test_group_commit_differential () =
-  let rng = Random.State.make [| 0xBA7C4 |] in
-  let run ?budget history base =
-    let service, store = make ?budget base in
-    let decisions = ref [] in
-    let batch = ref 0 in
-    Service.batch_begin service;
-    List.iter
-      (fun (pi, ai) ->
-        let principal = principals.(pi) in
-        (if ai >= Array.length queries then Service.reset service ~principal
-         else
-           decisions := Service.submit service ~principal queries.(ai) :: !decisions);
-        (* Mid-batch enforcement must be a no-op: an aborting batch restores
-           pre-batch state through the resident table. *)
-        (match store with Some s -> Store.enforce s | None -> ());
-        incr batch;
-        if !batch mod 4 = 0 then begin
-          (match Service.batch_end service with
-          | Ok () -> ()
-          | Error r -> Alcotest.failf "batch aborted: %s" (Guard.refusal_to_tag r));
-          (match store with Some s -> Store.enforce s | None -> ());
-          Service.batch_begin service
-        end)
-      history;
-    (match Service.batch_end service with
-    | Ok () -> ()
-    | Error r -> Alcotest.failf "batch aborted: %s" (Guard.refusal_to_tag r));
-    let snap = Service.snapshot service in
-    teardown service store;
-    (List.rev !decisions, snap, read_all base)
-  in
-  for _ = 1 to 10 do
-    let history = random_history rng (4 + Random.State.int rng 16) in
-    let d0, s0, j0 = with_base (fun b -> run history b) in
-    let d1, s1, j1 =
-      with_base (fun b -> run ~budget:(Store.Principals 1) history b)
-    in
-    check_bool "group commit: decisions identical" true (d0 = d1);
-    check_bool "group commit: snapshot identical" true (s0 = s1);
-    check_bool "group commit: journal bytes identical" true (String.equal j0 j1)
-  done;
-  (* And directly: no eviction happens while a batch is open (registration-
-     time enforcement ran before the batch, so compare deltas). *)
-  with_base (fun base ->
+  with_tmp_base (fun base ->
       let service, store = make ~budget:(Store.Principals 1) base in
       let store = Option.get store in
       Service.batch_begin service;
-      ignore (Service.submit service ~principal:"crm-app" queries.(3));
-      ignore (Service.submit service ~principal:"calendar-app" queries.(0));
+      ignore (Service.submit service ~principal:"crm-app" q_contacts);
+      ignore (Service.submit service ~principal:"calendar-app" q_slots);
       let ev_in = (Store.stats store).Store.stat_evictions in
       Store.enforce store;
       check_int "no eviction inside an open batch" ev_in
@@ -307,23 +180,23 @@ let all_faults = [ Faults.Exhaust_fuel; Faults.Expire_deadline; Faults.Raise "in
 let test_spill_fault_keeps_resident () =
   List.iter
     (fun fault ->
-      with_base (fun base ->
+      with_tmp_base (fun base ->
           (* Budget 2: dirty crm-app and calendar-app both fit; the audit-app
              touch below then needs an eviction, and the only candidates are
              dirty — exactly the spill path. *)
           let service, store = make ~budget:(Store.Principals 2) base in
           let store = Option.get store in
           check_bool "setup answered (crm)" true
-            (Service.submit service ~principal:"crm-app" queries.(3) = Monitor.Answered);
+            (Service.submit service ~principal:"crm-app" q_contacts = Monitor.Answered);
           check_bool "setup answered (calendar)" true
-            (Service.submit service ~principal:"calendar-app" queries.(0)
+            (Service.submit service ~principal:"calendar-app" q_slots
             = Monitor.Answered);
           let writes0 = (Store.stats store).Store.stat_spill_writes in
-          let others snap = List.filter (fun (p, _) -> p <> "audit-app") snap in
+          let others snap = List.filter (fun (p, _) -> p <> "mail-app") snap in
           let before = others (Service.snapshot service) in
           let d =
             Faults.with_fault Faults.Spill fault (fun () ->
-                Service.submit service ~principal:"audit-app" queries.(0))
+                Service.submit service ~principal:"mail-app" q_slots)
           in
           check_bool "the touching query still answers" true (d = Monitor.Answered);
           check_int "no spill record written under the fault" writes0
@@ -339,7 +212,7 @@ let test_spill_fault_keeps_resident () =
           check_bool "spill writes resume once disarmed" true
             ((Store.stats store).Store.stat_spill_writes > writes0);
           check_bool "history intact after the retried spill" true
-            (Service.submit service ~principal:"crm-app" queries.(1)
+            (Service.submit service ~principal:"crm-app" q_meetings
             |> Monitor.is_refused);
           teardown service (Some store)))
     all_faults
@@ -349,21 +222,21 @@ let test_spill_fault_keeps_resident () =
 let test_fault_in_fault_refuses () =
   List.iter
     (fun fault ->
-      with_base (fun base ->
+      with_tmp_base (fun base ->
           let service, store = make ~budget:(Store.Principals 1) base in
           let store = Option.get store in
           check_bool "setup answered" true
-            (Service.submit service ~principal:"crm-app" queries.(3) = Monitor.Answered);
+            (Service.submit service ~principal:"crm-app" q_contacts = Monitor.Answered);
           (* Displace crm-app: the calendar touch faults calendar in, and the
              fault-in's own enforcement evicts the dirty crm monitor. *)
-          ignore (Service.submit service ~principal:"calendar-app" queries.(0));
+          ignore (Service.submit service ~principal:"calendar-app" q_slots);
           Store.enforce store;
           check_bool "crm spilled" true
             (Service.resident_monitor service "crm-app" = None);
           let before = Service.snapshot service in
           let d =
             Faults.with_fault Faults.Fault_in fault (fun () ->
-                Service.submit service ~principal:"crm-app" queries.(4))
+                Service.submit service ~principal:"crm-app" q_contact_ids)
           in
           (match d with
           | Monitor.Refused (Guard.Resource (Guard.Spill _)) -> ()
@@ -373,9 +246,9 @@ let test_fault_in_fault_refuses () =
             (Service.snapshot service = before);
           (* Disarmed, the same touch faults in and the history is intact. *)
           check_bool "fault-in succeeds once disarmed" true
-            (Service.submit service ~principal:"crm-app" queries.(4) = Monitor.Answered);
+            (Service.submit service ~principal:"crm-app" q_contact_ids = Monitor.Answered);
           check_bool "history intact" true
-            (Service.submit service ~principal:"crm-app" queries.(1)
+            (Service.submit service ~principal:"crm-app" q_meetings
             |> Monitor.is_refused);
           let live = Service.snapshot service in
           teardown service (Some store);
@@ -387,24 +260,23 @@ let test_fault_in_fault_refuses () =
           check_bool "journal (with the spill refusal) replays bit-identically"
             true
             (Service.snapshot fresh = live);
-          teardown fresh fstore;
-          Journal.remove_family (base ^ ".re")))
+          teardown fresh fstore))
     all_faults
 
 (* A corrupt spill record on disk is a typed fail-closed refusal; repairing
    the bytes restores service with the history intact. *)
 let test_corrupt_spill_fails_closed () =
-  with_base (fun base ->
+  with_tmp_base (fun base ->
       let service, store = make ~budget:(Store.Principals 1) base in
       let store = Option.get store in
       check_bool "setup answered" true
-        (Service.submit service ~principal:"crm-app" queries.(3) = Monitor.Answered);
-      ignore (Service.submit service ~principal:"calendar-app" queries.(0));
+        (Service.submit service ~principal:"crm-app" q_contacts = Monitor.Answered);
+      ignore (Service.submit service ~principal:"calendar-app" q_slots);
       Store.enforce store;
       check_bool "crm spilled" true
         (Service.resident_monitor service "crm-app" = None);
       let spill = base ^ ".spill" in
-      let good = read_all spill in
+      let good = read_file spill in
       let flip i =
         let b = Bytes.of_string good in
         Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x40));
@@ -415,32 +287,32 @@ let test_corrupt_spill_fails_closed () =
       in
       (* Flip a byte inside the record body (past the header). *)
       flip (String.length good - 8);
-      (match Service.submit service ~principal:"crm-app" queries.(4) with
+      (match Service.submit service ~principal:"crm-app" q_contact_ids with
       | Monitor.Refused (Guard.Resource (Guard.Spill _)) -> ()
       | d -> Alcotest.failf "expected a spill refusal, got %a" Monitor.pp_decision d);
       check_bool "still refusing while corrupt" true
-        (Service.submit service ~principal:"crm-app" queries.(4) |> Monitor.is_refused);
+        (Service.submit service ~principal:"crm-app" q_contact_ids |> Monitor.is_refused);
       restore ();
       check_bool "repaired record faults in" true
-        (Service.submit service ~principal:"crm-app" queries.(4) = Monitor.Answered);
+        (Service.submit service ~principal:"crm-app" q_contact_ids = Monitor.Answered);
       check_bool "history intact after repair" true
-        (Service.submit service ~principal:"crm-app" queries.(1) |> Monitor.is_refused);
+        (Service.submit service ~principal:"crm-app" q_meetings |> Monitor.is_refused);
       teardown service (Some store))
 
 (* --- reset, recovery, compaction ----------------------------------------- *)
 
 let test_reset_spilled_principal () =
-  with_base (fun base ->
+  with_tmp_base (fun base ->
       let service, store = make ~budget:(Store.Principals 1) base in
       let store = Option.get store in
       check_bool "narrowed" true
-        (Service.submit service ~principal:"crm-app" queries.(3) = Monitor.Answered);
-      ignore (Service.submit service ~principal:"calendar-app" queries.(0));
+        (Service.submit service ~principal:"crm-app" q_contacts = Monitor.Answered);
+      ignore (Service.submit service ~principal:"calendar-app" q_slots);
       Store.enforce store;
       check_bool "spilled" true (Service.resident_monitor service "crm-app" = None);
       Service.reset service ~principal:"crm-app";
       check_bool "reset restored the full lattice" true
-        (Service.submit service ~principal:"crm-app" queries.(1) = Monitor.Answered);
+        (Service.submit service ~principal:"crm-app" q_meetings = Monitor.Answered);
       let live = Service.snapshot service in
       teardown service (Some store);
       let fresh, fstore = make ~budget:(Store.Principals 1) (base ^ ".re") in
@@ -449,14 +321,13 @@ let test_reset_spilled_principal () =
       | Error e -> Alcotest.fail (Service.recovery_error_to_string e));
       check_bool "reset-through-spill replays bit-identically" true
         (Service.snapshot fresh = live);
-      teardown fresh fstore;
-      Journal.remove_family (base ^ ".re"))
+      teardown fresh fstore)
 
 (* Recovery replays through the tier: the recovering store's spill file is
    reset first (the journal is the authority), then repopulated by the
    replay's own evictions. *)
 let test_recover_through_tier () =
-  with_base (fun base ->
+  with_tmp_base (fun base ->
       let history = random_history (Random.State.make [| 0x5111 |]) 40 in
       let service, store = make base in
       List.iter
@@ -475,17 +346,16 @@ let test_recover_through_tier () =
       check_bool "recovered through the tier = live" true
         (Service.snapshot fresh = live);
       check_bool "replay stayed within budget" true (Store.resident fstore <= 1);
-      teardown fresh (Some fstore);
-      Journal.remove_family (base ^ ".re"))
+      teardown fresh (Some fstore))
 
 let test_compaction () =
-  with_base (fun base ->
+  with_tmp_base (fun base ->
       let service, store = make ~budget:(Store.Principals 1) base in
       let store = Option.get store in
       (* Spill/fault-in cycles leave dead records behind. *)
       for _ = 1 to 20 do
-        ignore (Service.submit service ~principal:"crm-app" queries.(4));
-        ignore (Service.submit service ~principal:"calendar-app" queries.(0));
+        ignore (Service.submit service ~principal:"crm-app" q_contact_ids);
+        ignore (Service.submit service ~principal:"calendar-app" q_slots);
         Store.enforce store
       done;
       let before = (Store.stats store).Store.stat_spill_bytes in
@@ -494,43 +364,23 @@ let test_compaction () =
       check_bool "compaction shrank the spill file" true (after < before);
       (* Offsets were repointed: spilled principals still fault in. *)
       check_bool "post-compaction fault-in" true
-        (Service.submit service ~principal:"crm-app" queries.(4) = Monitor.Answered);
+        (Service.submit service ~principal:"crm-app" q_contact_ids = Monitor.Answered);
       check_bool "history intact" true
-        (Service.submit service ~principal:"crm-app" queries.(1) |> Monitor.is_refused);
+        (Service.submit service ~principal:"crm-app" q_meetings |> Monitor.is_refused);
       teardown service (Some store))
 
 let test_bytes_budget () =
-  with_base (fun base ->
+  with_tmp_base (fun base ->
       let service, store = make ~budget:(Store.Bytes 1) base in
       let store = Option.get store in
       (* 1 byte resolves to the 1-principal floor. *)
-      ignore (Service.submit service ~principal:"crm-app" queries.(3));
+      ignore (Service.submit service ~principal:"crm-app" q_contacts);
       Store.enforce store;
       check_bool "byte budget bounds the resident set" true
         (Store.resident store <= 1);
       check_bool "decisions unaffected" true
-        (Service.submit service ~principal:"crm-app" queries.(4) = Monitor.Answered);
+        (Service.submit service ~principal:"crm-app" q_contact_ids = Monitor.Answered);
       teardown service (Some store))
-
-(* --- qcheck: live ≡ tiered at random budgets and cadences ---------------- *)
-
-let prop_tier_differential =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:40
-       ~name:"tiered ≡ always-resident (decisions, journal, checkpoint, snapshot)"
-       QCheck.(
-         triple
-           (list_of_size Gen.(2 -- 16)
-              (pair (int_bound (Array.length principals - 1))
-                 (int_bound (Array.length queries))))
-           (int_range 1 3) (int_range 1 4))
-       (fun (history, budget, cadence) ->
-         let d0, s0, j0, c0 = with_base (fun b -> run_history ~cadence:1 history b) in
-         let d1, s1, j1, c1 =
-           with_base (fun b ->
-               run_history ~budget:(Store.Principals budget) ~cadence history b)
-         in
-         d0 = d1 && s0 = s1 && String.equal j0 j1 && String.equal c0 c1))
 
 (* --- shared policies, fresh registration, copying checkpoints ----------- *)
 
@@ -543,20 +393,20 @@ let rebuilt partitions =
   List.map (fun (name, views) -> (String.concat "" [ name ], List.map Fun.id views)) partitions
 
 let test_policy_interned () =
-  let service = Service.create (Pipeline.create [ v1; v2; v3 ]) in
-  let crm = List.assoc "crm-app" specs in
+  let service = Service.create (pipeline ()) in
+  let crm = partitions "crm-app" in
   let copy = rebuilt crm in
   check_bool "the copy is physically distinct" true (copy != crm);
   check_bool "equal lists share one compiled policy" true
     (Service.policy service crm == Service.policy service copy);
   check_bool "a different list gets its own" true
-    (Service.policy service crm != Service.policy service (List.assoc "audit-app" specs));
-  with_base (fun base ->
+    (Service.policy service crm != Service.policy service (partitions "mail-app"));
+  with_tmp_base (fun base ->
       let service, store = make ~budget:(Store.Principals 8) base in
       let store = Option.get store in
       Store.register store ~principal:"crm-copy" ~partitions:copy;
       List.iter
-        (fun principal -> ignore (Service.submit service ~principal queries.(0)))
+        (fun principal -> ignore (Service.submit service ~principal q_slots))
         [ "crm-app"; "crm-copy" ];
       let policy_of p = Monitor.policy (Option.get (Service.resident_monitor service p)) in
       check_bool "faulted-in monitors share the policy" true
@@ -566,24 +416,25 @@ let test_policy_interned () =
 (* Registration goes straight to the fresh tier: no monitor, no clock
    entry, no eviction — whatever the population. *)
 let test_register_fresh () =
-  with_base (fun base ->
+  with_tmp_base (fun base ->
       let service, store = make ~budget:(Store.Principals 1) base in
       let store = Option.get store in
       for i = 1 to 100 do
         Store.register store ~principal:(Printf.sprintf "app-%d" i)
-          ~partitions:(rebuilt (List.assoc "crm-app" specs))
+          ~partitions:(rebuilt (partitions "crm-app"))
       done;
       let st = Store.stats store in
       check_int "nothing resident" 0 st.Store.stat_resident;
       check_int "no evictions" 0 st.Store.stat_evictions;
-      check_int "everyone fresh" (100 + List.length specs) st.Store.stat_fresh;
+      check_int "everyone fresh" (100 + Array.length principals) st.Store.stat_fresh;
       check_bool "registration order kept" true
-        (List.filteri (fun i _ -> i < 3) (Service.principals service) = Array.to_list principals);
+        (List.filteri (fun i _ -> i < Array.length principals) (Service.principals service)
+        = Array.to_list principals);
       Alcotest.check_raises "a fresh duplicate is refused"
         (Service.Duplicate_principal "app-7") (fun () ->
           Store.register store ~principal:"app-7" ~partitions:[ ("x", [ v1 ]) ]);
       check_bool "first query faults in and answers" true
-        (Service.submit service ~principal:"app-50" queries.(3) = Monitor.Answered);
+        (Service.submit service ~principal:"app-50" q_contacts = Monitor.Answered);
       check_int "one fault-in" 1 (Store.stats store).Store.stat_fault_ins;
       teardown service (Some store))
 
@@ -596,15 +447,15 @@ let test_bytes_estimate_excludes_policy () =
   let per = (monitor_words * (Sys.word_size / 8)) + String.length "p0" + 64 in
   let names = List.init 6 (Printf.sprintf "p%d") in
   let resident_after partitions =
-    with_base (fun base ->
-        let service = Service.create ~journal:base (Pipeline.create [ v1; v2; v3 ]) in
+    with_tmp_base (fun base ->
+        let service = Service.create ~journal:base (pipeline ()) in
         let store =
-          Store.create ~budget:(Store.Bytes ((3 * per) + (per / 2))) ~spill:(base ^ ".spill") service
+          Store.create ~budget:(Store.Bytes ((3 * per) + (per / 2))) ~spill:(Journal.spill_path base) service
         in
         List.iter (fun principal -> Store.register store ~principal ~partitions) names;
         check_int "registration makes nothing resident" 0 (Store.resident store);
         List.iter
-          (fun principal -> ignore (Service.submit service ~principal queries.(0)))
+          (fun principal -> ignore (Service.submit service ~principal q_slots))
           names;
         let resident = Store.resident store in
         teardown service (Some store);
@@ -623,18 +474,18 @@ let register_reference service ~principal ~partitions =
   Service.adopt service ~principal
     (Monitor.create (Policy.make (Pipeline.registry (Service.pipeline service)) partitions))
 
-(* Six principals over the three specs, each with its own rebuilt list. *)
+(* Six principals over the deployment's partition lists, each rebuilt. *)
 let population =
   List.init 6 (fun i ->
-      let _, partitions = List.nth specs (i mod List.length specs) in
+      let _, partitions = List.nth deployment (i mod List.length deployment) in
       (Printf.sprintf "p%d" i, rebuilt partitions))
 
 (* The population registered one way or the other, over a journal or
    none. *)
 let populate ~shared ?budget ?journal base =
-  let service = Service.create ?journal (Pipeline.create [ v1; v2; v3 ]) in
+  let service = Service.create ?journal (pipeline ()) in
   let store =
-    Option.map (fun b -> Store.create ~budget:b ~spill:(base ^ ".spill") service) budget
+    Option.map (fun b -> Store.create ~budget:b ~spill:(Journal.spill_path base) service) budget
   in
   List.iter
     (fun (principal, partitions) ->
@@ -670,7 +521,7 @@ let run_population ~shared ?budget ~ckpt_every ~group history base =
       if (not group) || i mod 3 = 2 then boundary ();
       if (i + 1) mod ckpt_every = 0 && not (Service.batch_active service) then begin
         (match Service.checkpoint service with
-        | Ok () -> ckpts := read_all (base ^ ".ckpt") :: !ckpts
+        | Ok () -> ckpts := read_file (base ^ ".ckpt") :: !ckpts
         | Error msg -> Alcotest.failf "checkpoint failed: %s" msg);
         Option.iter Store.compact store
       end)
@@ -684,7 +535,7 @@ let run_population ~shared ?budget ~ckpt_every ~group history base =
   | Error e -> Alcotest.fail (Service.recovery_error_to_string e));
   let recovered = Service.snapshot recovering in
   teardown recovering rstore;
-  (List.rev !decisions, List.rev !ckpts, snap, read_all base, recovered)
+  (List.rev !decisions, List.rev !ckpts, snap, read_file base, recovered)
 
 let prop_shared_fresh_differential =
   QCheck_alcotest.to_alcotest
@@ -697,10 +548,10 @@ let prop_shared_fresh_differential =
            (int_range 1 4) (int_range 1 6) bool)
        (fun (history, budget, ckpt_every, group) ->
          let reference =
-           with_base (fun b -> run_population ~shared:false ~ckpt_every ~group history b)
+           with_tmp_base (fun b -> run_population ~shared:false ~ckpt_every ~group history b)
          in
          let ((_, _, snap, _, recovered) as subject) =
-           with_base (fun b ->
+           with_tmp_base (fun b ->
                run_population ~shared:true ~budget:(Store.Principals budget) ~ckpt_every ~group
                  history b)
          in
@@ -728,7 +579,7 @@ let test_reload_carries_unchanged () =
   let server =
     Server.create
       ~config:{ Server.default_config with Server.domains = 1; resident = Some (Store.Principals 1) }
-      (Pipeline.create [ v1; v2; v3 ])
+      (pipeline ())
   in
   (match Disclosure.Policyfile.resolve before with
   | Ok resolved ->
@@ -739,7 +590,7 @@ let test_reload_carries_unchanged () =
       List.iter
         (fun principal ->
           check_bool "narrowed to contacts" true
-            (Server.submit_sync server ~principal queries.(3) = Monitor.Answered))
+            (Server.submit_sync server ~principal q_contacts = Monitor.Answered))
         [ "crm-app"; "other-crm" ];
       Server.drain server;
       let state p = List.assoc p (Server.snapshot server) in
@@ -756,25 +607,25 @@ let test_reload_carries_unchanged () =
    flipped byte (CRC) or a record under another principal's name fails the
    checkpoint closed and leaves the previous one in place. *)
 let test_checkpoint_refuses_corrupt_spill () =
-  with_base (fun base ->
-      let service = Service.create ~journal:base (Pipeline.create [ v1; v2; v3 ]) in
-      let store = Store.create ~budget:(Store.Principals 1) ~spill:(base ^ ".spill") service in
-      let crm = List.assoc "crm-app" specs in
+  with_tmp_base (fun base ->
+      let service = Service.create ~journal:base (pipeline ()) in
+      let store = Store.create ~budget:(Store.Principals 1) ~spill:(Journal.spill_path base) service in
+      let crm = partitions "crm-app" in
       List.iter
         (fun principal -> Store.register store ~principal ~partitions:crm)
         [ "app-a"; "app-b"; "app-c" ];
       List.iter
         (fun principal ->
-          ignore (Service.submit service ~principal queries.(3));
+          ignore (Service.submit service ~principal q_contacts);
           Store.enforce store)
         [ "app-a"; "app-b"; "app-c" ];
       check_int "two spilled" 2 (Store.spilled store);
       (match Service.checkpoint service with
       | Ok () -> ()
       | Error msg -> Alcotest.failf "clean checkpoint: %s" msg);
-      let ckpt = read_all (base ^ ".ckpt") in
+      let ckpt = read_file (base ^ ".ckpt") in
       let spill = base ^ ".spill" in
-      let good = read_all spill in
+      let good = read_file spill in
       let write s = Out_channel.with_open_bin spill (fun oc -> Out_channel.output_string oc s) in
       let refuses what image =
         write image;
@@ -782,7 +633,7 @@ let test_checkpoint_refuses_corrupt_spill () =
         | Error _ -> ()
         | Ok () -> Alcotest.failf "%s: checkpoint over a corrupt spill record succeeded" what);
         check_bool (what ^ ": previous checkpoint intact") true
-          (String.equal ckpt (read_all (base ^ ".ckpt")))
+          (String.equal ckpt (read_file (base ^ ".ckpt")))
       in
       let flipped = Bytes.of_string good in
       let i = String.length good - 8 in
@@ -823,8 +674,10 @@ let () =
             test_fresh_tier_zero_io;
           Alcotest.test_case "tiers partition the population" `Quick
             test_stats_invariant;
-          Alcotest.test_case "differential matrix (budgets × cadences)" `Quick
-            test_differential_matrix;
+          Oracle.slice "differential matrix (budgets × cadences)"
+            ~pin:(fun c ->
+              { c with Oracle.resident = Some (1 + (c.Oracle.shards mod 3)); checkpoint = At 8 })
+            ~pin_twin:(fun c -> { c with resident = None });
           Alcotest.test_case "differential under group commit" `Quick
             test_group_commit_differential;
           Alcotest.test_case "spill fault keeps the principal resident" `Quick
@@ -841,7 +694,9 @@ let () =
             test_compaction;
           Alcotest.test_case "byte budget resolves to a principal count" `Quick
             test_bytes_budget;
-          prop_tier_differential;
+          Oracle.slice "tiered ≡ always-resident (decisions, journal, checkpoint, snapshot)"
+            ~pin:(fun c -> { c with Oracle.resident = Some 1 })
+            ~pin_twin:(fun c -> { c with resident = None });
           Alcotest.test_case "equal partition lists share one policy" `Quick
             test_policy_interned;
           Alcotest.test_case "registration goes to the fresh tier" `Quick test_register_fresh;
