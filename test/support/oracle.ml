@@ -321,11 +321,12 @@ let explained = function
   | d, Some _ -> d
   | _, None -> failf "an explained decision lost its provenance"
 
-(* One submitter's steps [(index, principal, query)], deciding each into
-   [out.(index)]. In process, every step is submitted before any is
+(* One submitter's steps [(index, principal, query)] (indices into the
+   history and the deployment), deciding each into [out.(index)]. In process, every step is submitted before any is
    awaited (so rounds and group-commit batches span several decisions),
    except that a faulted step is submitted and awaited alone. *)
 let submit_steps c server addr out steps =
+  let steps = List.map (fun (i, p, q) -> (i, principals.(p), queries.(q))) steps in
   match c.transport with
   | In_process ->
     let pending = ref [] in
@@ -384,13 +385,7 @@ let submit_all c server addr out steps =
   if c.submitters = 1 then submit_steps c server addr out steps
   else
     List.init c.submitters (fun k ->
-        let mine =
-          List.filter
-            (fun (_, principal, _) ->
-              let rec idx i = if principals.(i) = principal then i else idx (i + 1) in
-              idx 0 mod c.submitters = k)
-            steps
-        in
+        let mine = List.filter (fun (_, p, _) -> p mod c.submitters = k) steps in
         Domain.spawn (fun () -> submit_steps c server addr out mine))
     |> List.iter Domain.join
 
@@ -403,9 +398,8 @@ let reload_overlapping_drain server source =
   let finished = Atomic.make false in
   let reloader =
     Domain.spawn (fun () ->
-        let r = Server.reload server policy in
-        Atomic.set finished true;
-        r)
+        Fun.protect ~finally:(fun () -> Atomic.set finished true) (fun () ->
+            Server.reload server policy))
   in
   Server.drain server;
   let opened = ref false in
@@ -432,8 +426,9 @@ let check_families ~what a b ~shards =
 
 let follower_promote c server source addr ref_state ~base ~mirror =
   Server.drain server;
-  let fol = make_follower ?resident:(Option.map (fun n -> Store.Principals n) c.resident)
-      ~journal:mirror ~shards:c.shards () in
+  let fol =
+    make_follower ?resident:(server_config c).Server.resident ~journal:mirror ~shards:c.shards ()
+  in
   (match c.transport with
   | In_process -> catch_up source fol ~shards:c.shards
   | Wire | Pipelined ->
@@ -491,7 +486,7 @@ let run c history ~base ~(expect : reference) =
       let chunk = ref [] in
       List.iteri
         (fun i (p, q) ->
-          chunk := (i, principals.(p), queries.(q)) :: !chunk;
+          chunk := (i, p, q) :: !chunk;
           if is_event c (i + 1) then begin
             submit_all c server addr out (List.rev !chunk);
             chunk := [];

@@ -92,6 +92,17 @@ let test_one_key_per_decision () =
     + Server.Metrics.count metrics Server.Metrics.Cache_miss);
   check_bool "repeats hit" true (Server.Metrics.count metrics Server.Metrics.Cache_hit > 0)
 
+(* A two-entry cache under a varied history evicts, and counts it. *)
+let test_evictions_counted () =
+  let server = make_server ~config:(config ~cache_capacity:2 ()) () in
+  Server.start server;
+  let history = random_history (Random.State.make [| 0xE51C7 |]) ~steps:200 in
+  ignore (run_history_on_server server history);
+  Server.drain server;
+  let evictions = Server.Metrics.count (Server.metrics server) Server.Metrics.Cache_eviction in
+  Server.stop server;
+  check_bool "evictions counted" true (evictions > 0)
+
 (* --- overload ---------------------------------------------------------- *)
 
 (* Submitting before [start] queues deterministically: with capacity 1, the
@@ -543,6 +554,8 @@ let () =
               { c with Oracle.cache = 2 });
           Alcotest.test_case "cache hits across query variants" `Quick
             test_cache_hits_across_variants;
+          Alcotest.test_case "evictions counted under a tiny cache" `Quick
+            test_evictions_counted;
           Alcotest.test_case "one cache key per decision" `Quick
             test_one_key_per_decision;
         ] );
