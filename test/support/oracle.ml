@@ -189,7 +189,12 @@ let drawn = ref 0
 let gen_config ?pin () =
   let open QCheck2.Gen in
   let axis values =
-    match pin with Some i -> pure (List.nth values (i mod List.length values)) | None -> oneofl values
+    match pin with
+    | None -> oneofl values
+    | Some i ->
+      (* The round-robin value, shrinking toward the axis's first. *)
+      let j = i mod List.length values in
+      map (List.nth values) (make_primitive ~gen:(fun _ -> j) ~shrink:(fun j -> Seq.init j Fun.id))
   in
   let pos = int_bound max_steps in
   let* shards = axis shards_values
