@@ -3,7 +3,8 @@
 
    Equivalence with the sequential service under every serving axis is the
    differential oracle's job (test/support/oracle.ml, run by
-   test_oracle.ml). This suite keeps what the oracle does not state: cache
+   test_oracle.ml); this suite runs it on the cache, cadence and submitter
+   slices ([Oracle.slice]). It keeps what the oracle does not state: cache
    hit accounting, overload shedding, per-shard segments and checkpoint
    counters, group-commit flush bounds, the flat-combining rounds, and the
    components. A test whose behaviour depends on the shard count loops over
