@@ -124,10 +124,8 @@ let snapshot t shard =
 let rec serve t ~shard ~seg ~off ~max_bytes ~retries =
   match Server.journal_position t.server ~shard with
   | None ->
-    (* Journal-less shard (a reload publishes its staged service before
-       closing the old one, so a journaled shard always has a position).
-       The follower treats this as transient and retries on its next
-       poll. *)
+    (* Journal-less shard — or, for a moment, a shard mid-reload. The
+       follower treats this as transient and retries on its next poll. *)
     Codec.Error (Errors.busy "shard journal position unavailable")
   | Some (aseq, abytes) ->
     if seg = 0 then snapshot t shard

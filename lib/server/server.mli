@@ -227,9 +227,11 @@ val shard_journal : string -> int -> string
 val journal_position : t -> shard:int -> (int * int) option
 (** The shard's [(active_segment, committed_bytes)] journal watermark. Safe
     from any domain (racy word reads, see
-    {!Disclosure.Service.journal_position}); [None] only for a journal-less
-    shard — a reload publishes the staged service before closing the old
-    one, so a journaled shard never reads [None].
+    {!Disclosure.Service.journal_position}); [None] for a journal-less
+    shard and, for a moment, for a journaled shard mid-reload (a reader
+    that loaded the old service just before the swap finds it closed).
+    Callers must treat that [None] as "no position yet", never as caught
+    up.
     @raise Invalid_argument on an out-of-range shard. *)
 
 val flush_counts : t -> int array

@@ -135,8 +135,10 @@ val register :
 val journal_position : t -> (int * int) option
 (** {!Disclosure.Service.journal_position} of the live service: the
     [(active_segment, committed_bytes)] watermark. Safe from any domain
-    (racy word reads); [None] only without a journal ({!reload} publishes
-    the staged service before closing the old one). *)
+    (racy word reads); [None] without a journal and, for a moment, during
+    {!reload}: it publishes the staged service before closing the old one,
+    but a reader that loaded the old service just before the swap finds it
+    closed. *)
 
 val sample : t -> unit
 (** Write every per-shard gauge of the shard's metrics from its live state

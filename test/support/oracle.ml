@@ -554,8 +554,8 @@ let check { config; twin; history } =
           end));
   true
 
-let property ?(count = 120) () =
-  QCheck2.Test.make ~count ~long_factor:10
+let property () =
+  QCheck2.Test.make ~count:120 ~long_factor:10
     ~name:"server ≡ sequential service over the configuration product" ~print:print_case
     gen_case check
 
@@ -563,18 +563,19 @@ let property ?(count = 120) () =
    axes of each drawn configuration and [pin_twin] of its twin. A suite
    runs the slice for the feature it owns; the fault stages stay with the
    oracle suite, whose process owns the global hooks. *)
-let slice ?(count = 5) ?(pin_twin = Fun.id) ~pin name =
+let slice ?(pin_twin = Fun.id) ~pin name =
   let pinned case =
     let config = pin { case.config with fault = None } in
     { case with config; twin = pin_twin (twin_of config case.twin) }
   in
   QCheck_alcotest.to_alcotest ~speed_level:`Quick
-    (QCheck2.Test.make ~count ~long_factor:10 ~name ~print:print_case
+    (QCheck2.Test.make ~count:5 ~long_factor:10 ~name ~print:print_case
        (QCheck2.Gen.map pinned (case_of ()))
        check)
 
-(* Pins a configuration whose twin may differ from it in group commit or
-   transport: one submitter, no rotation, no checkpoint cadence. *)
+(* Pins a configuration so that every case compares its files with the
+   twin's, which may differ from it in group commit or transport: one
+   submitter, no rotation, no checkpoint cadence. *)
 let fixed_batches c =
   {
     c with

@@ -265,6 +265,30 @@ let test_pipelined_mixed_requests_ordered () =
       Net.Listener.stop listener;
       Server.stop server)
 
+(* Group commit behind a pipelined connection: each round's batch shares
+   one covering flush, so the shards never flush more often than they
+   decide. *)
+let test_pipelined_group_commit_flushes () =
+  with_tmp_base (fun base ->
+      with_socket (fun addr ->
+          let server =
+            Support.make_server ~journal:base ~config:(config ~domains ~group_commit:true ()) ()
+          in
+          Server.start server;
+          let listener = Net.Listener.create ~server addr in
+          let decisions =
+            Net.Client.with_connection addr (fun c ->
+                Net.Client.query_batch_string ~depth:4 c history)
+          in
+          Net.Listener.stop listener;
+          Server.drain server;
+          let flushes = Array.fold_left ( + ) 0 (Server.flush_counts server) in
+          Server.stop server;
+          check_bool "every pipelined query decided" true (List.for_all Result.is_ok decisions);
+          check_bool "some flushes counted" true (flushes > 0);
+          check_bool "group commit flushed at most once per decision" true
+            (flushes <= List.length history)))
+
 (* [Frame.decode_sub] at offset [k] must agree exactly with [Frame.decode]
    on the suffix — the pipelined frame loop depends on offset-based decoding
    being indistinguishable from the old slice-and-decode. *)
@@ -895,6 +919,8 @@ let () =
             ~pin_twin:(fun c -> { c with transport = In_process; group_commit = false });
           Alcotest.test_case "mixed pipelined requests keep positional order" `Quick
             test_pipelined_mixed_requests_ordered;
+          Alcotest.test_case "pipelined group commit flushes at most once per decision" `Quick
+            test_pipelined_group_commit_flushes;
           Alcotest.test_case "ping and stats over the wire" `Quick test_ping_stats_over_wire;
           Alcotest.test_case "semantic errors keep the connection" `Quick
             test_unknown_principal_keeps_connection;

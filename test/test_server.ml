@@ -93,16 +93,20 @@ let test_one_key_per_decision () =
     + Server.Metrics.count metrics Server.Metrics.Cache_miss);
   check_bool "repeats hit" true (Server.Metrics.count metrics Server.Metrics.Cache_hit > 0)
 
+(* [counter] after a drained run of a [steps]-long random history. *)
+let counted ?journal ~config ~steps counter =
+  let server = make_server ?journal ~config () in
+  Server.start server;
+  ignore (run_history_on_server server (random_history (Random.State.make [| 0xE51C7 |]) ~steps));
+  Server.drain server;
+  let n = Server.Metrics.count (Server.metrics server) counter in
+  Server.stop server;
+  n
+
 (* A two-entry cache under a varied history evicts, and counts it. *)
 let test_evictions_counted () =
-  let server = make_server ~config:(config ~cache_capacity:2 ()) () in
-  Server.start server;
-  let history = random_history (Random.State.make [| 0xE51C7 |]) ~steps:200 in
-  ignore (run_history_on_server server history);
-  Server.drain server;
-  let evictions = Server.Metrics.count (Server.metrics server) Server.Metrics.Cache_eviction in
-  Server.stop server;
-  check_bool "evictions counted" true (evictions > 0)
+  check_bool "evictions counted" true
+    (counted ~config:(config ~cache_capacity:2 ()) ~steps:200 Server.Metrics.Cache_eviction > 0)
 
 (* --- overload ---------------------------------------------------------- *)
 
@@ -220,6 +224,20 @@ let test_checkpointed_server_recovery () =
             (recover_into fresh ~journal:base <= List.length tail);
           check_bool "checkpoint + tail = live" true (Server.snapshot fresh = live);
           Server.stop fresh))
+    shard_counts
+
+(* The automatic per-shard cadence fires, and counts it, whatever the
+   shard count. *)
+let test_auto_checkpoints_counted () =
+  List.iter
+    (fun domains ->
+      with_tmp_base (fun journal ->
+          check_bool
+            (Printf.sprintf "%d shards: automatic checkpoints counted" domains)
+            true
+            (counted ~journal ~config:(config ~domains ~checkpoint_every:2 ()) ~steps:60
+               Server.Metrics.Checkpoints
+            > 0)))
     shard_counts
 
 (* --- group commit ------------------------------------------------------- *)
@@ -576,6 +594,8 @@ let () =
             test_checkpointed_server_recovery;
           Oracle.slice "automatic per-shard checkpoint cadence" ~pin:(fun c ->
               { c with Oracle.checkpoint = Oracle.Every 2 });
+          Alcotest.test_case "automatic checkpoints counted" `Quick
+            test_auto_checkpoints_counted;
           Alcotest.test_case "group commit: identical decisions, fewer fsyncs" `Quick
             test_group_commit_differential;
         ] );

@@ -676,7 +676,11 @@ let () =
             test_stats_invariant;
           Oracle.slice "differential matrix (budgets × cadences)"
             ~pin:(fun c ->
-              { c with Oracle.resident = Some (1 + (c.Oracle.shards mod 3)); checkpoint = At 8 })
+              {
+                (Oracle.fixed_batches c) with
+                Oracle.resident = Some (1 + (c.Oracle.shards mod 3));
+                checkpoint = At 8;
+              })
             ~pin_twin:(fun c -> { c with resident = None });
           Alcotest.test_case "differential under group commit" `Quick
             test_group_commit_differential;
@@ -695,7 +699,8 @@ let () =
           Alcotest.test_case "byte budget resolves to a principal count" `Quick
             test_bytes_budget;
           Oracle.slice "tiered ≡ always-resident (decisions, journal, checkpoint, snapshot)"
-            ~pin:(fun c -> { c with Oracle.resident = Some 1 })
+            ~pin:(fun c ->
+              { (Oracle.fixed_batches c) with Oracle.resident = Some 1; checkpoint = At 8 })
             ~pin_twin:(fun c -> { c with resident = None });
           Alcotest.test_case "equal partition lists share one policy" `Quick
             test_policy_interned;
