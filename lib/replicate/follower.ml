@@ -38,6 +38,9 @@ type t = {
   mutable applied : int;
   stopping : bool Atomic.t;
   mutable domain : unit Domain.t option;
+  last_pull : int64 Atomic.t;
+      (** {!Disclosure.Mclock} time of the last pull pass that ended
+          without divergence ({!create} time before the first). *)
   mutable last_error : string option;
       (** A {e divergence} error — corrupt batch, replay failure. Fail
           closed: the poll loop halts and promotion refuses. Transient
@@ -166,6 +169,7 @@ let create ?id ?limits ?(max_bytes = Source.default_max_bytes) ?trace ?resident 
             applied = 0;
             stopping = Atomic.make false;
             domain = None;
+            last_pull = Atomic.make (Disclosure.Mclock.now_ns ());
             last_error = None;
             mutex = Mutex.create ();
             trace;
@@ -387,7 +391,8 @@ let poll_once t client =
      for shard = 0 to Array.length t.shards - 1 do
        total := !total + pull_shard t client shard
      done;
-     sample_gauges t
+     sample_gauges t;
+     Atomic.set t.last_pull (Disclosure.Mclock.now_ns ())
    with Diverged msg ->
      t.last_error <- Some msg;
      Log.err (fun m -> m "replication halted (fail closed): %s" msg));
@@ -443,6 +448,8 @@ let lag t = locked t.mutex (fun () -> total_behind t)
 let applied t = locked t.mutex (fun () -> t.applied)
 
 let last_error t = t.last_error
+
+let since_last_pull t = Disclosure.Mclock.elapsed_s ~since:(Atomic.get t.last_pull)
 
 let metrics t = t.metrics
 

@@ -122,6 +122,13 @@ val applied : t -> int
 val last_error : t -> string option
 (** The terminal divergence error, if the follower halted. *)
 
+val since_last_pull : t -> float
+(** Seconds on {!Disclosure.Mclock} since the last {!poll_once} pass (by
+    {!run} or a direct call) that reached the primary and ended without
+    divergence; since {!create} before the first. It grows while the
+    primary is unreachable — the measure an auto-failover compares with
+    its threshold. *)
+
 val metrics : t -> Server.Metrics.t
 (** The follower's own registry: [Rep_pulls], [Rep_shipped_bytes],
     [Rep_applied_records], and per-shard [Journal_segment] /

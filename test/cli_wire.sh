@@ -23,10 +23,10 @@ until_ok() {
   what=$1
   shift
   i=0
-  until "$@"; do
+  until "$@" 2> /dev/null; do
     i=$((i + 1))
     if [ "$i" -ge 100 ]; then
-      echo "timed out waiting for $what"
+      echo "cli_wire.sh: timed out waiting for $what" >&2
       exit 1
     fi
     sleep 0.1

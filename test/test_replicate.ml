@@ -197,6 +197,57 @@ let test_poll_once_catches_up () =
           Net.Listener.stop listener;
           Server.stop server))
 
+(* --- run: the poll domain and the seconds-since-last-pull clock -------- *)
+
+let eventually what cond =
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while not (cond ()) do
+    if Unix.gettimeofday () > deadline then Alcotest.failf "timed out waiting for %s" what;
+    Unix.sleepf 0.01
+  done
+
+(* [run] mirrors the primary on its own domain; [since_last_pull] (what
+   `serve --follow --failover-after` watches) restarts on every pass while
+   the primary serves and only grows once its listener is gone; the
+   follower then promotes to the primary's state. *)
+let test_run_then_promote () =
+  with_bases (fun jbase mbase ->
+      with_socket (fun addr ->
+          let shards = 2 in
+          let server = make_primary ~journal:jbase ~shards () in
+          Server.start server;
+          run_history server;
+          let source = Source.create ~server ~journal:jbase () in
+          let listener =
+            Net.Listener.create ~extend:(Source.handler source) ~server addr
+          in
+          let fol = make_follower ~journal:mbase ~shards () in
+          Follower.run fol ~connect:(fun () -> Net.Client.connect addr) ~interval:0.01;
+          eventually "the mirror to match the primary" (fun () ->
+              List.for_all
+                (fun shard -> family_bytes jbase shard = family_bytes mbase shard)
+                (List.init shards Fun.id));
+          (* Watched for longer than the bound, so a clock that never
+             restarts fails here. *)
+          for _ = 1 to 10 do
+            Unix.sleepf 0.1;
+            let s = Follower.since_last_pull fol in
+            if s > 0.5 then Alcotest.failf "%.3fs since the last pull while the primary serves" s
+          done;
+          Net.Listener.stop listener;
+          eventually "the clock to grow past 1s" (fun () -> Follower.since_last_pull fol >= 1.0);
+          Alcotest.(check (option string)) "no divergence" None (Follower.last_error fol);
+          (match Follower.promote fol () with
+          | Error e -> Alcotest.failf "promote: %s" e
+          | Ok (promoted, replayed) ->
+            Alcotest.(check int) "promotion replays every record" n_records replayed;
+            if
+              sorted_snapshot (Server.snapshot promoted)
+              <> sorted_snapshot (Server.snapshot server)
+            then Alcotest.fail "promoted state differs from the primary's";
+            Server.stop promoted);
+          Server.stop server))
+
 (* --- failover: kill the primary at EVERY record boundary --------------- *)
 
 let test_failover_every_record_boundary () =
@@ -916,6 +967,8 @@ let () =
           Alcotest.test_case "tiered follower: bounded, identical, promotable"
             `Quick test_tiered_follower;
           Alcotest.test_case "poll_once catches up in one pass" `Quick test_poll_once_catches_up;
+          Alcotest.test_case "run mirrors, the pull clock grows, promote" `Quick
+            test_run_then_promote;
           Alcotest.test_case "failed bootstrap install fails closed" `Quick
             test_bootstrap_install_fails_closed;
           Alcotest.test_case "failed mirror write fails closed" `Quick
