@@ -338,12 +338,33 @@ let summary ~principals ~alive count =
 (* --- signals ------------------------------------------------------------ *)
 
 (* Block until SIGINT or SIGTERM arrives or [stop ()] returns true; [stop]
-   runs every 0.2 s. *)
+   runs every 20 ms, so a standby's failover check lags its bound by at
+   most that. *)
 let until_signal stop =
   let signalled = Atomic.make false in
   let on_signal = Sys.Signal_handle (fun _ -> Atomic.set signalled true) in
   Sys.set_signal Sys.sigint on_signal;
   Sys.set_signal Sys.sigterm on_signal;
   while (not (Atomic.get signalled)) && not (stop ()) do
-    Unix.sleepf 0.2
+    Unix.sleepf 0.02
   done
+
+(* Start [fol]'s poll domain against [primary] and return the function
+   that stops it. Reconnects back off to at most 0.2 s, so an outage logs
+   about one warning a second; the backoff sleeps in 10 ms slices and ends
+   once stopping begins, so neither a promotion nor an interrupt waits out
+   a reconnect schedule. *)
+let follow fol ~primary ~interval =
+  let following = Atomic.make true in
+  let sleep d =
+    let until = Unix.gettimeofday () +. d in
+    while Atomic.get following && Unix.gettimeofday () < until do
+      Unix.sleepf 0.01
+    done
+  in
+  Replicate.Follower.run fol
+    ~connect:(fun () -> Net.Client.connect_retry ~max_delay:0.2 ~sleep primary)
+    ~interval;
+  fun () ->
+    Atomic.set following false;
+    Replicate.Follower.stop fol

@@ -26,11 +26,9 @@ let run () connect config_file journal shards poll_interval once follower_id =
   if once then
     Net.Client.with_connection connect (fun c -> ignore (Follower.poll_once fol c))
   else begin
-    Follower.run fol
-      ~connect:(fun () -> Net.Client.connect_retry connect)
-      ~interval:poll_interval;
+    let stop_following = Cli.follow fol ~primary:connect ~interval:poll_interval in
     Cli.until_signal (fun () -> Follower.last_error fol <> None);
-    Follower.stop fol
+    stop_following ()
   end;
   Format.printf "%s@." (Follower.stats_json fol);
   match Follower.last_error fol with

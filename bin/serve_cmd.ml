@@ -88,22 +88,13 @@ let standby ~config ~config_file ~limits ~journal ~sconfig ~stats ~listen ~lconf
        Printf.sprintf "; auto-failover after %.1fs unreachable" f.failover_after
      else "");
   Format.print_flush ();
-  (* Reconnect with a backoff capped at 0.2 s, so an outage logs about one
-     warning a second rather than one per poll. Once this domain stops
-     following, the backoff stops sleeping: stopping the poll domain then
-     waits for no reconnect schedule before a promotion. *)
-  let following = Atomic.make true in
-  let sleep d = if Atomic.get following then Unix.sleepf d in
-  Follower.run fol
-    ~connect:(fun () -> Net.Client.connect_retry ~max_delay:0.2 ~sleep f.primary)
-    ~interval:f.poll_interval;
+  let stop_following = Cli.follow fol ~primary:f.primary ~interval:f.poll_interval in
   let failover = ref false in
   Cli.until_signal (fun () ->
       failover :=
         f.failover_after > 0.0 && Follower.since_last_pull fol >= f.failover_after;
       !failover || Follower.last_error fol <> None);
-  Atomic.set following false;
-  Follower.stop fol;
+  stop_following ();
   (match Follower.last_error fol with
   | Some e -> failwith ("replication diverged (fail closed): " ^ e)
   | None -> ());

@@ -340,7 +340,8 @@ let pull_shard t client shard =
     with
     | Error e ->
       (* Typed wire error — mid-reload, no source attached yet. Transient:
-         skip this shard until the next poll. *)
+         skip this shard until the next poll. The primary still answered. *)
+      Atomic.set t.last_pull (Disclosure.Mclock.now_ns ());
       Log.debug (fun m -> m "shard %d pull refused: %s" shard (Errors.to_string e));
       finish "refused";
       continue := false
@@ -374,6 +375,7 @@ let pull_shard t client shard =
       | Ok n ->
         finish (match resp with Codec.Snapshot _ -> "snapshot" | _ -> "batch");
         total := !total + n;
+        Atomic.set t.last_pull (Disclosure.Mclock.now_ns ());
         Metrics.incr t.metrics Metrics.Rep_pulls;
         Metrics.add t.metrics Metrics.Rep_shipped_bytes n;
         (* Pull until a response stops moving the cursor: a snapshot only
@@ -391,8 +393,7 @@ let poll_once t client =
      for shard = 0 to Array.length t.shards - 1 do
        total := !total + pull_shard t client shard
      done;
-     sample_gauges t;
-     Atomic.set t.last_pull (Disclosure.Mclock.now_ns ())
+     sample_gauges t
    with Diverged msg ->
      t.last_error <- Some msg;
      Log.err (fun m -> m "replication halted (fail closed): %s" msg));

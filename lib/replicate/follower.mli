@@ -123,11 +123,12 @@ val last_error : t -> string option
 (** The terminal divergence error, if the follower halted. *)
 
 val since_last_pull : t -> float
-(** Seconds on {!Disclosure.Mclock} since the last {!poll_once} pass (by
-    {!run} or a direct call) that reached the primary and ended without
-    divergence; since {!create} before the first. It grows while the
-    primary is unreachable — the measure an auto-failover compares with
-    its threshold. *)
+(** Seconds on {!Disclosure.Mclock} since the primary last answered a
+    pull round trip (by {!run} or {!poll_once}) without divergence; since
+    {!create} before the first. Every round trip restarts it, so a long
+    catch-up pass against a live primary keeps it small; it grows while
+    the primary is unreachable — the measure an auto-failover compares
+    with its threshold. *)
 
 val metrics : t -> Server.Metrics.t
 (** The follower's own registry: [Rep_pulls], [Rep_shipped_bytes],

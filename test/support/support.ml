@@ -166,8 +166,8 @@ let sorted_snapshot l = List.sort (fun (a, _) (b, _) -> compare a b) l
 
 (* --- replication ----------------------------------------------------------- *)
 
-let make_follower ?resident ~journal ~shards () =
-  match Replicate.Follower.create ?resident ~journal ~shards policy with
+let make_follower ?resident ?max_bytes ~journal ~shards () =
+  match Replicate.Follower.create ?resident ?max_bytes ~journal ~shards policy with
   | Ok f -> f
   | Error e -> failwith ("follower create: " ^ e)
 

@@ -207,8 +207,8 @@ let eventually what cond =
   done
 
 (* [run] mirrors the primary on its own domain; [since_last_pull] (what
-   `serve --follow --failover-after` watches) restarts on every pass while
-   the primary serves and only grows once its listener is gone; the
+   `serve --follow --failover-after` watches) restarts on every pull the
+   primary answers and only grows once its listener is gone; the
    follower then promotes to the primary's state. *)
 let test_run_then_promote () =
   with_bases (fun jbase mbase ->
@@ -246,6 +246,43 @@ let test_run_then_promote () =
               <> sorted_snapshot (Server.snapshot server)
             then Alcotest.fail "promoted state differs from the primary's";
             Server.stop promoted);
+          Server.stop server))
+
+(* A catch-up pass that outlasts a failover bound must not look like an
+   unreachable primary: every pull is answered (slowly, one record at a
+   time), so [since_last_pull] stays far below the bound although the
+   first pass takes longer than it. A clock restarted only once a whole
+   pass ends fails here. *)
+let test_long_pass_keeps_clock_small () =
+  with_bases (fun jbase mbase ->
+      with_socket (fun addr ->
+          let shards = 2 and bound = 0.5 in
+          let server = make_primary ~journal:jbase ~shards () in
+          Server.start server;
+          run_history server;
+          let source = Source.create ~server ~journal:jbase () in
+          let slow_pulls req =
+            (match req with Net.Codec.Pull _ -> Unix.sleepf 0.08 | _ -> ());
+            Source.handler source req
+          in
+          let listener = Net.Listener.create ~extend:slow_pulls ~server addr in
+          let fol = make_follower ~max_bytes:1 ~journal:mbase ~shards () in
+          let started = Unix.gettimeofday () in
+          Follower.run fol ~connect:(fun () -> Net.Client.connect addr) ~interval:0.01;
+          let worst = ref 0.0 in
+          eventually "the mirror to match the primary" (fun () ->
+              worst := Float.max !worst (Follower.since_last_pull fol);
+              List.for_all
+                (fun shard -> family_bytes jbase shard = family_bytes mbase shard)
+                (List.init shards Fun.id));
+          let pass = Unix.gettimeofday () -. started in
+          Follower.stop fol;
+          if pass <= bound then
+            Alcotest.failf "catch-up took %.3fs, not longer than the %.1fs bound" pass bound;
+          if !worst >= bound then
+            Alcotest.failf "%.3fs since the last pull during a %.3fs catch-up" !worst pass;
+          Alcotest.(check (option string)) "no divergence" None (Follower.last_error fol);
+          Net.Listener.stop listener;
           Server.stop server))
 
 (* --- failover: kill the primary at EVERY record boundary --------------- *)
@@ -969,6 +1006,8 @@ let () =
           Alcotest.test_case "poll_once catches up in one pass" `Quick test_poll_once_catches_up;
           Alcotest.test_case "run mirrors, the pull clock grows, promote" `Quick
             test_run_then_promote;
+          Alcotest.test_case "a long pass keeps the pull clock small" `Quick
+            test_long_pass_keeps_clock_small;
           Alcotest.test_case "failed bootstrap install fails closed" `Quick
             test_bootstrap_install_fails_closed;
           Alcotest.test_case "failed mirror write fails closed" `Quick
