@@ -34,18 +34,21 @@ let run () views_file syntax policy_spec limits queries =
   let pipeline = Pipeline.create views in
   let policy = parse_policy (Pipeline.registry pipeline) views policy_spec in
   let monitor = Monitor.create policy in
-  List.iter
-    (fun s ->
-      let d =
-        match Cli.label_guarded limits pipeline (Cli.parse_query syntax s) with
-        | Ok label -> Monitor.submit monitor label
-        | Error reason -> Monitor.Refused reason
-      in
-      Format.printf "%-60s %a   (alive: %s)@." s Monitor.pp_decision d
-        (String.concat ", " (Monitor.alive monitor)))
-    (Cli.queries queries);
-  Format.printf "answered %d, refused %d@." (Monitor.answered_count monitor)
-    (Monitor.refused_count monitor);
+  let decisions =
+    List.map
+      (fun s ->
+        let d =
+          match Cli.label_guarded limits pipeline (Cli.parse_query syntax s) with
+          | Ok label -> Monitor.submit monitor label
+          | Error reason -> Monitor.Refused reason
+        in
+        Format.printf "%-60s %a   (alive: %s)@." s Monitor.pp_decision d
+          (String.concat ", " (Monitor.alive monitor));
+        ((), d))
+      (Cli.queries queries)
+  in
+  let answered, refused, tags = Cli.tally decisions () in
+  Format.printf "answered %d, refused %d%s@." answered refused (Cli.tag_list tags);
   0
 
 let cmd =

@@ -45,10 +45,42 @@ let atoms t = Array.to_list t
 
 let of_atom_labels ls = Array.of_list ls
 
+(* Hex digits of a non-negative int, at least one, as "%x" writes them. *)
+let hex_width n =
+  let rec go n w = if n < 16 then w else go (n lsr 4) (w + 1) in
+  go n 1
+
+let hex_digits = "0123456789abcdef"
+
+(* Write [n] as [w] lowercase hex digits at [pos]; returns the next free
+   position. *)
+let put_hex b pos n w =
+  let n = ref n in
+  for i = pos + w - 1 downto pos do
+    Bytes.unsafe_set b i hex_digits.[!n land 15];
+    n := !n lsr 4
+  done;
+  pos + w
+
+(* "rel:mask" per atom in lowercase hex, ';'-separated — the same bytes as
+   [Printf.sprintf "%x:%x"] joined by [String.concat ";"], written straight
+   into one buffer: this runs on every journaled decision. *)
 let encode t =
-  Array.to_list t
-  |> List.map (fun al -> Printf.sprintf "%x:%x" (rel al) (mask al))
-  |> String.concat ";"
+  let len = ref (max 0 (Array.length t - 1)) in
+  Array.iter (fun al -> len := !len + hex_width (rel al) + 1 + hex_width (mask al)) t;
+  let b = Bytes.create !len in
+  let pos = ref 0 in
+  Array.iteri
+    (fun i al ->
+      if i > 0 then begin
+        Bytes.unsafe_set b !pos ';';
+        incr pos
+      end;
+      let p = put_hex b !pos (rel al) (hex_width (rel al)) in
+      Bytes.unsafe_set b p ':';
+      pos := put_hex b (p + 1) (mask al) (hex_width (mask al)))
+    t;
+  Bytes.unsafe_to_string b
 
 let decode s =
   if String.trim s = "" then Ok [||]

@@ -2,9 +2,10 @@ type decision =
   | Answered
   | Refused of Guard.refusal_reason
 
+(* Five words: the initial mask is the policy's full mask, recomputed on
+   the rare paths that need it rather than stored per principal. *)
 type t = {
   policy : Policy.t;
-  initial : int;
   mutable alive : int;
   mutable answered : int;
   mutable refused : int;
@@ -25,8 +26,9 @@ let full_mask n =
   (1 lsl n) - 1
 
 let create policy =
-  let initial = full_mask (Policy.num_partitions policy) in
-  { policy; initial; alive = initial; answered = 0; refused = 0 }
+  { policy; alive = full_mask (Policy.num_partitions policy); answered = 0; refused = 0 }
+
+let initial t = full_mask (Policy.num_partitions t.policy)
 
 let policy t = t.policy
 
@@ -98,18 +100,18 @@ let state_of_fields = function
     | _ -> None)
   | _ -> None
 
-let is_pristine t = t.alive = t.initial && t.answered = 0 && t.refused = 0
+let is_pristine t = t.alive = initial t && t.answered = 0 && t.refused = 0
 
 let pristine_state ~partitions =
   { alive_mask = full_mask partitions; answered_count = 0; refused_count = 0 }
 
 let reset t =
-  t.alive <- t.initial;
+  t.alive <- initial t;
   t.answered <- 0;
   t.refused <- 0
 
 let restore t (s : state) =
-  if s.alive_mask land lnot t.initial <> 0 then
+  if s.alive_mask land lnot (initial t) <> 0 then
     invalid_arg "Monitor.restore: alive mask has bits outside the policy's partitions";
   if s.answered_count < 0 || s.refused_count < 0 then
     invalid_arg "Monitor.restore: negative counter";

@@ -9,15 +9,16 @@ type observation = {
 }
 
 (* A non-resident principal's state as the tier holds it: pristine (no
-   record anywhere — the state is the policy's initial one), or a spilled
+   record anywhere — the state is its policy's initial one), or a spilled
    record in the checkpoint's own codec, already verified, with the state
-   it encodes. *)
+   it encodes. Either way with the principal's compiled policy. *)
 type cold =
-  | Pristine of int
-  | Spilled of { record : string; state : Monitor.state }
+  | Pristine of Policy.t
+  | Spilled of { policy : Policy.t; record : string; state : Monitor.state }
 
-(* The tiered principal store's hooks (lib/store). Once a tier is installed,
-   [monitors] holds only the resident principals: a lookup miss asks the
+(* The tiered principal store's hooks (lib/store), keyed by the service's
+   dense principal ids. Once a tier is installed, a principal's monitor
+   slot holds a monitor only while it is resident: a vacant slot asks the
    tier to fault the principal back in ([tier_find], which adopts the
    rebuilt monitor and may raise [Guard.Refuse (Resource (Spill _))] on a
    corrupt spill record), every resident hit notifies it ([tier_touch], for
@@ -26,9 +27,9 @@ type cold =
    ([tier_cold]), and [recover] resets it alongside the monitors
    ([tier_reset]). *)
 type tier = {
-  tier_find : string -> Monitor.t option;
-  tier_cold : unit -> string -> cold option;
-  tier_touch : string -> unit;
+  tier_find : int -> Monitor.t option;
+  tier_cold : unit -> int -> cold option;
+  tier_touch : int -> unit;
   tier_reset : unit -> unit;
 }
 
@@ -39,7 +40,7 @@ type tier = {
    can restore it. *)
 type batch = {
   mutable records : int; (* records appended since [batch_begin] *)
-  saved : (string, Monitor.state) Hashtbl.t;
+  saved : (int, Monitor.state) Hashtbl.t; (* by principal id *)
 }
 
 type t = {
@@ -58,8 +59,17 @@ type t = {
   policies : ((string * Sview.t list) list, Policy.t) Hashtbl.t;
       (* One compiled policy per structurally distinct partition list: every
          monitor built from an equal list shares it. *)
-  monitors : (string, Monitor.t) Hashtbl.t;
-  mutable order : string list; (* reversed registration order *)
+  (* The principal table. Registration interns a name once, to a dense id
+     in registration order; [ids] is the only string-keyed table, and
+     everything else per principal lives in id-indexed arrays that grow by
+     doubling. Ids are never reused or renumbered. *)
+  ids : (string, int) Hashtbl.t;
+  mutable names : string array; (* id -> name; the first [count] are live *)
+  mutable slots : Monitor.t array;
+      (* id -> resident monitor, or [vacant] while a tier holds the
+         principal's state *)
+  mutable count : int;
+  vacant : Monitor.t; (* the empty-slot sentinel, compared physically *)
   mutable tier : tier option;
   (* Provenance capture for the next submission (see [capture_begin]). Off by
      default; the disabled path costs one field load per capture point and
@@ -96,8 +106,11 @@ let create ?(limits = Guard.no_limits) ?journal ?(segment_bytes = 0) ?observe pi
     warned_closed = false;
     observe;
     policies = Hashtbl.create 16;
-    monitors = Hashtbl.create 16;
-    order = [];
+    ids = Hashtbl.create 16;
+    names = [||];
+    slots = [||];
+    count = 0;
+    vacant = Monitor.create (Policy.make (Pipeline.registry pipeline) [ ("", []) ]);
     tier = None;
     capture_on = false;
     captured = None;
@@ -217,26 +230,61 @@ let policy t partitions =
     Hashtbl.add t.policies partitions p;
     p
 
+(* --- the principal table ------------------------------------------------ *)
+
 let check_new t principal =
-  if Hashtbl.mem t.monitors principal then raise (Duplicate_principal principal);
+  if Hashtbl.mem t.ids principal then raise (Duplicate_principal principal);
   if principal = "" then invalid_arg "Service.register: empty principal name"
+
+(* Intern a new principal at the next id, with [m] in its slot. *)
+let add t principal m =
+  let id = t.count in
+  if id = Array.length t.names then begin
+    let cap = max 8 (2 * id) in
+    let grow a fill =
+      let a' = Array.make cap fill in
+      Array.blit a 0 a' 0 id;
+      a'
+    in
+    t.names <- grow t.names "";
+    t.slots <- grow t.slots t.vacant
+  end;
+  t.names.(id) <- principal;
+  t.slots.(id) <- m;
+  Hashtbl.add t.ids principal id;
+  t.count <- id + 1;
+  id
 
 let register t ~principal ~partitions =
   check_new t principal;
-  Hashtbl.add t.monitors principal (Monitor.create (policy t partitions));
-  t.order <- principal :: t.order;
+  ignore (add t principal (Monitor.create (policy t partitions)));
   Log.info (fun m ->
       m "registered principal %s with %d partition(s)" principal (List.length partitions))
 
 let enroll t ~principal =
   if t.tier = None then invalid_arg "Service.enroll: no tier installed";
   check_new t principal;
-  t.order <- principal :: t.order
+  add t principal t.vacant
 
 let register_stateless t ~principal ~views =
   register t ~principal ~partitions:[ ("default", views) ]
 
-let principals t = List.rev t.order
+let count t = t.count
+
+let find t principal = Hashtbl.find_opt t.ids principal
+
+let mem t principal = Hashtbl.mem t.ids principal
+
+let id_exn t principal =
+  match Hashtbl.find_opt t.ids principal with
+  | Some id -> id
+  | None -> raise (Unknown_principal principal)
+
+let name t id =
+  if id < 0 || id >= t.count then invalid_arg "Service.name: no such principal id";
+  t.names.(id)
+
+let principals t = List.init t.count (fun id -> t.names.(id))
 
 (* --- tiered principal store hooks -------------------------------------- *)
 
@@ -247,48 +295,70 @@ let set_tier t tier =
 
 let clear_tier t = t.tier <- None
 
-(* Hand a rebuilt monitor back to the resident table (fault-in) and take one
-   out of it (eviction). [order] is untouched: registration order is the
-   principal's identity in checkpoints and [principals], residency is not. *)
-let adopt t ~principal m =
-  if Hashtbl.mem t.monitors principal then raise (Duplicate_principal principal);
-  Hashtbl.add t.monitors principal m
+let resident_at t id =
+  let m = t.slots.(id) in
+  if m == t.vacant then None else Some m
 
-let detach t ~principal =
-  match Hashtbl.find_opt t.monitors principal with
-  | None -> raise (Unknown_principal principal)
-  | Some m ->
-    Hashtbl.remove t.monitors principal;
+(* Hand a rebuilt monitor back to its slot (fault-in) and take one out of
+   it (eviction). The id is untouched: registration order is the
+   principal's identity in checkpoints and [principals], residency is
+   not. *)
+let adopt t id m =
+  if t.slots.(id) != t.vacant then raise (Duplicate_principal t.names.(id));
+  t.slots.(id) <- m
+
+let detach t id =
+  let m = t.slots.(id) in
+  if m == t.vacant then raise (Unknown_principal t.names.(id));
+  t.slots.(id) <- t.vacant;
+  m
+
+let resident_monitor t principal = Option.bind (find t principal) (resident_at t)
+
+let monitor_at t id =
+  let m = t.slots.(id) in
+  if m != t.vacant then begin
+    (match t.tier with Some tier -> tier.tier_touch id | None -> ());
     m
-
-let resident_monitor t principal = Hashtbl.find_opt t.monitors principal
-
-let monitor_of t principal =
-  match Hashtbl.find_opt t.monitors principal with
-  | Some m ->
-    (match t.tier with Some tier -> tier.tier_touch principal | None -> ());
-    m
-  | None -> (
+  end
+  else
     match t.tier with
-    | None -> raise (Unknown_principal principal)
+    | None -> raise (Unknown_principal t.names.(id))
     | Some tier -> (
       (* Fault-in blocks exactly this lookup for one spill-file read; other
          principals' queries on this shard were either ahead of it in the
          batch or see the adopted monitor. A corrupt record escapes as
          [Guard.Refuse (Resource (Spill _))] for the submission paths to
          journal as a typed refusal. *)
-      match observed t `Fault_in (fun () -> tier.tier_find principal) with
+      match observed t `Fault_in (fun () -> tier.tier_find id) with
       | Some m -> m
-      | None -> raise (Unknown_principal principal)))
+      | None -> raise (Unknown_principal t.names.(id)))
+
+let monitor_of t principal = monitor_at t (id_exn t principal)
 
 (* One view of the non-resident principals, without disturbing residency —
-   checkpoints and snapshots iterate every principal and must neither fault
-   them all in nor advance the eviction clock. Opening the view may read the
-   tier's spill file once; each lookup is then a table probe. *)
+   checkpoints and snapshots walk every id and must neither fault them all
+   in nor advance the eviction clock. Opening the view may read the tier's
+   spill file once; each lookup is then an array read. *)
 let cold_view t =
   match t.tier with
   | None -> fun _ -> None
   | Some tier -> tier.tier_cold ()
+
+(* Every principal's policy and state in id order, resident or not. *)
+let iter_states t f =
+  let cold = cold_view t in
+  for id = 0 to t.count - 1 do
+    let m = t.slots.(id) in
+    if m != t.vacant then f t.names.(id) (Monitor.policy m) (Monitor.state m)
+    else
+      match cold id with
+      | Some (Pristine policy) ->
+        f t.names.(id) policy
+          (Monitor.pristine_state ~partitions:(Policy.num_partitions policy))
+      | Some (Spilled { policy; state; _ }) -> f t.names.(id) policy state
+      | None -> raise (Unknown_principal t.names.(id))
+  done
 
 (* --- decision journal ------------------------------------------------- *)
 
@@ -389,11 +459,10 @@ let batch_begin t =
 (* Capture [principal]'s pre-batch monitor state (first touch only) so an
    aborted batch can restore it. Called by every commit path and by
    [reset]. *)
-let batch_save t ~principal m =
+let batch_save t id m =
   match t.batch with
   | None -> ()
-  | Some b ->
-    if not (Hashtbl.mem b.saved principal) then Hashtbl.add b.saved principal (Monitor.state m)
+  | Some b -> if not (Hashtbl.mem b.saved id) then Hashtbl.add b.saved id (Monitor.state m)
 
 (* Undo the whole batch: every touched monitor returns to its pre-batch
    state and the segment is rolled back to the committed frontier (none of
@@ -402,10 +471,7 @@ let batch_save t ~principal m =
    before commit). *)
 let batch_abort t b msg =
   Hashtbl.iter
-    (fun principal st ->
-      match Hashtbl.find_opt t.monitors principal with
-      | Some m -> Monitor.restore m st
-      | None -> ())
+    (fun id st -> Option.iter (fun m -> Monitor.restore m st) (resident_at t id))
     b.saved;
   Option.iter Journal.Writer.rollback (live_journal t);
   t.batch <- None;
@@ -488,9 +554,8 @@ let checkpoint t =
              A failed rotation aborts the checkpoint. *)
           if Journal.Writer.committed w > 0 then rotate_exn t w;
           let covers = fst (Journal.Writer.position w) - 1 in
-          let ps = principals t in
-          let buf = Buffer.create (64 * (List.length ps + 1)) in
-          Journal.add_record buf (Journal.ckpt_header ~covers ~count:(List.length ps));
+          let buf = Buffer.create (64 * (t.count + 1)) in
+          Journal.add_record buf (Journal.ckpt_header ~covers ~count:t.count);
           (* The cold view, not [monitor_of]: a checkpoint must not fault
              every spilled principal in (or touch the eviction clock). It
              copies rather than re-encodes: a spilled record is already in
@@ -498,21 +563,24 @@ let checkpoint t =
              fields are the shared encoding of its partition count — so the
              bytes are identical to the always-resident write. *)
           let cold = cold_view t in
-          List.iter
-            (fun principal ->
-              match Hashtbl.find_opt t.monitors principal with
-              | Some m ->
-                Journal.add_record buf
-                  ("p" :: principal :: Monitor.state_fields (Monitor.state m))
-              | None -> (
-                match cold principal with
-                | Some (Pristine partitions) ->
-                  Journal.add_payload buf
-                    (String.concat ""
-                       [ "p\t"; Journal.escape principal; pristine_fields.(partitions) ])
-                | Some (Spilled { record; _ }) -> Buffer.add_string buf record
-                | None -> raise (Unknown_principal principal)))
-            ps;
+          for id = 0 to t.count - 1 do
+            let principal = t.names.(id) and m = t.slots.(id) in
+            if m != t.vacant then
+              Journal.add_record buf
+                ("p" :: principal :: Monitor.state_fields (Monitor.state m))
+            else
+              match cold id with
+              | Some (Pristine policy) ->
+                Journal.add_payload buf
+                  (String.concat ""
+                     [
+                       "p\t";
+                       Journal.escape principal;
+                       pristine_fields.(Policy.num_partitions policy);
+                     ])
+              | Some (Spilled { record; _ }) -> Buffer.add_string buf record
+              | None -> raise (Unknown_principal principal)
+          done;
           Journal.install_checkpoint (Journal.Writer.path w) (fun oc -> Buffer.output_buffer oc buf);
           t.checkpoints <- t.checkpoints + 1;
           (* Compaction: segments at or below the bound are superseded by the
@@ -566,7 +634,7 @@ let label_query_with t ~labeler q = guarded_label_with labeler t q
    journal failure downgrades the decision to a fault refusal before anything
    was committed, so recovery from the journal can never be ahead of or
    behind the live state. *)
-let decide_and_commit t ~principal m label =
+let decide_and_commit t ~principal ~id m label =
   let encoded = Label.encode label in
   let mask_before = Monitor.alive_mask m in
   match
@@ -582,7 +650,7 @@ let decide_and_commit t ~principal m label =
   | Ok None -> (
     match journal_append t ~principal ~label:encoded ~decision:(refused_line Guard.Policy) with
     | Ok () ->
-      batch_save t ~principal m;
+      batch_save t id m;
       Monitor.commit_refusal m;
       capture_commit t ~principal ~m ~label ~encoded ~mask_before ~mask_after:mask_before
         ~decision:(refused_line Guard.Policy);
@@ -593,7 +661,7 @@ let decide_and_commit t ~principal m label =
   | Ok (Some surviving) -> (
     match journal_append t ~principal ~label:encoded ~decision:"answered" with
     | Ok () ->
-      batch_save t ~principal m;
+      batch_save t id m;
       Monitor.commit_answer m ~surviving;
       capture_commit t ~principal ~m ~label ~encoded ~mask_before ~mask_after:surviving
         ~decision:"answered";
@@ -611,7 +679,8 @@ let fault_in_refused t ~principal reason =
   Monitor.Refused reason
 
 let submit_label t ~principal label =
-  match monitor_of t principal with
+  let id = id_exn t principal in
+  match monitor_at t id with
   | exception Guard.Refuse reason -> fault_in_refused t ~principal reason
   | m ->
   let decision =
@@ -633,7 +702,7 @@ let submit_label t ~principal label =
            ~decision:(refused_line reason));
       capture_refusal t ~principal ~stage:"admit" ~label ~monitor:m reason;
       Monitor.Refused reason
-    | Ok () -> decide_and_commit t ~principal m label
+    | Ok () -> decide_and_commit t ~principal ~id m label
   in
   Log.debug (fun f ->
       f "%s: %a (alive: %s)" principal Monitor.pp_decision decision
@@ -657,7 +726,8 @@ let refuse t ~principal ?label reason =
     Monitor.Refused reason
 
 let submit t ~principal q =
-  match monitor_of t principal with
+  let id = id_exn t principal in
+  match monitor_at t id with
   | exception Guard.Refuse reason -> fault_in_refused t ~principal reason
   | m ->
   let decision =
@@ -666,7 +736,7 @@ let submit t ~principal q =
       ignore (journal_append t ~principal ~label:"-" ~decision:(refused_line reason));
       capture_refusal t ~principal ~stage:"label" ~monitor:m reason;
       Monitor.Refused reason
-    | Ok label -> decide_and_commit t ~principal m label
+    | Ok label -> decide_and_commit t ~principal ~id m label
   in
   Log.info (fun f -> f "%s: %a -> %a" principal Cq.Query.pp q Monitor.pp_decision decision);
   decision
@@ -689,12 +759,11 @@ let stats t ~principal =
   (Monitor.answered_count m, Monitor.refused_count m)
 
 let reset t ~principal =
-  let m = monitor_of t principal in
-  batch_save t ~principal m;
+  let id = id_exn t principal in
+  let m = monitor_at t id in
+  batch_save t id m;
   Monitor.reset m;
   ignore (journal_append t ~principal ~label:"-" ~decision:"reset")
-
-let restore t ~principal state = Monitor.restore (monitor_of t principal) state
 
 (* The writer's committed frontier, for replication readers on other
    domains ({!Journal.Writer.position}: racy but memory-safe). *)
@@ -703,17 +772,53 @@ let journal_position t = Option.map Journal.Writer.position (live_journal t)
 (* --- snapshot & recovery ----------------------------------------------- *)
 
 let snapshot t =
-  let cold = cold_view t in
-  List.map
-    (fun principal ->
-      match Hashtbl.find_opt t.monitors principal with
-      | Some m -> (principal, Monitor.state m)
-      | None -> (
-        match cold principal with
-        | Some (Pristine partitions) -> (principal, Monitor.pristine_state ~partitions)
-        | Some (Spilled { state; _ }) -> (principal, state)
-        | None -> raise (Unknown_principal principal)))
-    (principals t)
+  let states = ref [] in
+  iter_states t (fun principal _ st -> states := (principal, st) :: !states);
+  List.rev !states
+
+module Policy_tbl = Hashtbl.Make (struct
+  type t = Policy.t
+
+  let equal = ( == )
+
+  let hash = Hashtbl.hash
+end)
+
+let partitions_equal ps qs =
+  List.equal
+    (fun (n1, vs1) (n2, vs2) -> String.equal n1 n2 && List.equal Sview.equal vs1 vs2)
+    ps qs
+
+(* Each interned policy's partition list, keyed by the policy itself. *)
+let policy_keys t =
+  let keys = Policy_tbl.create 16 in
+  Hashtbl.iter (fun partitions p -> Policy_tbl.replace keys p partitions) t.policies;
+  keys
+
+(* A policy shares a compiled [Policy.t] with every equal partition list, so
+   the verdict for one (old, new) pair of policies holds for every
+   principal on that pair: the lists are compared once per pair, and the
+   walk over [from]'s ids is otherwise a name probe and a restore. *)
+let carry_over ~from t =
+  let old_keys = policy_keys from and new_keys = policy_keys t in
+  let verdicts = Policy_tbl.create 16 in
+  let carries p_old p_new =
+    let known = Option.value ~default:[] (Policy_tbl.find_opt verdicts p_old) in
+    match List.assq_opt p_new known with
+    | Some carried -> carried
+    | None ->
+      let carried =
+        partitions_equal (Policy_tbl.find old_keys p_old) (Policy_tbl.find new_keys p_new)
+      in
+      Policy_tbl.replace verdicts p_old ((p_new, carried) :: known);
+      carried
+  in
+  iter_states from (fun principal p_old st ->
+      match find t principal with
+      | None -> ()
+      | Some id ->
+        let m = monitor_at t id in
+        if carries p_old (Monitor.policy m) then Monitor.restore m st)
 
 type recovery_error = {
   file : string;
@@ -738,14 +843,17 @@ type recovery = {
    (replay commits to the live monitor), and a fault-in failure is surfaced
    as a fatal replay error — recovery must fail closed, not skip records. *)
 let resident_or_fault t principal =
-  match Hashtbl.find_opt t.monitors principal with
-  | Some m ->
-    (match t.tier with Some tier -> tier.tier_touch principal | None -> ());
-    Some m
-  | None -> (
-    match t.tier with
-    | None -> None
-    | Some tier -> tier.tier_find principal)
+  match find t principal with
+  | None -> None
+  | Some id -> (
+    match t.slots.(id) with
+    | m when m != t.vacant ->
+      (match t.tier with Some tier -> tier.tier_touch id | None -> ());
+      Some m
+    | _ -> (
+      match t.tier with
+      | None -> None
+      | Some tier -> tier.tier_find id))
 
 let apply_decision t ~principal ~label_s ~decision =
   match resident_or_fault t principal with
@@ -1007,7 +1115,9 @@ let seal_legacy_active t base =
         | _ -> Journal.seal_active base)
 
 let recover ?(on_record = fun ~principal:_ ~label:_ ~decision:_ -> ()) t ~journal:base =
-  Hashtbl.iter (fun _ m -> Monitor.reset m) t.monitors;
+  for id = 0 to t.count - 1 do
+    Option.iter Monitor.reset (resident_at t id)
+  done;
   (* The journal is the authority: whatever the tier spilled before the
      restart is stale against the replay below, so the tier forgets it
      (non-resident principals become pristine, the spill file is reset) and

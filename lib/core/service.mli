@@ -2,6 +2,13 @@
     paper's Figure 2: a shared labeling pipeline plus one reference monitor
     per principal (app), each enforcing its own policy.
 
+    Registration interns each principal once, to a dense id in
+    registration order ([0], [1], …). One [name -> id] table is the
+    service's only string-keyed structure; names and monitor slots live in
+    id-indexed arrays that start small and grow by doubling. Ids are never
+    reused: registration order is a principal's identity in
+    {!principals}, {!snapshot} and {!checkpoint}.
+
     The service is the fail-closed boundary. Every submission runs under the
     service's {!Guard.limits}; admission caps, fuel or deadline exhaustion,
     and unexpected exceptions all surface as [Monitor.Refused reason] with
@@ -79,10 +86,10 @@ val policy : t -> (string * Sview.t list) list -> Policy.t
     @raise Invalid_argument as {!Policy.make} does. *)
 
 val register : t -> principal:string -> partitions:(string * Sview.t list) list -> unit
-(** Registers a principal with a (possibly multi-partition) policy: a
-    resident monitor over the shared {!policy} for [partitions], so a
-    registration allocates a monitor record and a table entry, never a
-    compiled policy of its own. Any non-empty name is accepted — the v2
+(** Registers a principal with a (possibly multi-partition) policy: the
+    next id, holding a resident monitor over the shared {!policy} for
+    [partitions], so a registration allocates a monitor record, one table
+    entry and two array slots, never a compiled policy of its own. Any non-empty name is accepted — the v2
     journal escapes its fields, so even separator bytes in a principal name
     cannot forge records (a service writing the legacy format refuses such a
     principal's decisions at submit instead). A tiered store registers
@@ -92,34 +99,63 @@ val register : t -> principal:string -> partitions:(string * Sview.t list) list 
     {!Policy.max_partitions} partitions, unregistered views, or an empty
     principal name. *)
 
-val enroll : t -> principal:string -> unit
-(** Register a principal without a resident monitor: it joins the
-    registration order ({!principals}, checkpoints, snapshots) and the
-    installed tier answers for it — [tier_find] builds its monitor on first
-    touch, [tier_cold] reports its state until then. The tier must already
-    know the principal; duplicates among non-resident principals are the
-    tier's to refuse.
-    @raise Duplicate_principal if resident.
+val enroll : t -> principal:string -> int
+(** Register a principal without a resident monitor and return its id: it
+    joins the registration order ({!principals}, checkpoints, snapshots)
+    with a vacant slot, and the installed tier answers for that id —
+    [tier_find] builds its monitor on first touch, [tier_cold] reports its
+    state until then.
+    @raise Duplicate_principal if already registered.
     @raise Invalid_argument without a tier, or on an empty name. *)
 
 val register_stateless : t -> principal:string -> views:Sview.t list -> unit
 (** Single-partition convenience form. *)
 
 val principals : t -> string list
-(** Registration order. With a tier installed, this is every {e registered}
-    principal — resident or spilled. *)
+(** Registration (id) order. With a tier installed, this is every {e
+    registered} principal — resident or spilled. *)
+
+val count : t -> int
+(** Principals registered: ids run from [0] to [count t - 1]. *)
+
+val find : t -> string -> int option
+(** The principal's id. The table only changes at registration, so on a
+    service that is no longer registering it may be read from any domain
+    once the service was published safely (the serving layer's admission
+    check does this). *)
+
+val mem : t -> string -> bool
+
+val name : t -> int -> string
+(** The name interned at an id.
+    @raise Invalid_argument on an id that was never handed out. *)
+
+val iter_states : t -> (string -> Policy.t -> Monitor.state -> unit) -> unit
+(** Every principal's name, policy and state, in id order. A non-resident
+    principal is read through one cold view of the tier: residency and the
+    eviction clock are left alone. *)
+
+val carry_over : from:t -> t -> unit
+(** Copy [from]'s monitor state onto each principal of [t] that [from]
+    knows under an equal partition list ({!Sview.equal} view by view) —
+    the serving layer's online reload. The lists are compared once per
+    pair of interned policies, not once per principal. [t] must have no
+    tier installed. Journals nothing.
+    @raise Invalid_argument per {!Monitor.restore}.
+    @raise Not_found when a monitor of [from] holds a policy that [from]
+    did not intern (a monitor {!adopt}ed from elsewhere). *)
 
 (** {1 Tiered principal store hooks}
 
     A tiered store ([lib/store]) keeps only the hot principals' monitors in
-    the service's resident table and spills the cold ones to disk. The
-    service stays the single owner of the resident table; the store plugs in
-    through a {!tier} record and moves monitors in and out with {!adopt} and
-    {!detach}. Contracts the store upholds:
+    their slots and spills the cold ones to disk. The service stays the
+    single owner of the slots; the store plugs in through a {!tier} record
+    whose hooks take principal ids, and moves monitors in and out with
+    {!adopt} and {!detach}. Contracts the store upholds:
 
-    - [tier_find principal] rebuilds a non-resident principal's monitor,
-      {!adopt}s it, and returns it — or returns [None] for a name that was
-      never registered, or raises [Guard.Refuse (Resource (Spill _))] when
+    - [tier_find id] rebuilds a non-resident principal's monitor, {!adopt}s
+      it, and returns it — or returns [None] for an id the store does not
+      manage, or raises [Guard.Refuse (Resource (Spill _))] when
       the spilled state cannot be read back (fail-closed: the submission
       paths journal that as a typed refusal; the replay paths turn it into a
       fatal recovery error).
@@ -131,26 +167,27 @@ val principals : t -> string list
       principal with no record, or [Spilled] with its record in the
       checkpoint codec — CRC, principal name and state fields verified —
       and raises [Guard.Refuse (Resource (Spill _))] when they do not check
-      out. It returns [None] for a resident or unknown principal.
-    - [tier_touch principal] notifies the store of a resident hit (its
-      eviction clock).
+      out; either way with the principal's policy. It returns [None] for a
+      resident or unmanaged id.
+    - [tier_touch id] notifies the store of a resident hit (its eviction
+      clock).
     - [tier_reset ()] forgets all spilled state (the journal is the
       authority on a {!recover}).
     - Eviction never runs while a group-commit batch is open: an aborting
-      batch restores pre-batch state through the resident table. *)
+      batch restores pre-batch state through the resident slots. *)
 
 type cold =
-  | Pristine of int
-      (** No record exists: the principal's state is the initial state of a
-          policy with this many partitions. *)
-  | Spilled of { record : string; state : Monitor.state }
+  | Pristine of Policy.t
+      (** No record exists: the principal's state is the initial state of
+          this policy. *)
+  | Spilled of { policy : Policy.t; record : string; state : Monitor.state }
       (** Its ["p"] record, byte for byte as {!checkpoint} writes it, and the
           state it encodes. *)
 
 type tier = {
-  tier_find : string -> Monitor.t option;
-  tier_cold : unit -> string -> cold option;
-  tier_touch : string -> unit;
+  tier_find : int -> Monitor.t option;
+  tier_cold : unit -> int -> cold option;
+  tier_touch : int -> unit;
   tier_reset : unit -> unit;
 }
 
@@ -160,20 +197,22 @@ val set_tier : t -> tier -> unit
 
 val clear_tier : t -> unit
 
-val adopt : t -> principal:string -> Monitor.t -> unit
-(** Put a faulted-in monitor (back) into the resident table. Registration
-    order is untouched — residency is not identity.
+val adopt : t -> int -> Monitor.t -> unit
+(** Put a faulted-in monitor (back) into the principal's slot. The id is
+    untouched — residency is not identity.
     @raise Duplicate_principal if already resident. *)
 
-val detach : t -> principal:string -> Monitor.t
-(** Remove a principal's monitor from the resident table (eviction) and
-    return it. The principal stays registered; a later lookup goes through
-    [tier_find].
+val detach : t -> int -> Monitor.t
+(** Empty a principal's slot (eviction) and return its monitor. The
+    principal stays registered; a later lookup goes through [tier_find].
     @raise Unknown_principal if not resident. *)
 
+val resident_at : t -> int -> Monitor.t option
+(** The monitor in the id's slot, iff resident. Never faults in and never
+    touches the eviction clock. *)
+
 val resident_monitor : t -> string -> Monitor.t option
-(** The principal's monitor iff currently resident. Never faults in and
-    never touches the eviction clock. *)
+(** {!resident_at} by name; [None] for an unknown name too. *)
 
 val submit : t -> principal:string -> Cq.Query.t -> Monitor.decision
 (** Labels the query under the service limits and submits it to the
@@ -267,15 +306,6 @@ val reset : t -> principal:string -> unit
 (** Forget the principal's history. Journaled as a [reset] control record so
     replay stays equivalent to the live history.
     @raise Unknown_principal *)
-
-val restore : t -> principal:string -> Monitor.state -> unit
-(** Overwrite the principal's monitor with [state], validated against the
-    policy shape (see {!Monitor.restore}). Journals nothing — the serving
-    layer's online policy reload uses it to carry unchanged principals'
-    state across a service swap, and follows the swap with a checkpoint so
-    recovery sees the carried state too.
-    @raise Unknown_principal
-    @raise Invalid_argument per {!Monitor.restore}. *)
 
 val journal_position : t -> (int * int) option
 (** [(active_segment_index, committed_bytes)]: the index the active segment
@@ -392,7 +422,7 @@ val checkpoint_count : t -> int
 
 val snapshot : t -> (string * Monitor.state) list
 (** Immutable copy of every principal's monitor state, in registration
-    order. *)
+    order: one walk over the ids ({!iter_states}). *)
 
 type recovery_error = {
   file : string;  (** The damaged file. *)

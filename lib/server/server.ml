@@ -55,13 +55,14 @@ type t = {
   trace : Obs.Trace.t option;
   started_at : float; (* Unix.gettimeofday at create — display only *)
   started_ns : int64; (* Mclock at create — uptime and rate math *)
-  assignment : (string, int) Hashtbl.t Atomic.t;
-      (* principal -> shard index. The table behind the Atomic is never
-         mutated after [start]: registration fills it pre-start (no
-         concurrent readers yet), and [reload] publishes a freshly built
-         replacement wholesale — connection domains racing [submit] against
-         a reload read either the old complete table or the new one. *)
-  mutable order : string list; (* reversed global registration order *)
+  mutable order : Bytes.t;
+      (* The global registration order without a per-principal table: entry
+         [i] is the index of the shard that took the [i]-th registration
+         ([order_width] bytes). Each shard's service numbers its own
+         principals in registration order, so walking the entries with one
+         cursor per shard recovers every name ([iter_order]). Membership
+         is each shard's own name table ([Shard.mem]). *)
+  mutable registered : int; (* entries in [order] *)
   state : state Atomic.t;
       (* Atomic, not plain mutable: the networked front-end submits from
          connection domains, so the lifecycle check in [submit] races with
@@ -122,8 +123,8 @@ let create ?limits ?journal ?trace ?(config = default_config) pipeline =
     trace;
     started_at = Unix.gettimeofday ();
     started_ns = Disclosure.Mclock.now_ns ();
-    assignment = Atomic.make (Hashtbl.create 64);
-    order = [];
+    order = Bytes.empty;
+    registered = 0;
     state = Atomic.make Created;
   }
 
@@ -152,18 +153,56 @@ let require_created t what =
   | Running | Stopped ->
     invalid_arg (Printf.sprintf "Server.%s: server already started" what)
 
+(* --- global registration order ------------------------------------------ *)
+
+(* One byte per registration up to 256 shards, four beyond. *)
+let order_width t = if shard_count t <= 0x100 then 1 else 4
+
+let order_get t i =
+  if order_width t = 1 then Bytes.get_uint8 t.order i
+  else Int32.to_int (Bytes.get_int32_le t.order (4 * i))
+
+let order_push t shard =
+  let w = order_width t in
+  let i = t.registered in
+  if (i + 1) * w > Bytes.length t.order then
+    t.order <- Bytes.extend t.order 0 (max (8 * w) (Bytes.length t.order));
+  if w = 1 then Bytes.set_uint8 t.order i shard
+  else Bytes.set_int32_le t.order (4 * i) (Int32.of_int shard);
+  t.registered <- i + 1
+
+(* Every principal as [f shard id], in global registration order. Should a
+   shard's population disagree with the recorded order (a reload that
+   failed on some shards after others swapped), entries past its
+   population are skipped and its unvisited ids follow at the end, so each
+   principal is still visited exactly once. *)
+let iter_order t f =
+  let counts = Array.map (fun shard -> Service.count (Shard.service shard)) t.shards in
+  let cursors = Array.make (shard_count t) 0 in
+  for i = 0 to t.registered - 1 do
+    let shard = order_get t i in
+    let id = cursors.(shard) in
+    if id < counts.(shard) then begin
+      cursors.(shard) <- id + 1;
+      f shard id
+    end
+  done;
+  Array.iteri (fun shard count -> for id = cursors.(shard) to count - 1 do f shard id done) counts
+
 let register t ~principal ~partitions =
   require_created t "register";
   let shard = shard_of t principal in
   Shard.register shard ~principal ~partitions;
-  Hashtbl.replace (Atomic.get t.assignment) principal (Shard.index shard);
-  t.order <- principal :: t.order;
+  order_push t (Shard.index shard);
   Log.debug (fun m -> m "principal %s -> shard %d" principal (Shard.index shard))
 
 let register_stateless t ~principal ~views =
   register t ~principal ~partitions:[ ("default", views) ]
 
-let principals t = List.rev t.order
+let principals t =
+  let names = ref [] in
+  iter_order t (fun shard id -> names := Service.name (Shard.service t.shards.(shard)) id :: !names);
+  List.rev !names
 
 let start t =
   require_created t "start";
@@ -180,10 +219,10 @@ let admit t ~principal =
   (match state t with
   | Stopped -> invalid_arg "Server.submit: server is stopped"
   | Created | Running -> ());
-  if not (Hashtbl.mem (Atomic.get t.assignment) principal) then
-    raise (Service.Unknown_principal principal);
+  let shard = shard_of t principal in
+  if not (Shard.mem shard principal) then raise (Service.Unknown_principal principal);
   Metrics.incr t.metrics Metrics.Submitted;
-  shard_of t principal
+  shard
 
 (* Fail-closed load shedding: the decision is made here, without touching
    the shard — the monitor stays bit-identical and nothing is journaled
@@ -285,19 +324,20 @@ let stop t =
 (* --- introspection (exact only while shards are quiescent) ------------- *)
 
 let owning_service t principal =
-  if not (Hashtbl.mem (Atomic.get t.assignment) principal) then
-    raise (Service.Unknown_principal principal);
-  Shard.service (shard_of t principal)
+  let shard = shard_of t principal in
+  if not (Shard.mem shard principal) then raise (Service.Unknown_principal principal);
+  Shard.service shard
 
 let alive t ~principal = Service.alive (owning_service t principal) ~principal
 
 let stats t ~principal = Service.stats (owning_service t principal) ~principal
 
+(* One snapshot per shard, merged into global registration order. *)
 let snapshot t =
-  List.map
-    (fun principal ->
-      (principal, List.assoc principal (Service.snapshot (owning_service t principal))))
-    (principals t)
+  let snaps = Array.map (fun shard -> Array.of_list (Service.snapshot (Shard.service shard))) t.shards in
+  let states = ref [] in
+  iter_order t (fun shard id -> states := snaps.(shard).(id) :: !states);
+  List.rev !states
 
 (* Aggregated compiled-labeler statistics: counters sum across shards,
    the version is the maximum (shards reload in lockstep, so a mixed
@@ -411,7 +451,8 @@ let stats_json t =
        ("started_at", Obs.Json.Num t.started_at);
        ("uptime_s", Obs.Json.Num (uptime_s t));
        ("shards", num (shard_count t));
-       ("principals", num (Hashtbl.length (Atomic.get t.assignment)));
+       ( "principals",
+         num (Array.fold_left (fun n shard -> n + Service.count (Shard.service shard)) 0 t.shards) );
        ("journal", Obs.Json.List journal);
      ]
     @ trace @ sections
@@ -466,18 +507,20 @@ let recover t ~journal =
    any shard is touched), then each shard swaps its own service inside one
    of its rounds via a Reload control message. Mailbox ordering is the
    consistency story: every query is decided by exactly the policy version
-   live when its shard's round dequeues it. The new assignment table and
-   registration order are published only after every shard has swapped, so
-   a principal new in the configuration becomes submittable only once its
-   shard can decide for it; in the window where a shard has swapped but the
-   table has not been republished, queries for since-removed principals
-   reach the shard and come back as fail-closed [Refused (Fault _)]
-   refusals — never a wrong answer, never a dropped connection.
+   live when its shard's round dequeues it. Admission asks the owning
+   shard's live service, which a shard publishes only once its swap is
+   complete: a principal new in the configuration becomes submittable as
+   soon as its own shard can decide for it, and a removed one is refused
+   at admission from then on. A query for a removed principal admitted
+   just before its shard swapped reaches the new service and comes back as
+   a fail-closed [Refused (Fault _)] refusal — never a wrong answer, never
+   a dropped connection. The global registration order is republished
+   after every shard has swapped.
 
    After validation, a per-shard failure can only be journal I/O (reopening
    the base, the post-swap checkpoint). Such a failure leaves THAT shard on
    its old service (fail closed) while other shards may have swapped; the
-   error is surfaced and the assignment is not republished — the operator
+   error is surfaced and the order is not republished — the operator
    retries the reload or restarts. *)
 let reload t policy =
   match state t with
@@ -532,13 +575,10 @@ let reload t policy =
         match swept with
         | Error _ as e -> e
         | Ok () ->
-          let table = Hashtbl.create 64 in
+          t.registered <- 0;
           List.iter
-            (fun (principal, _) ->
-              Hashtbl.replace table principal (shard_index ~shards:shards_n principal))
+            (fun (principal, _) -> order_push t (shard_index ~shards:shards_n principal))
             resolved;
-          Atomic.set t.assignment table;
-          t.order <- List.rev_map fst resolved;
           Metrics.incr t.metrics Metrics.Reloads;
           Log.info (fun m ->
               m "policy reloaded: %d view(s), %d principal(s)"

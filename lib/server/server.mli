@@ -109,7 +109,11 @@ val config : t -> config
 
 val register :
   t -> principal:string -> partitions:(string * Disclosure.Sview.t list) list -> unit
-(** Registers the principal on its owning shard. Only before {!start}.
+(** Registers the principal on its owning shard, whose service interns it
+    to its next dense id ({!Disclosure.Service}); the server itself keeps
+    no per-principal table, only the owning shard's index per
+    registration (one byte each up to 256 shards) for {!principals}.
+    Only before {!start}.
     @raise Invalid_argument after {!start}, or per
     {!Disclosure.Service.register}.
     @raise Disclosure.Service.Duplicate_principal *)
@@ -117,7 +121,9 @@ val register :
 val register_stateless : t -> principal:string -> views:Disclosure.Sview.t list -> unit
 
 val principals : t -> string list
-(** Global registration order. *)
+(** Global registration order (after a successful {!reload}, the new
+    configuration's order): the recorded shard per registration, walked
+    with one cursor per shard over the shards' id-ordered names. *)
 
 val start : t -> unit
 (** Let callers run the shards' rounds, waking any caller already awaiting
@@ -174,7 +180,7 @@ val stop : t -> unit
 
     Delegates to the owning shard's service. Exact only while the shards
     are quiescent — before {!start}, after {!stop}, or right after
-    {!drain} with no concurrent submissions. All raise
+    {!drain} with no concurrent submissions. {!alive} and {!stats} raise
     [Disclosure.Service.Unknown_principal] for unknown principals. *)
 
 val alive : t -> principal:string -> string list
@@ -182,6 +188,9 @@ val alive : t -> principal:string -> string list
 val stats : t -> principal:string -> int * int
 
 val snapshot : t -> (string * Disclosure.Monitor.state) list
+(** Every principal's state in {!principals} order: one
+    {!Disclosure.Service.snapshot} per shard, merged — linear in the
+    population. *)
 
 val metrics : t -> Metrics.t
 
@@ -297,12 +306,18 @@ val reload : t -> Disclosure.Policyfile.t -> (unit, string) result
     carried state rather than replaying old-policy records through the new
     configuration.
 
-    During the swap window, queries for principals removed by the new
-    configuration fail closed ([Refused (Fault _)] from the shard, or
-    [Unknown_principal] once the new assignment is published); queries for
-    added principals raise [Unknown_principal] until publication. On
-    [Error] after validation passed (journal I/O only), the failing shard
-    keeps serving its {e old} policy while other shards may have swapped —
-    fail-closed per shard, never a wrong answer; the previous assignment
-    stays published, and the operator should retry or restart. Works on
-    both quiescent and running servers; [Error] on a stopped one. *)
+    Admission asks the owning shard's live service, and a shard publishes
+    its new service only once the swap is complete: a principal added by
+    the new configuration becomes submittable as soon as its own shard has
+    swapped ([Unknown_principal] before), and a removed one raises
+    [Unknown_principal] from then on. A query for a removed principal
+    admitted just before its shard swapped fails closed with
+    [Refused (Fault _)]. The carry-over is linear in the population
+    ({!Disclosure.Service.carry_over}), so a shard's claim is held for a
+    time proportional to its principals, not their square. On [Error]
+    after validation passed (journal I/O only), the failing shard keeps
+    serving its {e old} policy while other shards may have swapped —
+    fail-closed per shard, never a wrong answer; {!principals} keeps the
+    previous order (each shard's population still listed exactly once),
+    and the operator should retry or restart. Works on both quiescent and
+    running servers; [Error] on a stopped one. *)

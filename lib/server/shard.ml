@@ -62,11 +62,12 @@ type pending =
 
 type t = {
   index : int;
-  mutable service : Service.t;
-      (* Mutable for online policy reload: the claim holder (or the quiescent
-         owner) swaps in a freshly staged service on the same journal base.
-         Foreign domains may read the field (journal watermarks) but only
-         through the racy-safe [Service.journal_position]. *)
+  live : Service.t Atomic.t;
+      (* Swapped by online policy reload: the claim holder (or the quiescent
+         owner) publishes a freshly staged service on the same journal base.
+         Foreign domains read it for admission ([mem]: the service's name
+         table no longer changes once published) and for journal
+         watermarks (the racy-safe [Service.journal_position]). *)
   mutable cache : (int, Label.t) Label_cache.t option;
       (* Keyed by hash-consed query ids from the artifact's interner.
          Recreated on reload: labels from the old pipeline must never
@@ -89,9 +90,6 @@ type t = {
   observe : Service.observation -> unit;
       (* The metrics/trace bridge passed to every service this shard owns —
          kept so a reload's staged service reports identically. *)
-  mutable registered : (string * (string * Disclosure.Sview.t list) list) list;
-      (* Registration set of the live service, for reload's carry-over
-         decision (unchanged partitions keep their monitor state). *)
   group_commit : bool;
       (* Batch journal flushes across each round: the claim holder opens a
          Service batch before the round's first query, defers
@@ -167,7 +165,7 @@ let create ~index ?limits ?journal ?(segment_bytes = 0) ?(checkpoint_every = 0) 
   in
   {
     index;
-    service;
+    live = Atomic.make service;
     cache;
     artifact = Artifact.compile pipeline;
     mailbox = Mailbox.create ~capacity:mailbox_capacity ~drain ~metrics;
@@ -178,7 +176,6 @@ let create ~index ?limits ?journal ?(segment_bytes = 0) ?(checkpoint_every = 0) 
     journal;
     segment_bytes;
     observe;
-    registered = [];
     group_commit;
     deferred = [];
     last_cache = "none";
@@ -191,20 +188,21 @@ let create ~index ?limits ?journal ?(segment_bytes = 0) ?(checkpoint_every = 0) 
 
 let index t = t.index
 
-let service t = t.service
+let service t = Atomic.get t.live
 
 let mailbox t = t.mailbox
 
 let register t ~principal ~partitions =
-  (match t.store with
-  | None -> Service.register t.service ~principal ~partitions
+  match t.store with
+  | None -> Service.register (service t) ~principal ~partitions
   | Some store ->
     (* Straight into the store's fresh tier: no monitor and no eviction, so
        registering a million principals never touches the resident set. *)
-    Store.register store ~principal ~partitions);
-  t.registered <- (principal, partitions) :: t.registered
+    Store.register store ~principal ~partitions
 
-let journal_position t = Service.journal_position t.service
+let mem t principal = Service.mem (service t) principal
+
+let journal_position t = Service.journal_position (service t)
 
 (* --- observability helpers --------------------------------------------- *)
 
@@ -226,7 +224,7 @@ let timed t stage f =
 let note t k v =
   match !(t.scope) with Some sc -> Obs.Trace.annotate sc k v | None -> ()
 
-let flush_count t = Service.flush_count t.service
+let flush_count t = Service.flush_count (service t)
 
 (* Every per-shard gauge, written in one pass: on the decision cadence, at
    barriers, checkpoints and reloads, and at every stats or Prometheus
@@ -239,8 +237,8 @@ let sample t =
   set Metrics.Gc_minor_collections gc.Gc.minor_collections;
   set Metrics.Gc_major_collections gc.Gc.major_collections;
   set Metrics.Gc_promoted_words (int_of_float gc.Gc.promoted_words);
-  set Metrics.Journal_flushes (Service.flush_count t.service);
-  (match Service.journal_position t.service with
+  set Metrics.Journal_flushes (Service.flush_count (service t));
+  (match Service.journal_position (service t) with
   | None -> ()
   | Some (seq, bytes) ->
     set Metrics.Journal_segment seq;
@@ -295,7 +293,7 @@ let compact_store t = match t.store with Some s -> Store.compact s | None -> ()
    the artifact (bit-identical by the compile library's contract, enforced
    by the differential suite in test_compile). *)
 let label_query ?id t q =
-  Service.label_query_with t.service
+  Service.label_query_with (service t)
     ~labeler:(fun ~budget q -> Artifact.label ~budget ?id t.artifact q)
     q
 
@@ -306,8 +304,8 @@ let uncached t ~principal q =
   note t "cache" "off";
   t.last_cache <- "off";
   match label_query t q with
-  | Error reason -> Service.refuse t.service ~principal reason
-  | Ok label -> Service.submit_label t.service ~principal label
+  | Error reason -> Service.refuse (service t) ~principal reason
+  | Ok label -> Service.submit_label (service t) ~principal label
 
 (* Cache lookup keys on one exact id: the query's own (head, body)
    structure, hash-consed to an int by the artifact's interner. Interned ids
@@ -320,7 +318,7 @@ let uncached t ~principal q =
    path byte-for-byte the sequential Service.submit, and hands the artifact
    the id just interned so the query is interned once per decision. *)
 let cached t cache ~principal q =
-  let svc = t.service in
+  let svc = service t in
   match Guard.admit_query (Service.limits svc) q with
   | Error reason ->
     (* Sequential submit refuses at admission before labeling; refusing here
@@ -335,7 +333,9 @@ let cached t cache ~principal q =
       Metrics.incr t.metrics Metrics.Cache_hit;
       note t "cache" "exact";
       t.last_cache <- "exact";
-      note t "label_width" (string_of_int (List.length (Label.atoms label)));
+      (match !(t.scope) with
+      | Some sc -> Obs.Trace.annotate sc "label_width" (string_of_int (Array.length label))
+      | None -> ());
       Service.submit_label svc ~principal label
     | None -> (
       Metrics.incr t.metrics Metrics.Cache_miss;
@@ -360,7 +360,7 @@ let handle t ~principal q =
    queries it delayed. *)
 let checkpoint t =
   match t.trace with
-  | None -> Service.checkpoint t.service
+  | None -> Service.checkpoint (service t)
   | Some tr ->
     let sc =
       Obs.Trace.query_begin tr ~track:t.index ~name:"maintenance" ~force:true
@@ -371,7 +371,7 @@ let checkpoint t =
       t.scope := None;
       Obs.Trace.query_end sc ~outcome
     in
-    (match Service.checkpoint t.service with
+    (match Service.checkpoint (service t) with
     | result ->
       finish
         (match result with Ok () -> "checkpoint:ok" | Error _ -> "checkpoint:error");
@@ -401,7 +401,7 @@ let checkpoint_if_due t =
 
 let maybe_auto_checkpoint t =
   note_decided t;
-  if not (Service.batch_active t.service) then begin
+  if not (Service.batch_active (service t)) then begin
     enforce_store t;
     checkpoint_if_due t
   end
@@ -441,12 +441,6 @@ let settle t pending decision explanation =
 
 (* --- online policy reload ---------------------------------------------- *)
 
-let partitions_equal ps qs =
-  List.equal
-    (fun (n1, vs1) (n2, vs2) ->
-      String.equal n1 n2 && List.equal Disclosure.Sview.equal vs1 vs2)
-    ps qs
-
 (* Swap in a new policy configuration without dropping a single decision.
    Runs in a round (a [Reload] control message) or inline on a quiescent
    shard, so the mailbox serializes it against queries: every query is
@@ -463,7 +457,10 @@ let partitions_equal ps qs =
    unchanged ({!Disclosure.Sview.equal} per view): their lattice is the
    same, so the cumulative-disclosure charge must survive the swap. A
    changed or new policy starts a fresh monitor — old charges are
-   incomparable under a different lattice.
+   incomparable under a different lattice. The carry-over
+   ([Service.carry_over]) compares lists once per pair of interned
+   policies and is otherwise one walk over the old service's ids, so a
+   reload holds the claim for time linear in the population.
 
    The swap ends with a checkpoint of the carried state: recovery then
    restores this snapshot and replays only new-policy records, never
@@ -487,16 +484,11 @@ let reload t ~pipeline ~principals =
     | exception e ->
       Service.close staged;
       raise e);
-    let old_state = Service.snapshot t.service in
-    List.iter
-      (fun (principal, partitions) ->
-        match List.assoc_opt principal t.registered with
-        | Some old_partitions when partitions_equal old_partitions partitions -> (
-          match List.assoc_opt principal old_state with
-          | Some st -> Service.restore staged ~principal st
-          | None -> ())
-        | _ -> ())
-      principals;
+    (match Service.carry_over ~from:(service t) staged with
+    | () -> ()
+    | exception e ->
+      Service.close staged;
+      raise e);
     (* Compile the new pipeline's artifact before touching the live state:
        a compile failure aborts the reload with the old policy (and its
        artifact) still serving. The version bump is what tests and scrapes
@@ -506,15 +498,15 @@ let reload t ~pipeline ~principals =
       Artifact.compile ~version:(Artifact.version t.artifact + 1) pipeline
     in
     (* The old store must release the spill file (and its tier hooks) before
-       a new store truncates the same path — but only after [snapshot] above,
-       which still reads spilled state through the old tier. *)
+       a new store truncates the same path — but only after the carry-over
+       above, which still reads spilled state through the old tier. *)
     (match t.store with Some old -> Store.close old | None -> ());
     t.store <- None;
     (* Publish the staged service before closing the old one: a closed
        service reports no journal position, and a replication drain gate
        reading that [None] would skip this shard as caught up. *)
-    let old = t.service in
-    t.service <- staged;
+    let old = service t in
+    Atomic.set t.live staged;
     Service.close old;
     (match t.resident with
     | None -> ()
@@ -523,9 +515,9 @@ let reload t ~pipeline ~principals =
         let store =
           Store.create ~budget ~spill:(spill_path ~index:t.index t.journal) staged
         in
-        List.iter
-          (fun (principal, _) -> Store.track store ~principal)
-          principals;
+        for id = 0 to Service.count staged - 1 do
+          Store.track store ~principal:(Service.name staged id)
+        done;
         Store.enforce store;
         store
       with
@@ -538,7 +530,6 @@ let reload t ~pipeline ~principals =
               "shard %d: tiered store rebuild failed after reload (serving \
                always-resident): %s"
               t.index (Printexc.to_string e))));
-    t.registered <- principals;
     t.artifact <- artifact;
     t.cache <-
       Option.map
@@ -548,7 +539,7 @@ let reload t ~pipeline ~principals =
     (match t.journal with
     | None -> ()
     | Some _ -> (
-      match Service.checkpoint t.service with
+      match Service.checkpoint staged with
       | Ok () -> ()
       | Error msg ->
         Log.warn (fun m ->
@@ -611,7 +602,7 @@ and serve t ~principal ~query ~enqueued_ns ~ctx ~explain pending =
       end;
       Some sc
   in
-  if explain then Service.capture_begin t.service;
+  if explain then Service.capture_begin (service t);
   t.last_cache <- "none";
   let t0 = Disclosure.Mclock.now_ns () in
   let decision =
@@ -620,14 +611,14 @@ and serve t ~principal ~query ~enqueued_ns ~ctx ~explain pending =
       (* Fail closed even on bugs in the shard itself; the service's own
          guard has already kept monitor state untouched. *)
       let reason = Guard.Fault (Printexc.to_string e) in
-      (try Service.refuse t.service ~principal reason
+      (try Service.refuse (service t) ~principal reason
        with _ -> Monitor.Refused reason)
   in
   (match tier t with
   | Some tier -> Metrics.record_tier t.metrics tier (Disclosure.Mclock.elapsed_s ~since:t0)
   | None -> ());
   let explanation =
-    if explain then Option.map (stitch_explain t) (Service.capture_take t.service)
+    if explain then Option.map (stitch_explain t) (Service.capture_take (service t))
     else None
   in
   (match sc_opt with
@@ -638,7 +629,7 @@ and serve t ~principal ~query ~enqueued_ns ~ctx ~explain pending =
        deferred fill below accounts for. *)
     Obs.Trace.query_end sc ~outcome:(outcome_of decision)
   | None -> ());
-  if t.group_commit && Service.batch_active t.service then
+  if t.group_commit && Service.batch_active (service t) then
     (* Ticket and outcome counters wait for the covering flush: the client
        must never observe a decision whose journal record is not durable,
        and a failed flush refuses the whole batch. *)
@@ -656,8 +647,8 @@ and serve t ~principal ~query ~enqueued_ns ~ctx ~explain pending =
    are bumped here (not at process time) so they count what clients were
    actually told. *)
 let flush_group t =
-  if Service.batch_active t.service || t.deferred <> [] then begin
-    let result = Service.batch_end t.service in
+  if Service.batch_active (service t) || t.deferred <> [] then begin
+    let result = Service.batch_end (service t) in
     let deferred = List.rev t.deferred in
     t.deferred <- [];
     if deferred <> [] then
@@ -711,7 +702,7 @@ let run_batch t batch =
       (fun msg ->
         match msg with
         | Query _ | Explain _ ->
-          if not (Service.batch_active t.service) then Service.batch_begin t.service;
+          if not (Service.batch_active (service t)) then Service.batch_begin (service t);
           process t msg
         | Barrier _ | Checkpoint _ | Reload _ ->
           flush_group t;

@@ -127,10 +127,15 @@ val register :
   principal:string ->
   partitions:(string * Disclosure.Sview.t list) list ->
   unit
-(** {!Disclosure.Service.register} on the shard's service, also recording
-    the partitions so a later {!reload} can decide which principals keep
-    their monitor state. The server registers through this, never through
-    {!service} directly. *)
+(** {!Disclosure.Service.register} on the shard's service — or, with a
+    tiered store, {!Store.register} straight into its fresh tier. The
+    server registers through this, never through {!service} directly. *)
+
+val mem : t -> string -> bool
+(** Is the principal registered on the live service? Safe from any domain
+    once the shard has started: a service's name table only changes at
+    registration, before {!start}, and {!reload} publishes a complete
+    staged service atomically. The server's admission check. *)
 
 val journal_position : t -> (int * int) option
 (** {!Disclosure.Service.journal_position} of the live service: the
@@ -157,9 +162,11 @@ val reload :
   principals:(string * (string * Disclosure.Sview.t list) list) list ->
   (unit, string) result
 (** Swap in a new policy configuration: stage a fresh service on the same
-    journal base, register [principals] against [pipeline] (a failure
-    aborts with the live service untouched), carry monitor state for
-    principals whose partition lists are unchanged, reset the label cache,
+    journal base, register [principals] against [pipeline] in list order
+    (a failure aborts with the live service untouched), carry monitor
+    state for principals whose partition lists are unchanged
+    ({!Disclosure.Service.carry_over}: linear in the population), reset
+    the label cache,
     and checkpoint the carried state so recovery never replays old-policy
     records through the new configuration. Must only be called while the
     shard is quiescent (before {!start} or after {!stop}); while running,

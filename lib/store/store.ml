@@ -8,27 +8,25 @@ type budget =
   | Principals of int
   | Bytes of int
 
-(* Where a principal's cumulative-disclosure state lives right now.
-   [Fresh] is the zero-I/O tier: a newly registered principal, or one whose
-   monitor was pristine (initial alive mask, zero counters) when evicted,
-   needs no spill record — it is rebuilt from the policy alone, and
-   [tier_reset] demotes every non-resident principal here because the
-   journal replay is about to recreate whatever the spill file held. *)
-type status =
-  | Resident
-  | Fresh
-  | Spilled of { off : int; len : int }
+(* Where a principal's cumulative-disclosure state lives right now, per
+   service id in [where]: a spilled record's offset in the spill file
+   (its length in [lens]), or one of the codes below. [fresh] is the
+   zero-I/O tier: a newly registered principal, or one whose monitor was
+   pristine (initial alive mask, zero counters) when evicted, needs no
+   spill record — it is rebuilt from the policy alone, and [tier_reset]
+   demotes every spilled principal here because the journal replay is
+   about to recreate whatever the spill file held. An [untracked] id is
+   not the store's: it stays resident for good. *)
+let untracked = -1
 
-type entry = {
-  principal : string;
-  policy : Policy.t;
-      (* the service's interned policy, shared by every principal with an
-         equal partition list — a cold principal costs one word here, and a
-         fault-in neither looks it up nor compiles it *)
-  mutable status : status;
-  mutable referenced : bool; (* clock bit: touched since the hand last passed *)
-  mutable in_ring : bool;
-}
+let resident_code = -2
+
+let fresh = -3
+
+(* Per-id flag bits in [flags]. *)
+let referenced = 1 (* clock bit: touched since the hand last passed *)
+
+let in_ring = 2
 
 type t = {
   service : Service.t;
@@ -38,15 +36,24 @@ type t = {
          resolved, which only happens while nothing is resident *)
   mutable spill : Journal.Writer.t;
   mutable reader : in_channel; (* the fault-in reader *)
-  index : (string, entry) Hashtbl.t;
-  ring : entry Queue.t; (* clock hand: pop front, second chance pushes back *)
+  (* Per-id arrays over the service's dense principal ids, grown by
+     doubling as the store tracks higher ids. *)
+  mutable where : int array;
+  mutable lens : int array;
+  mutable policies : Policy.t array;
+      (* the service's interned policy, shared by every principal with an
+         equal partition list — a cold principal costs one word here, and a
+         fault-in neither looks it up nor compiles it *)
+  mutable flags : Bytes.t;
+  ring : int Queue.t; (* clock hand over ids: pop front, second chance pushes back *)
+  mutable tracked : int;
   mutable resident : int;
   mutable spilled : int;
   mutable fault_ins : int;
   mutable spill_writes : int;
   mutable evictions : int;
-  mutable dead_records : int; (* spill records no entry points at anymore *)
-  mutable pinned : string option; (* mid-fault-in principal, exempt from eviction *)
+  mutable dead_records : int; (* spill records no id points at anymore *)
+  mutable pinned : int; (* mid-fault-in id, exempt from eviction; -1 = none *)
   mutable closed : bool;
 }
 
@@ -94,16 +101,17 @@ let spill_refresh_reader t =
    Any failure becomes a [Resource (Spill _)] refusal: the principal's
    history exists but cannot be trusted, and treating it as fresh would
    forget disclosures. *)
-let spill_check t e ~off record =
+let spill_check t id ~off record =
   let path = Journal.Writer.path t.spill in
+  let expected = Service.name t.service id in
   match Journal.parse record with
   | Error c -> spill_refuse "%s: corrupt spill record at %d: %s" path off c.Journal.corrupt_reason
   | Ok (_, Some torn) ->
     spill_refuse "%s: torn spill record at %d: %s" path off torn.Journal.torn_reason
   | Ok ([ { Journal.fields = "p" :: principal :: state_fields; _ } ], None) -> (
-    if not (String.equal principal e.principal) then
+    if not (String.equal principal expected) then
       spill_refuse "%s: spill record at %d names %S, expected %S" path off principal
-        e.principal;
+        expected;
     match Monitor.state_of_fields state_fields with
     | Some st -> st
     | None -> spill_refuse "%s: malformed spill state at %d" path off)
@@ -119,13 +127,13 @@ let spill_io t ~off ~len f =
       (Printexc.to_string ex)
 
 (* Fault-in: read one committed record back at its offset and verify it. *)
-let spill_read t e ~off ~len =
+let spill_read t id ~off ~len =
   try
     spill_io t ~off ~len (fun () ->
         Faults.trip Faults.Fault_in;
         seek_in t.reader off;
         really_input_string t.reader len)
-    |> spill_check t e ~off
+    |> spill_check t id ~off
   with Guard.Refuse _ as ex ->
     spill_refresh_reader t;
     raise ex
@@ -139,37 +147,73 @@ let spill_image t =
       In_channel.with_open_bin (Journal.Writer.path t.spill) (fun ic ->
           really_input_string ic len))
 
+(* --- per-id arrays ------------------------------------------------------ *)
+
+let tracked t id = id < Array.length t.where && t.where.(id) <> untracked
+
+let flag t id bit = Char.code (Bytes.get t.flags id) land bit <> 0
+
+let set_flag t id bit on =
+  let b = Char.code (Bytes.get t.flags id) in
+  Bytes.set t.flags id (Char.chr (if on then b lor bit else b land lnot bit))
+
+(* Start managing [id] with [policy] in state [code]: the arrays grow by
+   doubling to cover it, the new slots untracked. *)
+let manage t id policy code =
+  let cap = Array.length t.where in
+  if id >= cap then begin
+    let cap' = max (id + 1) (max 8 (2 * cap)) in
+    let grow a fill =
+      let a' = Array.make cap' fill in
+      Array.blit a 0 a' 0 cap;
+      a'
+    in
+    t.where <- grow t.where untracked;
+    t.lens <- grow t.lens 0;
+    t.policies <- grow t.policies policy;
+    let flags = Bytes.make cap' '\000' in
+    Bytes.blit t.flags 0 flags 0 cap;
+    t.flags <- flags
+  end;
+  t.where.(id) <- code;
+  t.policies.(id) <- policy;
+  t.tracked <- t.tracked + 1
+
 (* --- clock eviction ----------------------------------------------------- *)
 
-let ring_add t e =
-  if not e.in_ring then begin
-    e.in_ring <- true;
-    Queue.push e t.ring
+let ring_add t id =
+  if not (flag t id in_ring) then begin
+    set_flag t id in_ring true;
+    Queue.push id t.ring
   end
 
-(* Evict one entry: pristine monitors are dropped with zero I/O, dirty ones
-   get a spill record committed (no fsync: durability comes from the
+(* Evict one principal: pristine monitors are dropped with zero I/O, dirty
+   ones get a spill record committed (no fsync: durability comes from the
    journal, the spill only needs to be readable by this process) before the
-   monitor leaves the resident table. A failed write is rolled back and
-   aborts the eviction with the principal still resident and untouched. *)
-let evict t e =
-  match Service.resident_monitor t.service e.principal with
+   monitor leaves its slot. A failed write is rolled back and aborts the
+   eviction with the principal still resident and untouched. *)
+let evict t id =
+  match Service.resident_at t.service id with
   | None -> ()
   | Some m ->
     if Monitor.is_pristine m then begin
-      ignore (Service.detach t.service ~principal:e.principal);
-      e.status <- Fresh;
+      ignore (Service.detach t.service id);
+      t.where.(id) <- fresh;
       t.resident <- t.resident - 1;
       t.evictions <- t.evictions + 1
     end
     else begin
       Faults.trip Faults.Spill;
-      let s = Journal.encode ("p" :: e.principal :: Monitor.state_fields (Monitor.state m)) in
+      let s =
+        Journal.encode
+          ("p" :: Service.name t.service id :: Monitor.state_fields (Monitor.state m))
+      in
       let off = Journal.Writer.committed t.spill in
       Journal.Writer.write t.spill s;
       t.spill_writes <- t.spill_writes + 1;
-      e.status <- Spilled { off; len = String.length s };
-      ignore (Service.detach t.service ~principal:e.principal);
+      t.where.(id) <- off;
+      t.lens.(id) <- String.length s;
+      ignore (Service.detach t.service id);
       t.spilled <- t.spilled + 1;
       t.resident <- t.resident - 1;
       t.evictions <- t.evictions + 1
@@ -208,24 +252,24 @@ let enforce t =
     let scan_bound = ref (2 * Queue.length t.ring) in
     while t.resident > target && !scan_bound > 0 && not (Queue.is_empty t.ring) do
       decr scan_bound;
-      let e = Queue.pop t.ring in
-      if e.status <> Resident then e.in_ring <- false
-      else if Some e.principal = t.pinned || e.referenced then begin
-        e.referenced <- false;
-        Queue.push e t.ring
+      let id = Queue.pop t.ring in
+      if t.where.(id) <> resident_code then set_flag t id in_ring false
+      else if id = t.pinned || flag t id referenced then begin
+        set_flag t id referenced false;
+        Queue.push id t.ring
       end
       else begin
-        match evict t e with
+        match evict t id with
         | () ->
-          if e.status = Resident then (* eviction declined *) Queue.push e t.ring
-          else e.in_ring <- false
+          if t.where.(id) = resident_code then (* eviction declined *) Queue.push id t.ring
+          else set_flag t id in_ring false
         | exception ex ->
           (* A spill failure is not a refusal — the principal just stays
              resident, over budget, and the next pass retries. *)
-          Queue.push e t.ring;
+          Queue.push id t.ring;
           scan_bound := 0;
           Log.warn (fun f ->
-              f "eviction of %s failed (staying resident): %s" e.principal
+              f "eviction of %s failed (staying resident): %s" (Service.name t.service id)
                 (Printexc.to_string ex))
       end
     done
@@ -233,51 +277,42 @@ let enforce t =
 
 (* --- the tier hooks ----------------------------------------------------- *)
 
-let fault_in t e =
+let fault_in t id =
+  let w = t.where.(id) in
   let m =
-    match e.status with
-    | Resident -> (
-      match Service.resident_monitor t.service e.principal with
-      | Some m -> m
-      | None -> assert false)
-    | Fresh ->
-      let m = Monitor.create e.policy in
-      Service.adopt t.service ~principal:e.principal m;
-      e.status <- Resident;
-      e.referenced <- true;
+    if w = resident_code then Option.get (Service.resident_at t.service id)
+    else begin
+      let st = if w >= 0 then Some (spill_read t id ~off:w ~len:t.lens.(id)) else None in
+      let m = Monitor.create t.policies.(id) in
+      Option.iter
+        (fun st ->
+          try Monitor.restore m st
+          with Invalid_argument msg ->
+            spill_refuse "%s: spill state rejected for %s: %s" (Journal.Writer.path t.spill)
+              (Service.name t.service id) msg)
+        st;
+      Service.adopt t.service id m;
+      t.where.(id) <- resident_code;
+      set_flag t id referenced true;
       t.resident <- t.resident + 1;
+      if w >= 0 then begin
+        t.spilled <- t.spilled - 1;
+        t.dead_records <- t.dead_records + 1
+      end;
       t.fault_ins <- t.fault_ins + 1;
-      ring_add t e;
+      ring_add t id;
       m
-    | Spilled { off; len } ->
-      let st = spill_read t e ~off ~len in
-      let m = Monitor.create e.policy in
-      (try Monitor.restore m st
-       with Invalid_argument msg ->
-         spill_refuse "%s: spill state rejected for %s: %s" (Journal.Writer.path t.spill)
-           e.principal msg);
-      Service.adopt t.service ~principal:e.principal m;
-      e.status <- Resident;
-      e.referenced <- true;
-      t.resident <- t.resident + 1;
-      t.spilled <- t.spilled - 1;
-      t.dead_records <- t.dead_records + 1;
-      t.fault_ins <- t.fault_ins + 1;
-      ring_add t e;
-      m
+    end
   in
-  resolve_target t m ~principal:e.principal;
+  resolve_target t m ~principal:(Service.name t.service id);
   (* Make room for the newcomer right away (never evicting it), so the
      resident set is back under budget before the query proceeds. *)
   let prev = t.pinned in
-  t.pinned <- Some e.principal;
+  t.pinned <- id;
   Fun.protect ~finally:(fun () -> t.pinned <- prev) (fun () -> enforce t);
   m
 
-let tier_find t principal =
-  match Hashtbl.find_opt t.index principal with
-  | None -> None
-  | Some e -> Some (fault_in t e)
+let tier_find t id = if tracked t id then Some (fault_in t id) else None
 
 (* The cold view behind checkpoints and snapshots:
    state without residency side effects, so their bytes match
@@ -290,34 +325,30 @@ let tier_find t principal =
    still refuses. *)
 let tier_cold t () =
   let image = ref "" in
-  fun principal ->
-    match Hashtbl.find_opt t.index principal with
-    | None -> None
-    | Some e -> (
-      match e.status with
-      | Resident -> None
-      | Fresh -> Some (Service.Pristine (Policy.num_partitions e.policy))
-      | Spilled { off; len } ->
-        if off + len > String.length !image then image := spill_image t;
-        let record = String.sub !image off len in
-        let state = spill_check t e ~off record in
-        Some (Service.Spilled { record; state }))
+  fun id ->
+    if not (tracked t id) then None
+    else
+      let w = t.where.(id) in
+      if w = resident_code then None
+      else if w = fresh then Some (Service.Pristine t.policies.(id))
+      else begin
+        let len = t.lens.(id) in
+        if w + len > String.length !image then image := spill_image t;
+        let record = String.sub !image w len in
+        let state = spill_check t id ~off:w record in
+        Some (Service.Spilled { policy = t.policies.(id); record; state })
+      end
 
-let tier_touch t principal =
-  match Hashtbl.find_opt t.index principal with
-  | None -> ()
-  | Some e -> e.referenced <- true
+let tier_touch t id = if id < Bytes.length t.flags then set_flag t id referenced true
 
 let tier_reset t =
-  Hashtbl.iter
-    (fun _ e ->
-      match e.status with
-      | Resident -> ()
-      | Fresh -> ()
-      | Spilled _ ->
+  Array.iteri
+    (fun id w ->
+      if w >= 0 then begin
         t.spilled <- t.spilled - 1;
-        e.status <- Fresh)
-    t.index;
+        t.where.(id) <- fresh
+      end)
+    t.where;
   let path = Journal.Writer.path t.spill in
   Journal.Writer.close t.spill;
   t.spill <- spill_open path;
@@ -339,15 +370,19 @@ let create ~budget ~spill service =
       target = (match budget with Principals n -> max 1 n | Bytes _ -> 0);
       spill = writer;
       reader = open_in_bin spill;
-      index = Hashtbl.create 1024;
+      where = [||];
+      lens = [||];
+      policies = [||];
+      flags = Bytes.empty;
       ring = Queue.create ();
+      tracked = 0;
       resident = 0;
       spilled = 0;
       fault_ins = 0;
       spill_writes = 0;
       evictions = 0;
       dead_records = 0;
-      pinned = None;
+      pinned = -1;
       closed = false;
     }
   in
@@ -361,29 +396,29 @@ let create ~budget ~spill service =
   t
 
 let track t ~principal =
-  if Hashtbl.mem t.index principal then
-    invalid_arg (Printf.sprintf "Store.track: %s is already tracked" principal);
+  let id =
+    match Service.find t.service principal with
+    | Some id -> id
+    | None -> raise (Service.Unknown_principal principal)
+  in
+  if tracked t id then invalid_arg (Printf.sprintf "Store.track: %s is already tracked" principal);
   let m =
-    match Service.resident_monitor t.service principal with
+    match Service.resident_at t.service id with
     | Some m -> m
     | None -> raise (Service.Unknown_principal principal)
   in
-  let e =
-    { principal; policy = Monitor.policy m; status = Resident; referenced = true; in_ring = false }
-  in
-  Hashtbl.add t.index principal e;
+  manage t id (Monitor.policy m) resident_code;
+  set_flag t id referenced true;
   t.resident <- t.resident + 1;
   resolve_target t m ~principal;
-  ring_add t e
+  ring_add t id
 
 (* Straight into the fresh tier: no monitor, no clock entry, no eviction.
    The first query faults the principal in at zero I/O. *)
 let register t ~principal ~partitions =
-  if Hashtbl.mem t.index principal then raise (Service.Duplicate_principal principal);
+  if Service.mem t.service principal then raise (Service.Duplicate_principal principal);
   let policy = Service.policy t.service partitions in
-  Service.enroll t.service ~principal;
-  Hashtbl.add t.index principal
-    { principal; policy; status = Fresh; referenced = false; in_ring = false }
+  manage t (Service.enroll t.service ~principal) policy fresh
 
 let service t = t.service
 
@@ -397,7 +432,7 @@ let stats t =
   {
     stat_resident = t.resident;
     stat_spilled = t.spilled;
-    stat_fresh = Hashtbl.length t.index - t.resident - t.spilled;
+    stat_fresh = t.tracked - t.resident - t.spilled;
     stat_fault_ins = t.fault_ins;
     stat_spill_writes = t.spill_writes;
     stat_evictions = t.evictions;
@@ -426,31 +461,30 @@ let sum =
       stat_spill_bytes = 0;
     }
 
-(* Rewrite the spill file with only the records entries still point at.
-   Offsets move, so every surviving entry is repointed; a failure leaves the
-   old file (and old offsets) fully intact. Called by the shard after a
+(* Rewrite the spill file with only the records ids still point at, in id
+   order. Offsets move, so every surviving id is repointed; a failure leaves
+   the old file (and old offsets) fully intact. Called by the shard after a
    successful checkpoint; cheap no-op until enough records have died. *)
 let compact ?(force = false) t =
   if force || (t.dead_records > 64 && t.dead_records > t.spilled) then begin
     match
       Journal.Writer.replace t.spill (fun oc ->
           output_string oc spill_header;
-          let pos = ref (String.length spill_header) in
-          Hashtbl.fold
-            (fun _ e acc ->
-              match e.status with
-              | Spilled { off; len } ->
+          let pos = ref (String.length spill_header) and moves = ref [] in
+          Array.iteri
+            (fun id off ->
+              if off >= 0 then begin
                 seek_in t.reader off;
-                output_string oc (really_input_string t.reader len);
-                let noff = !pos in
-                pos := !pos + len;
-                (e, noff, len) :: acc
-              | Resident | Fresh -> acc)
-            t.index [])
+                output_string oc (really_input_string t.reader t.lens.(id));
+                moves := (id, !pos) :: !moves;
+                pos := !pos + t.lens.(id)
+              end)
+            t.where;
+          !moves)
     with
     | moves ->
       spill_refresh_reader t;
-      List.iter (fun (e, off, len) -> e.status <- Spilled { off; len }) moves;
+      List.iter (fun (id, off) -> t.where.(id) <- off) moves;
       t.dead_records <- 0
     | exception ex ->
       Log.warn (fun f -> f "spill compaction failed (keeping old file): %s" (Printexc.to_string ex))

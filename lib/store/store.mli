@@ -26,6 +26,12 @@
     [Resource (Spill _)] rather than silently treating the principal as
     fresh — forgetting disclosure history would leak.
 
+    The store keys everything by the service's dense principal ids
+    ({!Disclosure.Service.find}): where each tracked principal's state
+    lives, its spill record's length, its shared policy and its clock bits
+    are id-indexed arrays that grow by doubling, and its tier hooks take
+    ids. It keeps no string-keyed table of its own.
+
     The spill file is process-private scratch, not a durability artifact:
     it is reset at creation and on every {!Disclosure.Service.recover}
     (journal replay is the authority on history), committed record by
@@ -68,8 +74,9 @@ val register :
     service's shared compiled one ({!Disclosure.Service.policy}), it joins
     the registration order ({!Disclosure.Service.enroll}), and it gets no
     monitor, no clock entry and causes no eviction. Its first query faults
-    it in at zero I/O. Registering a million principals thus costs a table
-    entry each and never touches the resident set.
+    it in at zero I/O. Registering a million principals thus costs the
+    service's name entry and a few array slots each, and never touches the
+    resident set.
     @raise Disclosure.Service.Duplicate_principal if already registered.
     @raise Invalid_argument as {!Disclosure.Service.register} does. *)
 

@@ -129,5 +129,39 @@ let label_roundtrip =
       | Ok l' -> l = l'
       | Error _ -> false)
 
+(* Arbitrary atom labels, not only the ones a pipeline produces: relation
+   ids and masks from zero through the widest values [make_atom] accepts,
+   so every hex width is exercised. *)
+let gen_label =
+  let open QCheck.Gen in
+  let field max = oneof [ int_range 0 17; int_range 0 max; return max ] in
+  let atom =
+    map2
+      (fun rel_id mask -> Disclosure.Label.make_atom ~rel_id ~mask)
+      (field (1 lsl 31))
+      (field ((1 lsl Disclosure.Label.mask_bits) - 1))
+  in
+  map Array.of_list (list_size (int_range 0 6) atom)
+
+let label_encode_is_printf =
+  prop "label encode = the Printf formulation, and decodes back"
+    (QCheck.make ~print:Disclosure.Label.encode gen_label)
+    (fun l ->
+      let printf =
+        Array.to_list l
+        |> List.map (fun al ->
+               Printf.sprintf "%x:%x" (Disclosure.Label.rel al) (Disclosure.Label.mask al))
+        |> String.concat ";"
+      in
+      let encoded = Disclosure.Label.encode l in
+      String.equal encoded printf && Disclosure.Label.decode encoded = Ok l)
+
 let suite =
-  [ value_roundtrip; query_roundtrip; fql_roundtrip; graph_roundtrip; label_roundtrip ]
+  [
+    value_roundtrip;
+    query_roundtrip;
+    fql_roundtrip;
+    graph_roundtrip;
+    label_roundtrip;
+    label_encode_is_printf;
+  ]

@@ -561,6 +561,139 @@ let test_ivar () =
   check_bool "second fill refused" false (Server.Ivar.try_fill iv 43);
   check_bool "prefilled" true (Server.Ivar.read (Server.Ivar.create_filled 7) = 7)
 
+(* --- scale: one dense principal table per shard ---------------------- *)
+
+(* [n] principals cycling over the deployment's partition lists, as a
+   policy file and resolved. The resolved lists are shared per template,
+   so a measurement taken after this holds only what registration adds. *)
+let population n =
+  let templates = Array.of_list policy.Policyfile.principals in
+  let pf =
+    {
+      policy with
+      Policyfile.principals =
+        List.init n (fun i ->
+            (Printf.sprintf "app-%06d" i, snd templates.(i mod Array.length templates)));
+    }
+  in
+  let shared = Array.map (fun (name, _) -> partitions name) templates in
+  (pf, Array.init n (fun i -> (Printf.sprintf "app-%06d" i, shared.(i mod Array.length shared))))
+
+(* A running two-shard server over [n] principals, each charged with one
+   decision (answered or a policy refusal), so every monitor holds a state
+   that is not its initial one. *)
+let charged_server n =
+  let pf, pop = population n in
+  let server = Server.create ~config:(config ()) (pipeline ()) in
+  Array.iter (fun (principal, partitions) -> Server.register server ~principal ~partitions) pop;
+  Server.start server;
+  Array.iteri
+    (fun i (principal, _) ->
+      ignore (Server.submit_sync server ~principal (if i mod 2 = 0 then q_slots else q_meetings)))
+    pop;
+  Server.drain server;
+  (server, pf, pop)
+
+let timed f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
+
+let popcount m =
+  let rec go m n = if m = 0 then n else go (m land (m - 1)) (n + 1) in
+  go m 0
+
+(* Reloading an unchanged configuration carries every principal's state,
+   in time linear in the population: the carry-over used to scan the old
+   registration list and snapshot once per principal while the shard's
+   claim was held (42.8 s at 40k principals on a 2-vCPU host). *)
+let test_reload_linear () =
+  let server, pf, pop = charged_server 40_000 in
+  Fun.protect ~finally:(fun () -> Server.stop server) (fun () ->
+      let state principal =
+        (Server.stats server ~principal, Server.alive server ~principal)
+      in
+      let before = Array.map (fun (principal, _) -> state principal) pop in
+      let result, seconds = timed (fun () -> Server.reload server pf) in
+      (match result with Ok () -> () | Error e -> Alcotest.failf "reload: %s" e);
+      Server.drain server;
+      Array.iteri
+        (fun i (principal, _) ->
+          let (answered, refused), _ = before.(i) in
+          if answered + refused <> 1 then Alcotest.failf "%s was not charged" principal;
+          if state principal <> before.(i) then
+            Alcotest.failf "%s lost its state across the reload" principal)
+        pop;
+      if seconds > 5.0 then
+        Alcotest.failf "reload of %d principals took %.2f s (bound 5 s)" (Array.length pop)
+          seconds)
+
+(* [Server.snapshot] builds one snapshot per shard and merges it into
+   registration order; it used to rebuild a shard's whole snapshot per
+   principal (about 175 s at 20k principals). *)
+let test_snapshot_linear () =
+  let server, _, pop = charged_server 20_000 in
+  Fun.protect ~finally:(fun () -> Server.stop server) (fun () ->
+      let snap, seconds = timed (fun () -> Server.snapshot server) in
+      check_bool "registration order" true
+        (List.map fst snap = Array.to_list (Array.map fst pop)
+        && List.map fst snap = Server.principals server);
+      List.iter
+        (fun (principal, (st : Monitor.state)) ->
+          if
+            Server.stats server ~principal <> (st.Monitor.answered_count, st.Monitor.refused_count)
+            || List.length (Server.alive server ~principal) <> popcount st.Monitor.alive_mask
+          then Alcotest.failf "%s: snapshot disagrees with stats/alive" principal)
+        snap;
+      if seconds > 5.0 then
+        Alcotest.failf "snapshot of %d principals took %.2f s (bound 5 s)" (Array.length pop)
+          seconds)
+
+(* Live heap words one registration adds through [Server.register]: one
+   table entry, a name slot and a monitor slot per principal, and a
+   monitor unless a tiered store keeps it cold. The four per-principal
+   lists and tables this replaced cost 27.3 words. *)
+let words_per_principal ?resident n =
+  let _, pop = population n in
+  with_tmp_base (fun base ->
+      let server = Server.create ~journal:base ~config:(config ?resident ()) (pipeline ()) in
+      Gc.full_major ();
+      let w0 = (Gc.stat ()).Gc.live_words in
+      Array.iter (fun (principal, partitions) -> Server.register server ~principal ~partitions) pop;
+      Gc.full_major ();
+      let w1 = (Gc.stat ()).Gc.live_words in
+      Server.stop server;
+      float_of_int (w1 - w0) /. float_of_int n)
+
+let test_words_per_principal () =
+  List.iter
+    (fun (what, resident) ->
+      let words = words_per_principal ?resident 20_000 in
+      if words > 14.0 then
+        Alcotest.failf "%s: %.1f live words per registered principal (bound 14)" what words)
+    [ ("always resident", None); ("tiered", Some (Store.Principals 64)) ]
+
+(* The global order records the shard of each registration: one byte each
+   up to 256 shards, four beyond; both widths give back registration
+   order, for [principals] and [snapshot] alike. *)
+let test_registration_order_widths () =
+  List.iter
+    (fun domains ->
+      let _, pop = population 600 in
+      let server = Server.create ~config:(config ~domains ()) (pipeline ()) in
+      Array.iter (fun (principal, partitions) -> Server.register server ~principal ~partitions) pop;
+      let expected = Array.to_list (Array.map fst pop) in
+      check_bool
+        (Printf.sprintf "principals in order over %d shards" domains)
+        true
+        (Server.principals server = expected);
+      check_bool
+        (Printf.sprintf "snapshot in order over %d shards" domains)
+        true
+        (List.map fst (Server.snapshot server) = expected);
+      Server.stop server)
+    [ 3; 300 ]
+
 let () =
   Alcotest.run "disclosure-server"
     [
@@ -620,6 +753,17 @@ let () =
           Alcotest.test_case "stop before start resolves tickets" `Quick
             test_stop_before_start_resolves_tickets;
           Alcotest.test_case "metrics accounting" `Quick test_metrics_accounting;
+        ] );
+      ( "scale",
+        [
+          Alcotest.test_case "reload of 40k unchanged principals is linear" `Quick
+            test_reload_linear;
+          Alcotest.test_case "snapshot of 20k principals is linear" `Quick
+            test_snapshot_linear;
+          Alcotest.test_case "at most 14 live words per registered principal" `Quick
+            test_words_per_principal;
+          Alcotest.test_case "registration order over narrow and wide shard counts" `Quick
+            test_registration_order_widths;
         ] );
       ( "components",
         [

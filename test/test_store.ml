@@ -470,8 +470,9 @@ let test_bytes_estimate_excludes_policy () =
    of its own from [Policy.make]. *)
 let register_reference service ~principal ~partitions =
   Service.register service ~principal ~partitions;
-  ignore (Service.detach service ~principal);
-  Service.adopt service ~principal
+  let id = Option.get (Service.find service principal) in
+  ignore (Service.detach service id);
+  Service.adopt service id
     (Monitor.create (Policy.make (Pipeline.registry (Service.pipeline service)) partitions))
 
 (* Six principals over the deployment's partition lists, each rebuilt. *)
