@@ -1479,10 +1479,7 @@ let run_replicate () =
         | Ok f -> f
         | Error e -> failwith ("bench replicate: follower: " ^ e)
       in
-      let connect () =
-        Net.Client.connect_retry ~attempts:4 ~delay:0.005 ~max_delay:0.02 addr
-      in
-      Replicate.Follower.run fol ~connect ~interval:0.001;
+      Replicate.Follower.run fol ~primary:addr ~interval:0.001;
       (* Steady state: sample the replication-lag watermark while serving. *)
       let samples = ref [] in
       let (), serve_wall =

@@ -63,29 +63,32 @@ let run_ledger config_file journal =
     (fun base ->
       let service = Cli.or_fail (Disclosure.Policyfile.load config) in
       let registry = Disclosure.Pipeline.registry (Service.pipeline service) in
+      (* Recovery calls this only for a record it applied, so the word
+         decodes. *)
       let on_record ~principal ~label ~decision =
         let e = entry principal in
-        if decision = "answered" then begin
-          e.answered <- e.answered + 1;
-          if label <> "-" then
-            match Disclosure.Label.decode label with
-            | Error _ -> ()
-            | Ok l ->
-              List.iter
-                (fun n -> Hashtbl.replace e.views n ())
-                (List.concat_map snd (Disclosure.Explain.witnesses registry l))
-        end
-        else if decision = "reset" then begin
+        if decision = "reset" then begin
           e.resets <- e.resets + 1;
           (* A reset starts a fresh policy epoch: the monitor forgets, so
              the epoch-cumulative view set restarts too. *)
           Hashtbl.reset e.views
         end
-        else if String.starts_with ~prefix:"refused:" decision then begin
-          let tag = String.sub decision 8 (String.length decision - 8) in
-          Hashtbl.replace e.tags tag
-            (1 + Option.value ~default:0 (Hashtbl.find_opt e.tags tag))
-        end
+        else
+          match Disclosure.Monitor.decision_of_word decision with
+          | Ok Disclosure.Monitor.Answered -> (
+            e.answered <- e.answered + 1;
+            if label <> "-" then
+              match Disclosure.Label.decode label with
+              | Error _ -> ()
+              | Ok l ->
+                List.iter
+                  (fun n -> Hashtbl.replace e.views n ())
+                  (List.concat_map snd (Disclosure.Explain.witnesses registry l)))
+          | Ok (Disclosure.Monitor.Refused reason) ->
+            let tag = Disclosure.Guard.refusal_to_tag reason in
+            Hashtbl.replace e.tags tag
+              (1 + Option.value ~default:0 (Hashtbl.find_opt e.tags tag))
+          | Error _ -> ()
       in
       (match Service.recover ~on_record service ~journal:base with
       | Error err ->

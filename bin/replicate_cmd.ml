@@ -26,9 +26,9 @@ let run () connect config_file journal shards poll_interval once follower_id =
   if once then
     Net.Client.with_connection connect (fun c -> ignore (Follower.poll_once fol c))
   else begin
-    let stop_following = Cli.follow fol ~primary:connect ~interval:poll_interval in
+    Follower.run fol ~primary:connect ~interval:poll_interval;
     Cli.until_signal (fun () -> Follower.last_error fol <> None);
-    stop_following ()
+    Follower.stop fol
   end;
   Format.printf "%s@." (Follower.stats_json fol);
   match Follower.last_error fol with

@@ -88,13 +88,13 @@ let standby ~config ~config_file ~limits ~journal ~sconfig ~stats ~listen ~lconf
        Printf.sprintf "; auto-failover after %.1fs unreachable" f.failover_after
      else "");
   Format.print_flush ();
-  let stop_following = Cli.follow fol ~primary:f.primary ~interval:f.poll_interval in
+  Follower.run fol ~primary:f.primary ~interval:f.poll_interval;
   let failover = ref false in
   Cli.until_signal (fun () ->
       failover :=
         f.failover_after > 0.0 && Follower.since_last_pull fol >= f.failover_after;
       !failover || Follower.last_error fol <> None);
-  stop_following ();
+  Follower.stop fol;
   (match Follower.last_error fol with
   | Some e -> failwith ("replication diverged (fail closed): " ^ e)
   | None -> ());

@@ -89,7 +89,7 @@ let refused ~principal ~stage ?label ?(mask_before = 0) ?fuel_spent ?(elapsed_ns
     reason =
   {
     principal;
-    decision = "refused:" ^ Guard.refusal_to_tag reason;
+    decision = Monitor.decision_word (Monitor.Refused reason);
     label = (match label with Some l -> Label.encode l | None -> "-");
     label_width = (match label with Some l -> Array.length l | None -> -1);
     atoms = [];

@@ -190,43 +190,6 @@ let parse content =
 
 let read_file path = parse (In_channel.with_open_bin path In_channel.input_all)
 
-(* The full header shape: magic, 8 hex CRC digits, a space, at least one
-   length digit, a space. The magic alone is not enough — a legacy line's
-   principal may legally begin with "J2 " (legacy only refuses separator
-   bytes), and misrouting it to the v2 parser would fail a replayable
-   journal closed as corrupt. *)
-let has_v2_header s =
-  let n = String.length s in
-  n >= 12
-  && String.sub s 0 3 = magic
-  && (let hex_ok = ref true in
-      for i = 3 to 10 do
-        if not (is_hex s.[i]) then hex_ok := false
-      done;
-      !hex_ok)
-  && s.[11] = ' '
-  &&
-  let j = ref 12 in
-  while !j < n && is_digit s.[!j] do incr j done;
-  !j > 12 && !j < n && s.[!j] = ' '
-
-let is_v2_file path =
-  match open_in_bin path with
-  | exception Sys_error _ -> false
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        (* A whole header fits well inside 64 bytes: 3 magic + 8 CRC + 1 +
-           at most 19 length digits + 1. A first record torn inside the
-           header is routed to the legacy parser, which reaches the same
-           verdict (torn final line, or fail closed mid-file). *)
-        let chunk = really_input_string ic (min 64 (in_channel_length ic)) in
-        has_v2_header
-          (match String.index_opt chunk '\n' with
-          | Some nl -> String.sub chunk 0 nl
-          | None -> chunk))
-
 (* --- the journal family on disk ----------------------------------------- *)
 
 let tmp_path path = path ^ ".tmp"
@@ -329,8 +292,6 @@ let remove_family base =
 let truncate_file path size =
   let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
   Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> Unix.ftruncate fd size)
-
-let seal_active base = Sys.rename base (segment_path base (next_segment base))
 
 (* --- the append-only writer --------------------------------------------- *)
 

@@ -76,15 +76,6 @@ val parse : string -> (record list * torn option, corrupt) result
 val read_file : string -> (record list * torn option, corrupt) result
 (** {!parse} of the file's contents. @raise Sys_error as [open_in] does. *)
 
-val is_v2_file : string -> bool
-(** Does the file's first line carry a complete, well-formed v2 header
-    (magic, 8 hex CRC digits, space, decimal length, space)? The magic
-    alone would misroute a legacy journal whose first principal begins with
-    ["J2 "]. [false] also on an empty or unreadable file, or a first record
-    torn inside its header — the legacy parser reaches the same verdict for
-    those (torn final line, or fail closed mid-file). Used to route legacy
-    TSV journals to the old parser. *)
-
 (** {1 The journal family on disk}
 
     A journal [base] owns a family of files: the active segment [base], the
@@ -136,9 +127,6 @@ val remove_family : string -> unit
 
 val truncate_file : string -> int -> unit
 (** Cut a file that no {!Writer} holds to [size] bytes. *)
-
-val seal_active : string -> unit
-(** Seal [base] as [base.<next_segment base>] when no {!Writer} holds it. *)
 
 (** {1 The append-only writer}
 

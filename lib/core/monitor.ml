@@ -131,6 +131,25 @@ let decision_equal a b =
   | Refused r, Refused r' -> Guard.refusal_equal r r'
   | (Answered | Refused _), _ -> false
 
+(* The journal's decision word. Traces, explanations and the audit ledger
+   spell a decision the same way, so this pair is the only place that
+   knows it. *)
+let refused_prefix = "refused:"
+
+let decision_word = function
+  | Answered -> "answered"
+  | Refused reason -> refused_prefix ^ Guard.refusal_to_tag reason
+
+let decision_of_word word =
+  if word = "answered" then Ok Answered
+  else if String.starts_with ~prefix:refused_prefix word then
+    let n = String.length refused_prefix in
+    let tag = String.sub word n (String.length word - n) in
+    match Guard.refusal_of_tag tag with
+    | Some reason -> Ok (Refused reason)
+    | None -> Error (Printf.sprintf "unknown refusal tag %S" tag)
+  else Error (Printf.sprintf "unknown decision %S" word)
+
 let pp_decision ppf = function
   | Answered -> Format.pp_print_string ppf "answered"
   | Refused Guard.Policy -> Format.pp_print_string ppf "refused"

@@ -111,4 +111,14 @@ val is_refused : decision -> bool
 
 val decision_equal : decision -> decision -> bool
 
+val decision_word : decision -> string
+(** The decision column of a journal record, also a trace span's
+    [outcome]: ["answered"] or ["refused:<tag>"] ({!Guard.refusal_to_tag}).
+    ["answered"] is a constant; a refusal allocates its word. *)
+
+val decision_of_word : string -> (decision, string) result
+(** Inverse of {!decision_word} up to the refusal's payload, which the word
+    does not carry ({!Guard.refusal_of_tag}). [Error] names an unknown
+    decision or refusal tag. *)
+
 val pp_decision : Format.formatter -> decision -> unit

@@ -366,12 +366,12 @@ let iter_states t f =
    [Label.encode]'s hex form ("-" when the decision was reached before a
    label existed) and the decision is "answered", "refused:<tag>", or
    "reset". The v2 format (Journal) frames, escapes, and checksums each
-   record; pre-v2 journals (raw TAB-separated lines) still replay but are
-   never written. The segment's {!Journal.Writer} takes each record:
-   "append; commit" per decision, or just "append" inside a group-commit
-   batch, whose one covering commit is [batch_end]'s. The [Journal] fault
-   stage trips before anything is written, the writer's [Journal_flush]
-   stage after the record is buffered but before it is durable. *)
+   record; it is the only format recovery reads. The segment's
+   {!Journal.Writer} takes each record: "append; commit" per decision, or
+   just "append" inside a group-commit batch, whose one covering commit is
+   [batch_end]'s. The [Journal] fault stage trips before anything is
+   written, the writer's [Journal_flush] stage after the record is
+   buffered but before it is durable. *)
 
 let live_journal t =
   match t.journal with Some w when Journal.Writer.is_open w -> Some w | _ -> None
@@ -443,8 +443,6 @@ let journal_append t ~principal ~label ~decision =
   | () -> Ok ()
   | exception Guard.Refuse reason -> Error reason
   | exception e -> Error (Guard.Fault ("journal append: " ^ Printexc.to_string e))
-
-let refused_line reason = "refused:" ^ Guard.refusal_to_tag reason
 
 (* --- group commit ------------------------------------------------------ *)
 
@@ -644,27 +642,30 @@ let decide_and_commit t ~principal ~id m label =
             Monitor.evaluate m label))
   with
   | Error reason ->
-    ignore (journal_append t ~principal ~label:encoded ~decision:(refused_line reason));
+    let refused = Monitor.Refused reason in
+    ignore (journal_append t ~principal ~label:encoded ~decision:(Monitor.decision_word refused));
     capture_refusal t ~principal ~stage:"decide" ~label ~monitor:m reason;
-    Monitor.Refused reason
+    refused
   | Ok None -> (
-    match journal_append t ~principal ~label:encoded ~decision:(refused_line Guard.Policy) with
+    let decision = Monitor.decision_word (Monitor.Refused Guard.Policy) in
+    match journal_append t ~principal ~label:encoded ~decision with
     | Ok () ->
       batch_save t id m;
       Monitor.commit_refusal m;
       capture_commit t ~principal ~m ~label ~encoded ~mask_before ~mask_after:mask_before
-        ~decision:(refused_line Guard.Policy);
+        ~decision;
       Monitor.Refused Guard.Policy
     | Error reason ->
       capture_refusal t ~principal ~stage:"journal" ~label ~monitor:m reason;
       Monitor.Refused reason)
   | Ok (Some surviving) -> (
-    match journal_append t ~principal ~label:encoded ~decision:"answered" with
+    let decision = Monitor.decision_word Monitor.Answered in
+    match journal_append t ~principal ~label:encoded ~decision with
     | Ok () ->
       batch_save t id m;
       Monitor.commit_answer m ~surviving;
       capture_commit t ~principal ~m ~label ~encoded ~mask_before ~mask_after:surviving
-        ~decision:"answered";
+        ~decision;
       Monitor.Answered
     | Error reason ->
       capture_refusal t ~principal ~stage:"journal" ~label ~monitor:m reason;
@@ -674,9 +675,10 @@ let decide_and_commit t ~principal ~id m label =
    pre-decision failure: journaled as a typed refusal (no monitor exists to
    commit anything on), every resident monitor bit-identical. *)
 let fault_in_refused t ~principal reason =
-  ignore (journal_append t ~principal ~label:"-" ~decision:(refused_line reason));
+  let refused = Monitor.Refused reason in
+  ignore (journal_append t ~principal ~label:"-" ~decision:(Monitor.decision_word refused));
   capture_refusal t ~principal ~stage:"fault-in" reason;
-  Monitor.Refused reason
+  refused
 
 let submit_label t ~principal label =
   let id = id_exn t principal in
@@ -697,11 +699,12 @@ let submit_label t ~principal label =
               | Error r -> raise (Guard.Refuse r)))
     with
     | Error reason ->
+      let refused = Monitor.Refused reason in
       ignore
         (journal_append t ~principal ~label:(Label.encode label)
-           ~decision:(refused_line reason));
+           ~decision:(Monitor.decision_word refused));
       capture_refusal t ~principal ~stage:"admit" ~label ~monitor:m reason;
-      Monitor.Refused reason
+      refused
     | Ok () -> decide_and_commit t ~principal ~id m label
   in
   Log.debug (fun f ->
@@ -722,8 +725,9 @@ let refuse t ~principal ?label reason =
     let stage = match reason with Guard.Overload -> "overload" | _ -> "label" in
     capture_refusal t ~principal ~stage ?label ~monitor:m reason;
     let label = match label with Some l -> Label.encode l | None -> "-" in
-    ignore (journal_append t ~principal ~label ~decision:(refused_line reason));
-    Monitor.Refused reason
+    let refused = Monitor.Refused reason in
+    ignore (journal_append t ~principal ~label ~decision:(Monitor.decision_word refused));
+    refused
 
 let submit t ~principal q =
   let id = id_exn t principal in
@@ -733,9 +737,10 @@ let submit t ~principal q =
   let decision =
     match label_query t q with
     | Error reason ->
-      ignore (journal_append t ~principal ~label:"-" ~decision:(refused_line reason));
+      let refused = Monitor.Refused reason in
+      ignore (journal_append t ~principal ~label:"-" ~decision:(Monitor.decision_word refused));
       capture_refusal t ~principal ~stage:"label" ~monitor:m reason;
-      Monitor.Refused reason
+      refused
     | Ok label -> decide_and_commit t ~principal ~id m label
   in
   Log.info (fun f -> f "%s: %a -> %a" principal Cq.Query.pp q Monitor.pp_decision decision);
@@ -835,10 +840,6 @@ type recovery = {
   torn_tail : bool;
 }
 
-(* Re-apply one journaled decision. [Error (kind, msg)] is always fatal for
-   a complete record: a CRC-valid v2 record (or a complete legacy line) with
-   an unknown principal, an undecodable label, or a replay disagreement is
-   damage truncation cannot explain. *)
 (* Tier-aware lookup for the replay paths: a spilled principal is faulted in
    (replay commits to the live monitor), and a fault-in failure is surfaced
    as a fatal replay error — recovery must fail closed, not skip records. *)
@@ -855,6 +856,10 @@ let resident_or_fault t principal =
       | None -> None
       | Some tier -> tier.tier_find id))
 
+(* Re-apply one journaled decision. [Error (kind, msg)] is always fatal for
+   a complete record: a CRC-valid v2 record with an unknown principal, an
+   undecodable label, or a replay disagreement is damage truncation cannot
+   explain. *)
 let apply_decision t ~principal ~label_s ~decision =
   match resident_or_fault t principal with
   | exception Guard.Refuse reason ->
@@ -867,31 +872,27 @@ let apply_decision t ~principal ~label_s ~decision =
     | "reset" ->
       Monitor.reset m;
       Ok ()
-    | "answered" -> (
-      match Label.decode (if label_s = "-" then "" else label_s) with
-      | Error e -> Error (`Replay, e)
-      | Ok label -> (
-        match Monitor.evaluate m label with
-        | Some surviving ->
-          Monitor.commit_answer m ~surviving;
-          Ok ()
-        | None ->
-          Error
-            ( `Replay,
-              "journaled answer is refused on replay — journal and policy configuration \
-               disagree" )))
-    | _ -> (
-      match String.length decision >= 8 && String.sub decision 0 8 = "refused:" with
-      | false -> Error (`Replay, Printf.sprintf "unknown decision %S" decision)
-      | true -> (
-        let tag = String.sub decision 8 (String.length decision - 8) in
-        match Guard.refusal_of_tag tag with
-        | None -> Error (`Replay, Printf.sprintf "unknown refusal tag %S" tag)
-        | Some Guard.Policy ->
-          (* Only policy refusals touched the live monitor. *)
-          Monitor.commit_refusal m;
-          Ok ()
-        | Some _ -> Ok ())))
+    | word -> (
+      match Monitor.decision_of_word word with
+      | Error msg -> Error (`Replay, msg)
+      | Ok (Monitor.Refused Guard.Policy) ->
+        (* Only policy refusals touched the live monitor. *)
+        Monitor.commit_refusal m;
+        Ok ()
+      | Ok (Monitor.Refused _) -> Ok ()
+      | Ok Monitor.Answered -> (
+        match Label.decode (if label_s = "-" then "" else label_s) with
+        | Error e -> Error (`Replay, e)
+        | Ok label -> (
+          match Monitor.evaluate m label with
+          | Some surviving ->
+            Monitor.commit_answer m ~surviving;
+            Ok ()
+          | None ->
+            Error
+              ( `Replay,
+                "journaled answer is refused on replay — journal and policy \
+                 configuration disagree" )))))
 
 (* The unit step of recovery's replay and of a replication follower's
    apply: one decision record, checked for shape, then applied. *)
@@ -909,11 +910,13 @@ let apply_record ?(on_record = fun ~principal:_ ~label:_ ~decision:_ -> ()) t fi
 (* Journals nothing: the follower mirrors the primary's bytes verbatim. *)
 let apply_journal_record t fields = Result.map_error snd (apply_record t fields)
 
-(* Replay one v2 segment. The framing layer (Journal) has already separated
-   torn-tail damage from corruption; a torn tail is tolerated only in the
-   final file of the replay sequence — an interior segment was sealed by
-   rotation and cannot legitimately end mid-record. *)
-let replay_v2 t ~file ~tolerate_torn ~on_record =
+(* Replay one segment. The framing layer (Journal) has already separated
+   torn-tail damage from corruption — a complete line that is not a v2
+   record, such as a pre-v2 TSV line, is corruption at its offset; a torn
+   tail is tolerated only in the final file of the replay sequence — an
+   interior segment was sealed by rotation and cannot legitimately end
+   mid-record. *)
+let replay_file t ~file ~tolerate_torn ~on_record =
   match Journal.read_file file with
   | exception Sys_error msg -> Error { file; offset = 0; kind = `Io; detail = msg }
   | Error c ->
@@ -948,80 +951,6 @@ let replay_v2 t ~file ~tolerate_torn ~on_record =
           | Error (kind, detail) -> Error { file; offset; kind; detail })
       in
       loop 0 records)
-
-(* Replay one legacy TSV segment (pre-v2 journals). Without framing, torn
-   damage is recognized structurally: an error that truncation from the
-   right could explain (missing fields, a strict prefix of a valid decision
-   or refusal tag), on the file's final line only. *)
-let replay_legacy t ~file ~tolerate_torn ~on_record =
-  match open_in_bin file with
-  | exception Sys_error msg -> Error { file; offset = 0; kind = `Io; detail = msg }
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let apply line =
-          let torn fmt = Printf.ksprintf (fun s -> `Torn s) fmt in
-          let fatal kind fmt = Printf.ksprintf (fun s -> `Fatal (kind, s)) fmt in
-          if String.trim line = "" then `Noop
-          else
-            match String.split_on_char '\t' line with
-            | [ principal; label_s; decision ] -> (
-              match apply_decision t ~principal ~label_s ~decision with
-              | Ok () ->
-                on_record ~principal ~label:label_s ~decision;
-                `Applied
-              | Error (kind, msg) -> (
-                (* Only damage truncation could have produced is torn: an
-                   unknown decision word or refusal tag that is a strict
-                   prefix of a valid one. Unknown principals, undecodable
-                   labels, and replay disagreements are complete-record
-                   errors and stay fatal. *)
-                let is_prefix_of whole part =
-                  String.length part < String.length whole
-                  && String.sub whole 0 (String.length part) = part
-                in
-                let truncation_damage =
-                  is_prefix_of "answered" decision || is_prefix_of "reset" decision
-                  || is_prefix_of "refused:" decision
-                  || (String.length decision >= 8
-                     && String.sub decision 0 8 = "refused:"
-                     && Guard.refusal_of_tag
-                          (String.sub decision 8 (String.length decision - 8))
-                        = None)
-                in
-                match (kind, truncation_damage) with
-                | `Replay, true -> torn "truncated decision %S" decision
-                | kind, _ -> fatal kind "%s" msg))
-            | _ :: _ :: _ :: _ :: _ -> fatal `Corrupt_record "malformed journal line %S" line
-            | _ -> torn "malformed journal line %S" line
-        in
-        (* Each line is paired with its starting byte offset so a tolerated
-           torn final line can be truncated away. *)
-        let input () =
-          let off = pos_in ic in
-          Option.map (fun line -> (off, line)) (In_channel.input_line ic)
-        in
-        let rec loop lineno pending applied =
-          match pending with
-          | None -> Ok (applied, None)
-          | Some (off, line) -> (
-            let next = input () in
-            match apply line with
-            | `Noop -> loop (lineno + 1) next applied
-            | `Applied -> loop (lineno + 1) next (applied + 1)
-            | `Fatal (kind, msg) -> Error { file; offset = lineno; kind; detail = msg }
-            | `Torn msg ->
-              if next = None && tolerate_torn then begin
-                Log.warn (fun m ->
-                    m "stopping at torn final journal line (partial write at crash): %s" msg);
-                Ok (applied, Some off)
-              end
-              else
-                Error
-                  { file; offset = lineno; kind = `Corrupt_record; detail = msg })
-        in
-        loop 1 (input ()) 0)
 
 (* Load and apply <base>.ckpt. A checkpoint is written atomically (tmp +
    fsync + rename), so unlike the active segment it has no torn-tail excuse:
@@ -1099,21 +1028,6 @@ let truncate_torn_tail t ~file ~offset =
       | Some w when Journal.Writer.path w = file -> Journal.Writer.truncate w offset
       | _ -> Journal.truncate_file file offset)
 
-(* Nothing writes the legacy format any more, so an active segment still in
-   it must not receive the next (v2) append: format detection is per file,
-   and a mixed file fails the next recovery closed on its first v2 line.
-   Once replayed, a non-empty legacy active segment is sealed under the
-   next segment index (through this service's writer when it holds the
-   file, so appends resume on a fresh v2 file), leaving one format per
-   file. *)
-let seal_legacy_active t base =
-  if Journal.file_size base = 0 || Journal.is_v2_file base then Ok ()
-  else
-    repair ~file:base "failed to seal the legacy active segment" (fun () ->
-        match live_journal t with
-        | Some w when Journal.Writer.path w = base -> rotate_exn t w
-        | _ -> Journal.seal_active base)
-
 let recover ?(on_record = fun ~principal:_ ~label:_ ~decision:_ -> ()) t ~journal:base =
   for id = 0 to t.count - 1 do
     Option.iter Monitor.reset (resident_at t id)
@@ -1162,15 +1076,9 @@ let recover ?(on_record = fun ~principal:_ ~label:_ ~decision:_ -> ()) t ~journa
   else begin
     let last = List.length files - 1 in
     let rec replay i applied torn_any = function
-      | [] ->
-        let* () = seal_legacy_active t base in
-        Ok { applied; from_checkpoint; torn_tail = torn_any }
+      | [] -> Ok { applied; from_checkpoint; torn_tail = torn_any }
       | file :: rest ->
-        let tolerate_torn = i = last in
-        let* n, torn =
-          if Journal.is_v2_file file then replay_v2 t ~file ~tolerate_torn ~on_record
-          else replay_legacy t ~file ~tolerate_torn ~on_record
-        in
+        let* n, torn = replay_file t ~file ~tolerate_torn:(i = last) ~on_record in
         let* () =
           match torn with
           | None -> Ok ()

@@ -54,9 +54,7 @@ val create :
     journal's {e base} path: the active segment lives there (opened in
     append mode) and the rest of its family beside it ({!Journal}'s
     layout). Every decision is written as a checksummed v2 record
-    ({!Journal}); pre-v2 TSV journals still replay but are never written.
-    [segment_bytes]
-    (default [0] = never) rotates the active segment once it reaches that
+    ({!Journal}). [segment_bytes] (default [0] = never) rotates the active segment once it reaches that
     many bytes. [observe], when given, is called synchronously with the
     monotonic duration of each instrumented stage; when absent no clock is
     ever read.
@@ -89,11 +87,11 @@ val register : t -> principal:string -> partitions:(string * Sview.t list) list 
 (** Registers a principal with a (possibly multi-partition) policy: the
     next id, holding a resident monitor over the shared {!policy} for
     [partitions], so a registration allocates a monitor record, one table
-    entry and two array slots, never a compiled policy of its own. Any non-empty name is accepted — the v2
-    journal escapes its fields, so even separator bytes in a principal name
-    cannot forge records (a service writing the legacy format refuses such a
-    principal's decisions at submit instead). A tiered store registers
-    through {!enroll} instead, so its principals start non-resident.
+    entry and two array slots, never a compiled policy of its own. Any
+    non-empty name is accepted — the v2 journal escapes its fields, so even
+    separator bytes in a principal name cannot forge records. A tiered
+    store registers through {!enroll} instead, so its principals start
+    non-resident.
     @raise Duplicate_principal
     @raise Invalid_argument on empty partitions, more than
     {!Policy.max_partitions} partitions, unregistered views, or an empty
@@ -427,8 +425,7 @@ val snapshot : t -> (string * Monitor.state) list
 type recovery_error = {
   file : string;  (** The damaged file. *)
   offset : int;
-      (** Byte offset of the offending record (v2 files and checkpoints) or
-          1-based line number (legacy files). *)
+      (** Byte offset of the offending record. *)
   kind : [ `Io | `Corrupt_record | `Corrupt_checkpoint | `Replay ];
       (** [`Io]: unreadable file, missing segment, or a tolerated torn tail
           that could not be truncated away. [`Corrupt_record]: a
@@ -461,8 +458,8 @@ val recover :
     coverage bound in index order, then the active segment. Re-applies every
     committed decision — answered records re-evaluate and narrow the alive
     mask, policy refusals bump the refused counter, other refusal tags are
-    no-ops (they never touched monitor state), resets reset. Legacy TSV
-    journals (no v2 magic) are replayed with the pre-v2 parser.
+    no-ops (they never touched monitor state), resets reset. Every file is
+    read as v2 records ({!Journal}); there is no other format.
 
     The decision table, per damage class:
 
@@ -477,7 +474,9 @@ val recover :
       torn tail that cannot be truncated fails closed with [`Io]: recovery
       never hands back a journal that is not append-safe.
     - {e corrupt record} — framing/length/CRC/escape damage on a complete
-      record, or a torn record in a sealed segment: fail closed with
+      record (a file whose first complete line is not a v2 record, such as
+      a pre-v2 TSV journal, fails at offset 0 with "bad record magic"), or
+      a torn record in a sealed segment: fail closed with
       [`Corrupt_record] naming file and offset. CRC-32 catches every error
       burst up to 32 bits, so in particular every single-byte corruption.
     - {e damaged checkpoint} — any damage to [<base>.ckpt]: fail closed with

@@ -62,11 +62,7 @@ let net_span t ~start_ns ~principal ~query ~ctx decision =
   match t.trace with
   | None -> ()
   | Some (trace, track) ->
-    let outcome =
-      match decision with
-      | Disclosure.Monitor.Answered -> "answered"
-      | Disclosure.Monitor.Refused r -> Disclosure.Guard.refusal_to_tag r
-    in
+    let outcome = Disclosure.Monitor.decision_word decision in
     locked t.trace_mutex (fun () ->
         let scope =
           Obs.Trace.query_begin trace ~track ~name:"net" ~start_ns ?ctx ~principal ()

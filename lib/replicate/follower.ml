@@ -37,7 +37,9 @@ type t = {
   max_bytes : int;
   mutable applied : int;
   stopping : bool Atomic.t;
-  mutable domain : unit Domain.t option;
+  mutable runner : (unit Domain.t * Unix.file_descr * Unix.file_descr) option;
+      (** {!run}'s poll domain and its wake pipe (read, write): {!stop}
+          writes one byte, which ends every wait from then on. *)
   last_pull : int64 Atomic.t;
       (** {!Disclosure.Mclock} time of the last pull pass that ended
           without divergence ({!create} time before the first). *)
@@ -168,7 +170,7 @@ let create ?id ?limits ?(max_bytes = Source.default_max_bytes) ?trace ?resident 
             max_bytes;
             applied = 0;
             stopping = Atomic.make false;
-            domain = None;
+            runner = None;
             last_pull = Atomic.make (Disclosure.Mclock.now_ns ());
             last_error = None;
             mutex = Mutex.create ();
@@ -399,39 +401,74 @@ let poll_once t client =
      Log.err (fun m -> m "replication halted (fail closed): %s" msg));
   !total
 
-let run t ~connect ~interval =
-  if t.domain <> None then invalid_arg "Follower.run: already running";
-  t.domain <-
-    Some
-      (Domain.spawn (fun () ->
-           while (not (Atomic.get t.stopping)) && t.last_error = None do
-             match connect () with
-             | exception e ->
-               Log.warn (fun m -> m "primary unreachable: %s" (Printexc.to_string e));
-               if not (Atomic.get t.stopping) then Unix.sleepf interval
-             | client ->
-               (try
-                  Fun.protect
-                    ~finally:(fun () -> Client.close client)
-                    (fun () ->
-                      while (not (Atomic.get t.stopping)) && t.last_error = None do
-                        ignore (poll_once t client);
-                        if not (Atomic.get t.stopping) then Unix.sleepf interval
-                      done)
-                with
-               | Client.Protocol_error msg ->
-                 Log.warn (fun m -> m "primary connection lost: %s" msg)
-               | Unix.Unix_error (err, _, _) ->
-                 Log.warn (fun m -> m "primary connection lost: %s" (Unix.error_message err)))
-           done))
+(* Reconnect waits double from {!Client.connect_retry}'s base up to this
+   bound, or up to the poll interval when that is longer: a restarted
+   primary is found again within about this long. *)
+let max_reconnect_wait = 0.2
+
+exception Stopped
+
+let run t ~primary ~interval =
+  if t.runner <> None then invalid_arg "Follower.run: already running";
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  let stopping () = Atomic.get t.stopping in
+  let pause d =
+    try ignore (Unix.select [ wake_r ] [] [] (Float.max 0.0 d))
+    with Unix.Unix_error (Unix.EINTR, _, _) -> ()
+  in
+  let max_delay = Float.max interval max_reconnect_wait in
+  (* One warning per outage: the first failure opens it, the next
+     connection closes it. *)
+  let down = ref false in
+  let outage what =
+    if not !down then begin
+      down := true;
+      Log.warn (fun m -> m "primary %s %s" (Net.Addr.to_string primary) what)
+    end
+  in
+  let connect () =
+    Client.connect_retry ~attempts:max_int ~max_delay primary ~sleep:(fun d ->
+        outage "unreachable; reconnecting";
+        pause d;
+        if stopping () then raise Stopped)
+  in
+  let loop () =
+    while (not (stopping ())) && t.last_error = None do
+      match connect () with
+      | exception Stopped -> ()
+      | exception e ->
+        outage ("unreachable: " ^ Printexc.to_string e);
+        pause max_delay
+      | client -> (
+        if !down then begin
+          down := false;
+          Log.info (fun m -> m "reconnected to primary %s" (Net.Addr.to_string primary))
+        end;
+        try
+          Fun.protect
+            ~finally:(fun () -> Client.close client)
+            (fun () ->
+              while (not (stopping ())) && t.last_error = None do
+                ignore (poll_once t client);
+                pause interval
+              done)
+        with
+        | Client.Protocol_error msg -> outage ("connection lost: " ^ msg)
+        | Unix.Unix_error (err, _, _) -> outage ("connection lost: " ^ Unix.error_message err))
+    done
+  in
+  t.runner <- Some (Domain.spawn loop, wake_r, wake_w)
 
 let stop t =
   Atomic.set t.stopping true;
-  match t.domain with
+  match t.runner with
   | None -> ()
-  | Some d ->
+  | Some (d, wake_r, wake_w) ->
+    (try ignore (Unix.write_substring wake_w "x" 0 1) with Unix.Unix_error _ -> ());
     Domain.join d;
-    t.domain <- None
+    Unix.close wake_r;
+    Unix.close wake_w;
+    t.runner <- None
 
 (* --- introspection ----------------------------------------------------- *)
 

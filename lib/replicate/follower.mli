@@ -89,15 +89,19 @@ val poll_once : t -> Net.Client.t -> int
     shard until the next pass. Must not race {!run}.
     @raise Net.Client.Protocol_error on transport failure. *)
 
-val run : t -> connect:(unit -> Net.Client.t) -> interval:float -> unit
-(** Spawn the poll domain: connect (typically
-    {!Net.Client.connect_retry}), pull every shard until [behind = 0],
-    sleep [interval], repeat; reconnect on transport failure. A
-    divergence error halts the loop permanently with {!last_error} set.
+val run : t -> primary:Net.Addr.t -> interval:float -> unit
+(** Spawn the poll domain: connect to [primary], pull every shard until
+    [behind = 0], wait [interval], repeat. On a failed connect or a lost
+    connection it reconnects with {!Net.Client.connect_retry}'s jittered
+    backoff, capped at 0.2 s or [interval], whichever is longer, and logs
+    one warning per outage, not one per attempt. A divergence error halts
+    the loop permanently with {!last_error} set.
     @raise Invalid_argument when already running. *)
 
 val stop : t -> unit
-(** Stop and join the poll domain. Idempotent. *)
+(** Stop and join the poll domain, ending at once whichever wait it is in
+    (the poll interval or a reconnect backoff); a pull in flight still
+    completes. Idempotent. *)
 
 val promote :
   t -> ?config:Server.config -> unit -> (Server.t * int, string) result

@@ -406,10 +406,6 @@ let maybe_auto_checkpoint t =
     checkpoint_if_due t
   end
 
-let outcome_of = function
-  | Monitor.Answered -> "answered"
-  | Monitor.Refused reason -> "refused:" ^ Guard.refusal_to_tag reason
-
 (* Which tier decided the query just handled: a label-cache hit, or the
    artifact's own deciding tier. [None] when the query refused before cache
    or labeler were consulted (admission, overload) — there is no tier to
@@ -627,7 +623,7 @@ and serve t ~principal ~query ~enqueued_ns ~ctx ~explain pending =
     (* Under group commit the span closes with the pre-flush decision; a
        batch abort later flips the *ticket* to a fault refusal, which the
        deferred fill below accounts for. *)
-    Obs.Trace.query_end sc ~outcome:(outcome_of decision)
+    Obs.Trace.query_end sc ~outcome:(Monitor.decision_word decision)
   | None -> ());
   if t.group_commit && Service.batch_active (service t) then
     (* Ticket and outcome counters wait for the covering flush: the client

@@ -838,10 +838,23 @@ let test_net_trace_spans () =
       check_bool "net spans carry the query text" true
         (List.for_all (fun s -> List.mem_assoc "query" s.Obs.Trace.attrs) net_spans);
       (* The shard-side spans are still there too, on their own tracks. *)
-      check_bool "shard spans coexist" true
-        (List.exists
-           (fun s -> s.Obs.Trace.name = "query" && s.Obs.Trace.track < domains)
-           (Obs.Trace.roots trace)))
+      let shard_spans =
+        List.filter
+          (fun s -> s.Obs.Trace.name = "query" && s.Obs.Trace.track < domains)
+          (Obs.Trace.roots trace)
+      in
+      check_bool "shard spans coexist" true (shard_spans <> []);
+      (* Both sides of a wire query spell its outcome with the journal's
+         decision word, refusals included ("refused:policy", not "policy"). *)
+      let outcomes spans =
+        List.sort compare
+          (List.filter_map (fun s -> List.assoc_opt "outcome" s.Obs.Trace.attrs) spans)
+      in
+      check_bool "a refused wire query" true
+        (List.mem "refused:policy" (outcomes net_spans));
+      Alcotest.(check (list string))
+        "net and shard spans carry the same outcomes" (outcomes shard_spans)
+        (outcomes net_spans))
 
 (* --- budget deadline regression (satellite) ------------------------------ *)
 

@@ -222,7 +222,7 @@ let test_run_then_promote () =
             Net.Listener.create ~extend:(Source.handler source) ~server addr
           in
           let fol = make_follower ~journal:mbase ~shards () in
-          Follower.run fol ~connect:(fun () -> Net.Client.connect addr) ~interval:0.01;
+          Follower.run fol ~primary:addr ~interval:0.01;
           eventually "the mirror to match the primary" (fun () ->
               List.for_all
                 (fun shard -> family_bytes jbase shard = family_bytes mbase shard)
@@ -268,7 +268,7 @@ let test_long_pass_keeps_clock_small () =
           let listener = Net.Listener.create ~extend:slow_pulls ~server addr in
           let fol = make_follower ~max_bytes:1 ~journal:mbase ~shards () in
           let started = Unix.gettimeofday () in
-          Follower.run fol ~connect:(fun () -> Net.Client.connect addr) ~interval:0.01;
+          Follower.run fol ~primary:addr ~interval:0.01;
           let worst = ref 0.0 in
           eventually "the mirror to match the primary" (fun () ->
               worst := Float.max !worst (Follower.since_last_pull fol);
@@ -284,6 +284,60 @@ let test_long_pass_keeps_clock_small () =
           Alcotest.(check (option string)) "no divergence" None (Follower.last_error fol);
           Net.Listener.stop listener;
           Server.stop server))
+
+(* [stop] ends whichever wait [run] is in at once — the poll interval, or a
+   reconnect backoff while the primary is unreachable — and an outage logs
+   one warning, not one per attempt. The 10 s interval keeps both waits
+   long: without the wake, stop would wait them out. *)
+let test_stop_wakes_run () =
+  let timed_stop what fol =
+    let t0 = Unix.gettimeofday () in
+    Follower.stop fol;
+    let took = Unix.gettimeofday () -. t0 in
+    if took > 0.25 then Alcotest.failf "stop during %s took %.3fs" what took
+  in
+  with_bases (fun jbase mbase ->
+      with_socket (fun addr ->
+          let server = make_primary ~journal:jbase ~shards:1 () in
+          Server.start server;
+          run_history server;
+          let source = Source.create ~server ~journal:jbase () in
+          let listener = Net.Listener.create ~extend:(Source.handler source) ~server addr in
+          let fol = make_follower ~journal:mbase ~shards:1 () in
+          Follower.run fol ~primary:addr ~interval:10.0;
+          eventually "the mirror to match the primary" (fun () ->
+              family_bytes jbase 0 = family_bytes mbase 0);
+          timed_stop "the poll interval" fol;
+          Net.Listener.stop listener;
+          Server.stop server));
+  with_tmp_base (fun mbase ->
+      with_socket (fun addr ->
+          let warnings = Atomic.make 0 in
+          let reporter =
+            {
+              Logs.report =
+                (fun src level ~over k _ ->
+                  if level = Logs.Warning && Logs.Src.name src = "disclosure.replicate.follower"
+                  then Atomic.incr warnings;
+                  over ();
+                  k ());
+            }
+          in
+          let old_reporter = Logs.reporter () and old_level = Logs.level () in
+          Logs.set_reporter reporter;
+          Logs.set_level (Some Logs.Warning);
+          Fun.protect
+            ~finally:(fun () ->
+              Logs.set_reporter old_reporter;
+              Logs.set_level old_level)
+            (fun () ->
+              let fol = make_follower ~journal:mbase ~shards:1 () in
+              Follower.run fol ~primary:addr ~interval:10.0;
+              (* Five failed attempts by about 0.75 s, then inside a
+                 backoff of 0.6–1.0 s. *)
+              Unix.sleepf 1.0;
+              timed_stop "a reconnect wait" fol;
+              Alcotest.(check int) "one warning for the outage" 1 (Atomic.get warnings))))
 
 (* --- failover: kill the primary at EVERY record boundary --------------- *)
 
@@ -1008,6 +1062,8 @@ let () =
             test_run_then_promote;
           Alcotest.test_case "a long pass keeps the pull clock small" `Quick
             test_long_pass_keeps_clock_small;
+          Alcotest.test_case "stop wakes run; one warning per outage" `Quick
+            test_stop_wakes_run;
           Alcotest.test_case "failed bootstrap install fails closed" `Quick
             test_bootstrap_install_fails_closed;
           Alcotest.test_case "failed mirror write fails closed" `Quick

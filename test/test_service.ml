@@ -108,16 +108,6 @@ let test_label_roundtrip () =
 
 let with_tmp_journal = Support.with_tmp_base
 
-(* Rewrite a clean v2 journal as the pre-v2 TSV image of the same history,
-   one raw [principal TAB label TAB decision] line per record, and return
-   it. Replay still reads that format; nothing writes it any more. *)
-let rewrite_as_legacy ?(torn = "") path =
-  let records = fst (Result.get_ok (Journal.read_file path)) in
-  let line r = String.concat "\t" r.Journal.fields ^ "\n" in
-  let image = String.concat "" (List.map line records) in
-  Out_channel.with_open_bin path (fun oc -> output_string oc (image ^ torn));
-  image
-
 let make_journaled_service ?(segment_bytes = 0) path =
   let service =
     Service.create ~journal:path ~segment_bytes (Pipeline.create [ v1; v2; v3 ])
@@ -179,25 +169,50 @@ let test_recover_replays () =
           Service.close recovered))
 
 let test_recover_errors () =
+  let recover_error path =
+    match Service.recover (make_service ()) ~journal:path with
+    | Error e ->
+      Helpers.check_string "names the file" path e.Service.file;
+      e
+    | Ok _ -> Alcotest.failf "%S must fail recovery closed" (read_file path)
+  in
   with_tmp_journal (fun path ->
-      (* A legacy line for an unregistered principal: well-formed, but the
-         current deployment cannot re-apply it. *)
-      Out_channel.with_open_text path (fun oc ->
-          output_string oc "nobody\t-\tanswered\n");
-      let service = make_service () in
-      (match Service.recover service ~journal:path with
-      | Error e ->
-        Helpers.check_bool "names the file" true (String.equal e.Service.file path);
-        Helpers.check_bool "replay error" true (e.Service.kind = `Replay);
-        Helpers.check_int "1-based line number" 1 e.Service.offset;
-        let s = Service.recovery_error_to_string e in
-        Helpers.check_bool "to_string leads with file:offset" true
-          (String.length s > String.length path
-          && String.sub s 0 (String.length path) = path)
-      | Ok _ -> Alcotest.fail "unknown principal must fail replay");
-      match Service.recover service ~journal:"/nonexistent/journal.log" with
-      | Error e -> Helpers.check_bool "io error" true (e.Service.kind = `Io)
-      | Ok _ -> Alcotest.fail "missing file must fail replay")
+      (* A CRC-valid record for an unregistered principal, after a good one:
+         well-formed, but the current deployment cannot re-apply it. *)
+      let good = Journal.encode [ "calendar-app"; "-"; "answered" ] in
+      write_file path (good ^ Journal.encode [ "nobody"; "-"; "answered" ]);
+      let e = recover_error path in
+      Helpers.check_bool "replay error" true (e.Service.kind = `Replay);
+      Helpers.check_int "byte offset of the record" (String.length good) e.Service.offset;
+      Helpers.check_string "to_string leads with file:offset"
+        (Printf.sprintf "%s:%d: unknown principal \"nobody\"" path (String.length good))
+        (Service.recovery_error_to_string e));
+  with_tmp_journal (fun path ->
+      (* A complete pre-v2 TSV line is not a record: fail closed at offset 0. *)
+      write_file path "calendar-app\t-\tanswered\n";
+      let e = recover_error path in
+      Helpers.check_bool "corrupt record" true (e.Service.kind = `Corrupt_record);
+      Helpers.check_int "at offset 0" 0 e.Service.offset;
+      Helpers.check_string "bad magic" "bad record magic" e.Service.detail);
+  with_tmp_journal (fun path ->
+      (* Framing cannot explain away an extra field: the CRC covers it. *)
+      write_file path (Journal.encode [ "calendar-app"; "-"; "answered"; "extra" ]);
+      let e = recover_error path in
+      Helpers.check_bool "corrupt record" true (e.Service.kind = `Corrupt_record);
+      Helpers.check_string "field count" "record has 4 field(s), decision records have 3"
+        e.Service.detail);
+  with_tmp_journal (fun path ->
+      (* The same TSV line with no newline is a torn tail, dropped. *)
+      write_file path "calendar-app\t-\tanswered";
+      match Service.recover (make_service ()) ~journal:path with
+      | Ok r ->
+        Helpers.check_int "nothing applied" 0 r.Service.applied;
+        Helpers.check_bool "torn tail reported" true r.Service.torn_tail;
+        Helpers.check_int "torn tail truncated" 0 (Journal.file_size path)
+      | Error e -> Alcotest.fail (Service.recovery_error_to_string e));
+  match Service.recover (make_service ()) ~journal:"/nonexistent/journal.log" with
+  | Error e -> Helpers.check_bool "io error" true (e.Service.kind = `Io)
+  | Ok _ -> Alcotest.fail "missing file must fail replay"
 
 (* Replay-vs-live equivalence over random histories: whatever interleaving of
    principals, queries, and resets actually happened, replaying the journal
@@ -289,153 +304,6 @@ let test_close_then_submit_warns () =
           | Error e -> Alcotest.fail (Service.recovery_error_to_string e));
           Helpers.check_bool "recovered stats reflect the prefix" true
             (Service.stats fresh ~principal:"calendar-app" = (1, 0))))
-
-(* A crash mid-append can only truncate the final line from the right; such
-   damage is tolerated (replay stops at the last complete record). The same
-   damage anywhere else, or damage truncation cannot explain, stays fatal.
-   This exercises the {e legacy} heuristics, which survive for replaying
-   pre-v2 journals; the v2 torn/corrupt classification is tortured
-   exhaustively in test_crash.ml. *)
-let test_recover_torn_final_line () =
-  let append path s =
-    let oc = open_out_gen [ Open_append ] 0o644 path in
-    output_string oc s;
-    close_out oc
-  in
-  let run_history path =
-    let service = make_journaled_service path in
-    ignore (Service.submit service ~principal:"calendar-app" (pq "Q(x) :- Meetings(x, y)"));
-    ignore (Service.submit service ~principal:"crm-app" (pq "Q(x,y,z) :- Contacts(x,y,z)"));
-    let live = Service.snapshot service in
-    Service.close service;
-    ignore (rewrite_as_legacy path);
-    live
-  in
-  (* Torn variants a partial write could leave: a cut inside the principal,
-     inside the label, inside "answered", inside a refusal tag. *)
-  List.iter
-    (fun torn ->
-      with_tmp_journal (fun path ->
-          with_warn_counter (fun warns ->
-              let live = run_history path in
-              append path torn;
-              let fresh = make_service () in
-              (match Service.recover fresh ~journal:path with
-              | Ok r ->
-                Helpers.check_int ("applied up to torn " ^ String.escaped torn) 2
-                  r.Service.applied;
-                Helpers.check_bool "torn tail reported" true r.Service.torn_tail
-              | Error e -> Alcotest.fail (Service.recovery_error_to_string e));
-              Helpers.check_bool "state stops at the last complete record" true
-                (Service.snapshot fresh = live);
-              Helpers.check_int "torn line warns" 1 !warns)))
-    [ "calendar-ap"; "crm-app\t0:"; "calendar-app\t-\tansw"; "crm-app\t-\trefused:pol" ];
-  (* The same torn record followed by a complete line is corruption, not a
-     crash artifact. *)
-  with_tmp_journal (fun path ->
-      ignore (run_history path);
-      append path "calendar-app\t-\tansw\ncalendar-app\t-\treset\n";
-      let fresh = make_service () in
-      match Service.recover fresh ~journal:path with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "torn line before EOF must fail replay");
-  (* Damage truncation cannot produce — extra fields — is fatal even at the
-     end of the file. *)
-  with_tmp_journal (fun path ->
-      ignore (run_history path);
-      append path "calendar-app\t-\tanswered\textra";
-      let fresh = make_service () in
-      match Service.recover fresh ~journal:path with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "four-field line must fail replay")
-
-(* Regression: a tolerated torn final legacy line is truncated away at
-   recovery, so the next append starts at the commit point instead of
-   merging with the partial bytes (the legacy counterpart of test_crash.ml's
-   crash/restart/crash sequence). The new record is v2, so the check is on
-   the bytes: the committed legacy prefix, then one clean v2 record. *)
-let test_legacy_append_after_torn_recovery () =
-  with_tmp_journal (fun path ->
-      let service = make_journaled_service path in
-      ignore (Service.submit service ~principal:"calendar-app" (pq "Q(x) :- Meetings(x, y)"));
-      Service.close service;
-      let committed = rewrite_as_legacy ~torn:"crm-app\t-\tansw" path in
-      (* Restart in production order: open the journal for appending first,
-         then recover over it. *)
-      let restarted = make_journaled_service path in
-      (match Service.recover restarted ~journal:path with
-      | Ok r -> Helpers.check_bool "torn tail reported" true r.Service.torn_tail
-      | Error e -> Alcotest.fail (Service.recovery_error_to_string e));
-      (* The committed legacy prefix is sealed as its own segment: the next
-         append starts a fresh v2 active file instead of joining it. *)
-      Helpers.check_string "torn line truncated; legacy prefix sealed" committed
-        (read_file (Journal.segment_path path 1));
-      ignore (Service.submit restarted ~principal:"crm-app" (pq "Q(x,y,z) :- Contacts(x,y,z)"));
-      Service.close restarted;
-      Helpers.check_string "sealed prefix untouched" committed
-        (read_file (Journal.segment_path path 1));
-      match Journal.parse (read_file path) with
-      | Ok ([ { Journal.fields = "crm-app" :: _; _ } ], None) -> ()
-      | _ -> Alcotest.fail "the active file must be one clean v2 record")
-
-(* Regression: recovering over a legacy active segment, deciding once and
-   recovering again used to fail closed — the v2 append landed in the
-   legacy file, whose parser then rejected it as an unknown principal.
-   The second recovery must replay both formats, each from its own file. *)
-let test_legacy_recover_twice () =
-  with_tmp_journal (fun path ->
-      let service = make_journaled_service path in
-      ignore (Service.submit service ~principal:"calendar-app" (pq "Q(x) :- Meetings(x, y)"));
-      Service.close service;
-      ignore (rewrite_as_legacy path);
-      let restart () =
-        let s = make_journaled_service path in
-        match Service.recover s ~journal:path with
-        | Ok r -> (s, r.Service.applied)
-        | Error e -> Alcotest.fail (Service.recovery_error_to_string e)
-      in
-      let first, applied = restart () in
-      Helpers.check_int "legacy record replayed" 1 applied;
-      ignore (Service.submit first ~principal:"crm-app" (pq "Q(x,y,z) :- Contacts(x,y,z)"));
-      let live = Service.snapshot first in
-      Service.close first;
-      let second, applied = restart () in
-      Helpers.check_int "legacy and v2 records replayed" 2 applied;
-      Helpers.check_bool "recovered = live" true (Service.snapshot second = live);
-      Service.close second);
-  (* A legacy replay error names its file and line once. *)
-  with_tmp_journal (fun path ->
-      Out_channel.with_open_bin path (fun oc -> output_string oc "ghost\t-\tanswered\n");
-      match Service.recover (make_journaled_service path) ~journal:path with
-      | Ok _ -> Alcotest.fail "unknown principal must fail closed"
-      | Error e ->
-        Helpers.check_string "one file:line prefix"
-          (path ^ ":1: unknown principal \"ghost\"")
-          (Service.recovery_error_to_string e))
-
-(* Regression: a legacy journal whose first principal begins with the v2
-   magic bytes ("J2 " — legal in the legacy format, which only excluded
-   separators) must still be routed to the legacy parser: format detection
-   reads the whole v2 header shape, not just the magic. *)
-let test_legacy_principal_with_v2_magic () =
-  with_tmp_journal (fun path ->
-      let principal = "J2 app" in
-      let make ?journal () =
-        let s = Service.create ?journal (Pipeline.create [ v1; v2; v3 ]) in
-        Service.register_stateless s ~principal ~views:[ v2 ];
-        s
-      in
-      let service = make ~journal:path () in
-      ignore (Service.submit service ~principal (pq "Q(x) :- Meetings(x, y)"));
-      let live = Service.snapshot service in
-      Service.close service;
-      ignore (rewrite_as_legacy path);
-      Helpers.check_bool "routed to the legacy parser" false (Journal.is_v2_file path);
-      let fresh = make () in
-      (match Service.recover fresh ~journal:path with
-      | Ok r -> Helpers.check_int "legacy record replays" 1 r.Service.applied
-      | Error e -> Alcotest.fail (Service.recovery_error_to_string e));
-      Helpers.check_bool "recovered = live" true (Service.snapshot fresh = live))
 
 (* --- v2 escaping, checkpoints, rotation ------------------------------- *)
 
@@ -802,14 +670,6 @@ let suite =
       test_recover_equivalence_random;
     Alcotest.test_case "close-then-submit warns and loses durability" `Quick
       test_close_then_submit_warns;
-    Alcotest.test_case "legacy append after a torn-tail recovery" `Quick
-      test_legacy_append_after_torn_recovery;
-    Alcotest.test_case "recover twice over a legacy active segment" `Quick
-      test_legacy_recover_twice;
-    Alcotest.test_case "legacy principal starting with the v2 magic" `Quick
-      test_legacy_principal_with_v2_magic;
-    Alcotest.test_case "recover tolerates a torn final line only" `Quick
-      test_recover_torn_final_line;
     Alcotest.test_case "v2 escapes hostile journal fields" `Quick
       test_journal_field_injection_v2;
     Alcotest.test_case "checkpoint, compaction, tail replay" `Quick
