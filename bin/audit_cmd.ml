@@ -91,8 +91,7 @@ let run_ledger config_file journal =
           | Error _ -> ()
       in
       (match Service.recover ~on_record service ~journal:base with
-      | Error err ->
-        failwith (base ^ ": " ^ Service.recovery_error_to_string err)
+      | Error err -> failwith (Service.recovery_error_to_string err)
       | Ok r ->
         applied := !applied + r.Service.applied;
         if r.Service.from_checkpoint then incr checkpoints;

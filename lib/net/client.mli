@@ -1,9 +1,10 @@
 (** Blocking client for the wire protocol: one connection, requests
-    answered strictly in order. {!request} is one round trip at a time;
-    {!query_batch} pipelines a bounded window of requests so many are in
-    flight per round trip. Thread-compatible, not thread-safe — one domain
-    per connection (open several connections for concurrency, as the
-    overload tests do). *)
+    answered strictly in order through one {!Frame.writer} and one
+    {!Frame.reader}. The reader admits any payload a frame header can
+    declare, so a pull response carrying a whole hex-encoded checkpoint
+    gets through. Thread-compatible, not thread-safe — one domain per
+    connection (open several connections for concurrency, as the overload
+    tests do). *)
 
 exception Protocol_error of string
 (** The {e transport} failed: the server closed the connection, sent a
@@ -50,12 +51,13 @@ val close : t -> unit
 val with_connection : ?read_deadline:float -> Addr.t -> (t -> 'a) -> 'a
 
 val request : t -> Codec.request -> Codec.response
-(** One round trip. A server that closed the connection before the request
-    went out (an over-cap or draining listener refuses with one typed error
-    frame, then closes) still answers: a write to the closed socket is not
-    an error of its own, and the response read is that refusal frame —
-    or, if the server sent none, a [Protocol_error]. No [Unix.Unix_error]
-    escapes a request.
+(** One round trip, {!request_pipelined} of one request. A server that
+    closed the connection before the request went out (an over-cap or
+    draining listener refuses with one typed error frame, then closes)
+    still answers: a write to the closed socket is not an error of its
+    own, and the response read is that refusal frame — or, if the server
+    sent none, a [Protocol_error]. No [Unix.Unix_error] escapes a
+    request.
     @raise Protocol_error on transport failure. *)
 
 val request_pipelined : ?depth:int -> t -> Codec.request list -> Codec.response list

@@ -51,10 +51,12 @@ type response =
    and the JSON layer must not be asked to round-trip non-UTF-8 strings.
    Hex doubles the size; replication is not the hot path, bit-identity is
    the contract. *)
+let hex_digits = "0123456789abcdef"
+
 let hex_encode s =
-  let b = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents b
+  String.init (2 * String.length s) (fun i ->
+      let c = Char.code (String.unsafe_get s (i lsr 1)) in
+      hex_digits.[if i land 1 = 0 then c lsr 4 else c land 15])
 
 let hex_decode s =
   let n = String.length s in

@@ -1,17 +1,18 @@
 (** One accepted connection: a pipelined frame loop, run to completion on
     the connection's own domain.
 
-    Requests on one connection are decided strictly in arrival order —
-    responses match requests positionally — but the loop decodes {e every}
-    complete frame already buffered before writing anything back, and the
-    batch's responses leave in a single vectorized write. A serial
-    request/response client sees exactly the old behavior (each batch is
-    one frame); a pipelining client ({!Client.query_batch}) amortizes the
-    write syscall and the network round trip across the whole window.
+    Frames come in through one {!Frame.reader} and go out through one
+    {!Frame.writer}. Requests on one connection are decided strictly in
+    arrival order — responses match requests positionally — but after each
+    read the loop decodes {e every} complete frame received before writing
+    anything back, and the batch's responses leave in a single write. A
+    serial request/response client sees one frame per batch; a pipelining
+    client ({!Client.query_batch}) amortizes the write syscall and the
+    network round trip across the whole window.
 
     Robustness is the contract. The socket receive timeout enforces the
-    per-connection read deadline, {!Frame.decode} enforces the payload cap
-    and CRC, and every failure mode — garbage, torn stream, timeout,
+    per-connection read deadline, the reader enforces the payload cap and
+    CRC, and every failure mode — garbage, torn stream, timeout,
     handler exception, injected {!Disclosure.Faults} fault — funnels into a
     typed {!Errors.t} that is sent to the peer (best-effort) before the
     connection closes. {!serve} never raises and never lets a failure
@@ -23,7 +24,8 @@ type config = {
       (** Seconds the read loop will wait for bytes (socket
           [SO_RCVTIMEO]); expiry closes the connection with
           [Errors.Timeout]. *)
-  max_payload : int;  (** Per-frame payload cap (see {!Frame.decode}). *)
+  max_payload : int;
+      (** Per-request payload cap, the reader's (see {!Frame.reader}). *)
 }
 
 val default_config : config
@@ -37,7 +39,7 @@ type reply =
           mailbox); the thunk blocks for the result. The loop dispatches
           {e every} buffered frame before forcing any thunk, so a
           pipelined window crosses the shards as one batch — with group
-          commit, one covering fsync. Thunks are forced in arrival order;
+          commit, one covering flush. Thunks are forced in arrival order;
           a thunk whose frame-batch dies fatally before it is forced is
           dropped (its decision stands server-side, undelivered). *)
 

@@ -53,7 +53,7 @@ let metrics t = Server.metrics t.server
    deferred thunk ([Conn.Later]), and awaiting runs the shard's round on
    this domain: the frame loop dispatches every buffered frame before
    forcing any await, so a pipelined window runs as one round — with group
-   commit, one covering fsync. *)
+   commit, one covering flush. *)
 (* The listener's own span for a served query. With [ctx] (the client's
    trace context from the wire frame) the span joins the client's trace —
    and the same ctx was forwarded to the shard, so client, listener, and
@@ -129,13 +129,15 @@ let dispatch t req =
   | None -> dispatch_builtin t req
 
 (* Best-effort single-frame reply used when a connection is refused at
-   accept: no [Conn.t] exists yet. *)
+   accept: no connection loop exists yet. One error frame always fits a
+   fresh socket's empty send buffer, so the write cannot stall the accept
+   loop. *)
 let refuse_at_accept t fd error =
   Metrics.incr (metrics t) Metrics.Net_rejected;
   (try
-     let frame = Frame.encode (Codec.encode_response (Codec.Error error)) in
-     Unix.setsockopt_float fd Unix.SO_SNDTIMEO 1.0;
-     ignore (Unix.write fd (Bytes.unsafe_of_string frame) 0 (String.length frame))
+     let w = Frame.writer fd in
+     Frame.add w (Codec.encode_response (Codec.Error error));
+     ignore (Frame.flush w)
    with _ -> ());
   try Unix.close fd with Unix.Unix_error _ -> ()
 

@@ -124,8 +124,8 @@ let snapshot t shard =
 let rec serve t ~shard ~seg ~off ~max_bytes ~retries =
   match Server.journal_position t.server ~shard with
   | None ->
-    (* Journal-less shard — or, for a moment, a shard mid-reload. The
-       follower treats this as transient and retries on its next poll. *)
+    (* Journal-less or stopped shard. The follower treats this as
+       transient and retries on its next poll. *)
     Codec.Error (Errors.busy "shard journal position unavailable")
   | Some (aseq, abytes) ->
     if seg = 0 then snapshot t shard
@@ -314,8 +314,7 @@ let cursors t =
    iff every shard's cursor sits at the committed watermark (a shard it
    never pulled passes only while that journal is still empty). A source
    serves a journaled server, so a shard without a position is not caught
-   up: skipping it would let the gate open on a racy read of a shard
-   whose service is being swapped by a reload. *)
+   up. *)
 let cursors_caught_up t (cs : (int * int) option array) =
   let ok = ref true in
   for i = 0 to t.shards - 1 do

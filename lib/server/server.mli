@@ -236,11 +236,10 @@ val shard_journal : string -> int -> string
 val journal_position : t -> shard:int -> (int * int) option
 (** The shard's [(active_segment, committed_bytes)] journal watermark. Safe
     from any domain (racy word reads, see
-    {!Disclosure.Service.journal_position}); [None] for a journal-less
-    shard and, for a moment, for a journaled shard mid-reload (a reader
-    that loaded the old service just before the swap finds it closed).
-    Callers must treat that [None] as "no position yet", never as caught
-    up.
+    {!Disclosure.Service.journal_position}); [None] for a journal-less or
+    stopped shard, never for a journaled one mid-reload (a read that races
+    the swap follows it). Callers must treat [None] as "no position", never
+    as caught up.
     @raise Invalid_argument on an out-of-range shard. *)
 
 val flush_counts : t -> int array

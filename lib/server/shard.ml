@@ -202,7 +202,16 @@ let register t ~principal ~partitions =
 
 let mem t principal = Service.mem (service t) principal
 
-let journal_position t = Service.journal_position (service t)
+(* The watermark of [s], a service this reader loaded. A reload publishes
+   its staged service and then closes the old one, so a [None] from a
+   service that is no longer live means the swap overtook this reader:
+   ask the live one instead. *)
+let rec position_from t s =
+  match Service.journal_position s with
+  | None when service t != s -> position_from t (service t)
+  | p -> p
+
+let journal_position t = position_from t (service t)
 
 (* --- observability helpers --------------------------------------------- *)
 
@@ -237,8 +246,9 @@ let sample t =
   set Metrics.Gc_minor_collections gc.Gc.minor_collections;
   set Metrics.Gc_major_collections gc.Gc.major_collections;
   set Metrics.Gc_promoted_words (int_of_float gc.Gc.promoted_words);
-  set Metrics.Journal_flushes (Service.flush_count (service t));
-  (match Service.journal_position (service t) with
+  let s = service t in
+  set Metrics.Journal_flushes (Service.flush_count s);
+  (match position_from t s with
   | None -> ()
   | Some (seq, bytes) ->
     set Metrics.Journal_segment seq;

@@ -140,10 +140,10 @@ val mem : t -> string -> bool
 val journal_position : t -> (int * int) option
 (** {!Disclosure.Service.journal_position} of the live service: the
     [(active_segment, committed_bytes)] watermark. Safe from any domain
-    (racy word reads); [None] without a journal and, for a moment, during
-    {!reload}: it publishes the staged service before closing the old one,
-    but a reader that loaded the old service just before the swap finds it
-    closed. *)
+    (racy word reads); [None] without a journal. A {!reload} publishes the
+    staged service before closing the old one; a reader that loaded the old
+    service just before the swap finds it closed and reads the live one
+    instead, so a journaled shard never reports [None] across reloads. *)
 
 val sample : t -> unit
 (** Write every per-shard gauge of the shard's metrics from its live state

@@ -185,7 +185,12 @@ let test_codec_roundtrip () =
       match Codec.decode_response (Codec.encode_response resp) with
       | Ok resp' -> check_bool "response roundtrips" true (resp = resp')
       | Error msg -> Alcotest.fail msg)
-    responses
+    responses;
+  (* Replication data crosses as hex: arbitrary bytes survive it. *)
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:1000 ~name:"hex_decode (hex_encode s) = Ok s"
+       QCheck.(string_of_size Gen.(0 -- 300))
+       (fun s -> Codec.hex_decode (Codec.hex_encode s) = Ok s))
 
 let test_codec_rejects_malformed () =
   (match Codec.decode_request "not json at all {" with
@@ -289,53 +294,204 @@ let test_pipelined_group_commit_flushes () =
           check_bool "group commit flushed at most once per decision" true
             (flushes <= List.length history)))
 
-(* [Frame.decode_sub] at offset [k] must agree exactly with [Frame.decode]
-   on the suffix — the pipelined frame loop depends on offset-based decoding
-   being indistinguishable from the old slice-and-decode. *)
-let test_decode_sub_equals_decode_on_suffix () =
-  let progress_equal a b =
-    match (a, b) with
-    | Frame.Frame { payload = p; consumed = c }, Frame.Frame { payload = p'; consumed = c' }
-      -> String.equal p p' && c = c'
-    | Frame.Need_more n, Frame.Need_more n' -> n = n'
-    | Frame.Corrupt e, Frame.Corrupt e' ->
-      String.equal (Errors.to_string e) (Errors.to_string e')
-    | _ -> false
-  in
-  let prefixes = [ ""; "x"; String.make 7 '\xff'; Frame.encode "earlier" ] in
-  let suffixes =
-    List.map Frame.encode sample_payloads
-    @ [ ""; "garbage"; String.sub (Frame.encode "torn") 0 5 ]
-  in
-  List.iter
-    (fun prefix ->
-      List.iter
-        (fun suffix ->
-          let off = String.length prefix in
-          check_bool
-            (Printf.sprintf "decode_sub at %d ≡ decode on suffix (%d bytes)" off
-               (String.length suffix))
-            true
-            (progress_equal
-               (Frame.decode_sub (prefix ^ suffix) ~off)
-               (Frame.decode suffix)))
-        suffixes)
-    prefixes;
-  (* Bad offsets are programmer errors, not protocol errors. *)
-  Alcotest.check_raises "negative offset rejected"
-    (Invalid_argument "Frame.decode_sub: offset out of bounds") (fun () ->
-      ignore (Frame.decode_sub "abc" ~off:(-1)));
-  Alcotest.check_raises "offset past the end rejected"
-    (Invalid_argument "Frame.decode_sub: offset out of bounds") (fun () ->
-      ignore (Frame.decode_sub "abc" ~off:4))
+(* --- the framed stream: one reader, one writer ---------------------------- *)
 
-(* [Fdio.write_all] under EINTR: the payload overflows the socket buffer so
+(* A connected pair: the reader's end and the writer's end. *)
+let with_pair f =
+  let rd, wr = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) [ rd; wr ])
+    (fun () -> f rd wr)
+
+(* Every payload [next] hands over, until it holds at most a prefix. *)
+let rec drain r acc =
+  match Frame.next r with
+  | Ok (Some p) -> drain r (p :: acc)
+  | Ok None -> acc
+  | Error e -> Alcotest.failf "unexpected corrupt verdict: %s" (Errors.to_string e)
+
+let fill_ok r =
+  match Frame.fill r with
+  | Ok n -> n
+  | Error e -> Alcotest.failf "fill: %s" (Errors.to_string e)
+
+let check_payloads what expected got =
+  Alcotest.(check (list string)) what expected (List.rev got)
+
+(* A stream cut at every byte boundary into two writes, and one written a
+   byte at a time: the reader delivers exactly the frames sent, in order,
+   and a clean EOF between frames reads as [Ok 0]. *)
+let test_reader_split_every_boundary () =
+  let stream = String.concat "" (List.map Frame.encode sample_payloads) in
+  let n = String.length stream in
+  for cut = 1 to n - 1 do
+    with_pair (fun rd wr ->
+        let r = Frame.reader rd in
+        let got = ref [] in
+        List.iter
+          (fun (off, len) ->
+            ignore (Unix.write_substring wr stream off len);
+            ignore (fill_ok r);
+            got := drain r !got)
+          [ (0, cut); (cut, n - cut) ];
+        check_payloads (Printf.sprintf "cut at %d" cut) sample_payloads !got)
+  done;
+  with_pair (fun rd wr ->
+      let r = Frame.reader rd in
+      let got = ref [] in
+      String.iter
+        (fun c ->
+          ignore (Unix.write_substring wr (String.make 1 c) 0 1);
+          check_int "one byte per read" 1 (fill_ok r);
+          got := drain r !got)
+        stream;
+      check_payloads "byte at a time" sample_payloads !got;
+      Unix.shutdown wr Unix.SHUTDOWN_SEND;
+      check_int "clean EOF between frames" 0 (fill_ok r))
+
+(* A pipelined window far larger than the reader's initial 4 KiB, and one
+   frame larger than it on its own, sent through the writer from another
+   domain: every frame arrives whole and in order. *)
+let test_reader_window_larger_than_buffer () =
+  let payloads =
+    List.init 200 (fun i -> Printf.sprintf "%03d:%s" i (String.make (50 + (i * 7 mod 300)) 'w'))
+    @ [ String.init 100_000 (fun i -> Char.chr (i land 0xff)); "last" ]
+  in
+  with_pair (fun rd wr ->
+      let writer =
+        Domain.spawn (fun () ->
+            let w = Frame.writer wr in
+            List.iter (Frame.add w) payloads;
+            let n = Frame.flush w in
+            Unix.shutdown wr Unix.SHUTDOWN_SEND;
+            n)
+      in
+      let r = Frame.reader rd in
+      let rec loop acc = if fill_ok r = 0 then acc else loop (drain r acc) in
+      let got = loop [] in
+      check_int "writer wrote every frame"
+        (List.fold_left (fun n p -> n + Frame.header_len + String.length p) 0 payloads)
+        (Domain.join writer);
+      check_payloads "window delivered in order" payloads got)
+
+(* EOF, or a reset, in the middle of a frame is [Torn], never a frame and
+   never a clean close. *)
+let test_reader_eof_mid_frame () =
+  let frame = Frame.encode "{\"op\":\"ping\"}" in
+  List.iter
+    (fun cut ->
+      with_pair (fun rd wr ->
+          ignore (Unix.write_substring wr frame 0 cut);
+          Unix.shutdown wr Unix.SHUTDOWN_SEND;
+          let r = Frame.reader rd in
+          check_int "prefix arrives" cut (fill_ok r);
+          check_bool "a prefix is not a frame" true (Frame.next r = Ok None);
+          match Frame.fill r with
+          | Error { Errors.kind = Errors.Torn; _ } -> ()
+          | Ok n -> Alcotest.failf "cut at %d: fill read %d instead of torn" cut n
+          | Error e -> Alcotest.failf "cut at %d: %s" cut (Errors.to_string e)))
+    [ 1; Frame.header_len - 1; Frame.header_len; String.length frame - 1 ]
+
+(* A corrupt frame behind valid ones: the valid frames come out first, then
+   the verdict. *)
+let test_reader_corrupt_after_valid () =
+  let flipped = Bytes.of_string (Frame.encode "third") in
+  Bytes.set flipped (Frame.header_len + 1) 'X';
+  with_pair (fun rd wr ->
+      let stream = Frame.encode "first" ^ Frame.encode "second" ^ Bytes.to_string flipped in
+      ignore (Unix.write_substring wr stream 0 (String.length stream));
+      let r = Frame.reader rd in
+      ignore (fill_ok r);
+      check_bool "first" true (Frame.next r = Ok (Some "first"));
+      check_bool "second" true (Frame.next r = Ok (Some "second"));
+      match Frame.next r with
+      | Error { Errors.kind = Errors.Crc_mismatch; _ } -> ()
+      | _ -> Alcotest.fail "the flipped frame must be a CRC mismatch")
+
+(* A declared length above the cap is rejected from the header alone: no
+   payload byte was ever sent. *)
+let test_reader_oversized_from_header () =
+  let header = String.sub (Frame.encode (String.make 101 'x')) 0 Frame.header_len in
+  with_pair (fun rd wr ->
+      ignore (Unix.write_substring wr header 0 Frame.header_len);
+      let r = Frame.reader ~max_payload:100 rd in
+      check_int "only the header arrived" Frame.header_len (fill_ok r);
+      match Frame.next r with
+      | Error { Errors.kind = Errors.Oversized; _ } -> ()
+      | _ -> Alcotest.fail "a length over the cap must be oversized at the header")
+
+(* A silent peer trips the socket's receive timeout as [Timeout]. *)
+let test_reader_deadline () =
+  with_pair (fun rd _wr ->
+      Unix.setsockopt_float rd Unix.SO_RCVTIMEO 0.05;
+      let r = Frame.reader rd in
+      match Frame.fill r with
+      | Error { Errors.kind = Errors.Timeout; _ } -> ()
+      | Ok n -> Alcotest.failf "a silent peer delivered %d bytes" n
+      | Error e -> Alcotest.failf "expected a timeout, got %s" (Errors.to_string e))
+
+(* The bytes [Conn.serve] writes for a pipelined request sequence are
+   exactly the concatenation of each response's [Frame.encode] — the one
+   writer changes no byte on the wire. Immediate and deferred replies, and
+   a non-fatal error, are interleaved; the requests arrive in one write so
+   they land in one batch. *)
+let test_conn_wire_bytes () =
+  let stats = Obs.Json.Obj [ ("uptime_s", Obs.Json.Num 1.5) ] in
+  let reqs =
+    [
+      Codec.Ping;
+      Codec.Query { principal = "crm-app"; query = "Q(x) :- Meetings(x, y)"; trace = None };
+      Codec.Stats;
+      Codec.Query { principal = "hr-app"; query = "Q(x) :- Meetings(x, y)"; trace = None };
+      Codec.Explain { principal = "crm-app"; query = "Q(x) :- Meetings(x, y)"; trace = None };
+      Codec.Ping;
+    ]
+  in
+  let handle = function
+    | Codec.Ping -> Net.Conn.Now Codec.Pong
+    | Codec.Stats -> Net.Conn.Now (Codec.Stats_doc stats)
+    | Codec.Query { principal = "crm-app"; _ } -> Net.Conn.Later (fun () -> Codec.Decision Monitor.Answered)
+    | Codec.Query _ -> Net.Conn.Later (fun () -> Codec.Decision (Monitor.Refused Guard.Policy))
+    | Codec.Explain _ | Codec.Pull _ -> Net.Conn.Now (Codec.Error (Errors.bad_request "not here"))
+  in
+  let expected =
+    [
+      Codec.Pong;
+      Codec.Decision Monitor.Answered;
+      Codec.Stats_doc stats;
+      Codec.Decision (Monitor.Refused Guard.Policy);
+      Codec.Error (Errors.bad_request "not here");
+      Codec.Pong;
+    ]
+  in
+  let client, server = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let conn = Domain.spawn (fun () -> Net.Conn.serve ~handle server) in
+  let request = String.concat "" (List.map (fun r -> Frame.encode (Codec.encode_request r)) reqs) in
+  ignore (Unix.write_substring client request 0 (String.length request));
+  Unix.shutdown client Unix.SHUTDOWN_SEND;
+  let out = Buffer.create 1024 in
+  let chunk = Bytes.create 1024 in
+  let rec read_all () =
+    match Unix.read client chunk 0 1024 with
+    | 0 -> ()
+    | n ->
+      Buffer.add_subbytes out chunk 0 n;
+      read_all ()
+  in
+  read_all ();
+  Domain.join conn;
+  Unix.close client;
+  Alcotest.(check string) "Conn.serve bytes = concatenated Frame.encode"
+    (String.concat "" (List.map (fun r -> Frame.encode (Codec.encode_response r)) expected))
+    (Buffer.contents out)
+
+(* [Frame.flush] under EINTR: the frame overflows the socket buffer so
    the writer blocks, and an interval timer delivers SIGALRM while it is
    blocked — each delivery interrupts the write with EINTR. The reader only
    starts draining after the writer has filled the buffer. Every byte must
    arrive, in order — the EINTR/partial-write loop may not drop, duplicate,
    or reorder anything. *)
-let test_write_all_survives_eintr () =
+let test_flush_survives_eintr () =
   let previous = Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> ())) in
   Fun.protect
     ~finally:(fun () ->
@@ -368,13 +524,16 @@ let test_write_all_survives_eintr () =
       in
       ignore
         (Unix.setitimer Unix.ITIMER_REAL { Unix.it_interval = 0.005; it_value = 0.005 });
-      Net.Fdio.write_all sender payload;
+      let w = Frame.writer sender in
+      Frame.add w payload;
+      ignore (Frame.flush w);
       ignore
         (Unix.setitimer Unix.ITIMER_REAL { Unix.it_interval = 0.0; it_value = 0.0 });
       Unix.close sender;
       let received = Domain.join reader in
-      check_int "every byte arrived" (String.length payload) (String.length received);
-      check_bool "bytes intact and in order" true (String.equal payload received))
+      let frame = Frame.encode payload in
+      check_int "every byte arrived" (String.length frame) (String.length received);
+      check_bool "bytes intact and in order" true (String.equal frame received))
 
 let test_ping_stats_over_wire () =
   with_socket (fun addr ->
@@ -908,10 +1067,20 @@ let () =
           Alcotest.test_case "oversized header rejected early" `Quick
             test_frame_oversized_rejected_early;
           Alcotest.test_case "decode is total (fuzz)" `Quick test_frame_fuzz_never_raises;
-          Alcotest.test_case "decode_sub at an offset ≡ decode on the suffix" `Quick
-            test_decode_sub_equals_decode_on_suffix;
-          Alcotest.test_case "write_all survives an EINTR storm" `Quick
-            test_write_all_survives_eintr;
+          Alcotest.test_case "flush survives an EINTR storm" `Quick
+            test_flush_survives_eintr;
+          Alcotest.test_case "reader: split at every byte boundary" `Quick
+            test_reader_split_every_boundary;
+          Alcotest.test_case "reader: window larger than its buffer" `Quick
+            test_reader_window_larger_than_buffer;
+          Alcotest.test_case "reader: EOF mid-frame is torn" `Quick test_reader_eof_mid_frame;
+          Alcotest.test_case "reader: valid frames before a corrupt one" `Quick
+            test_reader_corrupt_after_valid;
+          Alcotest.test_case "reader: oversized from the header alone" `Quick
+            test_reader_oversized_from_header;
+          Alcotest.test_case "reader: read deadline" `Quick test_reader_deadline;
+          Alcotest.test_case "Conn.serve writes the encoded frames" `Quick
+            test_conn_wire_bytes;
         ] );
       ( "codec",
         [

@@ -197,6 +197,57 @@ let test_poll_once_catches_up () =
           Net.Listener.stop listener;
           Server.stop server))
 
+(* --- pull responses past 1 MiB --------------------------------------- *)
+
+(* A pull response hex-encodes a whole checkpoint, or a batch window of up
+   to 1 MiB, so it can pass the server's 1 MiB request cap twice over. A
+   standby must still bootstrap from such a checkpoint and catch up such a
+   backlog over the wire. Long principal names make both large with a few
+   thousand principals. *)
+let test_pull_over_one_mib () =
+  let big =
+    {
+      policy with
+      Policyfile.principals =
+        List.init 3000 (fun i ->
+            (Printf.sprintf "app-%04d-%s" i (String.make 200 'p'), [ ("default", [ "V2" ]) ]));
+    }
+  in
+  with_bases (fun jbase mbase ->
+      with_socket (fun addr ->
+          let server = Server.create ~journal:jbase ~config:(config ~shards:1) (pipeline ()) in
+          register_all ~policy:big server;
+          Server.start server;
+          let decide_all () =
+            List.iter
+              (fun (principal, _) -> ignore (Server.submit_sync server ~principal q_slots))
+              big.Policyfile.principals
+          in
+          decide_all ();
+          (match Server.checkpoint server with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "checkpoint: %s" e);
+          decide_all ();
+          Server.drain server;
+          let shard_base = Server.shard_journal jbase 0 in
+          List.iter
+            (fun (what, path) ->
+              let encoded = 2 * Journal.file_size path in
+              if encoded <= 1 lsl 20 then
+                Alcotest.failf "%s encodes to only %d bytes" what encoded)
+            [ ("checkpoint", Journal.ckpt_path shard_base); ("backlog", shard_base) ];
+          let source = Source.create ~server ~journal:jbase () in
+          let listener = Net.Listener.create ~extend:(Source.handler source) ~server addr in
+          let fol =
+            match Follower.create ~journal:mbase ~shards:1 big with
+            | Ok f -> f
+            | Error e -> Alcotest.failf "follower create: %s" e
+          in
+          Net.Client.with_connection addr (fun client -> catch_up_wire client fol ~shards:1);
+          check_family_equal ~what:"pulls over 1 MiB" jbase mbase ~shards:1;
+          Net.Listener.stop listener;
+          Server.stop server))
+
 (* --- run: the poll domain and the seconds-since-last-pull clock -------- *)
 
 let eventually what cond =
@@ -1058,6 +1109,8 @@ let () =
           Alcotest.test_case "tiered follower: bounded, identical, promotable"
             `Quick test_tiered_follower;
           Alcotest.test_case "poll_once catches up in one pass" `Quick test_poll_once_catches_up;
+          Alcotest.test_case "bootstrap and catch-up past 1 MiB over the wire" `Quick
+            test_pull_over_one_mib;
           Alcotest.test_case "run mirrors, the pull clock grows, promote" `Quick
             test_run_then_promote;
           Alcotest.test_case "a long pass keeps the pull clock small" `Quick

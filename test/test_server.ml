@@ -289,6 +289,40 @@ let test_group_commit_differential () =
                 true (flushes_on <= bound))))
     shard_counts
 
+(* A journaled shard always has a watermark. A reader that loaded the old
+   service just before a reload's swap finds it closed; it must follow the
+   swap rather than report [None], which replication reads as "no
+   position" and a scrape shows as [null]. Another domain polls every
+   shard while this one reloads over and over. *)
+let test_watermark_survives_reloads () =
+  with_tmp_base (fun journal ->
+      let domains = 2 in
+      let server = make_server ~journal ~config:(config ~domains ()) () in
+      Server.start server;
+      ignore (Server.submit_sync server ~principal:"crm-app" q_contacts);
+      let stop = Atomic.make false in
+      let poller =
+        Domain.spawn (fun () ->
+            let nones = ref 0 and polls = ref 0 in
+            while not (Atomic.get stop) do
+              for shard = 0 to domains - 1 do
+                incr polls;
+                if Server.journal_position server ~shard = None then incr nones
+              done
+            done;
+            (!nones, !polls))
+      in
+      for _ = 1 to 300 do
+        match Server.reload server policy with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "reload: %s" e
+      done;
+      Atomic.set stop true;
+      let nones, polls = Domain.join poller in
+      Server.stop server;
+      if nones > 0 then
+        Alcotest.failf "%d of %d watermark reads were None across 300 reloads" nones polls)
+
 (* --- flat combining ------------------------------------------------------ *)
 
 (* The idle-full rule: a started shard whose queue is at capacity with
@@ -731,6 +765,8 @@ let () =
             test_auto_checkpoints_counted;
           Alcotest.test_case "group commit: identical decisions, fewer fsyncs" `Quick
             test_group_commit_differential;
+          Alcotest.test_case "journal watermark survives reloads" `Quick
+            test_watermark_survives_reloads;
         ] );
       ( "combining",
         [
