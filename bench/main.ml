@@ -1211,6 +1211,76 @@ let run_recover () =
 (* ------------------------------------------------------------------ *)
 (* Networked front-end: loopback round trips vs the in-process path    *)
 
+(* The codec row: what one wire request costs the two ends outside the
+   socket — the client's print and encode, the frame on each side, the
+   server's payload decode and parse, and the decision's response round
+   trip — as process-independent per-request microseconds and minor-heap
+   words, over an ecosystem-style pool (the simple queries and app names
+   of the serving benchmark's ecosystem workload). Exits 1 if any decoded
+   request, parsed query or decoded response differs from its original. *)
+type codec_step = { step : string; us : float; words : float }
+
+let codec_row () =
+  let rng = Workload.Rng.create 3001 in
+  let g = Workload.Querygen.create ~seed:(Workload.Rng.int rng 1_000_000_000) () in
+  let pool = Array.init 64 (fun _ -> Workload.Querygen.generate_simple g) in
+  let principals = Array.init 64 (fun i -> Workload.Principalgen.name (i * 1543)) in
+  let n = Array.length pool in
+  let reps = 320 in
+  let fail what =
+    Format.printf "codec row: %s differs from what was encoded@." what;
+    exit 1
+  in
+  let measure step f =
+    let out = Array.map f (Array.init n Fun.id) in
+    Gc.compact ();
+    let w0 = Gc.minor_words () in
+    let t0 = Disclosure.Mclock.now_ns () in
+    for _ = 1 to reps do
+      for i = 0 to n - 1 do
+        ignore (Sys.opaque_identity (f i))
+      done
+    done;
+    let t1 = Disclosure.Mclock.now_ns () in
+    let words = Gc.minor_words () -. w0 in
+    let per = float_of_int (reps * n) in
+    (out, { step; us = Int64.to_float (Int64.sub t1 t0) /. 1e3 /. per; words = words /. per })
+  in
+  let texts, print = measure "print" (fun i -> Cq.Query.to_string pool.(i)) in
+  let requests =
+    Array.init n (fun i -> Net.Codec.Query { principal = principals.(i); query = texts.(i); trace = None })
+  in
+  let payloads, encode = measure "encode" (fun i -> Net.Codec.encode_request requests.(i)) in
+  let frames, frame = measure "frame" (fun i -> Net.Frame.encode payloads.(i)) in
+  let decoded, decode =
+    measure "decode" (fun i ->
+        match Net.Frame.decode frames.(i) with
+        | Net.Frame.Frame { payload; _ } -> Net.Codec.decode_request payload
+        | _ -> fail "a request frame")
+  in
+  Array.iteri (fun i d -> if d <> Ok requests.(i) then fail "a decoded request") decoded;
+  let parsed, parse = measure "parse" (fun i -> Cq.Parser.query_exn texts.(i)) in
+  Array.iteri (fun i q -> if q <> pool.(i) then fail "a parsed query") parsed;
+  let decision i =
+    if i mod 10 = 9 then Monitor.Refused Disclosure.Guard.Policy else Monitor.Answered
+  in
+  let responses, response =
+    measure "response" (fun i ->
+        match
+          Net.Frame.decode (Net.Frame.encode (Net.Codec.encode_response (Net.Codec.Decision (decision i))))
+        with
+        | Net.Frame.Frame { payload; _ } -> Net.Codec.decode_response payload
+        | _ -> fail "a response frame")
+  in
+  Array.iteri
+    (fun i r -> if r <> Ok (Net.Codec.Decision (decision i)) then fail "a decoded response")
+    responses;
+  let steps = [ print; encode; frame; decode; parse; response ] in
+  let mean_bytes =
+    float_of_int (Array.fold_left (fun a f -> a + String.length f) 0 frames) /. float_of_int n
+  in
+  (steps, mean_bytes)
+
 (* The same workload twice: direct [Server.submit_sync] calls (the
    in-process baseline) and blocking [Net.Client] round trips over a
    loopback Unix-domain socket — so the delta is exactly the wire
@@ -1352,6 +1422,13 @@ let run_net () =
       | Error e -> failwith ("bench: unexpected wire error: " ^ Net.Errors.to_string e))
     pipe_results;
   let pipe_qps = float_of_int n /. pipe_wall in
+  (* The server's syscalls per pipelined request: a read carries as many
+     requests as the client's writes coalesced. *)
+  let per_request c =
+    float_of_int (Server.Metrics.count (Server.metrics server) c) /. float_of_int n
+  in
+  let pipe_reads = per_request Server.Metrics.Net_reads in
+  let pipe_writes = per_request Server.Metrics.Net_writes in
   Net.Listener.stop listener;
   Server.drain server;
   Server.stop server;
@@ -1373,6 +1450,22 @@ let run_net () =
   Format.printf
     "pipelined: %.1fx the serial connection, decisions identical to in-process: %b@."
     pipe_speedup pipe_identical;
+  Format.printf "pipelined: the server made %.3f reads and %.3f writes per request@." pipe_reads
+    pipe_writes;
+  let codec_steps, request_frame_bytes = codec_row () in
+  let codec_total f = List.fold_left (fun a st -> a +. f st) 0.0 codec_steps in
+  Format.printf "@.codec per request (%.0f-byte request frames):@." request_frame_bytes;
+  Format.printf "%-10s %10s %12s@." "step" "us" "minor words";
+  List.iter (fun st -> Format.printf "%-10s %10.2f %12.0f@." st.step st.us st.words) codec_steps;
+  Format.printf "%-10s %10.2f %12.0f@." "total"
+    (codec_total (fun st -> st.us))
+    (codec_total (fun st -> st.words));
+  let codec_json =
+    String.concat ", "
+      (List.map
+         (fun st -> Printf.sprintf "\"%s\": {\"us\": %.2f, \"words\": %.0f}" st.step st.us st.words)
+         codec_steps)
+  in
   let json_path = Option.value options.server_json ~default:"BENCH_net.json" in
   let oc = open_out json_path in
   Fun.protect
@@ -1386,14 +1479,18 @@ let run_net () =
         \  \"in_process\": {\"p50_us\": %.1f, \"p99_us\": %.1f, \"qps\": %.0f},\n\
         \  \"loopback\": {\"p50_us\": %.1f, \"p99_us\": %.1f, \"qps\": %.0f},\n\
         \  \"concurrent\": {\"connections\": %d, \"qps\": %.0f},\n\
-        \  \"pipelined\": {\"depth\": %d, \"qps\": %.0f, \"speedup_vs_serial\": %.2f, \"decisions_identical_to_in_process\": %b},\n\
+        \  \"pipelined\": {\"depth\": %d, \"qps\": %.0f, \"speedup_vs_serial\": %.2f, \"server_reads_per_request\": %.3f, \"server_writes_per_request\": %.3f, \"decisions_identical_to_in_process\": %b},\n\
         \  \"answered\": %d,\n\
         \  \"refused\": %d,\n\
-        \  \"decisions_identical_to_in_process\": %b\n\
+        \  \"decisions_identical_to_in_process\": %b,\n\
+        \  \"codec\": {\"request_frame_bytes\": %.0f, %s, \"total\": {\"us\": %.2f, \"words\": %.0f}}\n\
          }\n"
         n n_principals in_p50 in_p99 in_qps net_p50 net_p99 net_qps n_conns conc_qps
-        pipeline_depth pipe_qps pipe_speedup pipe_identical net_answered net_refused
-        identical);
+        pipeline_depth pipe_qps pipe_speedup pipe_reads pipe_writes pipe_identical net_answered
+        net_refused
+        identical request_frame_bytes codec_json
+        (codec_total (fun st -> st.us))
+        (codec_total (fun st -> st.words)));
   Format.printf "(wrote %s)@." json_path
 
 (* ------------------------------------------------------------------ *)

@@ -57,19 +57,44 @@ let unescape s =
 
 (* --- CRC-32 (reflected, zlib polynomial) ------------------------------- *)
 
-let crc_table =
+(* Slicing-by-4: table [k] (entries [256k .. 256k + 255]) advances a byte
+   through the CRC register and then [k] zero bytes more, so four bytes
+   fold in with four lookups. Table 0 is the classic bytewise table. Built
+   on first use, so nothing is computed before a CRC is needed. *)
+let crc_tables =
   lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+    (let t = Array.make 1024 0 in
+     for n = 0 to 255 do
+       let c = ref n in
+       for _ = 0 to 7 do
+         c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+       done;
+       t.(n) <- !c
+     done;
+     for i = 256 to 1023 do
+       let prev = t.(i - 256) in
+       t.(i) <- (prev lsr 8) lxor t.(prev land 0xFF)
+     done;
+     t)
 
 let crc32 s =
-  let table = Lazy.force crc_table in
+  let t = Lazy.force crc_tables in
+  let n = String.length s in
   let c = ref 0xFFFFFFFF in
-  String.iter (fun ch -> c := table.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8)) s;
+  let i = ref 0 in
+  while !i + 4 <= n do
+    let x = !c lxor (Int32.to_int (String.get_int32_le s !i) land 0xFFFFFFFF) in
+    c :=
+      Array.unsafe_get t (768 + (x land 0xFF))
+      lxor Array.unsafe_get t (512 + ((x lsr 8) land 0xFF))
+      lxor Array.unsafe_get t (256 + ((x lsr 16) land 0xFF))
+      lxor Array.unsafe_get t (x lsr 24);
+    i := !i + 4
+  done;
+  while !i < n do
+    c := Array.unsafe_get t ((!c lxor Char.code (String.unsafe_get s !i)) land 0xFF) lxor (!c lsr 8);
+    incr i
+  done;
   !c lxor 0xFFFFFFFF
 
 (* --- framing ----------------------------------------------------------- *)

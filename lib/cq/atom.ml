@@ -38,11 +38,27 @@ let map_terms f a = { a with args = List.map f a.args }
 let rename_vars f a =
   map_terms (function Term.Var x -> Term.Var (f x) | Term.Const _ as t -> t) a
 
-let pp ppf a =
-  Format.fprintf ppf "%s(%a)" a.pred
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-       Term.pp)
-    a.args
+(* [xs] separated by commas, as the query syntax lists arguments and
+   atoms. *)
+let list_to_buffer add b = function
+  | [] -> ()
+  | x :: rest ->
+    add b x;
+    List.iter
+      (fun x ->
+        Buffer.add_string b ", ";
+        add b x)
+      rest
 
-let to_string a = Format.asprintf "%a" pp a
+let to_buffer b a =
+  Buffer.add_string b a.pred;
+  Buffer.add_char b '(';
+  list_to_buffer Term.to_buffer b a.args;
+  Buffer.add_char b ')'
+
+let to_string a =
+  let b = Buffer.create 64 in
+  to_buffer b a;
+  Buffer.contents b
+
+let pp ppf a = Format.pp_print_string ppf (to_string a)

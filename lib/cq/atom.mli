@@ -23,6 +23,12 @@ val rename_vars : (string -> string) -> t -> t
 
 val map_terms : (Term.t -> Term.t) -> t -> t
 
-val pp : Format.formatter -> t -> unit
+val list_to_buffer : (Buffer.t -> 'a -> unit) -> Buffer.t -> 'a list -> unit
+(** Appends the elements separated by [", "]. *)
+
+val to_buffer : Buffer.t -> t -> unit
+(** Appends the atom in the syntax {!Parser.atom} reads back. *)
 
 val to_string : t -> string
+
+val pp : Format.formatter -> t -> unit

@@ -230,7 +230,7 @@ let serialize_atom ~head_name naming next_e (atom : Atom.t) =
     (fun i t ->
       if i > 0 then Buffer.add_char buf ',';
       match t with
-      | Term.Const _ -> Buffer.add_string buf (Term.to_string t)
+      | Term.Const _ -> Term.to_buffer buf t
       | Term.Var v -> (
         match head_name v with
         | Some hn -> Buffer.add_string buf hn

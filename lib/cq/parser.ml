@@ -1,154 +1,211 @@
 exception Parse_error of string
 
-type token =
-  | Tident of string (* uppercase-initial: predicate name *)
-  | Tvar of string (* lowercase-initial: variable *)
-  | Tconst of Relational.Value.t
-  | Tlparen
-  | Trparen
-  | Tcomma
-  | Tturnstile
-  | Teof
+let fail pos msg = raise (Parse_error (Printf.sprintf "at offset %d: %s" pos msg))
 
 let is_ident_char c =
   (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c = '_'
 
-let fail pos msg = raise (Parse_error (Printf.sprintf "at offset %d: %s" pos msg))
+let is_digit c = c >= '0' && c <= '9'
 
-let tokenize s =
-  let n = String.length s in
-  let tokens = ref [] in
-  let emit t = tokens := t :: !tokens in
-  let i = ref 0 in
-  while !i < n do
-    let c = s.[!i] in
-    if c = ' ' || c = '\t' || c = '\n' || c = '\r' then incr i
-    else if c = '(' then begin emit Tlparen; incr i end
-    else if c = ')' then begin emit Trparen; incr i end
-    else if c = ',' then begin emit Tcomma; incr i end
-    else if (c = ':' || c = '<') && !i + 1 < n && s.[!i + 1] = '-' then begin
-      emit Tturnstile;
-      i := !i + 2
-    end
-    else if c = '\'' then begin
-      let j = ref (!i + 1) in
-      while !j < n && s.[!j] <> '\'' do incr j done;
-      if !j >= n then fail !i "unterminated string literal";
-      emit (Tconst (Relational.Value.Str (String.sub s (!i + 1) (!j - !i - 1))));
-      i := !j + 1
-    end
-    else if (c >= '0' && c <= '9') || (c = '-' && !i + 1 < n && s.[!i + 1] >= '0' && s.[!i + 1] <= '9')
-    then begin
-      let j = ref (!i + 1) in
-      while !j < n && s.[!j] >= '0' && s.[!j] <= '9' do incr j done;
-      emit (Tconst (Relational.Value.Int (int_of_string (String.sub s !i (!j - !i)))));
-      i := !j
-    end
-    else if is_ident_char c then begin
-      let j = ref !i in
-      while !j < n && is_ident_char s.[!j] do incr j done;
-      let word = String.sub s !i (!j - !i) in
-      (match word with
-      | "true" -> emit (Tconst (Relational.Value.Bool true))
-      | "false" -> emit (Tconst (Relational.Value.Bool false))
-      | _ ->
-        if word.[0] >= 'A' && word.[0] <= 'Z' then emit (Tident word)
-        else emit (Tvar word));
-      i := !j
-    end
-    else fail !i (Printf.sprintf "unexpected character %c" c)
+let rec skip_digits s i = if i < String.length s && is_digit s.[i] then skip_digits s (i + 1) else i
+
+let rec skip_word s i =
+  if i < String.length s && is_ident_char s.[i] then skip_word s (i + 1) else i
+
+let rec skip_spaces s i =
+  if i < String.length s then
+    match s.[i] with ' ' | '\t' | '\n' | '\r' -> skip_spaces s (i + 1) | _ -> i
+  else i
+
+(* The closing quote of the string literal opening at [i], or [-1]. *)
+let rec closing_quote s i =
+  if i >= String.length s then -1 else if s.[i] = '\'' then i else closing_quote s (i + 1)
+
+exception Out_of_range
+
+(* The value of the integer literal [s.[i..j)], accumulated negatively so
+   that [min_int] fits; [Out_of_range] where [int_of_string] would fail. *)
+let int_literal s i j =
+  let neg = s.[i] = '-' in
+  let rec go acc k =
+    if k >= j then acc
+    else
+      let d = Char.code s.[k] - 48 in
+      if acc < (min_int + d) / 10 then raise Out_of_range else go ((acc * 10) - d) (k + 1)
+  in
+  let acc = go 0 (if neg then i + 1 else i) in
+  if neg then acc else if acc = min_int then raise Out_of_range else -acc
+
+(* --- the lexer: one token at a time, on a cursor ------------------------- *)
+
+type kind =
+  | Eof
+  | Lparen
+  | Rparen
+  | Comma
+  | Turnstile
+  | Ident  (** Uppercase-initial word: a predicate name. *)
+  | Var  (** Any other word but [true] / [false]. *)
+  | Str  (** A quoted string literal. *)
+  | Int  (** An integer literal; its value is in [int]. *)
+  | True
+  | False
+
+(* The current token is [s.[start..stop)], of class [kind]. *)
+type cursor = {
+  s : string;
+  mutable kind : kind;
+  mutable start : int;
+  mutable stop : int;
+  mutable int : int;
+}
+
+let set cur kind stop =
+  cur.kind <- kind;
+  cur.stop <- stop
+
+let is_word s i j w =
+  j - i = String.length w
+  &&
+  let rec eq k = k >= j - i || (s.[i + k] = w.[k] && eq (k + 1)) in
+  eq 0
+
+let unexpected i c = fail i (Printf.sprintf "unexpected character %c" c)
+
+(* Lexes the token at or after [i]; raises the lexical errors. *)
+let lex cur i =
+  let s = cur.s in
+  let i = skip_spaces s i in
+  cur.start <- i;
+  if i >= String.length s then set cur Eof i
+  else
+    let next_is c = i + 1 < String.length s && s.[i + 1] = c in
+    let number () =
+      let j = skip_digits s (i + 1) in
+      (match int_literal s i j with
+      | v -> cur.int <- v
+      | exception Out_of_range -> fail i "integer literal out of range");
+      set cur Int j
+    in
+    match s.[i] with
+    | '(' -> set cur Lparen (i + 1)
+    | ')' -> set cur Rparen (i + 1)
+    | ',' -> set cur Comma (i + 1)
+    | (':' | '<') as c -> if next_is '-' then set cur Turnstile (i + 2) else unexpected i c
+    | '\'' ->
+      let j = closing_quote s (i + 1) in
+      if j < 0 then fail i "unterminated string literal";
+      set cur Str (j + 1)
+    | '0' .. '9' -> number ()
+    | '-' -> if i + 1 < String.length s && is_digit s.[i + 1] then number () else unexpected i '-'
+    | ('a' .. 'z' | 'A' .. 'Z' | '_') as c ->
+      let j = skip_word s i in
+      if is_word s i j "true" then set cur True j
+      else if is_word s i j "false" then set cur False j
+      else if c >= 'A' && c <= 'Z' then set cur Ident j
+      else set cur Var j
+    | c -> unexpected i c
+
+let advance cur = lex cur cur.stop
+
+let word cur = String.sub cur.s cur.start (cur.stop - cur.start)
+
+(* --- recursive descent ---------------------------------------------------- *)
+
+(* A syntax error. Every lexical error wins over every syntax error,
+   wherever each sits, so the rest of the input is lexed first: the input
+   before the cursor already lexed cleanly, and a lexical error after it
+   is raised here instead. Only a lexical error's position is tracked; a
+   syntax error reports offset 0. *)
+let syntax cur msg =
+  while cur.kind <> Eof do
+    advance cur
   done;
-  emit Teof;
-  List.rev !tokens
+  fail 0 msg
 
-type state = { mutable toks : token list }
+let term cur =
+  let t =
+    match cur.kind with
+    | Var -> Term.Var (word cur)
+    | Str -> Term.Const (Relational.Value.Str (String.sub cur.s (cur.start + 1) (cur.stop - cur.start - 2)))
+    | Int -> Term.Const (Relational.Value.Int cur.int)
+    | True -> Term.Const (Relational.Value.Bool true)
+    | False -> Term.Const (Relational.Value.Bool false)
+    | Ident -> syntax cur ("unexpected predicate name " ^ word cur ^ " in argument position")
+    | Lparen | Rparen | Comma | Turnstile | Eof -> syntax cur "expected a term"
+  in
+  advance cur;
+  t
 
-let peek st = match st.toks with [] -> Teof | t :: _ -> t
-
-let advance st = match st.toks with [] -> () | _ :: rest -> st.toks <- rest
-
-let expect st tok what =
-  if peek st = tok then advance st else fail 0 ("expected " ^ what)
-
-let parse_term st =
-  match peek st with
-  | Tvar x ->
-    advance st;
-    Term.Var x
-  | Tconst v ->
-    advance st;
-    Term.Const v
-  | Tident x -> fail 0 ("unexpected predicate name " ^ x ^ " in argument position")
-  | Tlparen | Trparen | Tcomma | Tturnstile | Teof -> fail 0 "expected a term"
-
-let parse_term_list st =
-  expect st Tlparen "(";
-  if peek st = Trparen then begin
-    advance st;
+let term_list cur =
+  if cur.kind <> Lparen then syntax cur "expected (";
+  advance cur;
+  if cur.kind = Rparen then begin
+    advance cur;
     []
   end
   else
-    let rec loop acc =
-      let t = parse_term st in
-      match peek st with
-      | Tcomma ->
-        advance st;
-        loop (t :: acc)
-      | Trparen ->
-        advance st;
-        List.rev (t :: acc)
-      | Tlparen | Tturnstile | Teof | Tident _ | Tvar _ | Tconst _ ->
-        fail 0 "expected , or ) in argument list"
+    let rec loop () =
+      let t = term cur in
+      match cur.kind with
+      | Comma ->
+        advance cur;
+        t :: loop ()
+      | Rparen ->
+        advance cur;
+        [ t ]
+      | Lparen | Turnstile | Eof | Ident | Var | Str | Int | True | False ->
+        syntax cur "expected , or ) in argument list"
     in
-    loop []
+    loop ()
 
-let parse_atom st =
-  match peek st with
-  | Tident pred ->
-    advance st;
-    Atom.make pred (parse_term_list st)
-  | Tvar x -> fail 0 ("relation names must start with an uppercase letter: " ^ x)
-  | Tconst _ | Tlparen | Trparen | Tcomma | Tturnstile | Teof ->
-    fail 0 "expected an atom"
+let atom cur =
+  match cur.kind with
+  | Ident ->
+    let pred = word cur in
+    advance cur;
+    Atom.make pred (term_list cur)
+  | Var -> syntax cur ("relation names must start with an uppercase letter: " ^ word cur)
+  | Str | Int | True | False | Lparen | Rparen | Comma | Turnstile | Eof ->
+    syntax cur "expected an atom"
 
-let parse_query st =
+let query cur =
   let name =
-    match peek st with
-    | Tident name ->
-      advance st;
+    match cur.kind with
+    | Ident ->
+      let name = word cur in
+      advance cur;
       name
-    | Tvar x -> fail 0 ("query names must start with an uppercase letter: " ^ x)
-    | Tconst _ | Tlparen | Trparen | Tcomma | Tturnstile | Teof ->
-      fail 0 "expected a query head"
+    | Var -> syntax cur ("query names must start with an uppercase letter: " ^ word cur)
+    | Str | Int | True | False | Lparen | Rparen | Comma | Turnstile | Eof ->
+      syntax cur "expected a query head"
   in
-  let head = parse_term_list st in
-  expect st Tturnstile ":-";
-  let rec loop acc =
-    let a = parse_atom st in
-    match peek st with
-    | Tcomma ->
-      advance st;
-      loop (a :: acc)
-    | Teof | Tident _ | Tvar _ | Tconst _ | Tlparen | Trparen | Tturnstile ->
-      List.rev (a :: acc)
+  let head = term_list cur in
+  if cur.kind <> Turnstile then syntax cur "expected :-";
+  advance cur;
+  let rec body () =
+    let a = atom cur in
+    if cur.kind = Comma then begin
+      advance cur;
+      a :: body ()
+    end
+    else [ a ]
   in
-  let body = loop [] in
-  try Query.make ~name ~head ~body () with Query.Unsafe msg -> fail 0 ("unsafe query: " ^ msg)
+  let body = body () in
+  try Query.make ~name ~head ~body () with Query.Unsafe msg -> syntax cur ("unsafe query: " ^ msg)
 
 let run p s =
-  let st = { toks = tokenize s } in
-  let result = p st in
-  (match peek st with
-  | Teof -> ()
-  | Tident _ | Tvar _ | Tconst _ | Tlparen | Trparen | Tcomma | Tturnstile ->
-    fail 0 "trailing input");
+  let cur = { s; kind = Eof; start = 0; stop = 0; int = 0 } in
+  lex cur 0;
+  let result = p cur in
+  if cur.kind <> Eof then syntax cur "trailing input";
   result
 
-let query_exn s = run parse_query s
+let query_exn s = run query s
 
 let query s = try Ok (query_exn s) with Parse_error msg -> Error msg
 
-let atom_exn s = run parse_atom s
+let atom_exn s = run atom s
 
 let atom s = try Ok (atom_exn s) with Parse_error msg -> Error msg
 

@@ -19,13 +19,21 @@ let dedup_preserving_order xs =
 
 let body_vars_of body = dedup_preserving_order (List.concat_map Atom.vars body)
 
+let rec occurs_in_args x = function
+  | [] -> false
+  | Term.Var y :: rest -> String.equal x y || occurs_in_args x rest
+  | Term.Const _ :: rest -> occurs_in_args x rest
+
+let rec occurs_in_body x = function
+  | [] -> false
+  | (a : Atom.t) :: rest -> occurs_in_args x a.args || occurs_in_body x rest
+
 let make ?(name = "Q") ~head ~body () =
   if body = [] then raise (Unsafe "query body is empty");
-  let bvars = body_vars_of body in
   let check_head_var t =
     match t with
     | Term.Var x ->
-      if not (List.mem x bvars) then
+      if not (occurs_in_body x body) then
         raise (Unsafe (Printf.sprintf "head variable %s does not appear in the body" x))
     | Term.Const _ -> ()
   in
@@ -91,15 +99,13 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
-let pp ppf q =
-  Format.fprintf ppf "%s(%a) :- %a" q.name
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-       Term.pp)
-    q.head
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-       Atom.pp)
-    q.body
+let to_string q =
+  let b = Buffer.create 256 in
+  Buffer.add_string b q.name;
+  Buffer.add_char b '(';
+  Atom.list_to_buffer Term.to_buffer b q.head;
+  Buffer.add_string b ") :- ";
+  Atom.list_to_buffer Atom.to_buffer b q.body;
+  Buffer.contents b
 
-let to_string q = Format.asprintf "%a" pp q
+let pp ppf q = Format.pp_print_string ppf (to_string q)

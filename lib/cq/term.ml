@@ -17,8 +17,10 @@ let is_const = function Const _ -> true | Var _ -> false
 
 let var_name = function Var x -> Some x | Const _ -> None
 
-let pp ppf = function
-  | Const v -> Relational.Value.pp ppf v
-  | Var x -> Format.pp_print_string ppf x
+let to_buffer b = function
+  | Const v -> Relational.Value.to_buffer b v
+  | Var x -> Buffer.add_string b x
 
-let to_string t = Format.asprintf "%a" pp t
+let to_string = function Const v -> Relational.Value.to_string v | Var x -> x
+
+let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -18,7 +18,9 @@ val is_const : t -> bool
 
 val var_name : t -> string option
 
-val pp : Format.formatter -> t -> unit
+val to_buffer : Buffer.t -> t -> unit
 (** Variables print bare; constants print in literal syntax. *)
 
 val to_string : t -> string
+
+val pp : Format.formatter -> t -> unit

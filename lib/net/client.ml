@@ -8,7 +8,7 @@ type t = {
 }
 
 (* The largest length a frame header can declare: a pull response carries
-   a whole hex-encoded checkpoint, which no smaller constant bounds. *)
+   a whole checkpoint, which no smaller constant bounds. *)
 let max_response = 0xffff_ffff
 
 let connect ?(read_deadline = 30.0) addr =
@@ -62,24 +62,26 @@ let with_connection ?read_deadline addr f =
   let t = connect ?read_deadline addr in
   Fun.protect ~finally:(fun () -> close t) (fun () -> f t)
 
-(* The next response, reading until the window holds one complete frame.
-   Responses already received behind it (a pipelined window) stay in the
-   window for the next call. *)
-let rec read_response t =
-  let fail e = raise (Protocol_error (Errors.to_string e)) in
+let fail e = raise (Protocol_error (Errors.to_string e))
+
+(* The next response already in the receive window, without I/O. *)
+let next_response t =
   match Frame.next t.input with
   | Ok (Some payload) -> (
     match Codec.decode_response payload with
-    | Ok resp -> resp
+    | Ok resp -> Some resp
     | Error msg -> raise (Protocol_error msg))
+  | Ok None -> None
   | Error e -> fail e
-  | Ok None -> (
-    match Frame.fill t.input with
-    | Ok 0 -> raise (Protocol_error "server closed the connection")
-    | Ok _ -> read_response t
-    | Error e -> fail e
-    | exception Unix.Unix_error (err, _, _) ->
-      raise (Protocol_error ("reading the response: " ^ Unix.error_message err)))
+
+(* One read(2) into the receive window. *)
+let receive t =
+  match Frame.fill t.input with
+  | Ok 0 -> raise (Protocol_error "server closed the connection")
+  | Ok _ -> ()
+  | Error e -> fail e
+  | exception Unix.Unix_error (err, _, _) ->
+    raise (Protocol_error ("reading the response: " ^ Unix.error_message err))
 
 (* The server may close a connection before reading a byte of it — an
    over-cap or draining listener sends one typed refusal frame and closes —
@@ -96,22 +98,29 @@ let send t =
 let request_pipelined ?(depth = 32) t reqs =
   if depth < 1 then invalid_arg "Client.request_pipelined: depth must be >= 1";
   if t.closed then raise (Protocol_error "connection is closed");
-  (* Top up the in-flight window, then send the new frames in one write
-     before reading a response. The depth bound is what makes a blocking
-     client safe: with both windows' worth of bytes bounded, the server can
-     always drain what we sent and we can always drain what it responded —
-     neither side ever blocks on write with the other also blocked on
-     write. The server decides one connection's frames strictly in arrival
-     order, so responses match requests positionally. *)
+  (* Keep up to [depth] requests in flight. Each response already in the
+     receive window frees a slot that is topped up in the send buffer at
+     once; the buffer is written, in one write, only when the next
+     response must come from the socket, so the client never blocks on a
+     read while it holds unsent bytes. The depth bound is what makes a
+     blocking client safe: with both windows' worth of bytes bounded, the
+     server can always drain what we sent and we can always drain what it
+     responded — neither side ever blocks on write with the other also
+     blocked on write. The server decides one connection's frames strictly
+     in arrival order, so responses match requests positionally. *)
   let rec loop unsent in_flight acc =
     match unsent with
     | req :: rest when in_flight < depth ->
       Frame.add t.output (Codec.encode_request req);
       loop rest (in_flight + 1) acc
     | _ when in_flight = 0 -> List.rev acc
-    | _ ->
-      send t;
-      loop unsent (in_flight - 1) (read_response t :: acc)
+    | _ -> (
+      match next_response t with
+      | Some resp -> loop unsent (in_flight - 1) (resp :: acc)
+      | None ->
+        send t;
+        receive t;
+        loop unsent in_flight acc)
   in
   loop reqs 0 []
 

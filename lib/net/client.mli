@@ -1,8 +1,8 @@
 (** Blocking client for the wire protocol: one connection, requests
     answered strictly in order through one {!Frame.writer} and one
     {!Frame.reader}. The reader admits any payload a frame header can
-    declare, so a pull response carrying a whole hex-encoded checkpoint
-    gets through. Thread-compatible, not thread-safe — one domain per
+    declare, so a pull response carrying a whole checkpoint gets
+    through. Thread-compatible, not thread-safe — one domain per
     connection (open several connections for concurrency, as the overload
     tests do). *)
 
@@ -67,7 +67,12 @@ val request_pipelined : ?depth:int -> t -> Codec.request list -> Codec.response 
     responses correspond to requests positionally — same answers as
     [List.map (request t)], minus a round trip per request. The depth
     bound keeps the unread bytes on both sockets bounded, so the blocking
-    client can never deadlock against a server that writes in batches. If
+    client can never deadlock against a server that writes in batches.
+    Responses already received free their slots first; the top-up they
+    allow goes out in one write, made only when the next response has to
+    be read from the socket, so a window costs a write per read rather
+    than per request, and the client never blocks on a read while it
+    holds unsent bytes. If
     the connection dies mid-batch ([Protocol_error]), responses not yet
     read are lost — like any torn connection, the caller cannot tell which
     of the unacknowledged requests were decided (journaled decisions

@@ -46,260 +46,266 @@ type response =
     }
   | Error of Errors.t
 
-(* Journal and checkpoint bytes cross the wire hex-encoded: record fields
-   can hold arbitrary bytes (the v2 journal escapes, it does not restrict),
-   and the JSON layer must not be asked to round-trip non-UTF-8 strings.
-   Hex doubles the size; replication is not the hot path, bit-identity is
-   the contract. *)
-let hex_digits = "0123456789abcdef"
+(* --- the binary payload ------------------------------------------------- *)
 
-let hex_encode s =
-  String.init (2 * String.length s) (fun i ->
-      let c = Char.code (String.unsafe_get s (i lsr 1)) in
-      hex_digits.[if i land 1 = 0 then c lsr 4 else c land 15])
+(* The layout, a tag byte and then each field in declaration order, is
+   tabulated in codec.mli and DESIGN §10. *)
 
-let hex_decode s =
+let tag_query = 'q'
+let tag_explain = 'e'
+let tag_ping = 'p'
+let tag_stats = 's'
+let tag_pull = 'l'
+let tag_decision = 'D'
+let tag_pong = 'P'
+let tag_stats_doc = 'S'
+let tag_batch = 'B'
+let tag_snapshot = 'N'
+let tag_explained = 'X'
+let tag_error = 'E'
+
+(* Encoding: each payload's size is known before a byte is written, so it
+   is built in one exactly sized buffer. *)
+let str_size s = 4 + String.length s
+let int_size = 8
+let trace_size = function None -> 1 | Some _ -> 1 + (2 * int_size)
+
+let refusal_tag = function
+  | Disclosure.Monitor.Answered -> None
+  | Disclosure.Monitor.Refused r -> Some (Disclosure.Guard.refusal_to_tag r)
+
+let decision_size = function None -> 1 | Some tag -> 1 + str_size tag
+
+type enc = {
+  buf : Bytes.t;
+  mutable pos : int;
+}
+
+let put_char e c =
+  Bytes.set e.buf e.pos c;
+  e.pos <- e.pos + 1
+
+let put_int e v =
+  Bytes.set_int64_be e.buf e.pos (Int64.of_int v);
+  e.pos <- e.pos + int_size
+
+let put_str e s =
   let n = String.length s in
-  if n mod 2 <> 0 then Stdlib.Error "odd-length hex payload"
-  else
-    let nibble c =
-      match c with
-      | '0' .. '9' -> Some (Char.code c - Char.code '0')
-      | 'a' .. 'f' -> Some (Char.code c - Char.code 'a' + 10)
-      | 'A' .. 'F' -> Some (Char.code c - Char.code 'A' + 10)
-      | _ -> None
-    in
-    let out = Bytes.create (n / 2) in
-    let rec go i =
-      if i >= n then Ok (Bytes.unsafe_to_string out)
-      else
-        match (nibble s.[i], nibble s.[i + 1]) with
-        | Some hi, Some lo ->
-          Bytes.unsafe_set out (i / 2) (Char.unsafe_chr ((hi lsl 4) lor lo));
-          go (i + 2)
-        | _ -> Stdlib.Error (Printf.sprintf "invalid hex digit at offset %d" i)
-    in
-    go 0
+  Bytes.set_int32_be e.buf e.pos (Int32.of_int n);
+  Bytes.blit_string s 0 e.buf (e.pos + 4) n;
+  e.pos <- e.pos + 4 + n
 
-(* Wire integers ride as JSON numbers (doubles): exact to 2^53, far beyond
-   any segment index or byte offset this protocol moves. Negative or
-   fractional values are rejected on decode. *)
-let int_field name doc =
-  match Json.member name doc with
-  | Some (Json.Num f) when Float.is_integer f && f >= 0.0 && f <= 9007199254740991.0 ->
-    Some (int_of_float f)
-  | _ -> None
-
-(* Requests: {"op":"query","principal":P,"query":Q} | {"op":"ping"}
-   | {"op":"stats"}.
-   Responses: {"ok":true,"decision":"answered"}
-   | {"ok":true,"decision":"refused","reason":TAG}
-   | {"ok":true,"pong":true} | {"ok":true,"stats":DOC}
-   | {"ok":false,"error":TAG,"detail":STR}.
-   Refusals cross the wire as their journal tag
-   ([Disclosure.Guard.refusal_to_tag]), so a decision survives the round
-   trip exactly as it would survive journal replay. *)
-
-(* The optional trace context rides as two plain integer members; decoders
-   that predate the field ignore unknown members, so adding it is
-   backward compatible in both directions. *)
-let trace_members = function
-  | None -> []
+let put_trace e = function
+  | None -> put_char e '\000'
   | Some (tid, sid) ->
-    [
-      ("trace_id", Json.Num (float_of_int tid));
-      ("span_id", Json.Num (float_of_int sid));
-    ]
+    put_char e '\001';
+    put_int e tid;
+    put_int e sid
 
-let trace_of doc =
-  match (int_field "trace_id" doc, int_field "span_id" doc) with
-  | Some tid, Some sid -> Some (tid, sid)
-  | _ -> None
+let put_decision e = function
+  | None -> put_char e '\000'
+  | Some tag ->
+    put_char e '\001';
+    put_str e tag
 
-let request_to_json = function
+let build size tag fill =
+  let e = { buf = Bytes.create size; pos = 0 } in
+  put_char e tag;
+  fill e;
+  Bytes.unsafe_to_string e.buf
+
+let encode_request = function
   | Query { principal; query; trace } ->
-    Json.Obj
-      ([ ("op", Json.Str "query"); ("principal", Json.Str principal); ("query", Json.Str query) ]
-      @ trace_members trace)
+    build (1 + str_size principal + str_size query + trace_size trace) tag_query (fun e ->
+        put_str e principal;
+        put_str e query;
+        put_trace e trace)
   | Explain { principal; query; trace } ->
-    Json.Obj
-      ([ ("op", Json.Str "explain"); ("principal", Json.Str principal); ("query", Json.Str query) ]
-      @ trace_members trace)
-  | Ping -> Json.Obj [ ("op", Json.Str "ping") ]
-  | Stats -> Json.Obj [ ("op", Json.Str "stats") ]
+    build (1 + str_size principal + str_size query + trace_size trace) tag_explain (fun e ->
+        put_str e principal;
+        put_str e query;
+        put_trace e trace)
+  | Ping -> String.make 1 tag_ping
+  | Stats -> String.make 1 tag_stats
   | Pull { shard; seg; off; max_bytes; follower; trace } ->
-    Json.Obj
-      ([
-         ("op", Json.Str "pull");
-         ("shard", Json.Num (float_of_int shard));
-         ("seg", Json.Num (float_of_int seg));
-         ("off", Json.Num (float_of_int off));
-         ("max_bytes", Json.Num (float_of_int max_bytes));
-         ("follower", Json.Str follower);
-       ]
-      @ trace_members trace)
+    build
+      (1 + (4 * int_size) + str_size follower + trace_size trace)
+      tag_pull
+      (fun e ->
+        put_int e shard;
+        put_int e seg;
+        put_int e off;
+        put_int e max_bytes;
+        put_str e follower;
+        put_trace e trace)
 
-let request_of_json doc =
-  match Json.member "op" doc with
-  | Some (Json.Str "ping") -> Ok Ping
-  | Some (Json.Str "stats") -> Ok Stats
-  | Some (Json.Str "query") -> (
-    match (Json.member "principal" doc, Json.member "query" doc) with
-    | Some (Json.Str principal), Some (Json.Str query) ->
-      Ok (Query { principal; query; trace = trace_of doc })
-    | _ ->
-      Stdlib.Error
-        (Errors.bad_request "query request needs string fields \"principal\" and \"query\""))
-  | Some (Json.Str "explain") -> (
-    match (Json.member "principal" doc, Json.member "query" doc) with
-    | Some (Json.Str principal), Some (Json.Str query) ->
-      Ok (Explain { principal; query; trace = trace_of doc })
-    | _ ->
-      Stdlib.Error
-        (Errors.bad_request "explain request needs string fields \"principal\" and \"query\""))
-  | Some (Json.Str "pull") -> (
-    match
-      ( int_field "shard" doc,
-        int_field "seg" doc,
-        int_field "off" doc,
-        int_field "max_bytes" doc )
-    with
-    | Some shard, Some seg, Some off, Some max_bytes ->
-      (* [follower] identifies the puller so the primary can keep one
-         cursor per follower; absent on pre-field clients, which then all
-         share the anonymous "" follower. *)
-      let follower =
-        match Json.member "follower" doc with Some (Json.Str f) -> f | _ -> ""
-      in
-      Ok (Pull { shard; seg; off; max_bytes; follower; trace = trace_of doc })
-    | _ ->
-      Stdlib.Error
-        (Errors.bad_request
-           "pull request needs non-negative integer fields \"shard\", \"seg\", \"off\", \
-            and \"max_bytes\""))
-  | Some (Json.Str op) -> Stdlib.Error (Errors.bad_request (Printf.sprintf "unknown op %S" op))
-  | Some _ -> Stdlib.Error (Errors.bad_request "\"op\" must be a string")
-  | None -> Stdlib.Error (Errors.bad_request "request object has no \"op\" field")
-
-let decision_members = function
-  | Disclosure.Monitor.Answered -> [ ("decision", Json.Str "answered") ]
-  | Disclosure.Monitor.Refused reason ->
-    [
-      ("decision", Json.Str "refused");
-      ("reason", Json.Str (Disclosure.Guard.refusal_to_tag reason));
-    ]
-
-let response_to_json = function
-  | Decision d -> Json.Obj (("ok", Json.Bool true) :: decision_members d)
-  | Explained { decision; doc } ->
-    Json.Obj ((("ok", Json.Bool true) :: decision_members decision) @ [ ("explain", doc) ])
-  | Pong -> Json.Obj [ ("ok", Json.Bool true); ("pong", Json.Bool true) ]
-  | Stats_doc doc -> Json.Obj [ ("ok", Json.Bool true); ("stats", doc) ]
+let encode_response = function
+  | Decision d ->
+    let r = refusal_tag d in
+    build (1 + decision_size r) tag_decision (fun e -> put_decision e r)
+  | Pong -> String.make 1 tag_pong
+  | Stats_doc doc ->
+    let text = Json.to_string doc in
+    build (1 + str_size text) tag_stats_doc (fun e -> put_str e text)
   | Batch { shard; data; next_seg; next_off; behind; trace } ->
-    Json.Obj
-      [
-        ("ok", Json.Bool true);
-        ( "batch",
-          Json.Obj
-            ([
-               ("shard", Json.Num (float_of_int shard));
-               ("data", Json.Str (hex_encode data));
-               ("next_seg", Json.Num (float_of_int next_seg));
-               ("next_off", Json.Num (float_of_int next_off));
-               ("behind", Json.Num (float_of_int behind));
-             ]
-            @ trace_members trace) );
-      ]
+    build
+      (1 + str_size data + (4 * int_size) + trace_size trace)
+      tag_batch
+      (fun e ->
+        put_int e shard;
+        put_str e data;
+        put_int e next_seg;
+        put_int e next_off;
+        put_int e behind;
+        put_trace e trace)
   | Snapshot { shard; data; next_seg; next_off } ->
-    Json.Obj
-      [
-        ("ok", Json.Bool true);
-        ( "snapshot",
-          Json.Obj
-            [
-              ("shard", Json.Num (float_of_int shard));
-              ("data", Json.Str (hex_encode data));
-              ("next_seg", Json.Num (float_of_int next_seg));
-              ("next_off", Json.Num (float_of_int next_off));
-            ] );
-      ]
-  | Error e ->
-    Json.Obj
-      [
-        ("ok", Json.Bool false);
-        ("error", Json.Str (Errors.kind_to_tag e.Errors.kind));
-        ("detail", Json.Str e.Errors.detail);
-      ]
+    build (1 + str_size data + (3 * int_size)) tag_snapshot (fun e ->
+        put_int e shard;
+        put_str e data;
+        put_int e next_seg;
+        put_int e next_off)
+  | Explained { decision; doc } ->
+    let r = refusal_tag decision in
+    let text = Json.to_string doc in
+    build (1 + decision_size r + str_size text) tag_explained (fun e ->
+        put_decision e r;
+        put_str e text)
+  | Error { Errors.kind; detail } ->
+    let tag = Errors.kind_to_tag kind in
+    build (1 + str_size tag + str_size detail) tag_error (fun e ->
+        put_str e tag;
+        put_str e detail)
 
-let response_of_json doc =
-  match Json.member "ok" doc with
-  | Some (Json.Bool false) -> (
-    match (Json.member "error" doc, Json.member "detail" doc) with
-    | Some (Json.Str tag), detail -> (
-      let detail = match detail with Some (Json.Str d) -> d | _ -> "" in
-      match Errors.kind_of_tag tag with
-      | Some kind -> Ok (Error (Errors.v kind detail))
-      | None -> Stdlib.Error (Printf.sprintf "unknown error tag %S" tag))
-    | _ -> Stdlib.Error "error response needs a string \"error\" field")
-  | Some (Json.Bool true) -> (
-    let with_explain d =
-      match Json.member "explain" doc with
-      | Some e -> Explained { decision = d; doc = e }
-      | None -> Decision d
-    in
-    match Json.member "decision" doc with
-    | Some (Json.Str "answered") -> Ok (with_explain Disclosure.Monitor.Answered)
-    | Some (Json.Str "refused") -> (
-      match Json.member "reason" doc with
-      | Some (Json.Str tag) -> (
-        match Disclosure.Guard.refusal_of_tag tag with
-        | Some reason -> Ok (with_explain (Disclosure.Monitor.Refused reason))
-        | None -> Stdlib.Error (Printf.sprintf "unknown refusal tag %S" tag))
-      | _ -> Stdlib.Error "refused decision has no \"reason\" tag")
-    | Some (Json.Str d) -> Stdlib.Error (Printf.sprintf "unknown decision %S" d)
-    | Some _ -> Stdlib.Error "\"decision\" must be a string"
-    | None -> (
-      match
-        (Json.member "pong" doc, Json.member "stats" doc, Json.member "batch" doc,
-         Json.member "snapshot" doc)
-      with
-      | Some (Json.Bool true), _, _, _ -> Ok Pong
-      | _, Some doc, _, _ -> Ok (Stats_doc doc)
-      | _, _, Some b, _ -> (
-        match
-          ( int_field "shard" b,
-            Json.member "data" b,
-            int_field "next_seg" b,
-            int_field "next_off" b,
-            int_field "behind" b )
-        with
-        | Some shard, Some (Json.Str hex), Some next_seg, Some next_off, Some behind -> (
-          match hex_decode hex with
-          | Ok data ->
-            Ok (Batch { shard; data; next_seg; next_off; behind; trace = trace_of b })
-          | Stdlib.Error e -> Stdlib.Error (Printf.sprintf "batch data: %s" e))
-        | _ ->
-          Stdlib.Error
-            "batch response needs integer \"shard\", \"next_seg\", \"next_off\", \
-             \"behind\" and hex string \"data\"")
-      | _, _, _, Some s -> (
-        match
-          ( int_field "shard" s,
-            Json.member "data" s,
-            int_field "next_seg" s,
-            int_field "next_off" s )
-        with
-        | Some shard, Some (Json.Str hex), Some next_seg, Some next_off -> (
-          match hex_decode hex with
-          | Ok data -> Ok (Snapshot { shard; data; next_seg; next_off })
-          | Stdlib.Error e -> Stdlib.Error (Printf.sprintf "snapshot data: %s" e))
-        | _ ->
-          Stdlib.Error
-            "snapshot response needs integer \"shard\", \"next_seg\", \"next_off\" \
-             and hex string \"data\"")
-      | _ -> Stdlib.Error "ok response carries no decision, pong, stats, batch, or snapshot"))
-  | Some _ -> Stdlib.Error "\"ok\" must be a boolean"
-  | None -> Stdlib.Error "response object has no \"ok\" field"
+(* Decoding: a cursor over the payload. A field cut short, a flag byte out
+   of range or bytes after the last field is [Bad_payload]; a well-formed
+   field the protocol does not accept (an unknown tag, a negative
+   integer) is [Bad_request]. *)
+exception Bad of Errors.t
+
+type dec = {
+  src : string;
+  mutable at : int;
+}
+
+let malformed fmt = Printf.ksprintf (fun msg -> raise (Bad (Errors.bad_payload msg))) fmt
+
+let need d n what =
+  if n > String.length d.src - d.at then
+    malformed "payload truncated in %s at byte %d of %d" what d.at (String.length d.src)
+
+let get_char d what =
+  need d 1 what;
+  let c = String.unsafe_get d.src d.at in
+  d.at <- d.at + 1;
+  c
+
+let get_int d what =
+  need d int_size what;
+  let v = String.get_int64_be d.src d.at in
+  d.at <- d.at + int_size;
+  if Int64.compare v 0L < 0 || Int64.compare v (Int64.of_int max_int) > 0 then
+    raise (Bad (Errors.bad_request (Printf.sprintf "%s must be a non-negative integer" what)));
+  Int64.to_int v
+
+let get_str d what =
+  need d 4 what;
+  let n = Int32.to_int (String.get_int32_be d.src d.at) land 0xffff_ffff in
+  d.at <- d.at + 4;
+  need d n what;
+  let s = String.sub d.src d.at n in
+  d.at <- d.at + n;
+  s
+
+let get_trace d =
+  match get_char d "trace" with
+  | '\000' -> None
+  | '\001' ->
+    let tid = get_int d "trace_id" in
+    Some (tid, get_int d "span_id")
+  | c -> malformed "trace flag 0x%02x is neither 0 nor 1" (Char.code c)
+
+let get_decision d =
+  match get_char d "decision" with
+  | '\000' -> Disclosure.Monitor.Answered
+  | '\001' -> (
+    let tag = get_str d "refusal reason" in
+    match Disclosure.Guard.refusal_of_tag tag with
+    | Some reason -> Disclosure.Monitor.Refused reason
+    | None -> raise (Bad (Errors.bad_request (Printf.sprintf "unknown refusal tag %S" tag))))
+  | c -> malformed "decision flag 0x%02x is neither 0 nor 1" (Char.code c)
+
+let get_json d what =
+  match Json.parse (get_str d what) with
+  | Ok doc -> doc
+  | Stdlib.Error msg -> raise (Bad (Errors.bad_request (Printf.sprintf "%s is not JSON: %s" what msg)))
+
+(* Runs [body] over the whole payload: its first byte is the tag. *)
+let decode_with ~what payload body =
+  let d = { src = payload; at = 0 } in
+  match
+    let v = body d (get_char d "tag") in
+    if d.at <> String.length payload then
+      malformed "%d trailing bytes after the %s" (String.length payload - d.at) what;
+    v
+  with
+  | v -> Ok v
+  | exception Bad e -> Stdlib.Error e
+
+let decode_request payload =
+  decode_with ~what:"request" payload (fun d tag ->
+      if tag = tag_query || tag = tag_explain then begin
+        let principal = get_str d "principal" in
+        let query = get_str d "query" in
+        let trace = get_trace d in
+        if tag = tag_query then Query { principal; query; trace }
+        else Explain { principal; query; trace }
+      end
+      else if tag = tag_ping then Ping
+      else if tag = tag_stats then Stats
+      else if tag = tag_pull then begin
+        let shard = get_int d "shard" in
+        let seg = get_int d "seg" in
+        let off = get_int d "off" in
+        let max_bytes = get_int d "max_bytes" in
+        let follower = get_str d "follower" in
+        Pull { shard; seg; off; max_bytes; follower; trace = get_trace d }
+      end
+      else
+        raise (Bad (Errors.bad_request (Printf.sprintf "unknown request tag 0x%02x" (Char.code tag)))))
+
+let decode_response payload =
+  decode_with ~what:"response" payload (fun d tag ->
+      if tag = tag_decision then Decision (get_decision d)
+      else if tag = tag_pong then Pong
+      else if tag = tag_stats_doc then Stats_doc (get_json d "stats document")
+      else if tag = tag_batch then begin
+        let shard = get_int d "shard" in
+        let data = get_str d "data" in
+        let next_seg = get_int d "next_seg" in
+        let next_off = get_int d "next_off" in
+        let behind = get_int d "behind" in
+        Batch { shard; data; next_seg; next_off; behind; trace = get_trace d }
+      end
+      else if tag = tag_snapshot then begin
+        let shard = get_int d "shard" in
+        let data = get_str d "data" in
+        let next_seg = get_int d "next_seg" in
+        Snapshot { shard; data; next_seg; next_off = get_int d "next_off" }
+      end
+      else if tag = tag_explained then begin
+        let decision = get_decision d in
+        Explained { decision; doc = get_json d "explain document" }
+      end
+      else if tag = tag_error then begin
+        let tag = get_str d "error tag" in
+        let detail = get_str d "error detail" in
+        match Errors.kind_of_tag tag with
+        | Some kind -> Error (Errors.v kind detail)
+        | None -> raise (Bad (Errors.bad_request (Printf.sprintf "unknown error tag %S" tag)))
+      end
+      else
+        raise (Bad (Errors.bad_request (Printf.sprintf "unknown response tag 0x%02x" (Char.code tag)))))
+  |> Result.map_error Errors.to_string
 
 (* --- Explain.t <-> JSON -------------------------------------------------- *)
 
@@ -307,6 +313,14 @@ let response_of_json doc =
    non-OCaml consumers can read it; [explain_of_json] restores the exact
    record (the e2e suite round-trips it). Masks ride as ints — they fit:
    Policy.max_partitions < 62 bits < 2^53. *)
+(* A non-negative integer member; masks and relation ids fit well under
+   2^53, where a JSON number stops being exact. *)
+let int_field name doc =
+  match Json.member name doc with
+  | Some (Json.Num f) when Float.is_integer f && f >= 0.0 && f <= 9007199254740991.0 ->
+    Some (int_of_float f)
+  | _ -> None
+
 let explain_to_json (e : Disclosure.Explain.t) =
   let module E = Disclosure.Explain in
   let num i = Json.Num (float_of_int i) in
@@ -439,17 +453,3 @@ let explain_of_json doc =
     | _ -> Stdlib.Error "malformed explain document"
   )
   | _ -> Stdlib.Error "malformed explain document"
-
-let encode_request r = Json.to_string (request_to_json r)
-
-let decode_request payload =
-  match Json.parse payload with
-  | Stdlib.Error msg -> Stdlib.Error (Errors.bad_json msg)
-  | Ok doc -> request_of_json doc
-
-let encode_response r = Json.to_string (response_to_json r)
-
-let decode_response payload =
-  match Json.parse payload with
-  | Stdlib.Error msg -> Stdlib.Error (Printf.sprintf "response is not JSON: %s" msg)
-  | Ok doc -> response_of_json doc

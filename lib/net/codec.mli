@@ -1,11 +1,34 @@
 (** Request/response payload codec.
 
-    Frame payloads are {!Obs.Json} documents (the in-tree RFC 8259
-    parser — no new dependency). Queries travel as [Cq] concrete syntax
-    (strings from {!Cq.Query.to_string}, re-parsed server-side), and
-    refusal reasons travel as their journal tag
-    ({!Disclosure.Guard.refusal_to_tag}) — a decision crosses the wire
-    with exactly the fidelity it survives journal replay. *)
+    A frame payload is binary: one tag byte naming the constructor, then
+    its fields in declaration order and nothing after them. A string is
+    a u32 big-endian length and the bytes verbatim, an integer 8 bytes
+    big-endian and non-negative, an optional trace context a flag byte
+    (0 or 1) and then two integers, a decision a flag byte (0 answered,
+    1 refused) and for a refusal its journal tag
+    ({!Disclosure.Guard.refusal_to_tag}) as a string — a decision crosses
+    the wire with exactly the fidelity it survives journal replay.
+
+    {v
+    request   tag  fields
+    Query     'q'  principal:string query:string trace
+    Explain   'e'  principal:string query:string trace
+    Ping      'p'
+    Stats     's'
+    Pull      'l'  shard seg off max_bytes:int follower:string trace
+    response  tag  fields
+    Decision  'D'  decision
+    Pong      'P'
+    Stats_doc 'S'  doc:string (JSON text)
+    Batch     'B'  shard:int data:string next_seg next_off behind:int trace
+    Snapshot  'N'  shard:int data:string next_seg next_off:int
+    Explained 'X'  decision doc:string (JSON text)
+    Error     'E'  kind:string ({!Errors.kind_to_tag}) detail:string
+    v}
+
+    Queries travel as [Cq] concrete syntax (strings from
+    {!Cq.Query.to_string}, re-parsed server-side). Journal and checkpoint
+    bytes travel raw, so replication moves each byte once. *)
 
 type request =
   | Query of {
@@ -13,12 +36,10 @@ type request =
       query : string;  (** [Cq] concrete syntax; parsed by the server. *)
       trace : (int * int) option;
           (** Optional trace context [(trace_id, parent_span_id)]: the
-              caller's span identity, carried as two integer members (and
-              thus CRC'd with the rest of the frame). The server's spans
-              for this query join the caller's trace, stitching client,
-              listener, shard, and standby into one timeline. [None] on
-              pre-field clients — decoders ignore unknown members, so the
-              field is backward compatible both ways. *)
+              caller's span identity (CRC'd with the rest of the frame).
+              The server's spans for this query join the caller's trace,
+              stitching client, listener, shard, and standby into one
+              timeline. *)
     }
   | Explain of {
       principal : string;
@@ -39,8 +60,7 @@ type request =
       follower : string;
           (** Identifies the pulling follower so the primary keeps one
               cursor per follower (correct caught-up/lag watermarks with
-              several standbys). Decoded as [""] when the field is absent
-              (pre-field clients), which pools such pullers under one
+              several standbys). Pullers that send [""] share one
               anonymous cursor. *)
       trace : (int * int) option;
           (** Trace context of the follower's replication span, so the
@@ -58,8 +78,7 @@ type response =
   | Batch of {
       shard : int;
       data : string;  (** Raw journal bytes, verbatim from the primary's
-                          segment files — the bit-identity contract.
-                          Hex-encoded on the wire. *)
+                          segment files — the bit-identity contract. *)
       next_seg : int;  (** Cursor after applying [data]. *)
       next_off : int;
       behind : int;  (** Primary's estimate of committed bytes still not
@@ -73,8 +92,7 @@ type response =
   | Snapshot of {
       shard : int;
       data : string;  (** Raw checkpoint-file bytes ([""] when the primary
-                          has no checkpoint yet). Hex-encoded on the
-                          wire. *)
+                          has no checkpoint yet). *)
       next_seg : int;  (** Cursor where tail shipping resumes. *)
       next_off : int;
     }
@@ -91,25 +109,17 @@ val explain_to_json : Disclosure.Explain.t -> Obs.Json.t
 val explain_of_json : Obs.Json.t -> (Disclosure.Explain.t, string) result
 (** Exact inverse of {!explain_to_json}. *)
 
-val request_to_json : request -> Obs.Json.t
-val request_of_json : Obs.Json.t -> (request, Errors.t) result
-
-val response_to_json : response -> Obs.Json.t
-val response_of_json : Obs.Json.t -> (response, string) result
-(** [Error] carries a parse diagnostic — client side only, never crosses
-    the wire. *)
-
 val encode_request : request -> string
+
 val decode_request : string -> (request, Errors.t) result
-(** Total: malformed JSON maps to [Errors.Bad_json], a well-formed
-    document of the wrong shape to [Errors.Bad_request]. Never raises. *)
+(** Total, never raises: a field cut short, a flag byte out of range or
+    bytes after the last field is [Errors.Bad_payload] (fatal); an
+    unknown tag or a negative integer is [Errors.Bad_request], which
+    leaves the connection open. *)
 
 val encode_response : response -> string
+
 val decode_response : string -> (response, string) result
-
-val hex_encode : string -> string
-(** Lowercase hex of arbitrary bytes — how [Batch]/[Snapshot] data crosses
-    the JSON layer (which must never be asked to round-trip non-UTF-8). *)
-
-val hex_decode : string -> (string, string) result
-(** Inverse of {!hex_encode}; rejects odd lengths and non-hex digits. *)
+(** Total, never raises. [Error] carries a diagnostic (also for an
+    unknown refusal or error tag, or a document that is not JSON) —
+    client side only, never crosses the wire. *)

@@ -35,7 +35,10 @@ let respond w response =
   Disclosure.Faults.trip Disclosure.Faults.Net_write;
   Frame.add w.output (Codec.encode_response response)
 
-let flush w = count w Metrics.Net_bytes_out (Frame.flush w.output)
+let flush w =
+  let before = Frame.writes w.output in
+  count w Metrics.Net_bytes_out (Frame.flush w.output);
+  count w Metrics.Net_writes (Frame.writes w.output - before)
 
 (* Best-effort: the peer may already be gone when we try to tell it why we
    are closing, and that must not mask the original error. *)
@@ -147,8 +150,14 @@ let serve ?metrics ?(config = default_config) ~handle fd =
     Log.debug (fun m -> m "closing connection: %a" Errors.pp e);
     send_quietly w (Codec.Error e)
   in
+  let fill () =
+    let before = Frame.reads w.input in
+    let r = Frame.fill w.input in
+    count w Metrics.Net_reads (Frame.reads w.input - before);
+    r
+  in
   let rec loop () =
-    match Frame.fill w.input with
+    match fill () with
     | Ok 0 -> ()
     | Ok n -> (
       count w Metrics.Net_bytes_in n;

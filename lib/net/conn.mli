@@ -59,4 +59,5 @@ val serve :
     decode-and-dispatch is timed under the [Net] stage (a deferred await
     is mailbox wait, accounted by the server under [Wait]) and the
     [Net_requests] / [Net_errors] / [Net_bytes_in] / [Net_bytes_out]
-    counters are maintained. *)
+    counters are maintained, as are [Net_reads] / [Net_writes], the
+    connection's [read(2)] and [write(2)] calls. *)

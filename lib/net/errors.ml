@@ -5,7 +5,7 @@ type kind =
   | Crc_mismatch
   | Torn
   | Timeout
-  | Bad_json
+  | Bad_payload
   | Bad_request
   | Unknown_principal
   | Busy
@@ -35,7 +35,7 @@ let torn detail = v Torn detail
 let timeout ~seconds =
   v Timeout (Printf.sprintf "no complete frame within the %.3fs read deadline" seconds)
 
-let bad_json detail = v Bad_json detail
+let bad_payload detail = v Bad_payload detail
 
 let bad_request detail = v Bad_request detail
 
@@ -57,7 +57,7 @@ let kind_to_tag = function
   | Crc_mismatch -> "crc-mismatch"
   | Torn -> "torn"
   | Timeout -> "timeout"
-  | Bad_json -> "bad-json"
+  | Bad_payload -> "bad-payload"
   | Bad_request -> "bad-request"
   | Unknown_principal -> "unknown-principal"
   | Busy -> "busy"
@@ -71,7 +71,7 @@ let kind_of_tag = function
   | "crc-mismatch" -> Some Crc_mismatch
   | "torn" -> Some Torn
   | "timeout" -> Some Timeout
-  | "bad-json" -> Some Bad_json
+  | "bad-payload" -> Some Bad_payload
   | "bad-request" -> Some Bad_request
   | "unknown-principal" -> Some Unknown_principal
   | "busy" -> Some Busy
@@ -81,12 +81,14 @@ let kind_of_tag = function
 
 (* Which errors end the connection. A frame-level error means the byte
    stream can no longer be trusted to be frame-aligned; a timeout means the
-   peer has gone quiet holding a partial frame. [Bad_request] and the
-   semantic errors arrive on intact framing, so the connection survives
-   them. *)
+   peer has gone quiet holding a partial frame; a payload whose fields
+   are cut short or run past its last field was written by a broken
+   encoder. An unknown request tag ([Bad_request]) and the semantic errors
+   arrive on intact framing from a working peer, so the connection
+   survives them. *)
 let fatal t =
   match t.kind with
-  | Bad_magic | Bad_version | Oversized | Crc_mismatch | Torn | Timeout | Bad_json
+  | Bad_magic | Bad_version | Oversized | Crc_mismatch | Torn | Timeout | Bad_payload
   | Shutting_down | Busy | Fault ->
     true
   | Bad_request | Unknown_principal -> false

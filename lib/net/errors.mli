@@ -14,8 +14,14 @@ type kind =
   | Crc_mismatch  (** Payload bytes do not match the header CRC-32. *)
   | Torn  (** Peer closed mid-frame — a prefix of a frame was read. *)
   | Timeout  (** Per-connection read deadline expired. *)
-  | Bad_json  (** Payload is not a valid JSON document. *)
-  | Bad_request  (** Valid JSON, but not a request the codec understands. *)
+  | Bad_payload
+      (** Payload is not a well-formed {!Codec} document: a field is cut
+          short, a flag byte is out of range, or bytes follow the last
+          field. *)
+  | Bad_request
+      (** A well-formed payload that is not a request the server serves:
+          an unknown tag, a negative integer field, a pull with no
+          replication source. *)
   | Unknown_principal  (** Query for a principal the server never registered. *)
   | Busy  (** Connection cap reached; try again later. *)
   | Shutting_down  (** Server is draining; no new work accepted. *)
@@ -36,7 +42,7 @@ val oversized : length:int -> max:int -> t
 val crc_mismatch : expected:int -> actual:int -> t
 val torn : string -> t
 val timeout : seconds:float -> t
-val bad_json : string -> t
+val bad_payload : string -> t
 val bad_request : string -> t
 val unknown_principal : string -> t
 val busy : string -> t
@@ -52,9 +58,9 @@ val kind_of_tag : string -> kind option
 (** Exact inverse of {!kind_to_tag}; [None] for unknown tags. *)
 
 val fatal : t -> bool
-(** [true] when the error invalidates the connection's framing (garbage,
-    torn, oversized, CRC, timeout, shutdown, fault): the server sends the
-    error frame and closes. Semantic errors on intact framing
+(** [true] when the error invalidates the connection's framing or payload
+    (garbage, torn, oversized, CRC, malformed payload, timeout, shutdown,
+    fault): the server sends the error frame and closes. Semantic errors on intact framing
     ([Bad_request], [Unknown_principal]) keep the connection open. *)
 
 val to_string : t -> string

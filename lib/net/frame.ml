@@ -1,11 +1,11 @@
 let magic = "DCN1"
-let version = 1
+let version = 2
 let header_len = 13
 let default_max_payload = 1 lsl 20
 
 (* Header layout (13 bytes, all integers big-endian):
      bytes 0..3   magic "DCN1"
-     byte  4      version (0x01)
+     byte  4      version (0x02; 0x01 was the JSON-payload protocol)
      bytes 5..8   payload length, unsigned 32-bit
      bytes 9..12  CRC-32 of the payload bytes (Disclosure.Journal.crc32)
    The payload follows immediately; frames are self-delimiting, so a
@@ -77,10 +77,13 @@ type reader = {
   mutable window : Bytes.t;
   mutable start : int;  (** First byte not yet consumed as a frame. *)
   mutable stop : int;  (** End of the bytes received. *)
+  mutable reads : int;  (** read(2) calls made. *)
 }
 
 let reader ?(max_payload = default_max_payload) fd =
-  { fd; max_payload; window = Bytes.create chunk; start = 0; stop = 0 }
+  { fd; max_payload; window = Bytes.create chunk; start = 0; stop = 0; reads = 0 }
+
+let reads r = r.reads
 
 let next r =
   match parse ~max_payload:r.max_payload r.window ~off:r.start ~len:(r.stop - r.start) with
@@ -109,6 +112,7 @@ let rec fill r =
     if live = 0 then Ok 0
     else Error (Errors.torn (Printf.sprintf "%s with %d buffered bytes mid-frame" how live))
   in
+  r.reads <- r.reads + 1;
   match Unix.read r.fd r.window r.stop (Bytes.length r.window - r.stop) with
   | 0 -> closed "peer closed"
   | n ->
@@ -125,9 +129,12 @@ type writer = {
   out_fd : Unix.file_descr;
   mutable out : Bytes.t;
   mutable pending : int;  (** Bytes of [out] not yet written. *)
+  mutable writes : int;  (** write(2) calls made. *)
 }
 
-let writer fd = { out_fd = fd; out = Bytes.create chunk; pending = 0 }
+let writer fd = { out_fd = fd; out = Bytes.create chunk; pending = 0; writes = 0 }
+
+let writes w = w.writes
 
 let add w payload =
   let need = w.pending + header_len + String.length payload in
@@ -156,6 +163,7 @@ let flush w =
   w.pending <- 0;
   let off = ref 0 in
   while !off < n do
+    w.writes <- w.writes + 1;
     match Unix.single_write w.out_fd w.out !off (n - !off) with
     | written -> off := !off + written
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()

@@ -15,7 +15,9 @@ val magic : string
 (** ["DCN1"] — 4 bytes. *)
 
 val version : int
-(** Current protocol version, [1]. *)
+(** Current protocol version, [2]: {!Codec}'s binary payloads. Version [1]
+    carried JSON payloads; a version-1 frame is refused with
+    [Bad_version]. *)
 
 val header_len : int
 (** [13]. *)
@@ -67,6 +69,9 @@ val fill : reader -> (int, Errors.t) result
     [SO_RCVTIMEO] expired.
     @raise Unix.Unix_error on any other read failure. *)
 
+val reads : reader -> int
+(** The [read(2)] calls {!fill} has made on this reader. *)
+
 type writer
 (** A reused send buffer: frames are appended, header and payload, and
     leave in one write. *)
@@ -82,3 +87,6 @@ val flush : writer -> int
     for writability on [EAGAIN]; built on [Unix.single_write], so no byte
     is written twice or given up on.
     @raise Unix.Unix_error on real failures ([EPIPE], [ECONNRESET], …). *)
+
+val writes : writer -> int
+(** The [write(2)] calls {!flush} has made on this writer. *)

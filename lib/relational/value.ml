@@ -20,12 +20,20 @@ let hash = function
   | Str s -> Hashtbl.hash (1, s)
   | Bool b -> Hashtbl.hash (2, b)
 
-let pp ppf = function
-  | Int x -> Format.fprintf ppf "%d" x
-  | Str s -> Format.fprintf ppf "'%s'" s
-  | Bool b -> Format.fprintf ppf "%b" b
+let to_buffer b = function
+  | Int x -> Buffer.add_string b (Int.to_string x)
+  | Str s ->
+    Buffer.add_char b '\'';
+    Buffer.add_string b s;
+    Buffer.add_char b '\''
+  | Bool x -> Buffer.add_string b (if x then "true" else "false")
 
-let to_string v = Format.asprintf "%a" pp v
+let to_string = function
+  | Int x -> Int.to_string x
+  | Str s -> "'" ^ s ^ "'"
+  | Bool x -> if x then "true" else "false"
+
+let pp ppf v = Format.pp_print_string ppf (to_string v)
 
 let strip_quotes s =
   let n = String.length s in

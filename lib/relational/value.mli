@@ -17,10 +17,12 @@ val equal : t -> t -> bool
 
 val hash : t -> int
 
-val pp : Format.formatter -> t -> unit
-(** Prints in query-literal syntax: [42], ['Jim'], [true]. *)
+val to_buffer : Buffer.t -> t -> unit
+(** Appends the value in query-literal syntax: [42], ['Jim'], [true]. *)
 
 val to_string : t -> string
+
+val pp : Format.formatter -> t -> unit
 
 val of_string : string -> t
 (** Parses a query literal back: digits become [Int], [true]/[false] become

@@ -32,6 +32,8 @@ type counter =
   | Net_errors
   | Net_bytes_in
   | Net_bytes_out
+  | Net_reads
+  | Net_writes
   | Reloads
   | Rep_pulls
   | Rep_shipped_bytes
@@ -152,6 +154,8 @@ let counter_decls =
       decl Net_errors "net_errors" "Typed protocol errors; each closes its connection.";
       decl Net_bytes_in "net_bytes_in" "Bytes read from clients.";
       decl Net_bytes_out "net_bytes_out" "Bytes written to clients.";
+      decl Net_reads "net_reads" "read(2) calls on client connections.";
+      decl Net_writes "net_writes" "write(2) calls on client connections.";
       decl Reloads "reloads" "Online policy reloads completed.";
       decl Rep_pulls "rep_pulls" "Replication pull requests served.";
       decl Rep_shipped_bytes "rep_shipped_bytes" "Journal bytes shipped to followers.";

@@ -54,6 +54,10 @@ type counter =
           each closes its connection and journals nothing. *)
   | Net_bytes_in  (** Payload + frame bytes read from clients. *)
   | Net_bytes_out  (** Payload + frame bytes written to clients. *)
+  | Net_reads  (** read(2) calls on client connections. *)
+  | Net_writes
+      (** write(2) calls on client connections: one per batch of
+          responses unless the kernel takes a write short. *)
   | Reloads  (** Online policy reloads completed (all shards swapped). *)
   | Rep_pulls  (** Replication pull requests served (primary side). *)
   | Rep_shipped_bytes  (** Journal/checkpoint bytes shipped to followers. *)

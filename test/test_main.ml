@@ -3,6 +3,7 @@ let () =
     [
       ("relational", Test_relational.suite);
       ("cq", Test_cq.suite);
+      ("parser", Test_parser.suite);
       ("semantics", Test_semantics.suite);
       ("tagged", Test_tagged.suite);
       ("rewrite", Test_rewrite.suite);

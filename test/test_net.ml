@@ -48,7 +48,14 @@ let history =
 (* --- frame codec: pure torture ----------------------------------------- *)
 
 let sample_payloads =
-  [ ""; "x"; "{\"op\":\"ping\"}"; String.make 300 'q'; "\x00\xff\ttab\nnewline" ]
+  [
+    "";
+    "x";
+    Codec.encode_request
+      (Codec.Query { principal = "crm-app"; query = "Q(x) :- Meetings(x, y)"; trace = None });
+    String.make 300 'q';
+    "\x00\xff\ttab\nnewline";
+  ]
 
 let test_frame_roundtrip () =
   List.iter
@@ -133,20 +140,78 @@ let test_frame_fuzz_never_raises () =
     (QCheck.Test.make ~count:500 ~name:"valid frame survives trailing garbage"
        QCheck.(string_of_size Gen.(0 -- 50))
        (fun garbage ->
-         let frame = Frame.encode "{\"op\":\"stats\"}" in
+         let stats = Codec.encode_request Codec.Stats in
+         let frame = Frame.encode stats in
          match Frame.decode (frame ^ garbage) with
          | Frame.Frame { payload; consumed } ->
-           String.equal payload "{\"op\":\"stats\"}" && consumed = String.length frame
+           String.equal payload stats && consumed = String.length frame
          | _ -> false))
+
+(* A version-1 frame (the JSON-payload protocol) is refused by version,
+   whatever its payload, as soon as the version byte is in. *)
+let test_frame_version_one_refused () =
+  let v1 = Bytes.of_string (Frame.encode "{\"op\":\"ping\"}") in
+  Bytes.set v1 4 '\x01';
+  let v1 = Bytes.to_string v1 in
+  List.iter
+    (fun cut ->
+      match Frame.decode (String.sub v1 0 cut) with
+      | Frame.Corrupt { Errors.kind = Errors.Bad_version; detail } ->
+        check_bool "detail names the version" true (detail = "unsupported protocol version 1")
+      | _ -> Alcotest.failf "a version-1 frame cut at %d must be bad-version" cut)
+    [ 5; Frame.header_len; String.length v1 ]
+
+(* The one CRC of journal records and frames: slicing-by-4 agrees with the
+   bytewise definition at every length from 0 to 300 and every offset
+   into a buffer, and allocates nothing. *)
+let bytewise_crc32 =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  fun s ->
+    let c = ref 0xFFFFFFFF in
+    String.iter (fun ch -> c := table.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8)) s;
+    !c lxor 0xFFFFFFFF
+
+let test_crc32_slicing () =
+  check_int "check value" 0xCBF43926 (Journal.crc32 "123456789");
+  let rng = Random.State.make [| 32 |] in
+  let text = String.init 600 (fun _ -> Char.chr (Random.State.int rng 256)) in
+  for len = 0 to 300 do
+    for off = 0 to 300 do
+      let s = String.sub text off len in
+      if Journal.crc32 s <> bytewise_crc32 s then
+        Alcotest.failf "crc32 differs at length %d, offset %d" len off
+    done
+  done;
+  let s = String.sub text 3 300 in
+  ignore (Journal.crc32 s);
+  let before = Gc.minor_words () in
+  let crc = Journal.crc32 s in
+  check_int "no allocation" 0 (int_of_float (Gc.minor_words () -. before));
+  check_int "same value" (bytewise_crc32 s) crc
 
 (* --- payload codec ------------------------------------------------------ *)
 
 let all_error_kinds =
   [
     Errors.Bad_magic; Errors.Bad_version; Errors.Oversized; Errors.Crc_mismatch;
-    Errors.Torn; Errors.Timeout; Errors.Bad_json; Errors.Bad_request;
+    Errors.Torn; Errors.Timeout; Errors.Bad_payload; Errors.Bad_request;
     Errors.Unknown_principal; Errors.Busy; Errors.Shutting_down; Errors.Fault;
   ]
+
+(* Every refusal, as its journal tag decodes. *)
+let all_refusals =
+  List.filter_map Guard.refusal_of_tag
+    [
+      "policy"; "resource:fuel"; "resource:deadline"; "resource:query-too-large";
+      "resource:label-too-wide"; "resource:spill"; "overload"; "malformed"; "fault";
+    ]
 
 let test_error_tags_roundtrip () =
   List.iter
@@ -155,14 +220,64 @@ let test_error_tags_roundtrip () =
       | Some k -> check_bool "tag roundtrips" true (k = kind)
       | None -> Alcotest.failf "tag %s does not roundtrip" (Errors.kind_to_tag kind))
     all_error_kinds;
-  check_bool "unknown tag refused" true (Errors.kind_of_tag "no-such-tag" = None)
+  check_bool "unknown tag refused" true (Errors.kind_of_tag "no-such-tag" = None);
+  check_int "every refusal tag decodes" 9 (List.length all_refusals)
+
+let gen_request, gen_response =
+  let open QCheck.Gen in
+  let bytes = string_size ~gen:char (0 -- 80) in
+  let nat = map (fun i -> i land max_int) int in
+  let trace = opt (pair nat nat) in
+  let decision =
+    oneof [ return Monitor.Answered; map (fun r -> Monitor.Refused r) (oneofl all_refusals) ]
+  in
+  (* The documents cross as JSON text, so their strings stay printable. *)
+  let doc =
+    map2
+      (fun k v -> Obs.Json.Obj [ (k, Obs.Json.Str v); ("n", Obs.Json.Num 1.5) ])
+      string_printable string_printable
+  in
+  let request =
+    oneof
+      [
+        map3 (fun principal query trace -> Codec.Query { principal; query; trace }) bytes bytes trace;
+        map3 (fun principal query trace -> Codec.Explain { principal; query; trace }) bytes bytes trace;
+        return Codec.Ping;
+        return Codec.Stats;
+        map3
+          (fun (shard, seg) (off, max_bytes) (follower, trace) ->
+            Codec.Pull { shard; seg; off; max_bytes; follower; trace })
+          (pair nat nat) (pair nat nat) (pair bytes trace);
+      ]
+  in
+  let response =
+    oneof
+      [
+        map (fun d -> Codec.Decision d) decision;
+        return Codec.Pong;
+        map (fun d -> Codec.Stats_doc d) doc;
+        map3
+          (fun (shard, data) (next_seg, next_off) (behind, trace) ->
+            Codec.Batch { shard; data; next_seg; next_off; behind; trace })
+          (pair nat bytes) (pair nat nat) (pair nat trace);
+        map3
+          (fun shard data (next_seg, next_off) -> Codec.Snapshot { shard; data; next_seg; next_off })
+          nat bytes (pair nat nat);
+        map2 (fun decision doc -> Codec.Explained { decision; doc }) decision doc;
+        map2 (fun kind detail -> Codec.Error (Errors.v kind detail)) (oneofl all_error_kinds) bytes;
+      ]
+  in
+  (request, response)
 
 let test_codec_roundtrip () =
+  (* Every constructor, every error kind and every refusal, by hand ... *)
   let requests =
     [
       Codec.Ping; Codec.Stats;
       Codec.Query { principal = "crm-app"; query = "Q(x) :- Meetings(x, y)"; trace = None };
-      Codec.Query { principal = "weird \"name\"\t"; query = ""; trace = None };
+      Codec.Query { principal = "weird \"name\"\t"; query = ""; trace = Some (max_int, 0) };
+      Codec.Explain { principal = "\x00"; query = "\xff"; trace = Some (1, 2) };
+      Codec.Pull { shard = 1; seg = 2; off = 3; max_bytes = 4; follower = ""; trace = None };
     ]
   in
   List.iter
@@ -175,10 +290,11 @@ let test_codec_roundtrip () =
     Codec.Pong
     :: Codec.Decision Monitor.Answered
     :: Codec.Stats_doc (Obs.Json.Obj [ ("uptime_s", Obs.Json.Num 1.5) ])
+    :: Codec.Explained { decision = Monitor.Answered; doc = Obs.Json.Obj [] }
+    :: Codec.Batch { shard = 0; data = ""; next_seg = 1; next_off = 0; behind = 0; trace = None }
+    :: Codec.Snapshot { shard = 0; data = "\x00\xff"; next_seg = 1; next_off = 0 }
     :: List.map (fun k -> Codec.Error (Errors.v k "detail")) all_error_kinds
-    @ List.map
-        (fun r -> Codec.Decision (Monitor.Refused r))
-        [ Guard.Policy; Guard.Overload; Guard.Resource Guard.Fuel; Guard.Resource Guard.Deadline ]
+    @ List.map (fun r -> Codec.Decision (Monitor.Refused r)) all_refusals
   in
   List.iter
     (fun resp ->
@@ -186,32 +302,69 @@ let test_codec_roundtrip () =
       | Ok resp' -> check_bool "response roundtrips" true (resp = resp')
       | Error msg -> Alcotest.fail msg)
     responses;
-  (* Replication data crosses as hex: arbitrary bytes survive it. *)
+  (* ... and with arbitrary bytes in every string field. *)
   QCheck.Test.check_exn
-    (QCheck.Test.make ~count:1000 ~name:"hex_decode (hex_encode s) = Ok s"
-       QCheck.(string_of_size Gen.(0 -- 300))
-       (fun s -> Codec.hex_decode (Codec.hex_encode s) = Ok s))
+    (QCheck.Test.make ~count:2000 ~name:"decode_request (encode_request r) = Ok r"
+       (QCheck.make gen_request)
+       (fun r -> Codec.decode_request (Codec.encode_request r) = Ok r));
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:2000 ~name:"decode_response (encode_response r) = Ok r"
+       (QCheck.make gen_response)
+       (fun r -> Codec.decode_response (Codec.encode_response r) = Ok r))
+
+let expect_payload_error what kind payload =
+  match Codec.decode_request payload with
+  | Error e when e.Errors.kind = kind ->
+    check_bool (what ^ ": fatal iff bad-payload") (kind = Errors.Bad_payload) (Errors.fatal e)
+  | Error e -> Alcotest.failf "%s: expected %s, got %s" what (Errors.kind_to_tag kind) (Errors.to_string e)
+  | Ok _ -> Alcotest.failf "%s: payload %S must not decode" what payload
 
 let test_codec_rejects_malformed () =
-  (match Codec.decode_request "not json at all {" with
-  | Error { Errors.kind = Errors.Bad_json; _ } -> ()
-  | _ -> Alcotest.fail "non-JSON payload must be bad-json");
+  let query = Codec.encode_request (Codec.Query { principal = "p"; query = "Q"; trace = None }) in
+  let int8 v = String.init 8 (fun i -> Char.chr ((v lsr (8 * (7 - i))) land 0xff)) in
   List.iter
-    (fun payload ->
-      match Codec.decode_request payload with
-      | Error { Errors.kind = Errors.Bad_request; _ } -> ()
-      | Error e -> Alcotest.failf "expected bad-request, got %s" (Errors.to_string e)
-      | Ok _ -> Alcotest.failf "payload %S must not decode" payload)
+    (fun (what, kind, payload) -> expect_payload_error what kind payload)
     [
-      "{}"; "{\"op\":\"launch-missiles\"}"; "{\"op\":42}";
-      "{\"op\":\"query\"}"; "{\"op\":\"query\",\"principal\":\"p\"}";
-      "{\"op\":\"query\",\"principal\":7,\"query\":\"Q\"}";
+      ("empty payload", Errors.Bad_payload, "");
+      ("unknown tag", Errors.Bad_request, "z");
+      ("unknown tag with fields", Errors.Bad_request, "\x00\x00\x00\x00\x01p");
+      ("trailing byte", Errors.Bad_payload, query ^ "\x00");
+      ("trailing byte after ping", Errors.Bad_payload, "pp");
+      ("string longer than the payload", Errors.Bad_payload, "q\x00\x00\x03\xe8p");
+      ("trace flag out of range", Errors.Bad_payload, String.sub query 0 (String.length query - 1) ^ "\x02");
+      ( "negative integer",
+        Errors.Bad_request,
+        "l" ^ int8 (-1) ^ int8 0 ^ int8 0 ^ int8 0 ^ "\x00\x00\x00\x00\x00" );
+      ("JSON-era payload", Errors.Bad_request, "{\"op\":\"ping\"}");
     ];
+  (* Every proper prefix of every request is a truncated field. *)
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:500 ~name:"truncated requests are bad-payload"
+       (QCheck.make gen_request)
+       (fun r ->
+         let p = Codec.encode_request r in
+         List.for_all
+           (fun cut ->
+             match Codec.decode_request (String.sub p 0 cut) with
+             | Error { Errors.kind = Errors.Bad_payload; _ } -> true
+             | _ -> false)
+           (List.init (String.length p) Fun.id)));
+  (match Codec.decode_response "D\x01\x00\x00\x00\x02no" with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "an unknown refusal tag must not decode");
+  (match Codec.decode_response (Codec.encode_response Codec.Pong ^ "x") with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a response with trailing bytes must not decode");
   QCheck.Test.check_exn
     (QCheck.Test.make ~count:1000 ~name:"Codec.decode_request is total"
        QCheck.(string_of_size Gen.(0 -- 120))
        (fun s ->
-         match Codec.decode_request s with Ok _ -> true | Error _ -> true))
+         match Codec.decode_request s with Ok _ -> true | Error _ -> true));
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:1000 ~name:"Codec.decode_response is total"
+       QCheck.(string_of_size Gen.(0 -- 120))
+       (fun s ->
+         match Codec.decode_response s with Ok _ -> true | Error _ -> true))
 
 let test_addr_parse () =
   (match Net.Addr.of_string "unix:/tmp/x.sock" with
@@ -377,7 +530,7 @@ let test_reader_window_larger_than_buffer () =
 (* EOF, or a reset, in the middle of a frame is [Torn], never a frame and
    never a clean close. *)
 let test_reader_eof_mid_frame () =
-  let frame = Frame.encode "{\"op\":\"ping\"}" in
+  let frame = Frame.encode (Codec.encode_request Codec.Ping) in
   List.iter
     (fun cut ->
       with_pair (fun rd wr ->
@@ -555,7 +708,11 @@ let test_ping_stats_over_wire () =
           check_bool "accepts counted in stats" true (counter "net_accepted" >= 1);
           check_bool "requests counted in stats" true (counter "net_requests" >= 2);
           check_bool "bytes counted in stats" true
-            (counter "net_bytes_in" > 0 && counter "net_bytes_out" > 0));
+            (counter "net_bytes_in" > 0 && counter "net_bytes_out" > 0);
+          (* Lockstep: a read per request so far, and a write per response
+             sent before the stats request was decided. *)
+          check_bool "reads counted in stats" true (counter "net_reads" >= 3);
+          check_int "writes counted in stats" 2 (counter "net_writes"));
       Net.Listener.stop listener;
       Server.stop server)
 
@@ -576,6 +733,38 @@ let test_unknown_principal_keeps_connection () =
           match Net.Client.query_string c ~principal:"crm-app" "Q(x) :- Meetings(x, y)" with
           | Ok _ -> ()
           | Error e -> Alcotest.fail (Errors.to_string e));
+      Net.Listener.stop listener;
+      Server.stop server)
+
+(* An integer literal past [max_int] is a parse error like any other: the
+   batch around it is decided, it alone is [Bad_request], and the
+   connection keeps serving. *)
+let test_int_overflow_in_pipelined_batch () =
+  with_socket (fun addr ->
+      let server = make_server () in
+      Server.start server;
+      let listener = Net.Listener.create ~server addr in
+      Net.Client.with_connection addr (fun c ->
+          (match
+             Net.Client.query_batch_string c
+               [
+                 ("crm-app", "Q(x) :- Meetings(x, y)");
+                 ("crm-app", "Q(x) :- Meetings(x, 99999999999999999999)");
+                 ("calendar-app", "Q(x) :- Meetings(x, y)");
+               ]
+           with
+          | [ Ok d1; Error { Errors.kind = Errors.Bad_request; detail }; Ok d2 ] ->
+            check_bool "first query decided" true (Monitor.is_answered d1);
+            check_bool "last query decided" true (Monitor.is_answered d2);
+            Alcotest.(check string)
+              "detail" "at offset 20: integer literal out of range" detail
+          | rs ->
+            Alcotest.failf "expected decision, bad-request, decision; got %s"
+              (String.concat ", "
+                 (List.map
+                    (function Ok _ -> "decision" | Error e -> Errors.to_string e)
+                    rs)));
+          Net.Client.ping c);
       Net.Listener.stop listener;
       Server.stop server)
 
@@ -651,7 +840,11 @@ let test_malformed_torture_over_wire () =
           expect_wire_error "garbage bytes" Errors.Bad_magic
             (roundtrip "once upon a time, far from any framing discipline");
           expect_wire_error "wrong version" Errors.Bad_version (roundtrip "DCN1\x09rest");
-          let valid = Frame.encode (Codec.encode_request Codec.Ping) in
+          let valid =
+            Frame.encode
+              (Codec.encode_request
+                 (Codec.Query { principal = "crm-app"; query = "Q(x) :- Meetings(x, y)"; trace = None }))
+          in
           let flipped = Bytes.of_string valid in
           Bytes.set flipped (Frame.header_len + 2)
             (Char.chr (Char.code valid.[Frame.header_len + 2] lxor 0x01));
@@ -661,8 +854,12 @@ let test_malformed_torture_over_wire () =
           Bytes.set oversized 5 '\x7f';
           expect_wire_error "oversized header" Errors.Oversized
             (roundtrip (Bytes.to_string oversized));
-          expect_wire_error "valid frame, invalid JSON" Errors.Bad_json
-            (roundtrip (Frame.encode "{\"op\": this is not json"));
+          expect_wire_error "valid frame, truncated payload" Errors.Bad_payload
+            (roundtrip (Frame.encode "q\x00\x00"));
+          (let v1 = Bytes.of_string (Frame.encode "{\"op\":\"ping\"}") in
+           Bytes.set v1 4 '\x01';
+           expect_wire_error "version-1 frame" Errors.Bad_version
+             (roundtrip (Bytes.to_string v1)));
           (* A silent partial frame trips the read deadline. *)
           (let fd = raw_connect addr in
            Fun.protect
@@ -1067,6 +1264,9 @@ let () =
           Alcotest.test_case "oversized header rejected early" `Quick
             test_frame_oversized_rejected_early;
           Alcotest.test_case "decode is total (fuzz)" `Quick test_frame_fuzz_never_raises;
+          Alcotest.test_case "version-1 frame is bad-version" `Quick
+            test_frame_version_one_refused;
+          Alcotest.test_case "crc32 slicing matches bytewise" `Quick test_crc32_slicing;
           Alcotest.test_case "flush survives an EINTR storm" `Quick
             test_flush_survives_eintr;
           Alcotest.test_case "reader: split at every byte boundary" `Quick
@@ -1106,6 +1306,8 @@ let () =
           Alcotest.test_case "ping and stats over the wire" `Quick test_ping_stats_over_wire;
           Alcotest.test_case "semantic errors keep the connection" `Quick
             test_unknown_principal_keeps_connection;
+          Alcotest.test_case "integer overflow in a pipelined batch is bad-request" `Quick
+            test_int_overflow_in_pipelined_batch;
         ] );
       ( "torture",
         [

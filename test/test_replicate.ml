@@ -92,15 +92,6 @@ let check_states_equal ~what server fol ~shards =
 
 let test_codec_roundtrip () =
   let raw = String.init 256 Char.chr in
-  (match Net.Codec.hex_decode (Net.Codec.hex_encode raw) with
-  | Ok s -> Alcotest.(check string) "hex round trip" raw s
-  | Error e -> Alcotest.failf "hex: %s" e);
-  (match Net.Codec.hex_decode "0g" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "bad hex digit must be rejected");
-  (match Net.Codec.hex_decode "abc" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "odd-length hex must be rejected");
   let req =
     Net.Codec.Pull
       { shard = 3; seg = 7; off = 123456; max_bytes = 65536; follower = "s1"; trace = None }
@@ -120,7 +111,14 @@ let test_codec_roundtrip () =
        { shard = 1; data = "J2 \x00\xffbytes\n"; next_seg = 2; next_off = 0; behind = 42; trace = None });
   check_resp "empty batch"
     (Net.Codec.Batch { shard = 0; data = ""; next_seg = 1; next_off = 0; behind = 0; trace = None });
-  check_resp "snapshot" (Net.Codec.Snapshot { shard = 1; data = "ckpt\tbytes\n"; next_seg = 5; next_off = 0 })
+  check_resp "snapshot" (Net.Codec.Snapshot { shard = 1; data = "ckpt\tbytes\n"; next_seg = 5; next_off = 0 });
+  (* Data travels raw: every byte value survives, and costs one byte. *)
+  let batch =
+    Net.Codec.Batch { shard = 0; data = raw; next_seg = 1; next_off = 0; behind = 0; trace = None }
+  in
+  check_resp "every byte value" batch;
+  Alcotest.(check bool) "raw data is not inflated" true
+    (String.length (Net.Codec.encode_response batch) < 2 * String.length raw)
 
 (* --- tiered follower: bounded standby, bit-identical, promotable -------- *)
 
@@ -199,17 +197,17 @@ let test_poll_once_catches_up () =
 
 (* --- pull responses past 1 MiB --------------------------------------- *)
 
-(* A pull response hex-encodes a whole checkpoint, or a batch window of up
-   to 1 MiB, so it can pass the server's 1 MiB request cap twice over. A
-   standby must still bootstrap from such a checkpoint and catch up such a
-   backlog over the wire. Long principal names make both large with a few
-   thousand principals. *)
+(* A pull response carries a whole checkpoint, or a batch window of up to
+   1 MiB, so it can pass the server's 1 MiB request cap. A standby must
+   still bootstrap from such a checkpoint and catch up such a backlog over
+   the wire. Long principal names make both pass 1 MiB with a few thousand
+   principals. *)
 let test_pull_over_one_mib () =
   let big =
     {
       policy with
       Policyfile.principals =
-        List.init 3000 (fun i ->
+        List.init 6000 (fun i ->
             (Printf.sprintf "app-%04d-%s" i (String.make 200 'p'), [ ("default", [ "V2" ]) ]));
     }
   in
@@ -232,7 +230,7 @@ let test_pull_over_one_mib () =
           let shard_base = Server.shard_journal jbase 0 in
           List.iter
             (fun (what, path) ->
-              let encoded = 2 * Journal.file_size path in
+              let encoded = Journal.file_size path in
               if encoded <= 1 lsl 20 then
                 Alcotest.failf "%s encodes to only %d bytes" what encoded)
             [ ("checkpoint", Journal.ckpt_path shard_base); ("backlog", shard_base) ];
