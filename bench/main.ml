@@ -1822,11 +1822,7 @@ let run_compile () =
                  split_us split_w label_us label_w)
              !rows)
       in
-      let groups, diagram_groups, diagram_nodes =
-        match !last_stats with
-        | Some s -> (s.Artifact.groups, s.Artifact.diagram_groups, s.Artifact.diagram_nodes)
-        | None -> (0, 0, 0)
-      in
+      let groups = match !last_stats with Some s -> s.Artifact.groups | None -> 0 in
       Printf.fprintf oc
         "{\n\
         \  \"benchmark\": \"compile\",\n\
@@ -1837,10 +1833,10 @@ let run_compile () =
         \  \"min_warm_speedup\": %.2f,\n\
         \  \"fallbacks\": %d,\n\
         \  \"bit_identical\": %b,\n\
-        \  \"artifact\": {\"groups\": %d, \"diagram_groups\": %d, \"diagram_nodes\": %d}\n\
+        \  \"artifact\": {\"groups\": %d}\n\
          }\n"
         n (compile_time *. 1e3) row_json min_cold min_warm !total_fallbacks all_identical
-        groups diagram_groups diagram_nodes);
+        groups);
   Format.printf "(wrote %s)@." json_path
 
 (* ------------------------------------------------------------------ *)

@@ -2,13 +2,12 @@
 
    [compile] takes the same Pipeline a shard labels with and lowers its
    whole view universe: every view atom becomes a flat matcher program,
-   every (relation, arity) group becomes a decision diagram over pattern
-   codes (or stays on the matcher tier when the diagram would blow the
-   node budget), and two memo layers sit on top — a per-group atom memo
-   keyed by canonical patterns and a whole-query memo keyed by hash-consed
-   query ids. Labeling then costs one dissection plus one hash probe per
-   atom on the steady state, instead of one Rewrite_single scan per
-   (atom, view) pair.
+   grouped by (relation, arity), and two memo layers sit on top — a
+   per-group atom memo keyed by canonical patterns and a whole-query memo
+   keyed by hash-consed query ids. An atom-memo miss runs its group's
+   matchers once and memoizes the mask. Labeling then costs one dissection
+   plus one hash probe per atom on the steady state, instead of one
+   Rewrite_single scan per (atom, view) pair.
 
    Equivalence contract: [label] returns a bit-identical Label.t to
    [Pipeline.label] on the same pipeline, including the order and number
@@ -17,9 +16,9 @@
    divergence is budget accounting: the compiled path burns one fuel unit
    per atom where the interpreter burns one per (atom, view) entry, so
    compiled labeling is strictly cheaper under tight fuel. Queries outside
-   the compiled fragment (atoms wider than Pattern.max_arity, or a
-   defensive missing diagram edge) escape to the interpreted labeler and
-   are counted in [stats] — the escape is never silent.
+   the compiled fragment (atoms wider than Pattern.max_arity) escape to
+   the interpreted labeler and are counted in [stats] — the escape is
+   never silent.
 
    Not thread-safe: an artifact belongs to one shard, like the label
    cache; reload compiles a fresh artifact (version + 1) and swaps it. *)
@@ -36,7 +35,6 @@ module Faults = Disclosure.Faults
 type group = {
   rel_id : int;
   matchers : (Matcher.t * int) array; (* program, registry bit *)
-  diagram : Diagram.t option; (* None: matcher tier (node budget exceeded) *)
   memo : Label.atom_label Pattern.Memo.t;
 }
 
@@ -47,18 +45,18 @@ type group = {
 type tier =
   | Tier_query_memo
   | Tier_atom_memo
-  | Tier_diagram
   | Tier_matcher
   | Tier_fallback
+  | Tier_diagram (* never produced; servebench's replay still names it (ROADMAP item 2) *)
 
 let tier_rank = function
   | Tier_query_memo -> 0
   | Tier_atom_memo -> 1
-  | Tier_diagram -> 2
-  | Tier_matcher -> 3
-  | Tier_fallback -> 4
+  | Tier_matcher -> 2
+  | Tier_fallback -> 3
+  | Tier_diagram -> -1
 
-let tiers = [ Tier_query_memo; Tier_atom_memo; Tier_diagram; Tier_matcher; Tier_fallback ]
+let tiers = [ Tier_query_memo; Tier_atom_memo; Tier_matcher; Tier_fallback ]
 
 let tier_name = function
   | Tier_query_memo -> "memo"
@@ -110,9 +108,7 @@ let compile ?(version = 0) ?(intern_capacity = 65536) ?(memo_capacity = 65536) p
                (fun (e : Registry.entry) -> (Matcher.compile e.view.Sview.atom, e.bit))
                entries)
         in
-        let diagram = Diagram.build ~views:matchers ~arity () in
-        Hashtbl.add groups (rel, arity)
-          { rel_id = rid; matchers; diagram; memo = Pattern.Memo.create 64 })
+        Hashtbl.add groups (rel, arity) { rel_id = rid; matchers; memo = Pattern.Memo.create 64 })
       by_arity
   done;
   {
@@ -182,23 +178,8 @@ let label_atom ?(budget = Cq.Budget.unlimited) t (atom : Tagged.atom) =
           w
         | None ->
           t.atom_misses <- t.atom_misses + 1;
-          let mask =
-            match g.diagram with
-            | Some d -> (
-              match Diagram.eval d p with
-              | Some m ->
-                escalate t Tier_diagram;
-                m
-              | None ->
-                (* Unreachable for encoded patterns; a construction bug
-                   degrades to the exact matcher scan, counted. *)
-                t.fallbacks <- t.fallbacks + 1;
-                escalate t Tier_fallback;
-                scan g p)
-            | None ->
-              escalate t Tier_matcher;
-              scan g p
-          in
+          escalate t Tier_matcher;
+          let mask = scan g p in
           let w = if mask = 0 then Label.top_atom else Label.make_atom ~rel_id ~mask in
           if Pattern.Memo.length g.memo >= t.memo_capacity then Pattern.Memo.reset g.memo;
           Pattern.Memo.add g.memo key w;
@@ -228,8 +209,6 @@ let last_tier t = t.last_tier
 type stats = {
   version : int;
   groups : int;
-  diagram_groups : int;
-  diagram_nodes : int;
   fallbacks : int;
   atom_hits : int;
   atom_misses : int;
@@ -243,21 +222,9 @@ type stats = {
 }
 
 let stats (t : t) =
-  let diagram_groups = ref 0 in
-  let diagram_nodes = ref 0 in
-  Hashtbl.iter
-    (fun _ g ->
-      match g.diagram with
-      | Some d ->
-        incr diagram_groups;
-        diagram_nodes := !diagram_nodes + Diagram.node_count d
-      | None -> ())
-    t.groups;
   {
     version = t.version;
     groups = Hashtbl.length t.groups;
-    diagram_groups = !diagram_groups;
-    diagram_nodes = !diagram_nodes;
     fallbacks = t.fallbacks;
     atom_hits = t.atom_hits;
     atom_misses = t.atom_misses;

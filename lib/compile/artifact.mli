@@ -5,9 +5,11 @@
     fault-injection trip schedule (memo hits replay Minimize, Dissect,
     then Label once per atom) — at the cost of one dissection plus one
     memo probe per atom instead of one rewriting scan per (atom, view)
-    pair. Sole documented divergence: the compiled path burns one budget
-    unit per atom where the interpreter burns one per view entry, so it
-    is strictly cheaper under tight fuel.
+    pair; an atom-memo miss runs the flat matchers of the atom's
+    (relation, arity) group once. Sole documented divergence: the
+    compiled path burns one budget unit per atom where the interpreter
+    burns one per view entry, so it is strictly cheaper under tight
+    fuel.
 
     Queries outside the compiled fragment escape to the interpreted
     labeler and are counted in [stats] — never silently. An artifact
@@ -18,20 +20,22 @@ type t
 
 (** The labeler tier that decided a labeling, for decision provenance.
     Ordered by escalation — whole-query memo hit, per-atom memo hit,
-    decision-diagram evaluation, flat matcher scan, escape to the
-    interpreted labeler. *)
+    flat matcher scan, escape to the interpreted labeler. *)
 type tier =
   | Tier_query_memo
   | Tier_atom_memo
-  | Tier_diagram
   | Tier_matcher
   | Tier_fallback
+  | Tier_diagram
+      (** Never produced. Kept, last, because servebench's replay still
+          names it (ROADMAP item 2). *)
 
 val tiers : tier list
-(** Every tier, in escalation order. *)
+(** Every tier that is produced, in escalation order (no [Tier_diagram]). *)
 
 val tier_name : tier -> string
-(** ["memo"], ["atom-memo"], ["diagram"], ["matcher"], ["fallback"]. *)
+(** ["memo"], ["atom-memo"], ["matcher"], ["fallback"]; ["diagram"] for
+    the retired [Tier_diagram]. *)
 
 val compile :
   ?version:int -> ?intern_capacity:int -> ?memo_capacity:int -> Disclosure.Pipeline.t -> t
@@ -55,8 +59,6 @@ val label : ?budget:Cq.Budget.t -> ?id:int -> t -> Cq.Query.t -> Disclosure.Labe
 type stats = {
   version : int;
   groups : int; (* compiled (relation, arity) groups *)
-  diagram_groups : int; (* groups on the diagram tier (rest: matcher tier) *)
-  diagram_nodes : int;
   fallbacks : int; (* escapes to the interpreted labeler *)
   atom_hits : int;
   atom_misses : int;

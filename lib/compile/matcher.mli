@@ -7,29 +7,8 @@
     int compares against dense scratch slots instead of hashtable probes.
     The equivalence is enforced by a qcheck property in test_compile. *)
 
-type op =
-  | Const_eq of Relational.Value.t
-  | Dist_bind of int
-  | Dist_check of int
-  | Exist_bind of int
-  | Exist_check of int
-
-type t = {
-  pred : string;
-  arity : int;
-  ops : op array;
-  n_dist : int;
-  n_exist : int;
-}
+type t
 
 val compile : Disclosure.Tagged.atom -> t
 
 val run : t -> Pattern.t -> bool
-
-val cover_unset : int
-(** Cover-state codes shared with {!Diagram}'s build-time matcher states:
-    a query existential class not yet covered, covered by view
-    distinguished positions, or (any value [>= 0]) covered by that view
-    existential slot. *)
-
-val cover_by_dist : int

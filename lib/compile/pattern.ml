@@ -10,8 +10,8 @@
    as one int code per position — kind tag plus a class id numbered by
    first occurrence — plus a side table of constant values, and two atoms
    with equal encodings are indistinguishable to every view. That encoding
-   is the compiled fragment's alphabet: matcher programs and decision
-   diagrams run over codes, and the per-atom label memo keys on them. *)
+   is the compiled fragment's alphabet: matcher programs run over codes,
+   and the per-atom label memo keys on them. *)
 
 module Value = Relational.Value
 module Tagged = Disclosure.Tagged
@@ -25,11 +25,6 @@ let tag_const = 0
 let tag_dist = 1
 
 let tag_exist = 2
-
-(* One extra tag used only as a decision-diagram edge key: a constant
-   class seen for the first time, branched by which view constant (if
-   any) it equals. Never appears in [codes]. *)
-let tag_const_new = 3
 
 let code ~tag ~cls = (cls lsl 2) lor tag
 

@@ -7,8 +7,8 @@
     per position (kind tag in the low 2 bits, a dense first-occurrence
     class id above) plus the constant values in class order. Two atoms with
     equal encodings receive bit-identical labels from every view universe,
-    which is what lets matcher programs, decision diagrams, and the
-    per-atom label memo run over codes instead of atoms. *)
+    which is what lets matcher programs and the per-atom label memo run
+    over codes instead of atoms. *)
 
 type t = {
   pred : string;
@@ -19,10 +19,6 @@ type t = {
 val tag_const : int
 val tag_dist : int
 val tag_exist : int
-
-val tag_const_new : int
-(** Edge-key tag for a first-occurrence constant branched by view-constant
-    equality; produced by {!Diagram}, never present in [codes]. *)
 
 val code : tag:int -> cls:int -> int
 val tag : int -> int

@@ -38,9 +38,9 @@ type t = {
   fuel_spent : int option;  (** Labeling fuel consumed, when fuel is limited. *)
   elapsed_ns : int;  (** Wall time from submission to decision. *)
   tier : string;
-      (** Which labeler tier decided: ["memo"], ["atom-memo"], ["diagram"],
-          ["matcher"], ["fallback"], ["interpreter"], or ["none"] when the
-          decision needed no label (cache hit: see [cache_level]). *)
+      (** Which labeler tier decided: ["memo"], ["atom-memo"], ["matcher"],
+          ["fallback"], ["interpreter"], or ["none"] when the decision
+          needed no label (cache hit: see [cache_level]). *)
   cache_level : string;
       (** How the label cache handled it: ["exact"] on a hit, ["miss"] when
           the cache was consulted and the query labeled afresh, ["off"] when

@@ -112,16 +112,18 @@ let word cur = String.sub cur.s cur.start (cur.stop - cur.start)
 
 (* --- recursive descent ---------------------------------------------------- *)
 
-(* A syntax error. Every lexical error wins over every syntax error,
-   wherever each sits, so the rest of the input is lexed first: the input
-   before the cursor already lexed cleanly, and a lexical error after it
-   is raised here instead. Only a lexical error's position is tracked; a
-   syntax error reports offset 0. *)
-let syntax cur msg =
+(* A syntax error at offset [pos]. Every lexical error wins over every
+   syntax error, wherever each sits, so the rest of the input is lexed
+   first: the input before the cursor already lexed cleanly, and a lexical
+   error after it is raised here instead. *)
+let syntax_at pos cur msg =
   while cur.kind <> Eof do
     advance cur
   done;
-  fail 0 msg
+  fail pos msg
+
+(* A syntax error at the current token. *)
+let syntax cur msg = syntax_at cur.start cur msg
 
 let term cur =
   let t =
@@ -192,7 +194,9 @@ let query cur =
     else [ a ]
   in
   let body = body () in
-  try Query.make ~name ~head ~body () with Query.Unsafe msg -> syntax cur ("unsafe query: " ^ msg)
+  (* Unsafety belongs to the whole query, not to one token. *)
+  try Query.make ~name ~head ~body ()
+  with Query.Unsafe msg -> syntax_at 0 cur ("unsafe query: " ^ msg)
 
 let run p s =
   let cur = { s; kind = Eof; start = 0; stop = 0; int = 0 } in

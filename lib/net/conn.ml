@@ -48,8 +48,12 @@ type reply =
   | Now of Codec.response
   | Later of (unit -> Codec.response)
 
+let fault_of exn = Errors.fault (Printexc.to_string exn)
+
 (* Decode one request frame and hand it to [handle], collecting its reply
-   on [pending]; [Some e] is a fatal error that ends the connection. *)
+   on [pending]; [Some e] is a fatal error that ends the connection. A
+   raising [handle] fails closed in the request's place: the replies
+   already collected still go out, then the fault. *)
 let dispatch w ~handle ~pending payload =
   match
     Disclosure.Faults.trip Disclosure.Faults.Net_decode;
@@ -69,8 +73,9 @@ let dispatch w ~handle ~pending payload =
     | reply ->
       pending := reply :: !pending;
       count w Metrics.Net_requests 1;
-      None)
-  | exception exn -> Some (Errors.fault (Printexc.to_string exn))
+      None
+    | exception exn -> Some (fault_of exn))
+  | exception exn -> Some (fault_of exn)
 
 (* Consume every complete frame received so far, then flush all their
    responses with a single write — in two phases:
@@ -89,11 +94,13 @@ let dispatch w ~handle ~pending payload =
    phase-1 work — decode and dispatch; a deferred await runs the shard's
    round, whose queueing the server already accounts under [Wait].
 
-   A raised [Net_write] fault (or a handler/thunk exception) propagates to
-   [serve]'s backstop exactly as it did when each response was written
-   eagerly: the connection dies with this batch's responses undelivered
-   (the fault stays armed, so the backstop's own send trips it too), which
-   a pipelining client must treat like any other torn connection. *)
+   A raising handler or thunk costs its own request only: it is answered
+   in place with a fatal [Errors.fault], like a fatal reply. A raised
+   [Net_write] fault propagates to [serve]'s backstop exactly as it did
+   when each response was written eagerly: the connection dies with this
+   batch's responses undelivered (the fault stays armed, so the
+   backstop's own send trips it too), which a pipelining client must
+   treat like any other torn connection. *)
 let drain_frames w ~handle =
   let pending = ref [] (* replies in reverse arrival order *) in
   let rec decode () =
@@ -115,13 +122,13 @@ let drain_frames w ~handle =
     Metrics.record_size m Metrics.Pipeline_window (List.length !pending)
   | _ -> ());
   (* Phase 2: force every deferred reply, in order, then buffer the
-     responses. Every thunk is forced, even past a fatal reply: forcing is
-     what runs the shard round that decides a submitted query, and an
-     accepted query must not wait for some unrelated caller to run it. A
-     fatal deferred response closes like a fatal immediate one — responses
-     completed before it still go out first, then [serve] sends the closing
-     error frame; replies after it are dropped (their queries were decided;
-     the client sees a torn connection). *)
+     responses. Every thunk is forced, even past a fatal or raising one:
+     forcing is what runs the shard round that decides a submitted query,
+     and an accepted query must not wait for some unrelated caller to run
+     it. A fatal deferred response closes like a fatal immediate one —
+     responses completed before it still go out first, then [serve] sends
+     the closing error frame; replies after it are dropped (their queries
+     were decided; the client sees a torn connection). *)
   let rec buffer = function
     | [] -> fatal
     | Codec.Error e :: _ when Errors.fatal e -> Some e
@@ -130,7 +137,12 @@ let drain_frames w ~handle =
       buffer rest
   in
   let fatal =
-    buffer (List.map (function Now resp -> resp | Later force -> force ()) (List.rev !pending))
+    buffer
+      (List.map
+         (function
+           | Now resp -> resp
+           | Later force -> ( try force () with exn -> Codec.Error (fault_of exn)))
+         (List.rev !pending))
   in
   flush w;
   fatal

@@ -55,7 +55,9 @@ val serve :
     each request to a {!reply}; a {e fatal} [Codec.Error] (see
     {!Errors.fatal}), whether immediate or deferred, closes the connection
     after the error is sent, and an exception from [handle] or a forced
-    thunk fails closed as [Errors.Fault]. With [metrics], each frame's
+    thunk fails closed as [Errors.Fault] in that request's place: the
+    replies before it are sent first, and every deferred thunk is still
+    forced. With [metrics], each frame's
     decode-and-dispatch is timed under the [Net] stage (a deferred await
     is mailbox wait, accounted by the server under [Wait]) and the
     [Net_requests] / [Net_errors] / [Net_bytes_in] / [Net_bytes_out]

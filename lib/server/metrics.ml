@@ -53,8 +53,6 @@ type gauge =
   | Cache_capacity
   | Compile_version
   | Compile_groups
-  | Diagram_groups
-  | Diagram_nodes
   | Compile_fallbacks
   | Atom_hits
   | Atom_misses
@@ -182,10 +180,6 @@ let gauge_decls =
         ~stat:(stat ~combine:Max "compile" "version");
       decl Compile_groups "compile_groups" "Compiled (relation, arity) groups."
         ~stat:(stat "compile" "groups");
-      decl Diagram_groups "diagram_groups" "Groups on the decision-diagram tier."
-        ~stat:(stat "compile" "diagram_groups");
-      decl Diagram_nodes "diagram_nodes" "Decision-diagram nodes in the artifact."
-        ~stat:(stat "compile" "diagram_nodes");
       decl Compile_fallbacks "compile_fallbacks" "Escapes to the interpreted labeler."
         ~stat:(stat "compile" "fallbacks");
       decl Atom_hits "atom_hits" "Per-atom memo hits." ~stat:(stat "compile" "atom_hits");
@@ -359,8 +353,8 @@ let tier_family =
           counted =
             Some
               ( "disclosure_tier_decisions_total",
-                "Decisions by deciding labeler tier (cache hit, memo levels, diagram, \
-                 matcher, interpreter escape)." );
+                "Decisions by deciding labeler tier (cache hit, memo levels, matcher, \
+                 interpreter escape)." );
         };
     members = members tier_decls;
   }

@@ -93,8 +93,6 @@ type gauge =
       (** Version of the shard's compiled labeling artifact; bumped by every
           online policy reload. *)
   | Compile_groups  (** Compiled (relation, arity) groups. *)
-  | Diagram_groups  (** Groups on the decision-diagram tier. *)
-  | Diagram_nodes  (** Decision-diagram nodes across the artifact. *)
   | Compile_fallbacks
       (** Queries the compiled labeler escaped to the interpreter for. *)
   | Atom_hits  (** Per-atom memo hits of the live artifact. *)

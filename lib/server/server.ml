@@ -350,8 +350,6 @@ let compile_stats t =
       {
         Compile.Artifact.version = max acc.Compile.Artifact.version s.Compile.Artifact.version;
         groups = acc.groups + s.groups;
-        diagram_groups = acc.diagram_groups + s.diagram_groups;
-        diagram_nodes = acc.diagram_nodes + s.diagram_nodes;
         fallbacks = acc.fallbacks + s.fallbacks;
         atom_hits = acc.atom_hits + s.atom_hits;
         atom_misses = acc.atom_misses + s.atom_misses;
@@ -366,8 +364,6 @@ let compile_stats t =
     {
       Compile.Artifact.version = 0;
       groups = 0;
-      diagram_groups = 0;
-      diagram_nodes = 0;
       fallbacks = 0;
       atom_hits = 0;
       atom_misses = 0;

@@ -261,8 +261,6 @@ let sample t =
   let c = Artifact.stats t.artifact in
   set Metrics.Compile_version c.Artifact.version;
   set Metrics.Compile_groups c.Artifact.groups;
-  set Metrics.Diagram_groups c.Artifact.diagram_groups;
-  set Metrics.Diagram_nodes c.Artifact.diagram_nodes;
   set Metrics.Compile_fallbacks c.Artifact.fallbacks;
   set Metrics.Atom_hits c.Artifact.atom_hits;
   set Metrics.Atom_misses c.Artifact.atom_misses;

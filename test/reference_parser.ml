@@ -5,14 +5,14 @@
    [Error] message on every input, the same text for every query. The
    one intended difference: an integer literal past [max_int] raises
    [Failure "int_of_string"] here, where Cq.Parser returns an error.
-   Test-only. *)
+   Each token carries its start offset, which a syntax error reports (an
+   unsafe query reports offset 0). Test-only. *)
 
 module Term = Cq.Term
 module Atom = Cq.Atom
 module Query = Cq.Query
 
 exception Parse_error of string
-
 
 type token =
   | Tident of string (* uppercase-initial: predicate name *)
@@ -32,10 +32,12 @@ let fail pos msg = raise (Parse_error (Printf.sprintf "at offset %d: %s" pos msg
 let tokenize s =
   let n = String.length s in
   let tokens = ref [] in
-  let emit t = tokens := t :: !tokens in
+  let start = ref 0 in
+  let emit t = tokens := (t, !start) :: !tokens in
   let i = ref 0 in
   while !i < n do
     let c = s.[!i] in
+    start := !i;
     if c = ' ' || c = '\t' || c = '\n' || c = '\r' then incr i
     else if c = '(' then begin emit Tlparen; incr i end
     else if c = ')' then begin emit Trparen; incr i end
@@ -72,17 +74,21 @@ let tokenize s =
     end
     else fail !i (Printf.sprintf "unexpected character %c" c)
   done;
+  start := n;
   emit Teof;
   List.rev !tokens
 
-type state = { mutable toks : token list }
+type state = { mutable toks : (token * int) list }
 
-let peek st = match st.toks with [] -> Teof | t :: _ -> t
+let peek st = match st.toks with [] -> Teof | (t, _) :: _ -> t
+
+(* A syntax error at the current token. *)
+let syntax st msg = fail (match st.toks with [] -> 0 | (_, pos) :: _ -> pos) msg
 
 let advance st = match st.toks with [] -> () | _ :: rest -> st.toks <- rest
 
 let expect st tok what =
-  if peek st = tok then advance st else fail 0 ("expected " ^ what)
+  if peek st = tok then advance st else syntax st ("expected " ^ what)
 
 let parse_term st =
   match peek st with
@@ -92,8 +98,8 @@ let parse_term st =
   | Tconst v ->
     advance st;
     Term.Const v
-  | Tident x -> fail 0 ("unexpected predicate name " ^ x ^ " in argument position")
-  | Tlparen | Trparen | Tcomma | Tturnstile | Teof -> fail 0 "expected a term"
+  | Tident x -> syntax st ("unexpected predicate name " ^ x ^ " in argument position")
+  | Tlparen | Trparen | Tcomma | Tturnstile | Teof -> syntax st "expected a term"
 
 let parse_term_list st =
   expect st Tlparen "(";
@@ -112,7 +118,7 @@ let parse_term_list st =
         advance st;
         List.rev (t :: acc)
       | Tlparen | Tturnstile | Teof | Tident _ | Tvar _ | Tconst _ ->
-        fail 0 "expected , or ) in argument list"
+        syntax st "expected , or ) in argument list"
     in
     loop []
 
@@ -121,9 +127,9 @@ let parse_atom st =
   | Tident pred ->
     advance st;
     Atom.make pred (parse_term_list st)
-  | Tvar x -> fail 0 ("relation names must start with an uppercase letter: " ^ x)
+  | Tvar x -> syntax st ("relation names must start with an uppercase letter: " ^ x)
   | Tconst _ | Tlparen | Trparen | Tcomma | Tturnstile | Teof ->
-    fail 0 "expected an atom"
+    syntax st "expected an atom"
 
 let parse_query st =
   let name =
@@ -131,9 +137,9 @@ let parse_query st =
     | Tident name ->
       advance st;
       name
-    | Tvar x -> fail 0 ("query names must start with an uppercase letter: " ^ x)
+    | Tvar x -> syntax st ("query names must start with an uppercase letter: " ^ x)
     | Tconst _ | Tlparen | Trparen | Tcomma | Tturnstile | Teof ->
-      fail 0 "expected a query head"
+      syntax st "expected a query head"
   in
   let head = parse_term_list st in
   expect st Tturnstile ":-";
@@ -155,7 +161,7 @@ let run p s =
   (match peek st with
   | Teof -> ()
   | Tident _ | Tvar _ | Tconst _ | Tlparen | Trparen | Tcomma | Tturnstile ->
-    fail 0 "trailing input");
+    syntax st "trailing input");
   result
 
 let query_exn s = run parse_query s

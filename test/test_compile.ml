@@ -18,7 +18,6 @@ module Policyfile = Disclosure.Policyfile
 module Value = Relational.Value
 module Pattern = Compile.Pattern
 module Matcher = Compile.Matcher
-module Diagram = Compile.Diagram
 module Intern = Compile.Intern
 module Artifact = Compile.Artifact
 module Gen = QCheck.Gen
@@ -43,7 +42,7 @@ let gen_value =
 
 (* Well-formed tagged atoms: kinds chosen per variable name first, so no
    variable occurs with two kinds; constants mixed in so the const-class
-   and const-branching machinery is exercised. *)
+   machinery is exercised. *)
 let gen_tagged_atom_of pred arity : Tagged.atom Gen.t =
   let open Gen in
   let* kinds = array_repeat (Array.length var_names) bool in
@@ -69,7 +68,7 @@ let gen_tagged_atom : Tagged.atom Gen.t =
   gen_tagged_atom_of pred arity
 
 (* A same-relation (query atom, view atom) pair — the interesting case for
-   the matcher/diagram equivalences (cross-relation is trivially false). *)
+   the matcher equivalence (cross-relation is trivially false). *)
 let gen_atom_pair : (Tagged.atom * Tagged.atom) Gen.t =
   let open Gen in
   let* pred, arity = oneofl preds in
@@ -179,41 +178,6 @@ let matcher_equiv =
     (fun (query, view) ->
       Matcher.run (Matcher.compile view) (Pattern.encode_exn query)
       = RS.leq_atom query view)
-
-(* --- diagram ≡ matcher scan --------------------------------------------- *)
-
-let arbitrary_diagram_case =
-  let gen =
-    let open Gen in
-    let* pred, arity = oneofl preds in
-    let* n_views = int_range 1 6 in
-    let* views = list_repeat n_views (gen_tagged_atom_of pred arity) in
-    let* query = gen_tagged_atom_of pred arity in
-    return (views, query)
-  in
-  QCheck.make
-    ~print:(fun (views, query) ->
-      Printf.sprintf "views: %s; query: %s"
-        (String.concat "; " (List.map Tagged.atom_to_string views))
-        (Tagged.atom_to_string query))
-    gen
-
-let diagram_equiv =
-  prop "diagram walk ≡ matcher scan" arbitrary_diagram_case (fun (views, query) ->
-      let matchers =
-        Array.of_list (List.mapi (fun bit v -> (Matcher.compile v, bit)) views)
-      in
-      let arity = List.length (List.hd views).Tagged.args in
-      match Diagram.build ~views:matchers ~arity () with
-      | None -> QCheck.assume_fail () (* over budget: stays on the matcher tier *)
-      | Some d ->
-        let p = Pattern.encode_exn query in
-        let scan =
-          Array.fold_left
-            (fun acc (m, bit) -> if Matcher.run m p then acc lor (1 lsl bit) else acc)
-            0 matchers
-        in
-        Diagram.eval d p = Some scan)
 
 (* --- artifact ≡ pipeline: labels, cold and memo-warm -------------------- *)
 
@@ -454,7 +418,7 @@ let test_reload_recompiles () =
   List.iter
     (fun needle ->
       if not (contains stats needle) then Alcotest.failf "stats_json is missing %S" needle)
-    [ "\"compile\""; "\"fallbacks\""; "\"intern_entries\""; "\"diagram_nodes\"" ];
+    [ "\"compile\""; "\"fallbacks\""; "\"intern_entries\""; "\"atom_misses\"" ];
   Server.stop server
 
 (* --- the fallback escape: outside-fragment queries are counted ---------- *)
@@ -536,6 +500,26 @@ let test_tiny_artifact_churn () =
   check_bool "interner actually flushed" true (s.Artifact.intern_flushes > 0);
   check_int "still no fallbacks" 0 s.Artifact.fallbacks
 
+(* --- budget: what an artifact costs to build ------------------------- *)
+
+(* Minor words allocated by one [Artifact.compile] of the Facebook views,
+   after a first compile has warmed every lazy table it reads. On the
+   calling domain [Gc.minor_words] is exact and repeats run to run. The
+   artifact is one flat matcher program per view atom plus empty memos:
+   10,765 words measured, so the bound leaves about 50% for honest growth
+   while a structure built per group at compile time fails it. *)
+let compile_words_bound = 16_000
+
+let test_compile_allocation () =
+  let pipeline = Fbschema.Fb_views.pipeline () in
+  ignore (Artifact.compile pipeline);
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Artifact.compile pipeline));
+  let words = int_of_float (Gc.minor_words () -. before) in
+  if words > compile_words_bound then
+    Alcotest.failf "Artifact.compile allocated %d minor words (bound %d)" words
+      compile_words_bound
+
 let () =
   Alcotest.run "disclosure-compile"
     [
@@ -546,7 +530,6 @@ let () =
             test_memo_hash_whole_pattern;
         ] );
       ("matcher", [ matcher_equiv ]);
-      ("diagram", [ diagram_equiv ]);
       ("artifact", [ artifact_label_equiv; artifact_atom_equiv ]);
       ( "decisions",
         [
@@ -570,5 +553,10 @@ let () =
           Alcotest.test_case "query key semantics" `Quick test_intern_query_semantics;
           Alcotest.test_case "tiny artifact churn stays bit-identical" `Quick
             test_tiny_artifact_churn;
+        ] );
+      ( "budget",
+        [
+          Alcotest.test_case "compiling the Facebook views stays small" `Quick
+            test_compile_allocation;
         ] );
     ]

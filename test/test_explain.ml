@@ -205,7 +205,7 @@ let test_refusal_variants_end_to_end () =
 
 (* --- answered content: tier, cache level, witnesses, mask delta --------- *)
 
-let tiers = [ "memo"; "atom-memo"; "diagram"; "matcher"; "fallback"; "interpreter" ]
+let tiers = [ "memo"; "atom-memo"; "matcher"; "fallback"; "interpreter" ]
 
 let test_answered_content () =
   let server = make_server ~domains:1 () in

@@ -583,6 +583,28 @@ let test_reader_deadline () =
       | Ok n -> Alcotest.failf "a silent peer delivered %d bytes" n
       | Error e -> Alcotest.failf "expected a timeout, got %s" (Errors.to_string e))
 
+(* Every byte [Conn.serve] writes back for [reqs], sent in one write so
+   they land in one batch. *)
+let conn_reply_bytes ~handle reqs =
+  let client, server = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let conn = Domain.spawn (fun () -> Net.Conn.serve ~handle server) in
+  let request = String.concat "" (List.map (fun r -> Frame.encode (Codec.encode_request r)) reqs) in
+  ignore (Unix.write_substring client request 0 (String.length request));
+  Unix.shutdown client Unix.SHUTDOWN_SEND;
+  let out = Buffer.create 1024 in
+  let chunk = Bytes.create 1024 in
+  let rec read_all () =
+    match Unix.read client chunk 0 1024 with
+    | 0 -> ()
+    | n ->
+      Buffer.add_subbytes out chunk 0 n;
+      read_all ()
+  in
+  read_all ();
+  Domain.join conn;
+  Unix.close client;
+  Buffer.contents out
+
 (* The bytes [Conn.serve] writes for a pipelined request sequence are
    exactly the concatenation of each response's [Frame.encode] — the one
    writer changes no byte on the wire. Immediate and deferred replies, and
@@ -617,26 +639,57 @@ let test_conn_wire_bytes () =
       Codec.Pong;
     ]
   in
-  let client, server = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let conn = Domain.spawn (fun () -> Net.Conn.serve ~handle server) in
-  let request = String.concat "" (List.map (fun r -> Frame.encode (Codec.encode_request r)) reqs) in
-  ignore (Unix.write_substring client request 0 (String.length request));
-  Unix.shutdown client Unix.SHUTDOWN_SEND;
-  let out = Buffer.create 1024 in
-  let chunk = Bytes.create 1024 in
-  let rec read_all () =
-    match Unix.read client chunk 0 1024 with
-    | 0 -> ()
-    | n ->
-      Buffer.add_subbytes out chunk 0 n;
-      read_all ()
-  in
-  read_all ();
-  Domain.join conn;
-  Unix.close client;
   Alcotest.(check string) "Conn.serve bytes = concatenated Frame.encode"
     (String.concat "" (List.map (fun r -> Frame.encode (Codec.encode_response r)) expected))
-    (Buffer.contents out)
+    (conn_reply_bytes ~handle reqs)
+
+(* A handler that raises costs its own request only. Six queries arrive in
+   one write; the third raises, either in [handle] itself or in its
+   deferred thunk. The client gets the two decisions before it, then a
+   fault frame, then EOF — and in the thunk case every other thunk is
+   still forced, because forcing is what decides a submitted query. *)
+let test_raising_handler_costs_one_request () =
+  let n = 6 and k = 3 in
+  let decision = Codec.Decision Monitor.Answered in
+  let run ~raise_in_handle =
+    let forced = Atomic.make 0 and seen = ref 0 in
+    let handle _ =
+      incr seen;
+      let i = !seen in
+      if raise_in_handle && i = k then failwith "handler boom";
+      Net.Conn.Later
+        (fun () ->
+          Atomic.incr forced;
+          if i = k then failwith "thunk boom";
+          decision)
+    in
+    let q = Codec.Query { principal = "crm-app"; query = "Q(x) :- Meetings(x, y)"; trace = None } in
+    let rec frames buf =
+      match Frame.decode buf with
+      | Frame.Frame { payload; consumed } ->
+        Codec.decode_response payload
+        :: frames (String.sub buf consumed (String.length buf - consumed))
+      | _ -> []
+    in
+    let out = conn_reply_bytes ~handle (List.init n (fun _ -> q)) in
+    (frames out, Atomic.get forced)
+  in
+  let expect what boom ~forced:expected (responses, forced) =
+    let want = [ Ok decision; Ok decision; Ok (Codec.Error (Errors.fault boom)) ] in
+    if responses <> want then
+      Alcotest.failf "%s: expected decision, decision, fault; got %s" what
+        (String.concat ", "
+           (List.map
+              (function
+                | Ok (Codec.Error e) -> Errors.to_string e
+                | Ok _ -> "response"
+                | Error e -> "undecodable: " ^ e)
+              responses));
+    check_int (what ^ ": thunks forced") expected forced
+  in
+  expect "raise in handle" {|Failure("handler boom")|} ~forced:(k - 1)
+    (run ~raise_in_handle:true);
+  expect "raise in thunk" {|Failure("thunk boom")|} ~forced:n (run ~raise_in_handle:false)
 
 (* [Frame.flush] under EINTR: the frame overflows the socket buffer so
    the writer blocks, and an interval timer delivers SIGALRM while it is
@@ -1281,6 +1334,8 @@ let () =
           Alcotest.test_case "reader: read deadline" `Quick test_reader_deadline;
           Alcotest.test_case "Conn.serve writes the encoded frames" `Quick
             test_conn_wire_bytes;
+          Alcotest.test_case "a raising handler costs one request" `Quick
+            test_raising_handler_costs_one_request;
         ] );
       ( "codec",
         [

@@ -150,7 +150,17 @@ let test_corner_cases () =
   Alcotest.(check string)
     "a lexical error wins over an earlier syntax error"
     "at offset 18: unexpected character !" (error "Q(x) :- R(x)) S(x !");
-  Alcotest.(check string) "empty input" "at offset 0: expected a query head" (error "")
+  Alcotest.(check string) "empty input" "at offset 0: expected a query head" (error "");
+  Alcotest.(check string)
+    "a syntax error names its token" "at offset 11: expected , or ) in argument list"
+    (error "Q(x) :- R(x");
+  Alcotest.(check string) "trailing input" "at offset 13: trailing input"
+    (error "Q(x) :- R(x) trailing");
+  Alcotest.(check string) "end of input" "at offset 7: expected an atom" (error "Q(x) :-");
+  Alcotest.(check string)
+    "an unsafe query is the whole query"
+    "at offset 0: unsafe query: head variable z does not appear in the body"
+    (error "Q(z) :- R(x)")
 
 (* --- the printer --------------------------------------------------------- *)
 
