@@ -2,17 +2,17 @@
 
    [compile] takes the same Pipeline a shard labels with and lowers its
    whole view universe: every view atom becomes a flat matcher program,
-   grouped by (relation, arity), and two memo layers sit on top — a
-   per-group atom memo keyed by canonical patterns and a whole-query memo
-   keyed by hash-consed query ids. An atom-memo miss runs its group's
-   matchers once and memoizes the mask. Labeling then costs one dissection
-   plus one hash probe per atom on the steady state, instead of one
-   Rewrite_single scan per (atom, view) pair.
+   grouped by (relation, arity), with a per-group atom memo keyed by
+   canonical patterns on top. An atom-memo miss runs its group's matchers
+   once and memoizes the mask. Labeling then costs one dissection plus one
+   hash probe per atom on the steady state, instead of one Rewrite_single
+   scan per (atom, view) pair. A repeated query is the shard's label cache's
+   business, keyed by [intern_query]; the artifact keeps no per-query memo.
 
    Equivalence contract: [label] returns a bit-identical Label.t to
    [Pipeline.label] on the same pipeline, including the order and number
-   of fault-injection trip points (memo hits replay the interpreter's
-   Minimize / Dissect / Label-per-atom schedule). The one documented
+   of fault-injection trip points (Minimize and Dissect inside the
+   dissection, then one Label trip per atom). The one documented
    divergence is budget accounting: the compiled path burns one fuel unit
    per atom where the interpreter burns one per (atom, view) entry, so
    compiled labeling is strictly cheaper under tight fuel. Queries outside
@@ -43,27 +43,27 @@ type group = {
    of its atoms reached (a memo hit next to an interpreter escape is still
    an escape). *)
 type tier =
-  | Tier_query_memo
   | Tier_atom_memo
   | Tier_matcher
   | Tier_fallback
-  | Tier_diagram (* never produced; servebench's replay still names it (ROADMAP item 2) *)
+  (* Never produced; servebench's replay still names both (ROADMAP item 2). *)
+  | Tier_diagram
+  | Tier_query_memo
 
 let tier_rank = function
-  | Tier_query_memo -> 0
-  | Tier_atom_memo -> 1
-  | Tier_matcher -> 2
-  | Tier_fallback -> 3
-  | Tier_diagram -> -1
+  | Tier_atom_memo -> 0
+  | Tier_matcher -> 1
+  | Tier_fallback -> 2
+  | Tier_diagram | Tier_query_memo -> -1
 
-let tiers = [ Tier_query_memo; Tier_atom_memo; Tier_matcher; Tier_fallback ]
+let tiers = [ Tier_atom_memo; Tier_matcher; Tier_fallback ]
 
 let tier_name = function
-  | Tier_query_memo -> "memo"
   | Tier_atom_memo -> "atom-memo"
-  | Tier_diagram -> "diagram"
   | Tier_matcher -> "matcher"
   | Tier_fallback -> "fallback"
+  | Tier_diagram -> "diagram"
+  | Tier_query_memo -> "memo"
 
 type t = {
   pipeline : Pipeline.t;
@@ -72,12 +72,9 @@ type t = {
   groups : (string * int, group) Hashtbl.t; (* keyed by (relation, arity) *)
   memo_capacity : int;
   interner : (Cq.Term.t list * Cq.Atom.t list) Intern.t;
-  query_memo : (int, Label.t) Hashtbl.t;
   mutable fallbacks : int;
   mutable atom_hits : int;
   mutable atom_misses : int;
-  mutable query_hits : int;
-  mutable query_misses : int;
   mutable last_tier : tier; (* deciding tier of the most recent [label] *)
 }
 
@@ -118,13 +115,10 @@ let compile ?(version = 0) ?(intern_capacity = 65536) ?(memo_capacity = 65536) p
     groups;
     memo_capacity;
     interner = Intern.create ~capacity:intern_capacity;
-    query_memo = Hashtbl.create 256;
     fallbacks = 0;
     atom_hits = 0;
     atom_misses = 0;
-    query_hits = 0;
-    query_misses = 0;
-    last_tier = Tier_query_memo;
+    last_tier = Tier_atom_memo;
   }
 
 let version t = t.version
@@ -136,14 +130,9 @@ let pipeline t = t.pipeline
    *name* field does not participate, so Q(x) :- R(x) and P(x) :- R(x)
    share an id; variable names do (they are part of the term structure),
    so an alpha-renamed copy interns separately — a sound over-split, never
-   an unsound merge. A flush of the interner orphans every outstanding id,
-   so the query memo resets with it — stale entries would never be read
-   again, only pin memory. *)
+   an unsound merge. *)
 let intern_query t (q : Cq.Query.t) =
-  let before = Intern.flushes t.interner in
-  let id = Intern.intern t.interner (q.Cq.Query.head, q.Cq.Query.body) in
-  if Intern.flushes t.interner <> before then Hashtbl.reset t.query_memo;
-  id
+  Intern.intern t.interner (q.Cq.Query.head, q.Cq.Query.body)
 
 let scan g p =
   Array.fold_left
@@ -185,24 +174,12 @@ let label_atom ?(budget = Cq.Budget.unlimited) t (atom : Tagged.atom) =
           Pattern.Memo.add g.memo key w;
           w)))
 
-let label ?(budget = Cq.Budget.unlimited) ?id t q =
-  t.last_tier <- Tier_query_memo;
-  let id = match id with Some id -> id | None -> intern_query t q in
-  match Hashtbl.find_opt t.query_memo id with
-  | Some lbl ->
-    (* Replay the interpreter's fault schedule so armed faults fire at the
-       same points whether or not the memo hits. *)
-    Faults.trip Faults.Minimize;
-    Faults.trip Faults.Dissect;
-    Array.iter (fun _ -> Faults.trip Faults.Label) lbl;
-    t.query_hits <- t.query_hits + 1;
-    Array.copy lbl
-  | None ->
-    t.query_misses <- t.query_misses + 1;
-    let atoms = Dissect.dissect ~budget q in
-    let lbl = Array.of_list (List.map (fun a -> label_atom ~budget t a) atoms) in
-    Hashtbl.add t.query_memo id (Array.copy lbl);
-    lbl
+(* A query none of whose atoms reaches a compiled group (every atom ⊤, or
+   no atoms) escalates nothing and reports the lowest produced tier. *)
+let label ?(budget = Cq.Budget.unlimited) t q =
+  t.last_tier <- Tier_atom_memo;
+  let atoms = Dissect.dissect ~budget q in
+  Array.of_list (List.map (fun a -> label_atom ~budget t a) atoms)
 
 let last_tier t = t.last_tier
 
@@ -212,8 +189,6 @@ type stats = {
   fallbacks : int;
   atom_hits : int;
   atom_misses : int;
-  query_hits : int;
-  query_misses : int;
   intern_entries : int;
   intern_capacity : int;
   intern_hits : int;
@@ -228,8 +203,6 @@ let stats (t : t) =
     fallbacks = t.fallbacks;
     atom_hits = t.atom_hits;
     atom_misses = t.atom_misses;
-    query_hits = t.query_hits;
-    query_misses = t.query_misses;
     intern_entries = Intern.length t.interner;
     intern_capacity = Intern.capacity t.interner;
     intern_hits = Intern.hits t.interner;

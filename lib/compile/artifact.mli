@@ -2,40 +2,45 @@
 
     [label (compile pipeline) q] is bit-identical to
     [Disclosure.Pipeline.label pipeline q] — same Label.t words, same
-    fault-injection trip schedule (memo hits replay Minimize, Dissect,
-    then Label once per atom) — at the cost of one dissection plus one
-    memo probe per atom instead of one rewriting scan per (atom, view)
-    pair; an atom-memo miss runs the flat matchers of the atom's
-    (relation, arity) group once. Sole documented divergence: the
-    compiled path burns one budget unit per atom where the interpreter
-    burns one per view entry, so it is strictly cheaper under tight
-    fuel.
+    fault-injection trip schedule (Minimize, Dissect, then Label once per
+    atom) — at the cost of one dissection plus one memo probe per atom
+    instead of one rewriting scan per (atom, view) pair; an atom-memo miss
+    runs the flat matchers of the atom's (relation, arity) group once.
+    Whole queries are not memoized here: a repeat is served by the
+    shard's label cache, keyed by {!intern_query}. Sole documented
+    divergence: the compiled path burns one budget unit per atom where the
+    interpreter burns one per view entry, so it is strictly cheaper under
+    tight fuel.
 
     Queries outside the compiled fragment escape to the interpreted
     labeler and are counted in [stats] — never silently. An artifact
-    belongs to one shard (memo tables are not thread-safe); policy reload
+    belongs to one shard (its memo tables are not thread-safe); policy reload
     compiles a fresh artifact with a bumped version and swaps it. *)
 
 type t
 
 (** The labeler tier that decided a labeling, for decision provenance.
-    Ordered by escalation — whole-query memo hit, per-atom memo hit,
-    flat matcher scan, escape to the interpreted labeler. *)
+    Ordered by escalation — per-atom memo hit, flat matcher scan, escape
+    to the interpreted labeler. *)
 type tier =
-  | Tier_query_memo
   | Tier_atom_memo
   | Tier_matcher
   | Tier_fallback
   | Tier_diagram
-      (** Never produced. Kept, last, because servebench's replay still
-          names it (ROADMAP item 2). *)
+      (** Never produced: the retired decision-diagram tier. Kept, after
+          the produced tiers, because servebench's replay still names it
+          (ROADMAP item 2). *)
+  | Tier_query_memo
+      (** Never produced: the retired whole-query memo. Kept, last, for
+          the same reason as [Tier_diagram]. *)
 
 val tiers : tier list
-(** Every tier that is produced, in escalation order (no [Tier_diagram]). *)
+(** Every tier that is produced, in escalation order (no [Tier_diagram],
+    no [Tier_query_memo]). *)
 
 val tier_name : tier -> string
-(** ["memo"], ["atom-memo"], ["matcher"], ["fallback"]; ["diagram"] for
-    the retired [Tier_diagram]. *)
+(** ["atom-memo"], ["matcher"], ["fallback"]; ["diagram"] and ["memo"]
+    for the retired [Tier_diagram] and [Tier_query_memo]. *)
 
 val compile :
   ?version:int -> ?intern_capacity:int -> ?memo_capacity:int -> Disclosure.Pipeline.t -> t
@@ -44,17 +49,15 @@ val version : t -> int
 val pipeline : t -> Disclosure.Pipeline.t
 
 val intern_query : t -> Cq.Query.t -> int
-(** Hash-consed id for the query's (head, body) structure. Equal ids imply
-    bit-identical labels; ids are monotone across interner flushes, so a
-    stale id never aliases a live one (safe as an LRU cache key). *)
+(** Hash-consed id for the query's (head, body) structure: the shard's
+    label-cache key. Equal ids imply bit-identical labels; ids are monotone
+    across interner flushes, so a stale id never aliases a live one (safe
+    as an LRU cache key). {!label} does not intern. *)
 
 val label_atom :
   ?budget:Cq.Budget.t -> t -> Disclosure.Tagged.atom -> Disclosure.Label.atom_label
 
-val label : ?budget:Cq.Budget.t -> ?id:int -> t -> Cq.Query.t -> Disclosure.Label.t
-(** [id], when given, must be [intern_query t q], interned by the caller just
-    before (the shard's label-cache key); the query is then not interned a
-    second time. *)
+val label : ?budget:Cq.Budget.t -> t -> Cq.Query.t -> Disclosure.Label.t
 
 type stats = {
   version : int;
@@ -62,8 +65,6 @@ type stats = {
   fallbacks : int; (* escapes to the interpreted labeler *)
   atom_hits : int;
   atom_misses : int;
-  query_hits : int;
-  query_misses : int;
   intern_entries : int;
   intern_capacity : int;
   intern_hits : int;
@@ -76,6 +77,9 @@ val fallbacks : t -> int
 
 val last_tier : t -> tier
 (** The deciding tier of the most recent {!label} call: the highest tier any
-    of the query's atoms escalated to ([Tier_query_memo] when the whole-query
-    memo hit). Standalone {!label_atom} calls escalate but do not reset, so
-    the value is meaningful per-[label]. Not thread-safe, like the memos. *)
+    of the query's atoms escalated to. {!label} resets it to the lowest
+    produced tier, [Tier_atom_memo], so a query whose atoms all reach no
+    compiled group (a relation without views: a ⊤ atom) reports
+    [Tier_atom_memo]; the value is always one of {!tiers}. Standalone
+    {!label_atom} calls escalate but do not reset, so the value is
+    meaningful per-[label]. Not thread-safe, like the memos. *)

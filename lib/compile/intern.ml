@@ -1,7 +1,7 @@
 (* A bounded hash-consing table: structural values in, small dense ids out.
 
    Repeat structure becomes a single hash + structural-equality probe, and
-   every downstream consumer (label cache, memo tables) keys on the int id
+   the downstream consumer (the shard's label cache) keys on the int id
    instead of re-serializing or re-comparing the structure. Ids are
    monotone across the table's whole lifetime: when the table reaches
    capacity it is flushed (a DoS of distinct structures must not grow
@@ -47,8 +47,6 @@ let intern t key =
     t.next <- id + 1;
     Hashtbl.add t.table key id;
     id
-
-let find t key = Hashtbl.find_opt t.table key
 
 let length t = Hashtbl.length t.table
 

@@ -11,7 +11,6 @@ type 'k t
 
 val create : capacity:int -> 'k t
 val intern : 'k t -> 'k -> int
-val find : 'k t -> 'k -> int option
 val length : 'k t -> int
 val capacity : 'k t -> int
 val hits : 'k t -> int

@@ -38,7 +38,7 @@ type t = {
   fuel_spent : int option;  (** Labeling fuel consumed, when fuel is limited. *)
   elapsed_ns : int;  (** Wall time from submission to decision. *)
   tier : string;
-      (** Which labeler tier decided: ["memo"], ["atom-memo"], ["matcher"],
+      (** Which labeler tier decided: ["atom-memo"], ["matcher"],
           ["fallback"], ["interpreter"], or ["none"] when the decision
           needed no label (cache hit: see [cache_level]). *)
   cache_level : string;

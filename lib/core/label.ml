@@ -43,8 +43,6 @@ let views_of_atom registry l =
 
 let atoms t = Array.to_list t
 
-let of_atom_labels ls = Array.of_list ls
-
 (* Hex digits of a non-negative int, at least one, as "%x" writes them. *)
 let hex_width n =
   let rec go n w = if n < 16 then w else go (n lsr 4) (w + 1) in

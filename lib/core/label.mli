@@ -49,8 +49,6 @@ val views_of_atom : Registry.t -> atom_label -> Sview.t list
 
 val atoms : t -> atom_label list
 
-val of_atom_labels : atom_label list -> t
-
 val pp : Registry.t -> Format.formatter -> t -> unit
 (** Human-readable form: one [{V3, V6}]-style set per atom, [⊤] for top. *)
 

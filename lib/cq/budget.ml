@@ -48,8 +48,6 @@ let create ?fuel ?deadline () =
     in
     { limited = true; fuel; deadline_ns; stride = deadline_stride }
 
-let is_unlimited t = not t.limited
-
 let expired t = t.limited && Int64.compare (now_ns ()) t.deadline_ns > 0
 
 let check_deadline t = if expired t then raise (Exhausted Deadline)
@@ -75,7 +73,3 @@ let remaining_fuel t = if t.limited then Some t.fuel else None
 let exhaust t =
   if not t.limited then invalid_arg "Budget.exhaust: unlimited budget";
   t.fuel <- 0
-
-let pp_exhaustion ppf = function
-  | Fuel -> Format.pp_print_string ppf "fuel"
-  | Deadline -> Format.pp_print_string ppf "deadline"

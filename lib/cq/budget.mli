@@ -42,13 +42,9 @@ val burn : t -> int -> unit
 val check_deadline : t -> unit
 (** Unconditional clock check (for stage boundaries). @raise Exhausted *)
 
-val is_unlimited : t -> bool
-
 val remaining_fuel : t -> int option
 (** [None] when the budget is unlimited. *)
 
 val exhaust : t -> unit
 (** Force the fuel to zero, so the next {!tick} raises. Used by the
     fault-injection harness. @raise Invalid_argument on {!unlimited}. *)
-
-val pp_exhaustion : Format.formatter -> exhaustion -> unit

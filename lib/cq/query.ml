@@ -40,8 +40,6 @@ let make ?(name = "Q") ~head ~body () =
   List.iter check_head_var head;
   { name; head; body }
 
-let of_atom ?name ~head atom = make ?name ~head ~body:[ atom ] ()
-
 let head_vars q = dedup_preserving_order (List.filter_map Term.var_name q.head)
 
 let body_vars q = body_vars_of q.body

@@ -18,8 +18,6 @@ exception Unsafe of string
 val make : ?name:string -> head:Term.t list -> body:Atom.t list -> unit -> t
 (** @raise Unsafe *)
 
-val of_atom : ?name:string -> head:Term.t list -> Atom.t -> t
-
 val head_vars : t -> string list
 (** Distinguished variables, in order of first occurrence in the head. *)
 

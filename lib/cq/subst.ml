@@ -28,12 +28,6 @@ let apply_term s = function
 
 let apply_atom s a = Atom.map_terms (apply_term s) a
 
-let apply_query s (q : Query.t) =
-  Query.make ~name:q.name
-    ~head:(List.map (apply_term s) q.head)
-    ~body:(List.map (apply_atom s) q.body)
-    ()
-
 let domain s = List.map fst (Smap.bindings s)
 
 let pp ppf s =

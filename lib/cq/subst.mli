@@ -26,10 +26,6 @@ val apply_term : t -> Term.t -> Term.t
 
 val apply_atom : t -> Atom.t -> Atom.t
 
-val apply_query : t -> Query.t -> Query.t
-(** Applies to head and body; the result must remain safe.
-    @raise Query.Unsafe *)
-
 val domain : t -> string list
 
 val pp : Format.formatter -> t -> unit

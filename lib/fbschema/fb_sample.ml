@@ -11,8 +11,6 @@ let user_row ~uid ~is_friend =
   in
   Array.of_list (List.map cell Fb_schema.user_attrs)
 
-let friend_uids = [ "alice"; "bob" ]
-
 let generic_row rel ~id ~uid ~is_friend =
   let r = Relational.Schema.find_exn Fb_schema.schema rel in
   let cell i attr =

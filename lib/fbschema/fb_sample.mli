@@ -9,5 +9,3 @@ val user_row : uid:string -> is_friend:bool -> Relational.Tuple.t
 (** A deterministic synthetic [User] tuple for the given uid (each attribute
     derived from the uid), with the [is_friend] flag set as requested. *)
 
-val friend_uids : string list
-(** Direct friends of ['me'] in the sample data. *)

@@ -251,8 +251,6 @@ let quiesce t =
   if not (Atomic.exchange t.draining true) then
     Log.info (fun m -> m "listener on %a draining: new queries refused" Addr.pp t.bound)
 
-let is_draining t = Atomic.get t.draining
-
 let address t = t.bound
 
 let connections t = live_count t

@@ -69,9 +69,6 @@ val quiesce : t -> unit
     the graceful-drain sequence: [quiesce] → [Server.drain] → wait for the
     follower to catch up → [stop]. Idempotent. *)
 
-val is_draining : t -> bool
-(** Between {!quiesce} (or {!stop}) and process exit. *)
-
 val stop : t -> unit
 (** Graceful drain, described above. Does {e not} stop the server — the
     caller owns its lifecycle (typically: [stop listener], then

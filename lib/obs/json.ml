@@ -265,5 +265,3 @@ let member key = function Obj kvs -> List.assoc_opt key kvs | _ -> None
 let to_list = function List xs -> Some xs | _ -> None
 
 let to_float = function Num f -> Some f | _ -> None
-
-let to_str = function Str s -> Some s | _ -> None

@@ -41,5 +41,3 @@ val member : string -> t -> t option
 val to_list : t -> t list option
 
 val to_float : t -> float option
-
-val to_str : t -> string option

@@ -56,8 +56,6 @@ type gauge =
   | Compile_fallbacks
   | Atom_hits
   | Atom_misses
-  | Query_hits
-  | Query_misses
   | Intern_entries
   | Intern_capacity
   | Intern_hits
@@ -185,9 +183,6 @@ let gauge_decls =
       decl Atom_hits "atom_hits" "Per-atom memo hits." ~stat:(stat "compile" "atom_hits");
       decl Atom_misses "atom_misses" "Per-atom memo misses."
         ~stat:(stat "compile" "atom_misses");
-      decl Query_hits "query_hits" "Whole-query memo hits." ~stat:(stat "compile" "query_hits");
-      decl Query_misses "query_misses" "Whole-query memo misses."
-        ~stat:(stat "compile" "query_misses");
       decl Intern_entries "intern_entries" "Live entries in the hash-consing table."
         ~stat:(stat "compile" "intern_entries");
       decl Intern_capacity "intern_capacity" "Hash-consing table capacity."
@@ -353,7 +348,7 @@ let tier_family =
           counted =
             Some
               ( "disclosure_tier_decisions_total",
-                "Decisions by deciding labeler tier (cache hit, memo levels, matcher, \
+                "Decisions by deciding labeler tier (cache hit, atom memo, matcher, \
                  interpreter escape)." );
         };
     members = members tier_decls;
@@ -422,8 +417,6 @@ let time t stage f =
   Fun.protect ~finally:finish f
 
 let histogram t stage = snapshot t.stage_cells.(slot stage)
-
-let tier_histogram t tier = snapshot t.tier_cells.(tier_slot tier)
 
 let size_histogram t size = snapshot t.size_cells.(slot size)
 

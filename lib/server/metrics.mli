@@ -97,8 +97,6 @@ type gauge =
       (** Queries the compiled labeler escaped to the interpreter for. *)
   | Atom_hits  (** Per-atom memo hits of the live artifact. *)
   | Atom_misses
-  | Query_hits  (** Whole-query memo hits of the live artifact. *)
-  | Query_misses
   | Intern_entries  (** Live entries in the shard's hash-consing table. *)
   | Intern_capacity
   | Intern_hits
@@ -115,7 +113,9 @@ type gauge =
 
 (** The labeler tier that decided a query: a label-cache hit, or the
     compiled artifact's own deciding tier. Recorded with the whole submit
-    latency (labeling + decision + journal). *)
+    latency (labeling + decision + journal). [Compiled] takes only the
+    tiers in {!Compile.Artifact.tiers}: the retired [Tier_diagram] and
+    [Tier_query_memo] have no slot. *)
 type tier =
   | Cached
   | Compiled of Compile.Artifact.tier
@@ -185,7 +185,6 @@ type histogram = {
 }
 
 val histogram : t -> stage -> histogram
-val tier_histogram : t -> tier -> histogram
 val size_histogram : t -> size -> histogram
 
 val mean_ns : histogram -> float

@@ -145,8 +145,6 @@ let shard_of t principal = t.shards.(shard_index ~shards:(shard_count t) princip
 
 let state t = Atomic.get t.state
 
-let is_running t = state t = Running
-
 let require_created t what =
   match state t with
   | Created -> ()
@@ -353,8 +351,6 @@ let compile_stats t =
         fallbacks = acc.fallbacks + s.fallbacks;
         atom_hits = acc.atom_hits + s.atom_hits;
         atom_misses = acc.atom_misses + s.atom_misses;
-        query_hits = acc.query_hits + s.query_hits;
-        query_misses = acc.query_misses + s.query_misses;
         intern_entries = acc.intern_entries + s.intern_entries;
         intern_capacity = acc.intern_capacity + s.intern_capacity;
         intern_hits = acc.intern_hits + s.intern_hits;
@@ -367,8 +363,6 @@ let compile_stats t =
       fallbacks = 0;
       atom_hits = 0;
       atom_misses = 0;
-      query_hits = 0;
-      query_misses = 0;
       intern_entries = 0;
       intern_capacity = 0;
       intern_hits = 0;

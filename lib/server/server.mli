@@ -208,11 +208,6 @@ val uptime_s : t -> float
     change) cannot corrupt uptime-derived rates such as
     [submitted / uptime_s]. *)
 
-val is_running : t -> bool
-(** Between {!start} and {!stop}. Safe from any domain (the lifecycle state
-    is atomic) — the networked front-end uses it to gate submissions during
-    shutdown. *)
-
 val compile_stats : t -> Compile.Artifact.stats
 (** Compiled-labeler statistics summed over shards (the [version] field is
     the maximum — shards reload in lockstep, so versions only diverge for

@@ -264,8 +264,6 @@ let sample t =
   set Metrics.Compile_fallbacks c.Artifact.fallbacks;
   set Metrics.Atom_hits c.Artifact.atom_hits;
   set Metrics.Atom_misses c.Artifact.atom_misses;
-  set Metrics.Query_hits c.Artifact.query_hits;
-  set Metrics.Query_misses c.Artifact.query_misses;
   set Metrics.Intern_entries c.Artifact.intern_entries;
   set Metrics.Intern_capacity c.Artifact.intern_capacity;
   set Metrics.Intern_hits c.Artifact.intern_hits;
@@ -300,9 +298,9 @@ let compact_store t = match t.store with Some s -> Store.compact s | None -> ()
    interpreted [Service.label_query], with the labeling step swapped for
    the artifact (bit-identical by the compile library's contract, enforced
    by the differential suite in test_compile). *)
-let label_query ?id t q =
+let label_query t q =
   Service.label_query_with (service t)
-    ~labeler:(fun ~budget q -> Artifact.label ~budget ?id t.artifact q)
+    ~labeler:(fun ~budget q -> Artifact.label ~budget t.artifact q)
     q
 
 (* The uncached path is Service.submit split in two ([label_query] then
@@ -323,8 +321,9 @@ let uncached t ~principal q =
    would cost a fold and a normal-form search per miss, more than the
    compiled labeling it could skip (which folds the query once itself), for
    almost no extra hits. A miss labels the ORIGINAL query, making the miss
-   path byte-for-byte the sequential Service.submit, and hands the artifact
-   the id just interned so the query is interned once per decision. *)
+   path byte-for-byte the sequential Service.submit; labeling does not
+   intern, so the query is interned once per decision. This cache is the
+   only query-level one: the artifact memoizes atoms, not queries. *)
 let cached t cache ~principal q =
   let svc = service t in
   match Guard.admit_query (Service.limits svc) q with
@@ -349,7 +348,7 @@ let cached t cache ~principal q =
       Metrics.incr t.metrics Metrics.Cache_miss;
       note t "cache" "miss";
       t.last_cache <- "miss";
-      match label_query ~id:k t q with
+      match label_query t q with
       | Error reason -> Service.refuse svc ~principal reason
       | Ok label ->
         let before = Label_cache.evictions cache in

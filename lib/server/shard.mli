@@ -212,8 +212,8 @@ val artifact : t -> Compile.Artifact.t
 
 val compile_stats : t -> Compile.Artifact.stats
 (** {!Compile.Artifact.stats} of the live artifact: version, fallbacks,
-    memo hit rates, interner occupancy. Same quiescence caveat as
-    {!artifact}. *)
+    atom-memo hit rates, interner occupancy (the interner keys the label
+    cache). Same quiescence caveat as {!artifact}. *)
 
 val store : t -> Store.t option
 (** The shard's tiered principal store, when created with [?resident].

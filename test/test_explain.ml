@@ -205,7 +205,7 @@ let test_refusal_variants_end_to_end () =
 
 (* --- answered content: tier, cache level, witnesses, mask delta --------- *)
 
-let tiers = [ "memo"; "atom-memo"; "matcher"; "fallback"; "interpreter" ]
+let tiers = [ "atom-memo"; "matcher"; "fallback"; "interpreter" ]
 
 let test_answered_content () =
   let server = make_server ~domains:1 () in
@@ -255,6 +255,28 @@ let test_cache_hit_tier () =
     check_string "cache hit served the label" "exact" e.Explain.cache_level
   | _ -> Alcotest.fail "expected a cached answer with provenance");
   Server.stop server
+
+(* A query over a relation no view mentions labels to ⊤ without any atom
+   escalating: it must report the lowest produced tier, with the cache off
+   and on a cache miss, and the round must decide it normally (a tier with
+   no histogram slot would fail the round closed). *)
+let test_viewless_tier () =
+  let q = Cq.Parser.query_exn "Q(x) :- NoSuchRelation(x)" in
+  let produced = List.map Compile.Artifact.tier_name Compile.Artifact.tiers in
+  List.iter
+    (fun cache_capacity ->
+      let server = make_server ~domains:1 ~cache_capacity () in
+      Server.start server;
+      (match Server.await_explained (Server.submit_explained server ~principal:"crm-app" q) with
+      | Monitor.Refused (Guard.Fault _), _ -> Alcotest.fail "view-less query failed closed"
+      | _, Some e ->
+        check_bool "a produced tier" true (List.mem e.Explain.tier produced);
+        check_string "the lowest produced tier"
+          (Compile.Artifact.tier_name Compile.Artifact.Tier_atom_memo)
+          e.Explain.tier
+      | _, None -> Alcotest.fail "expected provenance");
+      Server.stop server)
+    [ 0; 64 ]
 
 (* --- wire: explain over a socket, codec round-trip ---------------------- *)
 
@@ -506,6 +528,7 @@ let () =
         [
           Alcotest.test_case "answered provenance" `Quick test_answered_content;
           Alcotest.test_case "cache-hit tier" `Quick test_cache_hit_tier;
+          Alcotest.test_case "view-less query tier" `Quick test_viewless_tier;
         ] );
       ( "wire",
         [
