@@ -4,10 +4,13 @@
    whole view universe: every view atom becomes a flat matcher program,
    grouped by (relation, arity), with a per-group atom memo keyed by
    canonical patterns on top. An atom-memo miss runs its group's matchers
-   once and memoizes the mask. Labeling then costs one dissection plus one
-   hash probe per atom on the steady state, instead of one Rewrite_single
-   scan per (atom, view) pair. A repeated query is the shard's label cache's
-   business, keyed by [intern_query]; the artifact keeps no per-query memo.
+   once and memoizes the mask. Labeling then costs one fold plus one coded
+   split, which numbers each kept atom's pattern straight from the fold's
+   int codes (Dissect.map_dissect), and one hash probe per atom on the
+   steady state, instead of one Rewrite_single scan per (atom, view) pair.
+   No Tagged atom is built unless an atom falls back to the interpreter. A
+   repeated query is the shard's label cache's business, keyed by
+   [intern_query]; the artifact keeps no per-query memo.
 
    Equivalence contract: [label] returns a bit-identical Label.t to
    [Pipeline.label] on the same pipeline, including the order and number
@@ -17,14 +20,15 @@
    per atom where the interpreter burns one per (atom, view) entry, so
    compiled labeling is strictly cheaper under tight fuel. Queries outside
    the compiled fragment (atoms wider than Pattern.max_arity) escape to
-   the interpreted labeler and are counted in [stats] — the escape is
-   never silent.
+   the interpreted labeler, as the Tagged atom Dissect.tagged builds, and
+   are counted in [stats] — the escape is never silent.
 
    Not thread-safe: an artifact belongs to one shard, like the label
    cache; reload compiles a fresh artifact (version + 1) and swaps it. *)
 
 module Value = Relational.Value
 module Tagged = Disclosure.Tagged
+module Pattern = Disclosure.Pattern
 module Sview = Disclosure.Sview
 module Registry = Disclosure.Registry
 module Pipeline = Disclosure.Pipeline
@@ -142,44 +146,52 @@ let scan g p =
 let escalate t tier =
   if tier_rank tier > tier_rank t.last_tier then t.last_tier <- tier
 
+(* Outside the fragment: interpreted labeler, which trips Faults.Label
+   itself, so the per-atom fault schedule stays one trip either way. *)
+let fallback ~budget t atom =
+  t.fallbacks <- t.fallbacks + 1;
+  escalate t Tier_fallback;
+  Pipeline.label_atom ~budget t.pipeline atom
+
+let label_pattern ~budget t (p : Pattern.t) =
+  Faults.trip Faults.Label;
+  match Hashtbl.find_opt t.groups (p.Pattern.pred, Pattern.arity p) with
+  | None ->
+    (* No views at this arity; the interpreter still ticks once per atom
+       of a relation that has views at all. *)
+    if Registry.rel_id t.registry p.Pattern.pred <> None then Cq.Budget.tick budget;
+    Label.top_atom
+  | Some g -> (
+    Cq.Budget.tick budget;
+    let key = Pattern.memo_key p in
+    match Pattern.Memo.find_opt g.memo key with
+    | Some w ->
+      t.atom_hits <- t.atom_hits + 1;
+      escalate t Tier_atom_memo;
+      w
+    | None ->
+      t.atom_misses <- t.atom_misses + 1;
+      escalate t Tier_matcher;
+      let mask = scan g p in
+      let w = if mask = 0 then Label.top_atom else Label.make_atom ~rel_id:g.rel_id ~mask in
+      if Pattern.Memo.length g.memo >= t.memo_capacity then Pattern.Memo.reset g.memo;
+      Pattern.Memo.add g.memo key w;
+      w)
+
 let label_atom ?(budget = Cq.Budget.unlimited) t (atom : Tagged.atom) =
   match Pattern.encode atom with
-  | None ->
-    (* Outside the fragment: interpreted labeler, which trips Faults.Label
-       itself, so the per-atom fault schedule stays one trip either way. *)
-    t.fallbacks <- t.fallbacks + 1;
-    escalate t Tier_fallback;
-    Pipeline.label_atom ~budget t.pipeline atom
-  | Some p -> (
-    Faults.trip Faults.Label;
-    match Registry.rel_id t.registry atom.Tagged.pred with
-    | None -> Label.top_atom
-    | Some rel_id -> (
-      Cq.Budget.tick budget;
-      match Hashtbl.find_opt t.groups (p.Pattern.pred, Pattern.arity p) with
-      | None -> Label.top_atom (* relation has views, none at this arity *)
-      | Some g -> (
-        let key = Pattern.memo_key p in
-        match Pattern.Memo.find_opt g.memo key with
-        | Some w ->
-          t.atom_hits <- t.atom_hits + 1;
-          escalate t Tier_atom_memo;
-          w
-        | None ->
-          t.atom_misses <- t.atom_misses + 1;
-          escalate t Tier_matcher;
-          let mask = scan g p in
-          let w = if mask = 0 then Label.top_atom else Label.make_atom ~rel_id ~mask in
-          if Pattern.Memo.length g.memo >= t.memo_capacity then Pattern.Memo.reset g.memo;
-          Pattern.Memo.add g.memo key w;
-          w)))
+  | None -> fallback ~budget t atom
+  | Some p -> label_pattern ~budget t p
+
+let label_split ?(budget = Cq.Budget.unlimited) t atom p =
+  if Pattern.arity p > Pattern.max_arity then fallback ~budget t (Dissect.tagged atom p)
+  else label_pattern ~budget t p
 
 (* A query none of whose atoms reaches a compiled group (every atom ⊤, or
    no atoms) escalates nothing and reports the lowest produced tier. *)
 let label ?(budget = Cq.Budget.unlimited) t q =
   t.last_tier <- Tier_atom_memo;
-  let atoms = Dissect.dissect ~budget q in
-  Array.of_list (List.map (fun a -> label_atom ~budget t a) atoms)
+  Array.of_list (Dissect.map_dissect ~budget (label_split ~budget t) q)
 
 let last_tier t = t.last_tier
 

@@ -3,9 +3,12 @@
     [label (compile pipeline) q] is bit-identical to
     [Disclosure.Pipeline.label pipeline q] — same Label.t words, same
     fault-injection trip schedule (Minimize, Dissect, then Label once per
-    atom) — at the cost of one dissection plus one memo probe per atom
-    instead of one rewriting scan per (atom, view) pair; an atom-memo miss
-    runs the flat matchers of the atom's (relation, arity) group once.
+    atom) — at the cost of one fold, one coded split and one memo probe
+    per atom instead of one rewriting scan per (atom, view) pair; an
+    atom-memo miss runs the flat matchers of the atom's (relation, arity)
+    group once. The split numbers each atom's pattern straight from the
+    fold's int codes ({!Disclosure.Dissect.map_dissect}), so a Tagged atom
+    is built only for an atom that falls back to the interpreter.
     Whole queries are not memoized here: a repeat is served by the
     shard's label cache, keyed by {!intern_query}. Sole documented
     divergence: the compiled path burns one budget unit per atom where the
@@ -56,6 +59,19 @@ val intern_query : t -> Cq.Query.t -> int
 
 val label_atom :
   ?budget:Cq.Budget.t -> t -> Disclosure.Tagged.atom -> Disclosure.Label.atom_label
+(** One single-atom tagged query, encoded with
+    {!Disclosure.Pattern.encode_exn}. *)
+
+val label_split :
+  ?budget:Cq.Budget.t ->
+  t ->
+  Cq.Atom.t ->
+  Disclosure.Pattern.t ->
+  Disclosure.Label.atom_label
+(** One atom of {!Disclosure.Dissect.map_split}, by its pattern: what
+    {!label} does per kept atom. Only an atom wider than
+    {!Disclosure.Pattern.max_arity} is turned into a Tagged atom, for the
+    interpreted labeler. *)
 
 val label : ?budget:Cq.Budget.t -> t -> Cq.Query.t -> Disclosure.Label.t
 

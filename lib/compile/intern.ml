@@ -40,7 +40,9 @@ let intern t key =
   | None ->
     t.misses <- t.misses + 1;
     if Hashtbl.length t.table >= t.capacity then begin
-      Hashtbl.reset t.table;
+      (* [clear] keeps the grown bucket array; [reset] would shrink it and
+         every flush cycle would rehash its way back up. *)
+      Hashtbl.clear t.table;
       t.flushes <- t.flushes + 1
     end;
     let id = t.next in

@@ -11,6 +11,7 @@
 
 module Value = Relational.Value
 module Tagged = Disclosure.Tagged
+module Pattern = Disclosure.Pattern
 
 type op =
   | Const_eq of Value.t (* view constant: query must hold an equal constant *)

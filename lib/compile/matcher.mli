@@ -1,6 +1,6 @@
 (** View atoms compiled to flat instruction programs over pattern codes.
 
-    [run (compile v) (Pattern.encode_exn q)] equals
+    [run (compile v) (Disclosure.Pattern.encode_exn q)] equals
     [Disclosure.Rewrite_single.leq_atom q v] for every well-formed view
     atom [v] and query atom [q] inside the compiled fragment — the same
     theta-consistency, existential-pairing, and cover rules, executed as
@@ -11,4 +11,4 @@ type t
 
 val compile : Disclosure.Tagged.atom -> t
 
-val run : t -> Pattern.t -> bool
+val run : t -> Disclosure.Pattern.t -> bool

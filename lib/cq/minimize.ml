@@ -9,6 +9,7 @@ type coded = {
   query : Query.t;
   preds : int array;
   args : int array array;
+  consts : Relational.Value.t array;
   n_vars : int;
   n_head : int;
 }
@@ -60,7 +61,9 @@ let encode (q : Query.t) =
       List.iteri (fun i t -> codes.(i) <- code t) a.args;
       args.(k) <- codes)
     q.body;
-  { query = q; preds = pred_ids; args; n_vars = Names.length vars; n_head }
+  let values = Array.make !n_consts (Relational.Value.Int 0) in
+  List.iter (fun (c, k) -> values.(k) <- c) !consts;
+  { query = q; preds = pred_ids; args; consts = values; n_vars = Names.length vars; n_head }
 
 let unbound = min_int
 

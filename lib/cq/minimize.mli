@@ -38,6 +38,7 @@ type coded = private {
   args : int array array;
       (** per body atom, per position: a variable id [>= 0], or [lnot] a
           constant id; two codes are equal iff their terms are *)
+  consts : Relational.Value.t array;  (** constant id -> value *)
   n_vars : int;
   n_head : int;  (** variables [0 .. n_head - 1] are exactly the head's *)
 }
